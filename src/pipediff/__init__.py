@@ -23,10 +23,8 @@ from .geometry import (
     Segment,
     Straight,
     Violation,
-    locate,
     module_path_radius,
     segment_length,
-    total_length,
     validate_network,
 )
 from .kinematics import (
@@ -66,13 +64,10 @@ from .simulator import (
     RunSummary,
     SegmentSummary,
     SimParams,
-    SimState,
     TraceRecord,
     TrackTotals,
-    effective_robot_path,
     run,
     run_orientation_sweep,
-    step,
 )
 from .transmission import (
     GearTrainConfig,

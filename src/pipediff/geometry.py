@@ -220,16 +220,6 @@ class PipeNetwork:
         return LocatedFrame(index, offset, tuple(point), tuple(tangent))
 
 
-def total_length(net: PipeNetwork) -> float:
-    """Total centerline length of the network in mm."""
-    return net.total_length
-
-
-def locate(net: PipeNetwork, s: float) -> LocatedFrame:
-    """Segment index, local offset, point, and tangent at arc length ``s``."""
-    return net.locate(s)
-
-
 def module_path_radius(
     bend: Bend, theta: float, module_index: int, contact_radius: float
 ) -> float:

@@ -64,7 +64,6 @@ class ModuleState:
 
     compressions: tuple[float, float, float]  # mm
     tilts_deg: tuple[float, float, float]  # deg, asymmetric front/rear share
-    contact_radii: tuple[float, float, float]  # mm, module reach from the robot axis
 
 
 def contact_radius(cfg: RobotConfig, delta: float) -> float:
@@ -172,5 +171,4 @@ def module_state(
                 f"asymmetric compression on module {module}, "
                 f"limit is {cfg.max_tilt_deg:g} deg"
             )
-    radii = tuple(contact_radius(cfg, d) for d in deltas)
-    return ModuleState(deltas, tilts, radii)
+    return ModuleState(deltas, tilts)

@@ -46,14 +46,13 @@ from .geometry import (
     PipeSpec,
     Segment,
     Straight,
+    UNIT_TOL,
     rotate_vector,
     validate_network,
 )
 from .robot import RobotConfig
 from .simulator import DisturbanceConfig, SimParams
 from .transmission import GearTrainConfig
-
-_VEC_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -211,8 +210,8 @@ class _SectionReader:
             self.issues.add(lineno, f"{key}: expected three numbers, got {raw!r}")
             return default
         norm = math.sqrt(sum(c * c for c in vec))
-        if abs(norm - 1.0) > _VEC_NORM_TOL:
-            self.issues.add(lineno, f"{key}: must be a unit vector, norm is {norm:.6g}")
+        if abs(norm - 1.0) > UNIT_TOL:
+            self.issues.add(lineno, f"{key}: must be a unit vector, norm is {norm:.12g}")
             return default
         return vec
 

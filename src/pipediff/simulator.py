@@ -5,8 +5,14 @@ the three resolved track speeds (the differential holds that mean at the
 nominal speed, in straights and bends alike).  Roll orientation is a
 scenario constant: it is measured from each bend's inward direction and no
 roll dynamics are modeled, matching the treatment of orientation as an
-experiment parameter.  Speeds switch at the first record after a segment
-boundary; there is no blending.
+experiment parameter.
+
+The model is piecewise constant: compressions, tilts, demanded and resolved
+speeds, and slip depend only on the segment.  ``run`` derives them once per
+segment before stepping, so each tick is plain arithmetic.  Speeds switch
+at the first record after a segment boundary; there is no blending.  Every
+segment the reference point crosses is checked for admissibility, even one
+that a single step jumps past.
 
 Runs are deterministic: identical inputs, including the disturbance seed,
 produce bit-identical traces.  A single run is sequential state recurrence;
@@ -19,15 +25,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InfeasibleConstraintError, InvalidScenarioError, NoFitError
-from .geometry import Bend, PipeNetwork, segment_length, validate_network
+from .geometry import Bend, PipeNetwork, Segment, segment_length, validate_network
 from .kinematics import (
     TRACK_NAMES,
+    TrackSpeeds,
     apply_disturbance,
     resolved_speeds,
     slip_and_ape,
     theoretical_speeds,
 )
-from .robot import RobotConfig, bend_tilts, module_state
+from .robot import ModuleState, RobotConfig, module_state
 from .transmission import GearTrainConfig
 
 # Fraction of a segment's arc excluded at each end of the reporting window:
@@ -89,16 +96,6 @@ class TraceRecord:
 
 
 @dataclass(frozen=True)
-class SimState:
-    """Recurrence state between steps."""
-
-    t: float = 0.0
-    s: float = 0.0
-    distances: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    done: bool = False
-
-
-@dataclass(frozen=True)
 class SegmentSummary:
     """Aggregates over the records that fell inside one segment."""
 
@@ -147,86 +144,36 @@ class RunSummary:
     tracks: tuple[TrackTotals, TrackTotals, TrackTotals]
 
 
-def effective_robot_path(net: PipeNetwork, robot: RobotConfig) -> float:
-    """Distance the reference point travels from fully inserted to emerged."""
-    total = net.total_length
-    if total < robot.length:
-        raise InvalidScenarioError(
-            f"network length {total:g} mm is shorter than the robot ({robot.length:g} mm)"
-        )
-    return total - robot.length
+@dataclass(frozen=True)
+class _SegmentPlan:
+    """The robot's constant state inside one segment, or why it cannot enter."""
+
+    error: str | None
+    state: ModuleState | None = None
+    resolved: TrackSpeeds | None = None
+    demanded: TrackSpeeds | None = None
+    slip: tuple[float, float, float] | None = None
 
 
-def _observe(
+def _plan_segment(
     net: PipeNetwork,
     robot: RobotConfig,
     gear: GearTrainConfig,
     params: SimParams,
-    t: float,
-    s: float,
-    distances: tuple[float, float, float],
-    rng,
+    segment: Segment,
     v_nominal: float,
-) -> TraceRecord:
-    """Evaluate speeds, compressions, and slip at position ``s``."""
-    index, _ = net.segment_at(s)
-    segment = net.segments[index]
+) -> _SegmentPlan:
     theta = params.theta_rad
-    state = module_state(robot, net.spec, segment, theta)
     wall_radius = net.spec.inner_radius
-    demanded = theoretical_speeds(segment, theta, v_nominal, wall_radius)
-    resolved = resolved_speeds(
-        gear, robot, segment, theta, params.omega_u, contact_radius=wall_radius
-    )
-    if rng is not None:
-        resolved = apply_disturbance(resolved, params.disturbance.amplitude, rng)
-    report = slip_and_ape(resolved, demanded)
-    return TraceRecord(
-        t=t,
-        s=s,
-        segment=index,
-        theta_deg=params.theta_deg,
-        v=resolved.as_tuple(),
-        v_theo=demanded.as_tuple(),
-        compression=state.compressions,
-        slip=report.slips,
-        distance=distances,
-    )
-
-
-def step(
-    state: SimState,
-    net: PipeNetwork,
-    robot: RobotConfig,
-    gear: GearTrainConfig,
-    params: SimParams,
-    rng=None,
-) -> tuple[SimState, TraceRecord]:
-    """Advance one tick.
-
-    Returns the new state and the record observed at the starting position.
-    Reaching the network end sets ``done`` on the returned state.  With a
-    nonzero disturbance amplitude the caller must supply the generator.
-
-    Raises:
-        NoFitError: the segment at the current position is impassable.
-        ValueError: stepping a completed state or past the network end.
-    """
-    if state.done:
-        raise ValueError("simulation already completed")
-    total = net.total_length
-    if state.s > total:
-        raise ValueError(f"position {state.s!r} mm is past the network end")
-    if params.disturbance.amplitude > 0.0 and rng is None:
-        raise ValueError("disturbance enabled; pass the seeded generator explicitly")
-    v_nominal = gear.ratio * params.omega_u * robot.sprocket_radius
-    record = _observe(net, robot, gear, params, state.t, state.s, state.distances, rng, v_nominal)
-    if state.s >= total:
-        return SimState(state.t, state.s, state.distances, done=True), record
-    mean_v = math.fsum(record.v) / 3.0
-    new_s = min(state.s + mean_v * params.dt, total)
-    new_distances = tuple(d + v * params.dt for d, v in zip(state.distances, record.v))
-    return SimState(state.t + params.dt, new_s, new_distances, done=False), record
+    try:
+        state = module_state(robot, net.spec, segment, theta)
+        demanded = theoretical_speeds(segment, theta, v_nominal, wall_radius)
+        resolved = resolved_speeds(
+            gear, robot, segment, theta, params.omega_u, contact_radius=wall_radius
+        )
+    except (NoFitError, InfeasibleConstraintError) as exc:
+        return _SegmentPlan(error=str(exc))
+    return _SegmentPlan(None, state, resolved, demanded, slip_and_ape(resolved, demanded).slips)
 
 
 def run(
@@ -238,7 +185,9 @@ def run(
     """Simulate until the network end, ``t_max``, or an abort.
 
     A no-fit or infeasible-constraint abort keeps the partial trace and
-    records the cause in the summary instead of raising.
+    records the cause in the summary instead of raising.  The abort falls
+    on the first step that enters an impassable segment, before that
+    step's record.
 
     Raises:
         InvalidScenarioError: the network fails validation or the nominal
@@ -255,39 +204,62 @@ def run(
             f"nominal track speed must be positive, got {v_nominal:g} mm/s"
         )
     total = net.total_length
+    dt = params.dt
     amplitude = params.disturbance.amplitude
     rng = np.random.default_rng(params.disturbance.seed) if amplitude > 0.0 else None
+    plan = [_plan_segment(net, robot, gear, params, seg, v_nominal) for seg in net.segments]
+    starts = [net.arc_start(i) for i in range(len(plan))]
 
     records: list[TraceRecord] = []
     s = 0.0
     k = 0
+    index = 0
     distances = (0.0, 0.0, 0.0)
     completed = False
     stop_reason = None
-    error = None
-    while True:
-        t = k * params.dt
-        try:
-            record = _observe(net, robot, gear, params, t, s, distances, rng, v_nominal)
-        except (NoFitError, InfeasibleConstraintError) as exc:
-            error = str(exc)
-            break
-        records.append(record)
+    error = plan[0].error
+    while error is None:
+        entry = plan[index]
+        t = k * dt
+        v, slip = entry.resolved.as_tuple(), entry.slip
+        if rng is not None:
+            disturbed = apply_disturbance(entry.resolved, amplitude, rng)
+            v, slip = disturbed.as_tuple(), slip_and_ape(disturbed, entry.demanded).slips
+        records.append(
+            TraceRecord(
+                t=t,
+                s=s,
+                segment=index,
+                theta_deg=params.theta_deg,
+                v=v,
+                v_theo=entry.demanded.as_tuple(),
+                compression=entry.state.compressions,
+                slip=slip,
+                distance=distances,
+            )
+        )
         if s >= total:
             completed = True
             break
         if params.t_max is not None and t >= params.t_max - 1e-12:
             stop_reason = "t_max"
             break
-        mean_v = math.fsum(record.v) / 3.0
+        mean_v = math.fsum(v) / 3.0
         if mean_v <= 0.0:
             error = f"stalled: mean track speed {mean_v:g} mm/s is not positive"
             break
-        s = min(s + mean_v * params.dt, total)
-        distances = tuple(d + v * params.dt for d, v in zip(distances, record.v))
+        s = min(s + mean_v * dt, total)
+        distances = (distances[0] + v[0] * dt, distances[1] + v[1] * dt, distances[2] + v[2] * dt)
         k += 1
+        # Joints belong to the later segment.  Check every segment entered
+        # on this step, including any the step jumped past entirely.
+        while error is None and index + 1 < len(plan) and s >= starts[index + 1]:
+            index += 1
+            error = plan[index].error
 
-    summary = _summarize(net, robot, params, records, completed, stop_reason, error, v_nominal)
+    summary = _summarize(
+        net, robot, params, plan, records, completed, stop_reason, error, v_nominal
+    )
     return records, summary
 
 
@@ -326,6 +298,7 @@ def _summarize(
     net: PipeNetwork,
     robot: RobotConfig,
     params: SimParams,
+    plan: list[_SegmentPlan],
     records: list[TraceRecord],
     completed: bool,
     stop_reason: str | None,
@@ -358,10 +331,7 @@ def _summarize(
             ]
             ape.append(math.fsum(terms) / len(terms) if terms else None)
         max_compression = max(max(r.compression) for r in recs)
-        if isinstance(segment, Bend):
-            max_tilt = max(bend_tilts(robot, segment, params.theta_rad))
-        else:
-            max_tilt = 0.0
+        max_tilt = max(plan[index].state.tilts_deg)
         next_recs = groups.get(index + 1)
         exit_time = next_recs[0].t if next_recs else recs[-1].t
         summaries.append(

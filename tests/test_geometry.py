@@ -11,9 +11,7 @@ from pipediff import (
     PipeNetwork,
     PipeSpec,
     Straight,
-    locate,
     module_path_radius,
-    total_length,
     validate_network,
 )
 
@@ -29,34 +27,34 @@ def make_net(*segments, spec=SPEC):
 
 class TestTotalLength:
     def test_single_straight(self):
-        assert total_length(make_net(Straight(350.0, Z))) == 350.0
+        assert make_net(Straight(350.0, Z)).total_length == 350.0
 
     def test_half_turn_arc(self):
         net = make_net(Bend(radius=100.0, sweep_deg=180.0, normal=Y))
-        assert total_length(net) == pytest.approx(100.0 * math.pi, rel=1e-12)
+        assert net.total_length == pytest.approx(100.0 * math.pi, rel=1e-12)
 
     def test_additivity(self):
         net = make_net(Straight(350.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Y))
-        assert total_length(net) == pytest.approx(350.0 + 50.0 * math.pi, rel=1e-12)
+        assert net.total_length == pytest.approx(350.0 + 50.0 * math.pi, rel=1e-12)
 
 
 class TestLocate:
     def test_start(self):
         net = make_net(Straight(350.0, Z))
-        frame = locate(net, 0.0)
+        frame = net.locate(0.0)
         assert (frame.index, frame.offset) == (0, 0.0)
         assert frame.point == (0.0, 0.0, 0.0)
         assert frame.tangent == Z
 
     def test_end_maps_to_last_segment(self):
         net = make_net(Straight(350.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Y))
-        frame = locate(net, net.total_length)
+        frame = net.locate(net.total_length)
         assert frame.index == 1
         assert frame.offset == pytest.approx(50.0 * math.pi, rel=1e-12)
 
     def test_joint_belongs_to_the_later_segment(self):
         net = make_net(Straight(350.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Y))
-        frame = locate(net, 350.0)
+        frame = net.locate(350.0)
         assert frame.index == 1
         assert frame.offset == 0.0
 
@@ -70,28 +68,28 @@ class TestLocate:
         # independent oracle: prefix-sum table of segment lengths
         lengths = [350.0, 100.0 * math.pi / 2.0, 200.0]
         starts = [0.0, lengths[0], lengths[0] + lengths[1]]
-        frame = locate(net, 360.0)
+        frame = net.locate(360.0)
         assert frame.index == 1
         assert frame.offset == pytest.approx(360.0 - starts[1], rel=1e-12)
 
     def test_monotone_in_arc_length(self):
         net = make_net(Straight(350.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Y))
         samples = np.linspace(0.0, net.total_length, 200)
-        frames = [locate(net, float(s)) for s in samples]
+        frames = [net.locate(float(s)) for s in samples]
         keys = [(f.index, f.offset) for f in frames]
         assert keys == sorted(keys)
 
     def test_out_of_range(self):
         net = make_net(Straight(350.0, Z))
         with pytest.raises(ValueError):
-            locate(net, -1.0)
+            net.locate(-1.0)
         with pytest.raises(ValueError):
-            locate(net, 350.0 + 1e-6)
+            net.locate(350.0 + 1e-6)
 
     def test_bend_frame_geometry(self):
         # 90 deg turn from +z to +x about +y: exit point offset by (R, 0, R)
         net = make_net(Bend(radius=100.0, sweep_deg=90.0, normal=Y))
-        frame = locate(net, net.total_length)
+        frame = net.locate(net.total_length)
         assert frame.point == pytest.approx((100.0, 0.0, 100.0), abs=1e-9)
         assert frame.tangent == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
 
@@ -198,6 +196,6 @@ def test_arc_length_additivity_under_concatenation():
 def test_straight_chain_has_continuous_points():
     net = make_net(Straight(100.0, Z), Bend(radius=50.0, sweep_deg=90.0, normal=Y), Straight(80.0, X))
     assert validate_network(net) == []
-    before = np.array(locate(net, 100.0 + 25.0 * math.pi - 1e-6).point)
-    after = np.array(locate(net, 100.0 + 25.0 * math.pi + 1e-6).point)
+    before = np.array(net.locate(100.0 + 25.0 * math.pi - 1e-6).point)
+    after = np.array(net.locate(100.0 + 25.0 * math.pi + 1e-6).point)
     assert np.linalg.norm(after - before) < 1e-3

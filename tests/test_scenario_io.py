@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -88,9 +90,11 @@ class TestParse:
         assert any("duplicate key" in msg for _line, msg in issues)
 
     def test_non_unit_axis(self):
-        text = MINIMAL.replace("axis = 0 0 1", "axis = 0 0 2")
-        issues = issues_of(text)
-        assert any("unit vector" in msg for _line, msg in issues)
+        # 1 + 1e-7 is off by more than the one unit-vector tolerance
+        for axis in ("0 0 2", "0 0 1.0000001"):
+            text = MINIMAL.replace("axis = 0 0 1", f"axis = {axis}")
+            issues = issues_of(text)
+            assert any("unit vector" in msg for _line, msg in issues), issues
 
     def test_discontinuous_chain_is_mapped_to_the_segment_line(self, reference_text):
         text = reference_text.replace("axis = 1 0 0", "axis = 0 0 1")
@@ -187,6 +191,21 @@ class TestTraceCsv:
         row = render_trace(records[:1]).splitlines()[1].split(",")
         assert row[0] == "0.000000"
         assert row[4] == "35.000000"
+
+    # The trace CSV is a byte contract: SHA-256 of the reference trace at
+    # each roll orientation (the same digests the benchmark checks).
+    REFERENCE_TRACE_SHA256 = {
+        0.0: "570ebc14659e197c04db0755c397183424d6aa2f0016caacd118e268a955c3c0",
+        120.0: "503d55f64beb64be7ac9321c30cb0a46fc3b78520b76bd7d40aca80b3990b9ba",
+        240.0: "639e0e6f89864ae050714d40df75d9ae1eda47655b29471d69aef88662e24393",
+    }
+
+    @pytest.mark.parametrize("theta", sorted(REFERENCE_TRACE_SHA256))
+    def test_reference_trace_bytes_are_pinned(self, reference_scenario, theta):
+        sc = reference_scenario
+        records, _ = run(sc.build_network(), sc.robot, sc.gear, replace(sc.sim, theta_deg=theta))
+        digest = hashlib.sha256(render_trace(records).encode("utf-8")).hexdigest()
+        assert digest == self.REFERENCE_TRACE_SHA256[theta]
 
 
 class TestReports:

@@ -2,23 +2,24 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipediff import (
     Bend,
     DisturbanceConfig,
     GearTrainConfig,
     InvalidScenarioError,
+    NoFitError,
     PipeNetwork,
     PipeSpec,
     RobotConfig,
     SimParams,
-    SimState,
     Straight,
-    effective_robot_path,
     module_path_radius,
+    module_state,
     run,
     run_orientation_sweep,
-    step,
 )
 
 Z = (0.0, 0.0, 1.0)
@@ -51,39 +52,29 @@ def small_setup(dt=0.01, theta_deg=0.0, **sim_overrides):
 class TestStep:
     def test_straight_advance(self):
         net, robot, gear, params = small_setup()
-        state, record = step(SimState(), net, robot, gear, params)
-        assert state.s == pytest.approx(0.5, rel=1e-12)  # 50 mm/s * 0.01 s
-        assert state.t == pytest.approx(0.01)
-        assert record.t == 0.0 and record.s == 0.0
-        assert record.v == pytest.approx((50.0, 50.0, 50.0), rel=1e-12)
+        records, _ = run(net, robot, gear, params)
+        first, second = records[:2]
+        assert first.t == 0.0 and first.s == 0.0
+        assert first.v == pytest.approx((50.0, 50.0, 50.0), rel=1e-12)
+        assert second.s == pytest.approx(0.5, rel=1e-12)  # 50 mm/s * 0.01 s
+        assert second.t == pytest.approx(0.01)
 
     def test_bend_advance_keeps_the_nominal_mean(self):
         net, robot, gear, params = small_setup()
-        start = SimState(t=0.0, s=150.0)  # inside the elbow
-        state, record = step(start, net, robot, gear, params)
-        assert record.segment == 1
-        assert state.s - start.s == pytest.approx(0.5, rel=1e-9)
+        records, _ = run(net, robot, gear, params)
+        pairs = [(a, b) for a, b in zip(records, records[1:]) if a.segment == 1]
+        assert pairs  # the elbow was sampled
+        for before, after in pairs:
+            assert before.v[0] < 50.0  # module 0 rides the inner side at theta 0
+            assert after.s - before.s == pytest.approx(0.5, rel=1e-9)
 
     def test_completion_signal_at_network_end(self):
         net, robot, gear, params = small_setup()
-        end = net.total_length
-        state, record = step(SimState(t=1.0, s=end), net, robot, gear, params)
-        assert state.done
-        assert record.segment == len(net.segments) - 1
-        with pytest.raises(ValueError):
-            step(state, net, robot, gear, params)
-
-    def test_past_end_is_rejected(self):
-        net, robot, gear, params = small_setup()
-        with pytest.raises(ValueError):
-            step(SimState(s=net.total_length + 1.0), net, robot, gear, params)
-
-    def test_disturbance_requires_generator(self):
-        net, robot, gear, params = small_setup(
-            disturbance=DisturbanceConfig(amplitude=0.01, seed=1)
-        )
-        with pytest.raises(ValueError):
-            step(SimState(), net, robot, gear, params)
+        records, summary = run(net, robot, gear, params)
+        assert summary.completed and summary.stop_reason is None and summary.error is None
+        assert records[-1].s == net.total_length
+        assert records[-1].segment == len(net.segments) - 1
+        assert records[-2].s < net.total_length  # exactly one record at the end
 
 
 class TestRun:
@@ -180,32 +171,96 @@ class TestRun:
         assert last.exit_time == summary.total_time
 
 
+def planar_network(spec, pieces):
+    """Chain ``pieces`` in the x-z plane: ("straight", length) or
+    ("bend", radius, sweep_deg, turn) with turn +1 or -1 about +y."""
+    heading = 0.0  # radians from +z towards +x
+    segments = []
+    for piece in pieces:
+        if piece[0] == "straight":
+            segments.append(Straight(piece[1], (math.sin(heading), 0.0, math.cos(heading))))
+        else:
+            _, radius, sweep, turn = piece
+            segments.append(Bend(radius, sweep, (0.0, float(turn), 0.0)))
+            heading += turn * math.radians(sweep)
+    return PipeNetwork(spec, tuple(segments))
+
+
+class TestSegmentAdmissibility:
+    # A 3.5 mm elbow of radius 40 mm needs 5 + 61**2 / (8 * 40) = 16.628 mm of
+    # compression; at dt = 0.5 s one 17.5 mm step jumps from s = 315 mm to
+    # s = 332.5 mm, clean over it.
+    SHORT_TIGHT_ELBOW = (
+        ("straight", 320.0),
+        ("bend", 40.0, 5.0, 1),
+        ("straight", 100.0),
+        ("bend", 335.0, 90.0, 1),
+    )
+
+    @pytest.mark.parametrize("dt", [0.5, 0.2])
+    def test_a_stepped_over_segment_still_aborts(self, reference_scenario, dt):
+        sc = reference_scenario
+        net = planar_network(sc.pipe, self.SHORT_TIGHT_ELBOW)
+        records, summary = run(net, sc.robot, sc.gear, replace(sc.sim, dt=dt))
+        assert not summary.completed
+        assert summary.error == (
+            "bend of radius 40 mm requires 16.628 mm compression on module 0, "
+            "limit is 16 mm"
+        )
+        assert records and all(r.segment == 0 for r in records)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.one_of(
+                st.tuples(st.just("straight"), st.floats(1.0, 150.0)),
+                st.tuples(
+                    st.just("bend"),
+                    st.floats(14.0, 400.0),
+                    st.floats(0.5, 90.0),
+                    st.sampled_from((1, -1)),
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        dt=st.floats(0.05, 2.0),
+    )
+    def test_completion_implies_every_segment_is_admissible(
+        self, reference_scenario, pieces, dt
+    ):
+        sc = reference_scenario
+        net = planar_network(sc.pipe, pieces)
+        _, summary = run(net, sc.robot, sc.gear, replace(sc.sim, dt=dt))
+        first_error = None
+        for segment in net.segments:
+            try:
+                module_state(sc.robot, net.spec, segment, sc.sim.theta_rad)
+            except NoFitError as exc:
+                first_error = str(exc)
+                break
+        assert summary.completed == (first_error is None)
+        assert summary.error == first_error
+
+
 class TestEffectiveRobotPath:
     def test_difference(self):
-        net, robot, _, _ = small_setup()
-        robot = replace(robot, length=200.0)
-        assert effective_robot_path(net, robot) == pytest.approx(
-            net.total_length - 200.0
-        )
+        net, robot, gear, params = small_setup()
+        _, summary = run(net, robot, gear, params)
+        assert summary.effective_path == pytest.approx(net.total_length - robot.length)
 
     def test_single_straight(self):
-        spec = PipeSpec(inner_radius=13.2)
-        net = PipeNetwork(spec, (Straight(350.0, Z),))
-        robot = RobotConfig(
-            sprocket_radius=25.0, length=200.0,
-            nominal_body_radius=13.2, preload_compression=5.0,
-        )
-        assert effective_robot_path(net, robot) == pytest.approx(150.0)
+        net, robot, gear, params = small_setup()
+        net = PipeNetwork(net.spec, (Straight(350.0, Z),))
+        _, summary = run(net, replace(robot, length=200.0), gear, params)
+        assert summary.effective_path == pytest.approx(150.0)
 
     def test_network_shorter_than_robot(self):
-        spec = PipeSpec(inner_radius=13.2)
-        net = PipeNetwork(spec, (Straight(100.0, Z),))
-        robot = RobotConfig(
-            sprocket_radius=25.0, length=200.0,
-            nominal_body_radius=13.2, preload_compression=5.0,
-        )
-        with pytest.raises(InvalidScenarioError):
-            effective_robot_path(net, robot)
+        net, robot, gear, params = small_setup()
+        net = PipeNetwork(net.spec, (Straight(100.0, Z),))
+        _, summary = run(net, replace(robot, length=200.0), gear, params)
+        assert summary.completed
+        assert summary.effective_path is None
 
 
 class TestOrientationSweep:

@@ -17,7 +17,6 @@ from .errors import (
 )
 from .geometry import (
     Bend,
-    LocatedFrame,
     PipeNetwork,
     PipeSpec,
     Segment,
@@ -48,7 +47,6 @@ from .robot import (
     bend_tilts,
     compression_in_bend,
     compression_in_straight,
-    contact_radius,
     module_state,
     spring_force,
 )

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 scenario validation failure, 2 runtime failure
-(no-fit, infeasible constraints, stalled run).  ``--seed`` falls back to
-the PIPEDIFF_SEED environment variable.
+Exit codes: 0 success, 1 invalid input (scenario file, ``--seed``,
+``--theta`` or PIPEDIFF_SEED), 2 runtime failure (no-fit, infeasible
+constraints, stalled run, an output that cannot be written).  ``--seed``
+falls back to the PIPEDIFF_SEED environment variable.
 """
 
 import argparse
@@ -61,20 +62,26 @@ def _load(path: str) -> Scenario:
 
 
 def _apply_overrides(scenario: Scenario, seed, theta) -> Scenario:
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ScenarioParseError(
-                    [(0, f"{SEED_ENV_VAR} must be an integer, got {env!r}")]
-                ) from None
+    source = "--seed"
+    if seed is None and SEED_ENV_VAR in os.environ:
+        source, env = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ScenarioParseError(
+                [(0, f"{SEED_ENV_VAR} must be an integer, got {env!r}")]
+            ) from None
     sim = scenario.sim
-    if seed is not None:
-        sim = replace(sim, disturbance=replace(sim.disturbance, seed=seed))
-    if theta is not None:
-        sim = replace(sim, theta_deg=theta)
+    try:
+        if seed is not None:
+            sim = replace(sim, disturbance=replace(sim.disturbance, seed=seed))
+    except ValueError as exc:
+        raise ScenarioParseError([(0, f"{source}: {exc}")]) from None
+    try:
+        if theta is not None:
+            sim = replace(sim, theta_deg=theta)
+    except ValueError as exc:
+        raise ScenarioParseError([(0, f"--theta: {exc}")]) from None
     if sim is scenario.sim:
         return scenario
     return replace(scenario, sim=sim)
@@ -83,9 +90,12 @@ def _apply_overrides(scenario: Scenario, seed, theta) -> Scenario:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
 def _print_issues(exc: ScenarioParseError) -> None:
@@ -104,7 +114,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     if args.command == "validate":
-        total = scenario.build_network().total_length
+        total = scenario.network.total_length
         print(
             f"{args.scenario}: OK ({len(scenario.segments)} segments, "
             f"total length {total:.3f} mm)"
@@ -117,17 +127,17 @@ def main(argv=None) -> int:
         _print_issues(exc)
         return EXIT_VALIDATION
 
-    net = scenario.build_network()
+    net = scenario.network
 
     if args.command == "run":
         try:
             records, summary = run(net, scenario.robot, scenario.gear, scenario.sim)
-        except PipeClimbError as exc:
+            if args.trace:
+                write_trace(records, args.trace)
+            _emit(render_report(summary, scenario.report, fmt=args.format), args.report)
+        except (PipeClimbError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        if args.trace:
-            write_trace(records, args.trace)
-        _emit(render_report(summary, scenario.report, fmt=args.format), args.report)
         if summary.error:
             print(f"error: {summary.error}", file=sys.stderr)
             return EXIT_RUNTIME
@@ -141,10 +151,10 @@ def main(argv=None) -> int:
             results = run_orientation_sweep(
                 net, scenario.robot, scenario.gear, scenario.sim, args.theta_steps
             )
-        except PipeClimbError as exc:
+            _emit(render_sweep_report(results, scenario.report, fmt=args.format), args.report)
+        except (PipeClimbError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        _emit(render_sweep_report(results, scenario.report, fmt=args.format), args.report)
         failed = [summary.error for _theta, _records, summary in results if summary.error]
         if failed:
             print(f"error: {failed[0]}", file=sys.stderr)

@@ -1,9 +1,12 @@
 """Pipe network geometry: arc-length-parameterized straights and bends.
 
 A network is an ordered chain of segments sharing endpoint and tangent.
-Straights declare their axis; bends inherit the incoming tangent and turn
-inside the plane orthogonal to their normal (right-hand rule).  All queries
-are pure and the types are immutable, so networks are thread-safe values.
+A straight runs along its axis; one declared without an axis continues the
+incoming tangent.  Bends inherit the incoming tangent and turn inside the
+plane orthogonal to their normal (right-hand rule).  ``PipeNetwork`` walks
+the tangent chain once, when it is built: it resolves the default axes and
+start tangent, records where each segment starts, and records every broken
+invariant.  The types are immutable, so networks are thread-safe values.
 
 Inside a bend the three drive modules ride circles of different radii: the
 module whose contact point sits at circumferential angle ``theta_i`` from
@@ -17,10 +20,7 @@ always average to ``R`` -- the identity the passive differential exploits.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import InvalidGeometryError
 
@@ -28,6 +28,10 @@ UNIT_TOL = 1e-9  # accepted |norm - 1| for declared unit vectors
 ANGLE_TOL = 1e-9  # rad, accepted tangent mismatch at joints
 
 MODULE_OFFSETS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+
+Vec3 = tuple[float, float, float]
+_PLUS_Y: Vec3 = (0.0, 1.0, 0.0)
+_PLUS_Z: Vec3 = (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,7 @@ class PipeSpec:
 @dataclass(frozen=True)
 class Straight:
     length: float  # mm
-    axis: tuple[float, float, float]  # unit direction of travel
+    axis: Vec3 | None = None  # unit direction of travel; None continues the incoming tangent
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class Bend:
 
     radius: float  # mm, centerline bend radius
     sweep_deg: float  # degrees, in (0, 180]
-    normal: tuple[float, float, float]  # bend plane normal, sets turn sense
+    normal: Vec3  # bend plane normal, sets turn sense
 
     @property
     def sweep_rad(self) -> float:
@@ -71,36 +75,33 @@ def segment_length(segment: Segment) -> float:
     return segment.arc_length
 
 
-def rotate_vector(v, axis, angle: float) -> np.ndarray:
-    """Rotate ``v`` about unit ``axis`` by ``angle`` radians (right-hand rule)."""
-    v = np.asarray(v, dtype=float)
-    k = np.asarray(axis, dtype=float)
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> Vec3:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _norm(v) -> float:
+    return math.hypot(*v)
+
+
+def _unit(v, fallback: Vec3) -> Vec3:
+    """Normalize ``v``; fall back when it is degenerate (a violation flags it)."""
+    n = _norm(v)
+    if not math.isfinite(n) or n < 1e-12:
+        return fallback
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def _rotate(v: Vec3, k: Vec3, angle: float) -> Vec3:
+    """Rotate ``v`` about unit ``k`` by ``angle`` radians (Rodrigues, right-hand rule)."""
     c = math.cos(angle)
     s = math.sin(angle)
-    return v * c + np.cross(k, v) * s + k * float(np.dot(k, v)) * (1.0 - c)
-
-
-def _unit(v, fallback) -> np.ndarray:
-    """Normalize ``v``; fall back when it is degenerate (validate flags it)."""
-    a = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(a))
-    if not math.isfinite(n) or n < 1e-12:
-        return np.array(fallback, dtype=float)
-    return a / n
-
-
-def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
-
-
-@dataclass(frozen=True)
-class LocatedFrame:
-    """Result of an arc-length query: segment, local offset, and frame."""
-
-    index: int
-    offset: float  # mm into the segment
-    point: tuple[float, float, float]
-    tangent: tuple[float, float, float]
+    kxv = _cross(k, v)
+    d = _dot(k, v)
+    return tuple(v[i] * c + kxv[i] * s + k[i] * d * (1.0 - c) for i in range(3))
 
 
 @dataclass(frozen=True)
@@ -116,108 +117,107 @@ class Violation:
         return f"{self.rule} @ {where}: {self.message}"
 
 
+def _segment_violations(k: int, segment: Segment, incoming: Vec3, pipe_radius: float):
+    """Broken invariants of segment ``k`` entered along unit tangent ``incoming``."""
+    if isinstance(segment, Straight):
+        if not (math.isfinite(segment.length) and segment.length > 0.0):
+            yield Violation(k, "segment-length", f"straight length must be positive, got {segment.length!r}")
+        norm = _norm(segment.axis)
+        if not abs(norm - 1.0) <= UNIT_TOL:
+            yield Violation(k, "unit-axis", f"axis norm is {norm:.12g}, expected 1")
+        axis = _unit(segment.axis, incoming)
+        deviation = math.atan2(_norm(_cross(incoming, axis)), _dot(incoming, axis))
+        if deviation > ANGLE_TOL:
+            yield Violation(k, "continuity", f"axis deviates {deviation:.3g} rad from the incoming tangent")
+        return
+    if not (math.isfinite(segment.radius) and segment.radius > pipe_radius):
+        yield Violation(
+            k,
+            "bend-radius",
+            f"bend radius {segment.radius!r} mm must exceed the pipe radius {pipe_radius!r} mm",
+        )
+    if not (math.isfinite(segment.sweep_deg) and 0.0 < segment.sweep_deg <= 180.0):
+        yield Violation(k, "sweep-angle", f"sweep must be in (0, 180] degrees, got {segment.sweep_deg!r}")
+    norm = _norm(segment.normal)
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        yield Violation(k, "unit-normal", f"normal norm is {norm:.12g}, expected 1")
+        return
+    tilt = abs(_dot(_unit(segment.normal, _PLUS_Y), incoming))
+    if tilt > ANGLE_TOL:
+        yield Violation(
+            k,
+            "normal-orthogonality",
+            f"bend normal is not orthogonal to the incoming tangent (dot = {tilt:.3g})",
+        )
+
+
 @dataclass(frozen=True)
 class PipeNetwork:
     """Ordered, tangent-continuous chain of straights and bends.
 
-    ``start_tangent`` seeds the chain; when omitted it is taken from the
-    first straight's axis (or +z if the chain opens with a bend).  Frames
-    are precomputed so arc-length queries stay cheap.
+    Building a network walks its tangent chain once.  ``start_tangent``
+    defaults to the first straight's axis (or +z), and a straight without
+    an axis takes the incoming tangent; both are stored resolved, so
+    ``segments`` and ``start_tangent`` are explicit.  The same walk records
+    each segment's arc-length start and every broken invariant, which
+    ``validate_network`` returns: a network is checked exactly when it is
+    built.
     """
 
     spec: PipeSpec
     segments: tuple[Segment, ...]
-    start_point: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    start_tangent: tuple[float, float, float] | None = None
+    start_tangent: Vec3 | None = None
 
-    _entry_points: tuple = field(init=False, repr=False, compare=False, default=())
-    _entry_tangents: tuple = field(init=False, repr=False, compare=False, default=())
-    _exit_tangents: tuple = field(init=False, repr=False, compare=False, default=())
-    _starts: tuple = field(init=False, repr=False, compare=False, default=())
-    _ends: tuple = field(init=False, repr=False, compare=False, default=())
+    _starts: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
+    _total: float = field(init=False, repr=False, compare=False, default=0.0)
+    _violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        tangent = _unit(self.resolved_start_tangent(), (0.0, 0.0, 1.0))
-        point = np.asarray(self.start_point, dtype=float)
-        entry_points = []
-        entry_tangents = []
-        exit_tangents = []
+        segments = tuple(self.segments)
+        start = self.start_tangent
+        if start is None:
+            first = segments[0] if segments else None
+            start = first.axis if isinstance(first, Straight) and first.axis is not None else _PLUS_Z
+        pipe_radius = self.spec.inner_radius
+        violations = []
+        if not (math.isfinite(pipe_radius) and pipe_radius > 0.0):
+            violations.append(
+                Violation(None, "pipe-radius", f"inner radius must be positive, got {pipe_radius!r}")
+            )
+        if not segments:
+            violations.append(Violation(None, "empty-network", "at least one segment required"))
+
+        tangent = _unit(start, _PLUS_Z)
+        resolved = []
         starts = []
-        ends = []
         s = 0.0
-        for segment in self.segments:
+        for k, segment in enumerate(segments):
+            if isinstance(segment, Straight) and segment.axis is None:
+                segment = Straight(segment.length, tangent)
+            violations.extend(_segment_violations(k, segment, tangent, pipe_radius))
             if isinstance(segment, Straight):
                 tangent = _unit(segment.axis, tangent)
-                entry_points.append(point.copy())
-                entry_tangents.append(tangent.copy())
-                point = point + tangent * segment.length
             else:
-                normal = _unit(segment.normal, (0.0, 1.0, 0.0))
-                entry_points.append(point.copy())
-                entry_tangents.append(tangent.copy())
-                center = point + segment.radius * np.cross(normal, tangent)
-                point = center + rotate_vector(point - center, normal, segment.sweep_rad)
-                tangent = _unit(rotate_vector(tangent, normal, segment.sweep_rad), tangent)
-            exit_tangents.append(tangent.copy())
+                normal = _unit(segment.normal, _PLUS_Y)
+                tangent = _unit(_rotate(tangent, normal, segment.sweep_rad), tangent)
+            resolved.append(segment)
             starts.append(s)
             s += segment_length(segment)
-            ends.append(s)
-        object.__setattr__(self, "_entry_points", tuple(entry_points))
-        object.__setattr__(self, "_entry_tangents", tuple(entry_tangents))
-        object.__setattr__(self, "_exit_tangents", tuple(exit_tangents))
-        object.__setattr__(self, "_starts", tuple(starts))
-        object.__setattr__(self, "_ends", tuple(ends))
 
-    def resolved_start_tangent(self) -> tuple[float, float, float]:
-        if self.start_tangent is not None:
-            return self.start_tangent
-        if self.segments and isinstance(self.segments[0], Straight):
-            return self.segments[0].axis
-        return (0.0, 0.0, 1.0)
+        object.__setattr__(self, "segments", tuple(resolved))
+        object.__setattr__(self, "start_tangent", start)
+        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_total", s)
+        object.__setattr__(self, "_violations", tuple(violations))
 
     @property
     def total_length(self) -> float:
         """Total centerline length in mm; bends contribute R * sweep."""
-        return self._ends[-1] if self._ends else 0.0
+        return self._total
 
     def arc_start(self, index: int) -> float:
         """Arc-length coordinate where segment ``index`` begins."""
         return self._starts[index]
-
-    def segment_at(self, s: float) -> tuple[int, float]:
-        """Segment index and local offset for arc length ``s``.
-
-        Joints belong to the later segment; ``s == total_length`` maps to
-        the end of the last segment.
-        """
-        if not self.segments:
-            raise ValueError("empty network")
-        if not (0.0 <= s <= self.total_length):
-            raise ValueError(
-                f"arc length {s!r} outside [0, {self.total_length!r}]"
-            )
-        index = bisect_right(self._ends, s)
-        if index == len(self.segments):
-            index -= 1
-        return index, s - self._starts[index]
-
-    def locate(self, s: float) -> LocatedFrame:
-        """Interpolated centerline frame at arc length ``s``."""
-        index, offset = self.segment_at(s)
-        segment = self.segments[index]
-        p0 = self._entry_points[index]
-        t0 = self._entry_tangents[index]
-        if isinstance(segment, Straight):
-            point = p0 + t0 * offset
-            tangent = t0
-        else:
-            normal = _unit(segment.normal, (0.0, 1.0, 0.0))
-            center = p0 + segment.radius * np.cross(normal, t0)
-            angle = offset / segment.radius
-            point = center + rotate_vector(p0 - center, normal, angle)
-            tangent = rotate_vector(t0, normal, angle)
-        return LocatedFrame(index, offset, tuple(point), tuple(tangent))
 
 
 def module_path_radius(
@@ -242,72 +242,11 @@ def module_path_radius(
 
 
 def validate_network(net: PipeNetwork) -> list[Violation]:
-    """Check every type invariant and joint; violations are returned as data.
+    """The broken invariants ``net`` recorded when it was built, in chain order.
 
-    The list is empty iff the network is well-formed: positive lengths,
-    unit axes and normals, bend radius above the pipe radius, sweep within
-    (0, 180], normals orthogonal to the incoming tangent, and G1 continuity
-    at every joint.
+    The list is empty iff the network is well-formed: positive pipe radius
+    and straight lengths, unit axes and normals, bend radius above the pipe
+    radius, sweep within (0, 180], normals orthogonal to the incoming
+    tangent, and G1 continuity at every joint.
     """
-    violations: list[Violation] = []
-    if not (math.isfinite(net.spec.inner_radius) and net.spec.inner_radius > 0.0):
-        violations.append(
-            Violation(None, "pipe-radius", f"inner radius must be positive, got {net.spec.inner_radius!r}")
-        )
-    if not net.segments:
-        violations.append(Violation(None, "empty-network", "at least one segment required"))
-        return violations
-
-    prev_exit = _unit(net.resolved_start_tangent(), (0.0, 0.0, 1.0))
-    for k, segment in enumerate(net.segments):
-        if isinstance(segment, Straight):
-            if not (math.isfinite(segment.length) and segment.length > 0.0):
-                violations.append(
-                    Violation(k, "segment-length", f"straight length must be positive, got {segment.length!r}")
-                )
-            norm = float(np.linalg.norm(np.asarray(segment.axis, dtype=float)))
-            if abs(norm - 1.0) > UNIT_TOL:
-                violations.append(
-                    Violation(k, "unit-axis", f"axis norm is {norm:.12g}, expected 1")
-                )
-            axis = _unit(segment.axis, prev_exit)
-            if _angle_between(prev_exit, axis) > ANGLE_TOL:
-                violations.append(
-                    Violation(
-                        k,
-                        "continuity",
-                        f"axis deviates {_angle_between(prev_exit, axis):.3g} rad from the incoming tangent",
-                    )
-                )
-        else:
-            if not (math.isfinite(segment.radius) and segment.radius > net.spec.inner_radius):
-                violations.append(
-                    Violation(
-                        k,
-                        "bend-radius",
-                        f"bend radius {segment.radius!r} mm must exceed the pipe radius "
-                        f"{net.spec.inner_radius!r} mm",
-                    )
-                )
-            if not (math.isfinite(segment.sweep_deg) and 0.0 < segment.sweep_deg <= 180.0):
-                violations.append(
-                    Violation(k, "sweep-angle", f"sweep must be in (0, 180] degrees, got {segment.sweep_deg!r}")
-                )
-            norm = float(np.linalg.norm(np.asarray(segment.normal, dtype=float)))
-            if abs(norm - 1.0) > UNIT_TOL:
-                violations.append(
-                    Violation(k, "unit-normal", f"normal norm is {norm:.12g}, expected 1")
-                )
-            else:
-                n_hat = _unit(segment.normal, (0.0, 1.0, 0.0))
-                tilt = abs(float(np.dot(n_hat, prev_exit)))
-                if tilt > ANGLE_TOL:
-                    violations.append(
-                        Violation(
-                            k,
-                            "normal-orthogonality",
-                            f"bend normal is not orthogonal to the incoming tangent (dot = {tilt:.3g})",
-                        )
-                    )
-        prev_exit = net._exit_tangents[k]
-    return violations
+    return list(net._violations)

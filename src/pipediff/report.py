@@ -44,6 +44,12 @@ def _selected_segments(summary: RunSummary, options: ReportOptions):
     return tuple(s for s in summary.segments if s.index in wanted)
 
 
+def _min_headroom(summary: RunSummary) -> tuple[float | None, float | None]:
+    """Smallest compression (mm) and tilt (deg) headroom over the segments entered."""
+    return (min((s.compression_headroom_mm for s in summary.segments), default=None),
+            min((s.tilt_headroom_deg for s in summary.segments), default=None))
+
+
 def _json_payload(summary: RunSummary, options: ReportOptions) -> dict:
     track_ids = [(_TRACK_INDEX[name], name) for name in options.tracks]
     segments = []
@@ -67,8 +73,8 @@ def _json_payload(summary: RunSummary, options: ReportOptions) -> dict:
                 "exit_time_s": seg.exit_time,
                 "max_compression_mm": seg.max_compression,
                 "max_tilt_deg": seg.max_tilt_deg,
-                "compression_ok": seg.compression_ok,
-                "tilt_ok": seg.tilt_ok,
+                "compression_headroom_mm": seg.compression_headroom_mm,
+                "tilt_headroom_deg": seg.tilt_headroom_deg,
                 "tracks": tracks,
             }
         )
@@ -84,11 +90,12 @@ def _json_payload(summary: RunSummary, options: ReportOptions) -> dict:
         if options.ape:
             entry["max_ape_pct"] = totals.max_ape
         tracks.append(entry)
+    compression_headroom, tilt_headroom = _min_headroom(summary)
     limits = {
         "max_compression_mm": summary.max_compression,
-        "compression_ok": all(s.compression_ok for s in summary.segments),
+        "min_compression_headroom_mm": compression_headroom,
         "max_tilt_deg": max((s.max_tilt_deg for s in summary.segments), default=0.0),
-        "tilt_ok": all(s.tilt_ok for s in summary.segments),
+        "min_tilt_headroom_deg": tilt_headroom,
         "max_slip_mm_s": summary.max_slip,
         "completed": summary.completed,
         "error": summary.error,
@@ -142,10 +149,9 @@ def _render_text(summary: RunSummary, options: ReportOptions) -> str:
     header += f"{'v_mean':>8} {'v_min':>8} {'v_max':>8}"
     if options.ape:
         header += f" {'ape_pct':>7}"
-    header += f" {'d_max':>7} {'ok':>4}"
+    header += f" {'d_max':>7} {'d_room':>7} {'tilt_room':>9}"
     lines.append(header)
     for seg in _selected_segments(summary, options):
-        ok = "yes" if (seg.compression_ok and seg.tilt_ok) else "NO"
         for name in options.tracks:
             i = _TRACK_INDEX[name]
             row = (
@@ -155,7 +161,8 @@ def _render_text(summary: RunSummary, options: ReportOptions) -> str:
             )
             if options.ape:
                 row += f" {_fmt_ape(seg.ape[i]):>7}"
-            row += f" {seg.max_compression:>7.3f} {ok:>4}"
+            row += (f" {seg.max_compression:>7.3f} {seg.compression_headroom_mm:>7.3f}"
+                    f" {seg.tilt_headroom_deg:>9.3f}")
             lines.append(row)
     lines.append("")
     for name in options.tracks:
@@ -167,11 +174,14 @@ def _render_text(summary: RunSummary, options: ReportOptions) -> str:
         if options.ape and totals.max_ape is not None:
             row += f", max ape {totals.max_ape:.3f}%"
         lines.append(row)
-    limit_ok = all(s.compression_ok and s.tilt_ok for s in summary.segments)
+    compression_headroom, tilt_headroom = _min_headroom(summary)
+    headroom = (
+        "n/a" if compression_headroom is None
+        else f"{compression_headroom:.3f} mm compression, {tilt_headroom:.3f} deg tilt"
+    )
     lines.append(
         f"limits: max compression {summary.max_compression:.3f} mm, "
-        f"max slip {summary.max_slip:.3g} mm/s, "
-        f"{'within limits' if limit_ok else 'LIMIT VIOLATION'}"
+        f"max slip {summary.max_slip:.3g} mm/s, min headroom {headroom}"
     )
     return "\n".join(lines) + "\n"
 

@@ -36,8 +36,6 @@ class RobotConfig:
     spring_stiffness: float = 2.0  # N/mm
     max_compression: float = 16.0  # mm, hard per-module limit
     max_tilt_deg: float = 10.0  # deg, asymmetric-compression limit
-    num_modules: int = 3
-    rollers_per_module: int = 3
 
     def __post_init__(self):
         for name in ("sprocket_radius", "length", "nominal_body_radius",
@@ -49,13 +47,6 @@ class RobotConfig:
             raise ValueError(f"preload_compression must be >= 0, got {self.preload_compression!r}")
         if self.preload_compression > self.max_compression:
             raise ValueError("preload_compression exceeds max_compression")
-        if self.num_modules != 3 or self.rollers_per_module != 3:
-            raise ValueError("the robot carries exactly three modules of three rollers each")
-
-    @property
-    def module_angles(self) -> tuple[float, float, float]:
-        """Angular offsets of the three modules around the body, radians."""
-        return MODULE_OFFSETS
 
 
 @dataclass(frozen=True)
@@ -64,15 +55,6 @@ class ModuleState:
 
     compressions: tuple[float, float, float]  # mm
     tilts_deg: tuple[float, float, float]  # deg, asymmetric front/rear share
-
-
-def contact_radius(cfg: RobotConfig, delta: float) -> float:
-    """Module reach from the robot axis at compression ``delta``, clamped >= 0."""
-    if not (0.0 <= delta <= cfg.max_compression):
-        raise ValueError(
-            f"compression {delta!r} mm outside [0, {cfg.max_compression!r}] mm"
-        )
-    return max(cfg.nominal_body_radius - (delta - cfg.preload_compression), 0.0)
 
 
 def spring_force(cfg: RobotConfig, delta: float) -> float:

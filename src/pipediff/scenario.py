@@ -10,7 +10,12 @@ Grammar (one construct per line; '#' starts a full-line comment):
 repeats, in traversal order.  Units are fixed: mm for lengths and radii,
 seconds for times, degrees for angles, rad/s for the input speed.  Unknown
 sections and keys are rejected, every diagnostic carries its line number,
-and defaults exist only for the documented optional keys.
+and defaults exist only for the documented optional keys.  Files are UTF-8.
+
+The parser builds the scenario's ``PipeNetwork`` once and maps its
+violations to [segment] lines.  The network, not the parser, resolves the
+default start tangent and each straight's default axis, so the parsed
+scenario is explicit and ``serialize_scenario`` round-trips it.
 
 Keys:
 
@@ -29,7 +34,7 @@ Keys:
     [sim]      omega_u (rad/s, required, > 0); dt (s, default 0.01);
                theta_deg (default 0); t_max (s, optional);
                disturbance_amplitude (fraction in [0, 1), default 0);
-               disturbance_seed (int, default 0)
+               disturbance_seed (int >= 0, default 0)
     [report]   tracks (subset of "A B C", default all); segments ("all" or
                indices, default all); ape (on/off, default on)
 """
@@ -37,19 +42,8 @@ Keys:
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ScenarioParseError
-from .geometry import (
-    Bend,
-    PipeNetwork,
-    PipeSpec,
-    Segment,
-    Straight,
-    UNIT_TOL,
-    rotate_vector,
-    validate_network,
-)
+from .geometry import Bend, PipeNetwork, PipeSpec, Segment, Straight, UNIT_TOL, validate_network
 from .robot import RobotConfig
 from .simulator import DisturbanceConfig, SimParams
 from .transmission import GearTrainConfig
@@ -66,18 +60,25 @@ class ReportOptions:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully validated simulation setup, as read from one scenario file."""
+    """Fully validated simulation setup, as read from one scenario file.
 
-    pipe: PipeSpec
-    start_tangent: tuple[float, float, float]
-    segments: tuple[Segment, ...]
+    ``network`` is built, and so checked, once by the parser; its segments
+    and start tangent are stored resolved.
+    """
+
+    network: PipeNetwork
     robot: RobotConfig
     gear: GearTrainConfig
     sim: SimParams
     report: ReportOptions = field(default_factory=ReportOptions)
 
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        return self.network.segments
+
     def build_network(self) -> PipeNetwork:
-        return PipeNetwork(self.pipe, self.segments, start_tangent=self.start_tangent)
+        """The scenario's network, as built when it was parsed."""
+        return self.network
 
 
 class _Issues:
@@ -210,7 +211,7 @@ class _SectionReader:
             self.issues.add(lineno, f"{key}: expected three numbers, got {raw!r}")
             return default
         norm = math.sqrt(sum(c * c for c in vec))
-        if abs(norm - 1.0) > UNIT_TOL:
+        if not abs(norm - 1.0) <= UNIT_TOL:
             self.issues.add(lineno, f"{key}: must be a unit vector, norm is {norm:.12g}")
             return default
         return vec
@@ -264,13 +265,10 @@ def parse_scenario(text: str) -> Scenario:
     pipe_reader.reject_unknown()
     pipe = PipeSpec(inner_radius=inner_radius, standard_label=standard_label)
 
-    # [segment] list; axis/normal defaults are resolved here so the stored
-    # scenario is fully explicit and serialization round-trips.
+    # [segment] list.  The file-format default normal is applied here; a
+    # missing axis and start tangent are resolved by PipeNetwork.
     segments: list[Segment] = []
     segment_lines: list[int] = []
-    tangent = None
-    if start_tangent is not None:
-        tangent = np.asarray(start_tangent, dtype=float)
     for line, bindings in segment_sections:
         reader = _SectionReader("segment", line, bindings, issues)
         kind = reader.get_str("type", required=True).strip().lower()
@@ -278,14 +276,8 @@ def parse_scenario(text: str) -> Scenario:
             length = reader.get_float("length", required=True, minimum=0.0,
                                       exclusive_min=True, default=1.0)
             axis = reader.get_vec3("axis")
-            if axis is None:
-                if tangent is None:
-                    axis = (0.0, 0.0, 1.0)
-                else:
-                    axis = tuple(float(c) for c in tangent)
             reader.reject_unknown()
             segments.append(Straight(length=length, axis=axis))
-            tangent = np.asarray(axis, dtype=float)
         elif kind == "bend":
             radius = reader.get_float("radius", required=True, minimum=0.0,
                                       exclusive_min=True, default=1.0)
@@ -294,19 +286,9 @@ def parse_scenario(text: str) -> Scenario:
             normal = reader.get_vec3("normal", default=default_normal)
             reader.reject_unknown()
             segments.append(Bend(radius=radius, sweep_deg=sweep, normal=normal))
-            if tangent is None:
-                tangent = np.array((0.0, 0.0, 1.0))
-            tangent = rotate_vector(tangent, np.asarray(normal, dtype=float),
-                                    math.radians(sweep))
         else:
             issues.add(line, f"segment type must be straight or bend, got {kind!r}")
         segment_lines.append(line)
-
-    if start_tangent is None:
-        if segments and isinstance(segments[0], Straight):
-            start_tangent = segments[0].axis
-        else:
-            start_tangent = (0.0, 0.0, 1.0)
 
     # [robot]
     line, bindings = by_name["robot"]
@@ -355,6 +337,9 @@ def parse_scenario(text: str) -> Scenario:
         issues.add(sim_line, "disturbance_amplitude: must be below 1")
         amplitude = 0.0
     seed = sim_reader.get_int("disturbance_seed", default=0)
+    if seed < 0:
+        issues.add(bindings["disturbance_seed"][0], f"disturbance_seed: must be at least 0, got {seed}")
+        seed = 0
     sim_reader.reject_unknown()
 
     # [report]
@@ -389,10 +374,17 @@ def parse_scenario(text: str) -> Scenario:
 
     issues.raise_if_any()
 
-    scenario = Scenario(
-        pipe=pipe,
-        start_tangent=start_tangent,
-        segments=tuple(segments),
+    # Geometric invariants, mapped back to the offending [segment] line.
+    network = PipeNetwork(pipe, tuple(segments), start_tangent=start_tangent)
+    for violation in validate_network(network):
+        if violation.segment_index is None:
+            issues.add(by_name["pipe"][0], str(violation))
+        else:
+            issues.add(segment_lines[violation.segment_index], str(violation))
+    issues.raise_if_any()
+
+    return Scenario(
+        network=network,
         robot=RobotConfig(**robot_kwargs),
         gear=GearTrainConfig(ratio=ratio),
         sim=SimParams(
@@ -405,15 +397,6 @@ def parse_scenario(text: str) -> Scenario:
         report=report,
     )
 
-    # Geometric invariants, mapped back to the offending [segment] line.
-    for violation in validate_network(scenario.build_network()):
-        if violation.segment_index is None:
-            issues.add(by_name["pipe"][0], str(violation))
-        else:
-            issues.add(segment_lines[violation.segment_index], str(violation))
-    issues.raise_if_any()
-    return scenario
-
 
 def _fmt_vec(vec) -> str:
     return " ".join(repr(float(c)) for c in vec)
@@ -421,12 +404,13 @@ def _fmt_vec(vec) -> str:
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical text for a Scenario; parse(serialize(s)) equals s."""
+    net = scenario.network
     lines = ["[pipe]"]
-    lines.append(f"inner_radius = {scenario.pipe.inner_radius!r}")
-    if scenario.pipe.standard_label:
-        lines.append(f"standard_label = {scenario.pipe.standard_label}")
-    lines.append(f"start_tangent = {_fmt_vec(scenario.start_tangent)}")
-    for segment in scenario.segments:
+    lines.append(f"inner_radius = {net.spec.inner_radius!r}")
+    if net.spec.standard_label:
+        lines.append(f"standard_label = {net.spec.standard_label}")
+    lines.append(f"start_tangent = {_fmt_vec(net.start_tangent)}")
+    for segment in net.segments:
         lines.append("")
         lines.append("[segment]")
         if isinstance(segment, Straight):
@@ -475,6 +459,13 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and parse a scenario file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    """Read and parse a UTF-8 scenario file; bytes that are not UTF-8 are a
+    ScenarioParseError on the line that holds them."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ScenarioParseError([(line, f"not UTF-8 text: {exc.reason} at byte {exc.start}")]) from None
+    return parse_scenario(text)

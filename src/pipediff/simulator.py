@@ -48,11 +48,13 @@ class DisturbanceConfig:
     """Optional multiplicative speed disturbance for error reporting."""
 
     amplitude: float = 0.0  # fraction, 0 disables
-    seed: int = 0
+    seed: int = 0  # >= 0, as numpy's generator requires
 
     def __post_init__(self):
         if not (0.0 <= self.amplitude < 1.0):
             raise ValueError(f"disturbance amplitude must be in [0, 1), got {self.amplitude!r}")
+        if self.seed < 0:
+            raise ValueError(f"disturbance seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,8 @@ class SegmentSummary:
     ape: tuple[float | None, float | None, float | None]  # percent, window average
     max_compression: float  # mm
     max_tilt_deg: float
-    compression_ok: bool
-    tilt_ok: bool
+    compression_headroom_mm: float  # robot limit minus max_compression
+    tilt_headroom_deg: float  # robot limit minus max_tilt_deg
 
 
 @dataclass(frozen=True)
@@ -190,8 +192,8 @@ def run(
     step's record.
 
     Raises:
-        InvalidScenarioError: the network fails validation or the nominal
-            track speed is not positive.
+        InvalidScenarioError: the network recorded violations when it was
+            built, or the nominal track speed is not positive.
     """
     violations = validate_network(net)
     if violations:
@@ -347,8 +349,8 @@ def _summarize(
                 ape=tuple(ape),
                 max_compression=max_compression,
                 max_tilt_deg=max_tilt,
-                compression_ok=max_compression <= robot.max_compression,
-                tilt_ok=max_tilt <= robot.max_tilt_deg,
+                compression_headroom_mm=robot.max_compression - max_compression,
+                tilt_headroom_deg=robot.max_tilt_deg - max_tilt,
             )
         )
 

@@ -96,13 +96,10 @@ class GearTrainConfig:
     """
 
     ratio: float = 1.0
-    num_outputs: int = 3
 
     def __post_init__(self):
         if not (math.isfinite(self.ratio) and self.ratio > 0.0):
             raise ValueError(f"gear ratio must be finite and positive, got {self.ratio!r}")
-        if self.num_outputs != 3:
-            raise ValueError("the train has exactly three outputs")
 
     def coupled_pairs(self) -> tuple[tuple[tuple[int, str], tuple[int, str]], ...]:
         """Cyclic side-gear coupling; pair k feeds output k.

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pipediff import TRACE_HEADER
+from pipediff import TRACE_HEADER, PipeNetwork
 from pipediff.cli import main
 
 from conftest import REFERENCE_SCN
@@ -124,3 +124,85 @@ class TestSweep:
     def test_sweep_with_no_fit_exits_two(self, no_fit_scenario, capsys):
         assert main(["sweep", no_fit_scenario, "--theta-steps", "2"]) == 2
         assert "compression" in capsys.readouterr().err
+
+
+def _disturbed(tmp_path, text):
+    return write_scenario(
+        tmp_path, text.replace("disturbance_amplitude = 0.0", "disturbance_amplitude = 0.025")
+    )
+
+
+def _not_utf8(tmp_path, text):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(text.replace("(assumed)", "(assum\u00e9)").encode("latin-1"))
+    return str(path)
+
+
+# (argv from tmp_path and the reference text, environment, exit code,
+# expected start of the first stderr line)
+BAD_INPUTS = {
+    "negative --seed": (
+        lambda tmp, text: ["run", _disturbed(tmp, text), "--seed", "-1"],
+        {}, 1, "error: --seed: disturbance seed must be non-negative",
+    ),
+    "negative PIPEDIFF_SEED": (
+        lambda tmp, text: ["run", _disturbed(tmp, text)],
+        {"PIPEDIFF_SEED": "-1"}, 1, "error: PIPEDIFF_SEED: disturbance seed must be non-negative",
+    ),
+    "negative disturbance_seed": (
+        lambda tmp, text: [
+            "run", write_scenario(tmp, text.replace("disturbance_seed = 0", "disturbance_seed = -1"))
+        ],
+        {}, 1, "error: line 54: disturbance_seed: must be at least 0",
+    ),
+    "nan --theta": (
+        lambda tmp, text: ["run", str(REFERENCE_SCN), "--theta", "nan"],
+        {}, 1, "error: --theta: theta_deg must be finite",
+    ),
+    "file not UTF-8": (
+        lambda tmp, text: ["validate", _not_utf8(tmp, text)],
+        {}, 1, "error: line 11: not UTF-8 text",
+    ),
+    "run --trace into a missing directory": (
+        lambda tmp, text: ["run", str(REFERENCE_SCN), "--trace", str(tmp / "no" / "t.csv")],
+        {}, 2, "error: cannot write trace to",
+    ),
+    "run --report into a missing directory": (
+        lambda tmp, text: ["run", str(REFERENCE_SCN), "--report", str(tmp / "no" / "r.txt")],
+        {}, 2, "error: cannot write report to",
+    ),
+    "sweep --report into a missing directory": (
+        lambda tmp, text: [
+            "sweep", str(REFERENCE_SCN), "--theta-steps", "1", "--report", str(tmp / "no" / "r.txt")
+        ],
+        {}, 2, "error: cannot write report to",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_with_an_error_line(case, tmp_path, reference_text, capsys, monkeypatch):
+    make_argv, env, code, message = BAD_INPUTS[case]
+    monkeypatch.delenv("PIPEDIFF_SEED", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(make_argv(tmp_path, reference_text)) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", str(REFERENCE_SCN)],
+    ["run", str(REFERENCE_SCN), "--format", "json"],
+    ["sweep", str(REFERENCE_SCN), "--theta-steps", "2"],
+], ids=["validate", "run", "sweep"])
+def test_each_command_builds_the_network_once(argv, capsys, monkeypatch):
+    calls = []
+    build = PipeNetwork.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        build(self)
+
+    monkeypatch.setattr(PipeNetwork, "__post_init__", counted)
+    assert main(argv) == 0
+    assert len(calls) == 1

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,61 +36,17 @@ class TestTotalLength:
         net = make_net(Straight(350.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Y))
         assert net.total_length == pytest.approx(350.0 + 50.0 * math.pi, rel=1e-12)
 
-
-class TestLocate:
-    def test_start(self):
-        net = make_net(Straight(350.0, Z))
-        frame = net.locate(0.0)
-        assert (frame.index, frame.offset) == (0, 0.0)
-        assert frame.point == (0.0, 0.0, 0.0)
-        assert frame.tangent == Z
-
-    def test_end_maps_to_last_segment(self):
-        net = make_net(Straight(350.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Y))
-        frame = net.locate(net.total_length)
-        assert frame.index == 1
-        assert frame.offset == pytest.approx(50.0 * math.pi, rel=1e-12)
-
-    def test_joint_belongs_to_the_later_segment(self):
-        net = make_net(Straight(350.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Y))
-        frame = net.locate(350.0)
-        assert frame.index == 1
-        assert frame.offset == 0.0
-
-    def test_matches_cumulative_sum_oracle(self):
-        segments = (
+    def test_arc_starts_match_cumulative_sum_oracle(self):
+        net = make_net(
             Straight(350.0, Z),
             Bend(radius=100.0, sweep_deg=90.0, normal=Y),
             Straight(200.0, X),
         )
-        net = make_net(*segments)
         # independent oracle: prefix-sum table of segment lengths
         lengths = [350.0, 100.0 * math.pi / 2.0, 200.0]
         starts = [0.0, lengths[0], lengths[0] + lengths[1]]
-        frame = net.locate(360.0)
-        assert frame.index == 1
-        assert frame.offset == pytest.approx(360.0 - starts[1], rel=1e-12)
-
-    def test_monotone_in_arc_length(self):
-        net = make_net(Straight(350.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Y))
-        samples = np.linspace(0.0, net.total_length, 200)
-        frames = [net.locate(float(s)) for s in samples]
-        keys = [(f.index, f.offset) for f in frames]
-        assert keys == sorted(keys)
-
-    def test_out_of_range(self):
-        net = make_net(Straight(350.0, Z))
-        with pytest.raises(ValueError):
-            net.locate(-1.0)
-        with pytest.raises(ValueError):
-            net.locate(350.0 + 1e-6)
-
-    def test_bend_frame_geometry(self):
-        # 90 deg turn from +z to +x about +y: exit point offset by (R, 0, R)
-        net = make_net(Bend(radius=100.0, sweep_deg=90.0, normal=Y))
-        frame = net.locate(net.total_length)
-        assert frame.point == pytest.approx((100.0, 0.0, 100.0), abs=1e-9)
-        assert frame.tangent == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+        assert [net.arc_start(i) for i in range(3)] == pytest.approx(starts, rel=1e-12)
+        assert net.total_length == pytest.approx(sum(lengths), rel=1e-12)
 
 
 class TestModulePathRadius:
@@ -185,6 +140,39 @@ class TestValidateNetwork:
         net = PipeNetwork(PipeSpec(inner_radius=0.0), (Straight(10.0, Z),))
         assert any(v.rule == "pipe-radius" for v in validate_network(net))
 
+    def test_bend_exit_tangent(self):
+        # a 90 deg turn about +y takes +z to +x
+        elbow = Bend(radius=100.0, sweep_deg=90.0, normal=Y)
+        assert validate_network(make_net(elbow, Straight(50.0, X))) == []
+        violations = validate_network(make_net(elbow, Straight(50.0, Z)))
+        assert [(v.rule, v.segment_index) for v in violations] == [("continuity", 1)]
+
+    def test_non_finite_vectors_are_not_unit(self):
+        nan = float("nan")
+        net = make_net(Straight(100.0, (nan, 0.0, 1.0)), Bend(100.0, 90.0, (0.0, nan, 0.0)))
+        assert [v.rule for v in validate_network(net)] == ["unit-axis", "unit-normal"]
+
+
+class TestDefaultAxis:
+    def test_missing_axis_continues_the_incoming_tangent(self):
+        net = make_net(Straight(100.0), Bend(radius=100.0, sweep_deg=90.0, normal=Y), Straight(50.0))
+        assert validate_network(net) == []
+        assert net.start_tangent == Z
+        assert net.segments[0].axis == Z
+        assert net.segments[2].axis == pytest.approx(X, abs=1e-15)
+        # the network stores the resolved chain, so rebuilding it is a no-op
+        assert PipeNetwork(net.spec, net.segments, net.start_tangent) == net
+
+    def test_start_tangent_defaults_to_the_first_axis(self):
+        assert make_net(Straight(10.0, X), Straight(10.0)).start_tangent == X
+        assert make_net(Bend(radius=100.0, sweep_deg=90.0, normal=Y)).start_tangent == Z
+        assert PipeNetwork(SPEC, ()).start_tangent == Z
+
+    def test_explicit_start_tangent_is_kept(self):
+        net = PipeNetwork(SPEC, (Straight(10.0),), start_tangent=X)
+        assert net.start_tangent == X
+        assert net.segments[0].axis == X
+
 
 def test_arc_length_additivity_under_concatenation():
     a = make_net(Straight(120.0, Z))
@@ -193,9 +181,3 @@ def test_arc_length_additivity_under_concatenation():
     assert combined.total_length == pytest.approx(a.total_length + b.total_length, rel=1e-12)
 
 
-def test_straight_chain_has_continuous_points():
-    net = make_net(Straight(100.0, Z), Bend(radius=50.0, sweep_deg=90.0, normal=Y), Straight(80.0, X))
-    assert validate_network(net) == []
-    before = np.array(net.locate(100.0 + 25.0 * math.pi - 1e-6).point)
-    after = np.array(net.locate(100.0 + 25.0 * math.pi + 1e-6).point)
-    assert np.linalg.norm(after - before) < 1e-3

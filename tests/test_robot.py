@@ -10,7 +10,6 @@ from pipediff import (
     bend_tilts,
     compression_in_bend,
     compression_in_straight,
-    contact_radius,
     module_state,
     spring_force,
 )
@@ -128,27 +127,6 @@ class TestTiltLimit:
         assert max(state.compressions) <= robot.max_compression
 
 
-class TestContactRadius:
-    def test_preload_reference(self):
-        robot = make_robot()
-        assert contact_radius(robot, robot.preload_compression) == robot.nominal_body_radius
-
-    def test_linear_retraction(self):
-        robot = make_robot(nominal_body_radius=60.0)
-        assert contact_radius(robot, robot.preload_compression + 3.0) == 57.0
-
-    def test_clamps_at_zero(self):
-        robot = make_robot(nominal_body_radius=10.0, preload_compression=0.0)
-        assert contact_radius(robot, robot.max_compression) == 0.0
-
-    def test_rejects_out_of_range(self):
-        robot = make_robot()
-        with pytest.raises(ValueError):
-            contact_radius(robot, -0.1)
-        with pytest.raises(ValueError):
-            contact_radius(robot, robot.max_compression + 0.1)
-
-
 def test_spring_force_is_monotone():
     robot = make_robot()
     forces = [spring_force(robot, d) for d in (0.0, 2.0, 5.0, 16.0)]
@@ -164,4 +142,3 @@ def test_config_validation():
         make_robot(sprocket_radius=0.0)
     with pytest.raises(ValueError):
         make_robot(max_tilt_deg=-1.0)
-    assert make_robot().module_angles == (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)

@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipediff import (
     ReportOptions,
     ScenarioParseError,
+    Straight,
     TRACE_HEADER,
     parse_scenario,
     render_report,
@@ -15,6 +21,9 @@ from pipediff import (
     serialize_scenario,
     write_trace,
 )
+from pipediff.cli import main
+
+from conftest import REFERENCE_SCN
 
 MINIMAL = """\
 [pipe]
@@ -130,7 +139,7 @@ class TestParse:
         text = MINIMAL.replace("length = 100.0\naxis = 0 0 1", "length = 100.0")
         scenario = parse_scenario(text)
         assert scenario.segments[0].axis == (0.0, 0.0, 1.0)
-        assert scenario.start_tangent == (0.0, 0.0, 1.0)
+        assert scenario.network.start_tangent == (0.0, 0.0, 1.0)
 
 
 class TestRoundTrip:
@@ -150,6 +159,116 @@ class TestRoundTrip:
         )
         scenario = parse_scenario(text)
         assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _vec(v):
+    return " ".join(repr(c) for c in v)
+
+
+@st.composite
+def network_scenarios(draw):
+    """Scenario text for a G1 chain, with the tangent each straight must get.
+
+    The chain keeps an orthonormal frame (t, u, w): a bend turns t towards
+    some q in +-u, +-w, so its normal is t x q.  Turning only towards +-u
+    keeps every bend in the plane with normal +-w = +-y; turning towards
+    +-w as well leaves it.  A normal of exactly +y is left to the file
+    default, and each straight states its axis or leaves it to the network.
+    """
+    planes = draw(st.sampled_from(((0,), (0, 1))))
+    t, frame = (0.0, 0.0, 1.0), [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    lines = ["[pipe]", "inner_radius = 13.2"]
+    if draw(st.booleans()):
+        lines.append("start_tangent = 0 0 1")
+    tangents = []
+    for _ in range(draw(st.integers(1, 8))):
+        lines.append("[segment]")
+        if draw(st.booleans()):
+            lines += ["type = straight", f"length = {draw(st.floats(0.5, 500.0))!r}"]
+            if draw(st.booleans()):
+                lines.append(f"axis = {_vec(t)}")
+            tangents.append(t)
+            continue
+        plane, sign = draw(st.sampled_from(planes)), draw(st.sampled_from((1.0, -1.0)))
+        sweep = draw(st.floats(0.5, 180.0))
+        q = tuple(sign * c for c in frame[plane])
+        normal = _cross(t, q)
+        lines += ["type = bend", f"radius = {draw(st.floats(14.0, 2000.0))!r}",
+                  f"sweep_angle = {sweep!r}"]
+        if normal != (0.0, 1.0, 0.0):
+            lines.append(f"normal = {_vec(normal)}")
+        c, s = math.cos(math.radians(sweep)), math.sin(math.radians(sweep))
+        t, q = (tuple(c * a + s * b for a, b in zip(t, q)),
+                tuple(c * b - s * a for a, b in zip(t, q)))
+        frame[plane] = tuple(sign * x for x in q)
+    lines += [
+        "[robot]", "sprocket_radius = 25.0", "length = 40.0", "nominal_body_radius = 13.2",
+        "preload_compression = 5.0",
+        "[sim]", "omega_u = 2.0",
+        f"dt = {draw(st.sampled_from((0.01, 0.005, 0.2)))!r}",
+        f"theta_deg = {draw(st.floats(-360.0, 360.0))!r}",
+        f"disturbance_amplitude = {draw(st.sampled_from((0.0, 0.025)))!r}",
+        f"disturbance_seed = {draw(st.integers(0, 2**31))}",
+        "[report]", f"tracks = {draw(st.sampled_from(('A B C', 'B', 'C A')))}",
+    ]
+    return "\n".join(lines) + "\n", tangents
+
+
+@settings(max_examples=150, deadline=None)
+@given(network_scenarios())
+def test_generated_scenarios_round_trip(case):
+    text, tangents = case
+    scenario = parse_scenario(text)
+    assert parse_scenario(serialize_scenario(scenario)) == scenario
+    axes = [seg.axis for seg in scenario.segments if isinstance(seg, Straight)]
+    assert len(axes) == len(tangents)
+    for axis, tangent in zip(axes, tangents):
+        assert axis == pytest.approx(tangent, abs=1e-9)
+
+
+REFERENCE_TEXT = REFERENCE_SCN.read_text(encoding="utf-8")
+REFERENCE_BYTES = REFERENCE_TEXT.encode("utf-8")
+_VALUES = st.sampled_from(
+    ("-1", "0", "nan", "inf", "1e400", "-0", "0 0 1", "1 0", "A B", "all", "on", "", "9" * 30)
+)
+
+
+@st.composite
+def mutated_reference(draw):
+    """The reference file with a few lines replaced, blanked or re-valued."""
+    lines = REFERENCE_TEXT.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        key, sep, _value = lines[i].partition("=")
+        if sep and draw(st.booleans()):
+            lines[i] = f"{key}= {draw(st.one_of(_VALUES, st.text(max_size=12)))}"
+        else:
+            lines[i] = draw(st.text(max_size=30))
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.text(max_size=200).map(lambda s: s.encode("utf-8")),
+    mutated_reference().map(lambda s: s.encode("utf-8")),
+    st.binary(max_size=200),
+    st.tuples(st.integers(0, len(REFERENCE_BYTES)), st.binary(min_size=1, max_size=3)).map(
+        lambda edit: REFERENCE_BYTES[:edit[0]] + edit[1] + REFERENCE_BYTES[edit[0]:]
+    ),
+))
+def test_validate_answers_every_input_with_an_exit_code(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.scn"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(path)])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ")
 
 
 class TestTraceCsv:
@@ -230,7 +349,11 @@ class TestReports:
         payload = json.loads(render_report(summary, reference_scenario.report, fmt="json"))
         assert set(payload) == {"run", "segments", "tracks", "limits"}
         assert payload["run"]["completed"] is True
-        assert payload["limits"]["compression_ok"] is True
+        assert payload["limits"]["min_compression_headroom_mm"] >= 0.0
+        assert payload["limits"]["min_tilt_headroom_deg"] >= 0.0
+        for segment in payload["segments"]:
+            assert segment["compression_headroom_mm"] >= 0.0
+            assert segment["tilt_headroom_deg"] >= 0.0
         assert [seg["index"] for seg in payload["segments"]] == [0, 1, 2, 3]
         assert [t["name"] for t in payload["tracks"]] == ["A", "B", "C"]
 

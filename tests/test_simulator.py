@@ -89,6 +89,11 @@ class TestRun:
         assert positions == sorted(positions)
         assert positions[-1] == net.total_length
 
+    def test_joint_record_belongs_to_the_later_segment(self):
+        net, robot, gear, params = small_setup(dt=0.5)  # 25 mm steps land on the 100 mm joint
+        records, _ = run(net, robot, gear, params)
+        assert [r.segment for r in records if r.s == 100.0] == [1]
+
     def test_mean_speed_conservation_in_straights_and_bends(self):
         net, robot, gear, params = small_setup()
         records, _ = run(net, robot, gear, params)
@@ -200,7 +205,7 @@ class TestSegmentAdmissibility:
     @pytest.mark.parametrize("dt", [0.5, 0.2])
     def test_a_stepped_over_segment_still_aborts(self, reference_scenario, dt):
         sc = reference_scenario
-        net = planar_network(sc.pipe, self.SHORT_TIGHT_ELBOW)
+        net = planar_network(sc.network.spec, self.SHORT_TIGHT_ELBOW)
         records, summary = run(net, sc.robot, sc.gear, replace(sc.sim, dt=dt))
         assert not summary.completed
         assert summary.error == (
@@ -230,7 +235,7 @@ class TestSegmentAdmissibility:
         self, reference_scenario, pieces, dt
     ):
         sc = reference_scenario
-        net = planar_network(sc.pipe, pieces)
+        net = planar_network(sc.network.spec, pieces)
         _, summary = run(net, sc.robot, sc.gear, replace(sc.sim, dt=dt))
         first_error = None
         for segment in net.segments:
@@ -295,6 +300,8 @@ def test_sim_params_validation():
         SimParams(omega_u=1.0, t_max=-1.0)
     with pytest.raises(ValueError):
         DisturbanceConfig(amplitude=1.5)
+    with pytest.raises(ValueError):
+        DisturbanceConfig(seed=-1)
     assert SimParams(omega_u=1.0, theta_deg=120.0).theta_rad == pytest.approx(
         2.0 * math.pi / 3.0
     )

@@ -239,5 +239,3 @@ def test_gear_config_rejects_bad_ratio():
         GearTrainConfig(ratio=0.0)
     with pytest.raises(ValueError):
         GearTrainConfig(ratio=-1.0)
-    with pytest.raises(ValueError):
-        GearTrainConfig(num_outputs=2)

@@ -62,7 +62,7 @@ from .simulator import (
     RunSummary,
     SegmentSummary,
     SimParams,
-    TraceRecord,
+    Trace,
     TrackTotals,
     run,
     run_orientation_sweep,

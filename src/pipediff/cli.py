@@ -131,9 +131,9 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         try:
-            records, summary = run(net, scenario.robot, scenario.gear, scenario.sim)
+            trace, summary = run(net, scenario.robot, scenario.gear, scenario.sim)
             if args.trace:
-                write_trace(records, args.trace)
+                write_trace(trace, args.trace)
             _emit(render_report(summary, scenario.report, fmt=args.format), args.report)
         except (PipeClimbError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -155,7 +155,7 @@ def main(argv=None) -> int:
         except (PipeClimbError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        failed = [summary.error for _theta, _records, summary in results if summary.error]
+        failed = [summary.error for _theta, _trace, summary in results if summary.error]
         if failed:
             print(f"error: {failed[0]}", file=sys.stderr)
             return EXIT_RUNTIME

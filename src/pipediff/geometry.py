@@ -203,6 +203,13 @@ class PipeNetwork:
             resolved.append(segment)
             starts.append(s)
             s += segment_length(segment)
+        # Finite lengths can still sum past the float range; stepping needs
+        # a finite end to stop at.
+        if not math.isfinite(s) and all(map(math.isfinite, map(segment_length, resolved))):
+            violations.append(
+                Violation(None, "total-length",
+                          f"segment lengths sum to {s!r} mm, beyond the float range")
+            )
 
         object.__setattr__(self, "segments", tuple(resolved))
         object.__setattr__(self, "start_tangent", start)
@@ -245,8 +252,8 @@ def validate_network(net: PipeNetwork) -> list[Violation]:
     """The broken invariants ``net`` recorded when it was built, in chain order.
 
     The list is empty iff the network is well-formed: positive pipe radius
-    and straight lengths, unit axes and normals, bend radius above the pipe
-    radius, sweep within (0, 180], normals orthogonal to the incoming
-    tangent, and G1 continuity at every joint.
+    and straight lengths, a finite total length, unit axes and normals,
+    bend radius above the pipe radius, sweep within (0, 180], normals
+    orthogonal to the incoming tangent, and G1 continuity at every joint.
     """
     return list(net._violations)

@@ -13,12 +13,15 @@ a module's contact point sits on the inner wall, so its distance from the
 pipe axis equals the pipe's inner radius regardless of spring state.
 
 A seeded multiplicative disturbance can be layered on the resolved speeds
-to emulate contact irregularity for error-reporting purposes; the generator
-is always passed explicitly, never hidden in module state.
+to emulate contact irregularity for error-reporting purposes; the caller
+draws the uniforms from its own seeded generator and passes them in, so no
+random state lives in this module.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import Segment, Straight, module_path_radius
 from .robot import RobotConfig
@@ -121,16 +124,11 @@ def slip_and_ape(resolved: TrackSpeeds, theoretical: TrackSpeeds) -> SlipReport:
     return SlipReport(tuple(slips), tuple(apes))
 
 
-def apply_disturbance(speeds: TrackSpeeds, amplitude: float, rng) -> TrackSpeeds:
-    """Multiply each track speed by ``1 + amplitude * u`` with u ~ U(-1, 1).
+def apply_disturbance(speeds, amplitude: float, draws: np.ndarray) -> np.ndarray:
+    """Disturbed track speeds ``speeds * (1 + amplitude * u)``, one row per tick.
 
-    Draws exactly three samples from ``rng`` (a numpy Generator); with zero
-    amplitude the input is returned untouched and nothing is drawn.
+    ``draws`` is an (n, 3) block of ``u ~ U(-1, 1)`` taken from a numpy
+    Generator in stream order, one row per tick; ``speeds`` is one (3,) row
+    of resolved speeds or an (n, 3) block.  Returns the (n, 3) block.
     """
-    if amplitude == 0.0:
-        return speeds
-    factors = rng.uniform(-1.0, 1.0, size=3)
-    values = tuple(
-        v * (1.0 + amplitude * float(f)) for v, f in zip(speeds.as_tuple(), factors)
-    )
-    return TrackSpeeds(*values, source=speeds.source)
+    return np.asarray(speeds) * (1.0 + amplitude * draws)

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
+
 from .scenario import ReportOptions
-from .simulator import RunSummary, TraceRecord
+from .simulator import TRACE_COLUMNS, RunSummary
 
 TRACE_HEADER = (
     "t,s,segment,theta,vA,vB,vC,vA_theo,vB_theo,vC_theo,"
@@ -13,26 +15,31 @@ TRACE_HEADER = (
 _TRACK_INDEX = {"A": 0, "B": 1, "C": 2}
 
 
-def trace_row(record: TraceRecord) -> str:
-    """One CSV row; floats fixed to 6 decimals, theta in degrees."""
-    cells = [f"{record.t:.6f}", f"{record.s:.6f}", str(record.segment), f"{record.theta_deg:.6f}"]
-    for group in (record.v, record.v_theo, record.compression, record.slip, record.distance):
-        cells.extend(f"{x:.6f}" for x in group)
-    return ",".join(cells)
+# Rows formatted per pass: converting one chunk of the columns to Python
+# floats at a time keeps the peak memory close to that of the CSV text.
+_CHUNK_ROWS = 512
 
 
-def render_trace(records) -> str:
-    """Header plus one row per record; byte-deterministic for a given trace."""
+def render_trace(trace) -> str:
+    """Header plus one row per record; byte-deterministic for a given trace.
+
+    Floats are fixed to 6 decimals, theta in degrees.  ``trace`` is a
+    ``Trace``; an empty sequence gives the header alone.
+    """
     lines = [TRACE_HEADER]
-    lines.extend(trace_row(record) for record in records)
+    for a in range(0, len(trace), _CHUNK_ROWS):
+        chunk = trace[a:a + _CHUNK_ROWS]
+        table = np.column_stack([getattr(chunk, name) for name in TRACE_COLUMNS])
+        row = f"%.6f,%.6f,%d,{chunk.theta_deg:.6f}" + ",%.6f" * 15
+        lines.extend(row % tuple(values) for values in table.tolist())
     return "\n".join(lines) + "\n"
 
 
-def write_trace(records, path) -> None:
+def write_trace(trace, path) -> None:
     """Write the trace CSV; I/O failures surface with the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(render_trace(records))
+            handle.write(render_trace(trace))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
@@ -208,7 +215,7 @@ def render_sweep_report(results, options: ReportOptions | None = None,
         payload = {
             "orientations": [
                 {"theta_deg": theta, **_json_payload(summary, options)}
-                for theta, _records, summary in results
+                for theta, _trace, summary in results
             ]
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -218,7 +225,7 @@ def render_sweep_report(results, options: ReportOptions | None = None,
         + " ".join(f"{'v_' + t:>8}" for t in options.tracks)
     )
     lines.append(header)
-    for theta, _records, summary in results:
+    for theta, _trace, summary in results:
         status = "ok" if summary.completed else ("abort" if summary.error else "stop")
         row = f"{theta:>7.1f} {status:<9} {summary.total_time:>8.3f} {summary.max_slip:>9.3g}"
         for name in options.tracks:

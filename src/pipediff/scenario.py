@@ -460,7 +460,8 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 def load_scenario(path) -> Scenario:
     """Read and parse a UTF-8 scenario file; bytes that are not UTF-8 are a
-    ScenarioParseError on the line that holds them."""
+    ScenarioParseError on the line that holds them.  One leading byte-order
+    mark is dropped."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -468,4 +469,4 @@ def load_scenario(path) -> Scenario:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ScenarioParseError([(line, f"not UTF-8 text: {exc.reason} at byte {exc.start}")]) from None
-    return parse_scenario(text)
+    return parse_scenario(text.removeprefix("\ufeff"))

@@ -8,15 +8,21 @@ roll dynamics are modeled, matching the treatment of orientation as an
 experiment parameter.
 
 The model is piecewise constant: compressions, tilts, demanded and resolved
-speeds, and slip depend only on the segment.  ``run`` derives them once per
-segment before stepping, so each tick is plain arithmetic.  Speeds switch
-at the first record after a segment boundary; there is no blending.  Every
-segment the reference point crosses is checked for admissibility, even one
-that a single step jumps past.
+speeds depend only on the segment.  ``run`` derives them once per segment,
+then steps each segment as one block of numpy columns: record times are
+``k * dt``, and positions and per-track distances are running sums over
+the block.  A block ends at the first record that stops the run or whose
+next step leaves the segment.  Speeds switch at the first record after a
+segment boundary; there is no blending.  Every segment the reference point
+crosses is checked for admissibility, even one that a single step jumps
+past.
 
 Runs are deterministic: identical inputs, including the disturbance seed,
-produce bit-identical traces.  A single run is sequential state recurrence;
-independent runs share nothing and may execute in parallel.
+produce bit-identical traces.  The block arithmetic does the same
+floating-point operations in the same order as stepping one tick at a time
+(``np.cumsum`` adds in sequence, the 3-term mean is ``math.fsum``), and the
+disturbance takes one row of draws per record in the generator's stream
+order.  Independent runs share nothing and may execute in parallel.
 """
 
 import math
@@ -26,21 +32,18 @@ import numpy as np
 
 from .errors import InfeasibleConstraintError, InvalidScenarioError, NoFitError
 from .geometry import Bend, PipeNetwork, Segment, segment_length, validate_network
-from .kinematics import (
-    TRACK_NAMES,
-    TrackSpeeds,
-    apply_disturbance,
-    resolved_speeds,
-    slip_and_ape,
-    theoretical_speeds,
-)
-from .robot import ModuleState, RobotConfig, module_state
+from .kinematics import TRACK_NAMES, apply_disturbance, resolved_speeds, theoretical_speeds
+from .robot import RobotConfig, module_state
 from .transmission import GearTrainConfig
 
 # Fraction of a segment's arc excluded at each end of the reporting window:
 # speeds are averaged over the middle 80 percent, away from transition
 # transients at the joints.
 WINDOW_MARGIN = 0.1
+
+# Most records one stepping block holds.  A longer segment takes several
+# blocks, so a block's working arrays stay a few hundred kilobytes.
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ class SimParams:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One time sample of the traversal."""
+    """One time sample of the traversal: one row of a ``Trace``."""
 
     t: float  # s
     s: float  # mm along the centerline
@@ -95,6 +98,54 @@ class TraceRecord:
     compression: tuple[float, float, float]  # mm
     slip: tuple[float, float, float]  # mm/s
     distance: tuple[float, float, float]  # mm, cumulative per track
+
+
+# The per-record columns of a ``Trace``, in trace CSV order.
+TRACE_COLUMNS = ("t", "s", "segment", "v", "v_theo", "compression", "slip", "distance")
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A run's time samples as numpy columns, one row per record.
+
+    ``t``, ``s`` and ``segment`` have shape (n,); ``v``, ``v_theo``,
+    ``compression``, ``slip`` and ``distance`` have shape (n, 3), one column
+    per track.  Units are those of ``TraceRecord``.  An integer index gives
+    one ``TraceRecord``, a slice a shorter ``Trace``, and iteration yields
+    the records in time order.
+    """
+
+    t: np.ndarray
+    s: np.ndarray
+    segment: np.ndarray
+    theta_deg: float
+    v: np.ndarray
+    v_theo: np.ndarray
+    compression: np.ndarray
+    slip: np.ndarray
+    distance: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return replace(self, **{name: getattr(self, name)[key] for name in TRACE_COLUMNS})
+        j = range(len(self))[key]
+        return next(iter(self[j:j + 1]))
+
+    def __iter__(self):
+        rows = zip(*(getattr(self, name).tolist() for name in TRACE_COLUMNS))
+        for t, s, segment, v, v_theo, compression, slip, distance in rows:
+            yield TraceRecord(t, s, segment, self.theta_deg, tuple(v), tuple(v_theo),
+                              tuple(compression), tuple(slip), tuple(distance))
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.theta_deg == other.theta_deg and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in TRACE_COLUMNS
+        )
 
 
 @dataclass(frozen=True)
@@ -146,15 +197,20 @@ class RunSummary:
     tracks: tuple[TrackTotals, TrackTotals, TrackTotals]
 
 
+# An impassable segment holds no records, so its placeholder rows in the
+# per-segment tables are never read.
+_UNSET = (math.nan, math.nan, math.nan)
+
+
 @dataclass(frozen=True)
 class _SegmentPlan:
     """The robot's constant state inside one segment, or why it cannot enter."""
 
     error: str | None
-    state: ModuleState | None = None
-    resolved: TrackSpeeds | None = None
-    demanded: TrackSpeeds | None = None
-    slip: tuple[float, float, float] | None = None
+    resolved: tuple[float, float, float] = _UNSET  # mm/s
+    demanded: tuple[float, float, float] = _UNSET  # mm/s
+    compressions: tuple[float, float, float] = _UNSET  # mm
+    max_tilt_deg: float = math.nan
 
 
 def _plan_segment(
@@ -175,7 +231,18 @@ def _plan_segment(
         )
     except (NoFitError, InfeasibleConstraintError) as exc:
         return _SegmentPlan(error=str(exc))
-    return _SegmentPlan(None, state, resolved, demanded, slip_and_ape(resolved, demanded).slips)
+    return _SegmentPlan(
+        None, resolved.as_tuple(), demanded.as_tuple(), state.compressions, max(state.tilts_deg)
+    )
+
+
+def _running_sums(first, increments: np.ndarray) -> np.ndarray:
+    """``first``, then ``first`` plus each prefix of ``increments`` (along
+    axis 0), added one increment at a time as a sequential loop would."""
+    sums = np.empty((len(increments) + 1, *increments.shape[1:]))
+    sums[0] = first
+    sums[1:] = increments
+    return sums.cumsum(axis=0)
 
 
 def run(
@@ -183,8 +250,9 @@ def run(
     robot: RobotConfig,
     gear: GearTrainConfig,
     params: SimParams,
-) -> tuple[list[TraceRecord], RunSummary]:
-    """Simulate until the network end, ``t_max``, or an abort.
+) -> tuple[Trace, RunSummary]:
+    """Simulate until the network end, ``t_max``, or an abort; return the
+    ``Trace`` and its ``RunSummary``.
 
     A no-fit or infeasible-constraint abort keeps the partial trace and
     records the cause in the summary instead of raising.  The abort falls
@@ -207,62 +275,85 @@ def run(
         )
     total = net.total_length
     dt = params.dt
+    t_max = params.t_max
     amplitude = params.disturbance.amplitude
     rng = np.random.default_rng(params.disturbance.seed) if amplitude > 0.0 else None
     plan = [_plan_segment(net, robot, gear, params, seg, v_nominal) for seg in net.segments]
-    starts = [net.arc_start(i) for i in range(len(plan))]
+    # The sentinel start ends the last segment's block only at ``total``.
+    starts = [net.arc_start(i) for i in range(len(plan))] + [math.inf]
 
-    records: list[TraceRecord] = []
+    # Each column's parts start with an empty array, so that a run without
+    # records still joins to columns of the right shape.
+    parts = {"t": [np.empty(0)], "s": [np.empty(0)], "segment": [np.empty(0, dtype=int)],
+             "v": [np.empty((0, 3))], "distance": [np.empty((0, 3))]}
+    draws = np.empty((0, 3))  # disturbance draws not used yet, in stream order
     s = 0.0
     k = 0
     index = 0
-    distances = (0.0, 0.0, 0.0)
+    distance = np.zeros(3)
     completed = False
     stop_reason = None
     error = plan[0].error
     while error is None:
-        entry = plan[index]
-        t = k * dt
-        v, slip = entry.resolved.as_tuple(), entry.slip
-        if rng is not None:
-            disturbed = apply_disturbance(entry.resolved, amplitude, rng)
-            v, slip = disturbed.as_tuple(), slip_and_ape(disturbed, entry.demanded).slips
-        records.append(
-            TraceRecord(
-                t=t,
-                s=s,
-                segment=index,
-                theta_deg=params.theta_deg,
-                v=v,
-                v_theo=entry.demanded.as_tuple(),
-                compression=entry.state.compressions,
-                slip=slip,
-                distance=distances,
-            )
-        )
-        if s >= total:
+        resolved = plan[index].resolved
+        mean_v = math.fsum(resolved) / 3.0
+        boundary = min(starts[index + 1], total)
+        # Enough rows to reach the boundary at the slowest disturbed speed.
+        step = mean_v * dt * (1.0 - amplitude)
+        rows = int(min((boundary - s) / step if step > 0.0 else 0.0, BLOCK_ROWS - 2)) + 2
+        if rng is None:
+            v = np.full((rows, 3), resolved)
+            means = np.full(rows, mean_v)
+        else:
+            if len(draws) < rows:
+                draws = np.concatenate((draws, rng.uniform(-1.0, 1.0, size=(BLOCK_ROWS, 3))))
+            v = apply_disturbance(resolved, amplitude, draws[:rows])
+            means = np.array([math.fsum(r) for r in v.tolist()]) / 3.0
+        t = np.arange(k, k + rows, dtype=float) * dt
+        positions = _running_sums(s, means * dt)
+        distances = _running_sums(distance, v * dt)
+        # The block's last record is the first that stops the run or whose
+        # next step leaves the segment; a stop on that record wins.
+        ends = (positions[:-1] >= total) | (means <= 0.0) | (positions[1:] >= boundary)
+        if t_max is not None:
+            ends |= t >= t_max - 1e-12
+        hits = np.flatnonzero(ends)
+        n = int(hits[0]) + 1 if hits.size else rows
+        for name, column in (("t", t), ("s", positions), ("v", v), ("distance", distances)):
+            parts[name].append(column[:n])
+        parts["segment"].append(np.full(n, index))
+        draws = draws[n:]
+        if positions[n - 1] >= total:
             completed = True
             break
-        if params.t_max is not None and t >= params.t_max - 1e-12:
+        if t_max is not None and t[n - 1] >= t_max - 1e-12:
             stop_reason = "t_max"
             break
-        mean_v = math.fsum(v) / 3.0
-        if mean_v <= 0.0:
-            error = f"stalled: mean track speed {mean_v:g} mm/s is not positive"
+        if means[n - 1] <= 0.0:
+            error = f"stalled: mean track speed {float(means[n - 1]):g} mm/s is not positive"
             break
-        s = min(s + mean_v * dt, total)
-        distances = (distances[0] + v[0] * dt, distances[1] + v[1] * dt, distances[2] + v[2] * dt)
-        k += 1
+        s = min(float(positions[n]), total)
+        distance = distances[n]
+        k += n
         # Joints belong to the later segment.  Check every segment entered
         # on this step, including any the step jumped past entirely.
-        while error is None and index + 1 < len(plan) and s >= starts[index + 1]:
+        while error is None and s >= starts[index + 1]:
             index += 1
             error = plan[index].error
 
-    summary = _summarize(
-        net, robot, params, plan, records, completed, stop_reason, error, v_nominal
+    columns = {name: np.concatenate(column) for name, column in parts.items()}
+    v_theo = np.array([p.demanded for p in plan])[columns["segment"]]
+    trace = Trace(
+        **columns,
+        theta_deg=params.theta_deg,
+        v_theo=v_theo,
+        compression=np.array([p.compressions for p in plan])[columns["segment"]],
+        slip=np.abs(columns["v"] - v_theo),
     )
-    return records, summary
+    summary = _summarize(
+        net, robot, params, plan, trace, completed, stop_reason, error, v_nominal
+    )
+    return trace, summary
 
 
 def run_orientation_sweep(
@@ -271,7 +362,7 @@ def run_orientation_sweep(
     gear: GearTrainConfig,
     params: SimParams,
     steps: int,
-) -> list[tuple[float, list[TraceRecord], RunSummary]]:
+) -> list[tuple[float, Trace, RunSummary]]:
     """Run ``steps`` evenly spaced roll orientations over a full turn.
 
     Results come back in orientation order; when a disturbance is active,
@@ -285,8 +376,8 @@ def run_orientation_sweep(
         theta = k * 360.0 / steps
         disturbance = replace(params.disturbance, seed=params.disturbance.seed + k)
         oriented = replace(params, theta_deg=theta, disturbance=disturbance)
-        records, summary = run(net, robot, gear, oriented)
-        results.append((theta, records, summary))
+        trace, summary = run(net, robot, gear, oriented)
+        results.append((theta, trace, summary))
     return results
 
 
@@ -301,51 +392,50 @@ def _summarize(
     robot: RobotConfig,
     params: SimParams,
     plan: list[_SegmentPlan],
-    records: list[TraceRecord],
+    trace: Trace,
     completed: bool,
     stop_reason: str | None,
     error: str | None,
     v_nominal: float,
 ) -> RunSummary:
-    groups: dict[int, list[TraceRecord]] = {}
-    for record in records:
-        groups.setdefault(record.segment, []).append(record)
-
+    # Segment indices never decrease along a trace, so each segment's
+    # records are one contiguous slice.
+    n = len(trace)
+    cuts = [0, *(np.flatnonzero(np.diff(trace.segment)) + 1).tolist(), n] if n else [0]
     summaries = []
-    for index in sorted(groups):
-        recs = groups[index]
+    for a, b in zip(cuts, cuts[1:]):
+        index = int(trace.segment[a])
         segment = net.segments[index]
         length = segment_length(segment)
         start = net.arc_start(index)
         lo = start + WINDOW_MARGIN * length
         hi = start + (1.0 - WINDOW_MARGIN) * length
-        window = [r for r in recs if lo <= r.s <= hi] or recs
-
-        mean_speeds = tuple(
-            math.fsum(r.v[i] for r in window) / len(window) for i in range(3)
-        )
-        min_speeds = tuple(min(r.v[i] for r in recs) for i in range(3))
-        max_speeds = tuple(max(r.v[i] for r in recs) for i in range(3))
+        s = trace.s[a:b]
+        window = (lo <= s) & (s <= hi)
+        if not window.any():
+            window = slice(None)
+        v = trace.v[a:b]
+        v_window = v[window]
+        mean_speeds = tuple(math.fsum(col) / len(v_window) for col in v_window.T.tolist())
+        slip, v_theo = trace.slip[a:b][window], trace.v_theo[a:b][window]
         ape = []
         for i in range(3):
-            terms = [
-                100.0 * r.slip[i] / abs(r.v_theo[i]) for r in window if r.v_theo[i] != 0.0
-            ]
+            defined = v_theo[:, i] != 0.0
+            terms = (100.0 * slip[defined, i] / np.abs(v_theo[defined, i])).tolist()
             ape.append(math.fsum(terms) / len(terms) if terms else None)
-        max_compression = max(max(r.compression) for r in recs)
-        max_tilt = max(plan[index].state.tilts_deg)
-        next_recs = groups.get(index + 1)
-        exit_time = next_recs[0].t if next_recs else recs[-1].t
+        entered_next = b < n and trace.segment[b] == index + 1
+        max_compression = max(plan[index].compressions)
+        max_tilt = plan[index].max_tilt_deg
         summaries.append(
             SegmentSummary(
                 index=index,
                 kind=_segment_kind(segment),
                 length=length,
-                entry_time=recs[0].t,
-                exit_time=exit_time,
+                entry_time=float(trace.t[a]),
+                exit_time=float(trace.t[b] if entered_next else trace.t[b - 1]),
                 mean_speeds=mean_speeds,
-                min_speeds=min_speeds,
-                max_speeds=max_speeds,
+                min_speeds=tuple(v.min(axis=0).tolist()),
+                max_speeds=tuple(v.max(axis=0).tolist()),
                 ape=tuple(ape),
                 max_compression=max_compression,
                 max_tilt_deg=max_tilt,
@@ -354,17 +444,19 @@ def _summarize(
             )
         )
 
-    total_time = records[-1].t if records else 0.0
+    total_time = float(trace.t[-1]) if n else 0.0
+    distances = trace.distance[-1].tolist() if n else [0.0, 0.0, 0.0]
+    max_slips = trace.slip.max(axis=0).tolist() if n else [0.0, 0.0, 0.0]
     tracks = []
     for i, name in enumerate(TRACK_NAMES):
-        distance = records[-1].distance[i] if records else 0.0
+        distance = distances[i]
         apes = [s.ape[i] for s in summaries if s.ape[i] is not None]
         tracks.append(
             TrackTotals(
                 name=name,
                 distance=distance,
                 mean_speed=distance / total_time if total_time > 0.0 else 0.0,
-                max_slip=max((r.slip[i] for r in records), default=0.0),
+                max_slip=max_slips[i],
                 max_ape=max(apes) if apes else None,
             )
         )
@@ -383,8 +475,8 @@ def _summarize(
         dt=params.dt,
         disturbance_amplitude=params.disturbance.amplitude,
         disturbance_seed=params.disturbance.seed,
-        max_slip=max((max(r.slip) for r in records), default=0.0),
-        max_compression=max((max(r.compression) for r in records), default=0.0),
+        max_slip=max(max_slips),
+        max_compression=max((s.max_compression for s in summaries), default=0.0),
         segments=tuple(summaries),
         tracks=tuple(tracks),
     )

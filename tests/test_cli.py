@@ -138,6 +138,12 @@ def _not_utf8(tmp_path, text):
     return str(path)
 
 
+def _overflowing(tmp_path, text):
+    for length in ("315.0", "350.0"):
+        text = text.replace(f"length = {length}", "length = 1.7e308")
+    return write_scenario(tmp_path, text)
+
+
 # (argv from tmp_path and the reference text, environment, exit code,
 # expected start of the first stderr line)
 BAD_INPUTS = {
@@ -154,6 +160,14 @@ BAD_INPUTS = {
             "run", write_scenario(tmp, text.replace("disturbance_seed = 0", "disturbance_seed = -1"))
         ],
         {}, 1, "error: line 54: disturbance_seed: must be at least 0",
+    ),
+    "validate: lengths that sum past the float range": (
+        lambda tmp, text: ["validate", _overflowing(tmp, text)],
+        {}, 1, "error: line 9: total-length @ network: segment lengths sum to inf mm",
+    ),
+    "run: lengths that sum past the float range": (
+        lambda tmp, text: ["run", _overflowing(tmp, text)],
+        {}, 1, "error: line 9: total-length @ network: segment lengths sum to inf mm",
     ),
     "nan --theta": (
         lambda tmp, text: ["run", str(REFERENCE_SCN), "--theta", "nan"],

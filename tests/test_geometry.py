@@ -116,6 +116,12 @@ class TestValidateNetwork:
         violations = validate_network(net)
         assert [(v.rule, v.segment_index) for v in violations] == [("continuity", 2)]
 
+    def test_total_length_must_be_finite(self):
+        net = make_net(Straight(1.7e308, Z), Straight(1.7e308, Z))
+        violations = validate_network(net)
+        assert [(v.rule, v.segment_index) for v in violations] == [("total-length", None)]
+        assert "inf" in violations[0].message
+
     def test_sweep_angle_limit(self):
         net = make_net(Bend(radius=100.0, sweep_deg=270.0, normal=Y))
         assert any(v.rule == "sweep-angle" for v in validate_network(net))

@@ -175,22 +175,26 @@ class TestSlipAndApe:
 
 class TestDisturbance:
     def test_zero_amplitude_is_identity_and_draws_nothing(self):
-        speeds = theoretical_speeds(STRAIGHT, 0.0, 50.0, 40.0)
-        rng = np.random.default_rng(7)
-        before = rng.bit_generator.state["state"]["state"]
-        assert apply_disturbance(speeds, 0.0, rng) is speeds
-        assert rng.bit_generator.state["state"]["state"] == before
+        speeds = theoretical_speeds(BEND, 0.3, 50.0, 40.0).as_tuple()
+        draws = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, 3))
+        before = draws.copy()
+        assert (apply_disturbance(speeds, 0.0, draws) == speeds).all()
+        assert (draws == before).all()
 
     def test_seeded_draws_are_reproducible(self):
-        speeds = theoretical_speeds(STRAIGHT, 0.0, 50.0, 40.0)
-        a = apply_disturbance(speeds, 0.025, np.random.default_rng(42))
-        b = apply_disturbance(speeds, 0.025, np.random.default_rng(42))
-        assert a.as_tuple() == b.as_tuple()
+        # One (n, 3) block of draws is the same stream as n draws of three,
+        # and each row is the one-tick formula v * (1 + a * u).
+        speeds = theoretical_speeds(BEND, 0.3, 50.0, 40.0).as_tuple()
+        draws = np.random.default_rng(42).uniform(-1.0, 1.0, size=(50, 3))
+        block = apply_disturbance(speeds, 0.025, draws)
+        rng = np.random.default_rng(42)
+        for row in block.tolist():
+            u = rng.uniform(-1.0, 1.0, size=3)
+            assert row == [v * (1.0 + 0.025 * float(f)) for v, f in zip(speeds, u)]
 
     def test_amplitude_bounds_the_deviation(self):
-        speeds = theoretical_speeds(STRAIGHT, 0.0, 50.0, 40.0)
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            disturbed = apply_disturbance(speeds, 0.025, rng)
-            for v, v0 in zip(disturbed.as_tuple(), speeds.as_tuple()):
-                assert abs(v - v0) <= 0.025 * abs(v0)
+        speeds = theoretical_speeds(STRAIGHT, 0.0, 50.0, 40.0).as_tuple()
+        draws = np.random.default_rng(3).uniform(-1.0, 1.0, size=(100, 3))
+        disturbed = apply_disturbance(speeds, 0.025, draws)
+        assert disturbed.shape == (100, 3)
+        assert (np.abs(disturbed - speeds) <= 0.025 * np.abs(speeds)).all()

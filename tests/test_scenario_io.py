@@ -10,14 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipediff import (
+    DisturbanceConfig,
     ReportOptions,
     ScenarioParseError,
     Straight,
     TRACE_HEADER,
+    load_scenario,
     parse_scenario,
     render_report,
+    render_sweep_report,
     render_trace,
     run,
+    run_orientation_sweep,
     serialize_scenario,
     write_trace,
 )
@@ -57,6 +61,13 @@ class TestParse:
         assert len(scenario.segments) == 4
         assert scenario.sim.dt == 0.01
         assert scenario.report.ape is True
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        path = tmp_path / "bom.scn"
+        path.write_bytes(b"\xef\xbb\xbf" + REFERENCE_SCN.read_bytes())
+        assert main(["validate", str(path)]) == 0
+        assert "OK (4 segments" in capsys.readouterr().out
+        assert load_scenario(path) == load_scenario(REFERENCE_SCN)
 
     def test_minimal_defaults(self):
         scenario = parse_scenario(MINIMAL)
@@ -326,8 +337,27 @@ class TestTraceCsv:
         digest = hashlib.sha256(render_trace(records).encode("utf-8")).hexdigest()
         assert digest == self.REFERENCE_TRACE_SHA256[theta]
 
+    def test_disturbed_trace_bytes_are_pinned(self, reference_scenario):
+        # Pins which disturbance draw reaches which record: the reference at
+        # theta = 120 deg with a 2.5 % disturbance, seed 7.
+        sc = reference_scenario
+        sim = replace(sc.sim, theta_deg=120.0, disturbance=DisturbanceConfig(0.025, 7))
+        records, _ = run(sc.build_network(), sc.robot, sc.gear, sim)
+        digest = hashlib.sha256(render_trace(records).encode("utf-8")).hexdigest()
+        assert digest == "657532888c940c81c0d44727afcd535ff89fca03347c570b39ecedd080127f4e"
+
 
 class TestReports:
+    def test_disturbed_sweep_report_bytes_are_pinned(self, reference_scenario):
+        # The JSON report of an 8-orientation sweep with a 2.5 % disturbance,
+        # base seed 7: every orientation's disturbed summary, byte for byte.
+        sc = reference_scenario
+        sim = replace(sc.sim, disturbance=DisturbanceConfig(0.025, 7))
+        results = run_orientation_sweep(sc.build_network(), sc.robot, sc.gear, sim, 8)
+        text = render_sweep_report(results, sc.report, fmt="json")
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "7639f70f8376c232e4c98bd3120ed4759eb7bcd23f591468a5b9f4d57c2a3828"
+
     def test_text_report_lists_the_published_timings(self, reference_run, reference_scenario):
         _, summary = reference_run
         text = render_report(summary, reference_scenario.report, fmt="text")

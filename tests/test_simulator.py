@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,13 @@ from pipediff import (
     Straight,
     module_path_radius,
     module_state,
+    render_trace,
     run,
     run_orientation_sweep,
+    simulator,
 )
+
+from reference_stepper import reference_csv, reference_run
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -246,6 +251,50 @@ class TestSegmentAdmissibility:
                 break
         assert summary.completed == (first_error is None)
         assert summary.error == first_error
+
+
+class TestAgainstTheTickStepper:
+    """The block stepper against the tick-by-tick reference in reference_stepper."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.one_of(
+                st.tuples(st.just("straight"), st.floats(1.0, 150.0)),
+                # 35 mm/s steps of 0.1, 0.2 or 0.5 s land exactly on these joints
+                st.tuples(st.just("straight"), st.integers(1, 40).map(lambda n: 3.5 * n)),
+                st.tuples(st.just("straight"), st.floats(0.01, 1.0)),  # shorter than a step
+                st.tuples(
+                    st.just("bend"),
+                    st.floats(14.0, 400.0),  # below about 40 mm the robot does not fit
+                    st.floats(0.5, 180.0),
+                    st.sampled_from((1, -1)),
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        dt=st.one_of(st.floats(0.01, 2.0), st.sampled_from((0.1, 0.2, 0.5))),
+        theta_deg=st.floats(0.0, 360.0),
+        amplitude=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+        seed=st.integers(0, 2**32),
+        t_max=st.one_of(st.none(), st.floats(0.01, 60.0)),
+        block_rows=st.sampled_from((3, 50, simulator.BLOCK_ROWS)),
+    )
+    def test_every_column_and_the_summary_match(
+        self, reference_scenario, pieces, dt, theta_deg, amplitude, seed, t_max, block_rows
+    ):
+        sc = reference_scenario
+        net = planar_network(sc.network.spec, pieces)
+        params = replace(sc.sim, dt=dt, theta_deg=theta_deg, t_max=t_max,
+                         disturbance=DisturbanceConfig(amplitude, seed))
+        # Small blocks split segments and refill the draw buffer mid-segment.
+        with mock.patch.object(simulator, "BLOCK_ROWS", block_rows):
+            trace, summary = run(net, sc.robot, sc.gear, params)
+        records, expected = reference_run(net, sc.robot, sc.gear, params)
+        assert list(trace) == records
+        assert summary == expected
+        assert render_trace(trace) == reference_csv(records)
 
 
 class TestEffectiveRobotPath:

@@ -27,11 +27,9 @@ from .geometry import (
     validate_network,
 )
 from .kinematics import (
-    SlipReport,
     TrackSpeeds,
     apply_disturbance,
     resolved_speeds,
-    slip_and_ape,
     theoretical_speeds,
 )
 from .report import (
@@ -44,9 +42,6 @@ from .report import (
 from .robot import (
     ModuleState,
     RobotConfig,
-    bend_tilts,
-    compression_in_bend,
-    compression_in_straight,
     module_state,
     spring_force,
 )

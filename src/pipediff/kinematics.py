@@ -1,4 +1,4 @@
-"""Per-segment track speeds, differential resolution, and slip metrics.
+"""Per-segment track speeds and their resolution by the differential.
 
 ``theoretical_speeds`` gives the speeds the geometry demands: uniform in a
 straight, scaled by each module's path radius inside a bend.  Because the
@@ -37,7 +37,6 @@ class TrackSpeeds:
     v_a: float
     v_b: float
     v_c: float
-    source: str  # "theoretical" or "resolved"
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.v_a, self.v_b, self.v_c)
@@ -45,14 +44,6 @@ class TrackSpeeds:
     @property
     def mean(self) -> float:
         return math.fsum(self.as_tuple()) / 3.0
-
-
-@dataclass(frozen=True)
-class SlipReport:
-    """Per-track deviation of resolved from geometry-required speed."""
-
-    slips: tuple[float, float, float]  # mm/s, absolute
-    apes: tuple[float | None, float | None, float | None]  # percent; None when undefined
 
 
 def theoretical_speeds(
@@ -65,63 +56,30 @@ def theoretical_speeds(
     ``v_nominal`` for every orientation.
     """
     if isinstance(segment, Straight):
-        values = (v_nominal, v_nominal, v_nominal)
-    else:
-        values = tuple(
-            v_nominal * module_path_radius(segment, theta, i, contact_radius) / segment.radius
-            for i in range(3)
-        )
-    return TrackSpeeds(*values, source="theoretical")
+        return TrackSpeeds(v_nominal, v_nominal, v_nominal)
+    return TrackSpeeds(*(
+        v_nominal * module_path_radius(segment, theta, i, contact_radius) / segment.radius
+        for i in range(3)
+    ))
 
 
 def resolved_speeds(
-    gear: GearTrainConfig,
-    robot: RobotConfig,
-    segment: Segment,
-    theta: float,
-    omega_u: float,
-    contact_radius: float | None = None,
+    gear: GearTrainConfig, robot: RobotConfig, demanded: TrackSpeeds, omega_u: float
 ) -> TrackSpeeds:
     """Track speeds after the differential distributes the input.
 
-    The wall imposes each track's contact-path speed as a per-output speed
-    constraint; the train honors them whenever they respect its speed-sum
-    budget, which the bend geometry guarantees.  In steady state within a
-    segment this equals ``theoretical_speeds`` with
-    ``v_nominal = ratio * omega_u * sprocket_radius``.
+    The wall imposes each ``demanded`` track speed (from
+    ``theoretical_speeds``) as a per-output speed constraint; the train
+    honors them whenever they respect its speed-sum budget, which the bend
+    geometry guarantees when ``v_nominal = ratio * omega_u * sprocket_radius``.
 
-    ``contact_radius`` defaults to the robot's nominal body radius (the
-    wall radius of the reference fit).
+    Raises:
+        InfeasibleConstraintError: the demands break the speed-sum budget.
     """
-    r_c = robot.nominal_body_radius if contact_radius is None else contact_radius
-    v_nominal = gear.ratio * omega_u * robot.sprocket_radius
-    demanded = theoretical_speeds(segment, theta, v_nominal, r_c)
-    loads = LoadState(
-        tuple(imposed_speed(v / robot.sprocket_radius) for v in demanded.as_tuple())
-    )
+    r = robot.sprocket_radius
+    loads = LoadState(tuple(imposed_speed(v / r) for v in demanded.as_tuple()))
     solution = solve_output_speeds(gear, omega_u, loads)
-    values = tuple(w * robot.sprocket_radius for w in solution.as_tuple())
-    return TrackSpeeds(*values, source="resolved")
-
-
-def slip_and_ape(resolved: TrackSpeeds, theoretical: TrackSpeeds) -> SlipReport:
-    """Per-track slip (mm/s) and absolute percentage error.
-
-    APE is undefined (None) on a track whose theoretical speed is zero
-    while its resolved speed is not; slip is still reported there.
-    """
-    slips = []
-    apes = []
-    for v_res, v_theo in zip(resolved.as_tuple(), theoretical.as_tuple()):
-        slip = abs(v_res - v_theo)
-        slips.append(slip)
-        if slip == 0.0:
-            apes.append(0.0)
-        elif v_theo == 0.0:
-            apes.append(None)
-        else:
-            apes.append(100.0 * slip / abs(v_theo))
-    return SlipReport(tuple(slips), tuple(apes))
+    return TrackSpeeds(*(w * r for w in solution.as_tuple()))
 
 
 def apply_disturbance(speeds, amplitude: float, draws: np.ndarray) -> np.ndarray:

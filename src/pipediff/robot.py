@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoFitError
-from .geometry import MODULE_OFFSETS, Bend, PipeSpec, Segment, Straight
+from .geometry import MODULE_OFFSETS, PipeSpec, Segment, Straight
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,9 @@ class RobotConfig:
 
     ``nominal_body_radius`` is the contact radius at preload: with every
     spring compressed by exactly ``preload_compression`` the modules reach
-    that far from the robot axis.
+    that far from the robot axis.  It sets the spring compressions only:
+    under contact each module rides on the wall, so path radii in a bend
+    use the pipe's inner radius.
     """
 
     sprocket_radius: float  # mm, converts output rotation to track speed
@@ -62,95 +64,52 @@ def spring_force(cfg: RobotConfig, delta: float) -> float:
     return cfg.spring_stiffness * delta
 
 
-def compression_in_straight(cfg: RobotConfig, spec: PipeSpec) -> tuple[float, float, float]:
-    """Identical compression of all three modules inside a straight pipe.
-
-    Raises:
-        NoFitError: the pipe is too narrow (compression above the limit) or
-            too wide (no wall contact even at zero compression).
-    """
-    required = cfg.preload_compression + (cfg.nominal_body_radius - spec.inner_radius)
-    if required < 0.0:
-        raise NoFitError(
-            f"pipe radius {spec.inner_radius:g} mm is beyond module reach; "
-            "no wall contact at zero compression"
-        )
-    if required > cfg.max_compression:
-        raise NoFitError(
-            f"straight pipe requires {required:.3f} mm compression, "
-            f"limit is {cfg.max_compression:g} mm"
-        )
-    return (required, required, required)
-
-
-def bend_extra_compression(cfg: RobotConfig, bend: Bend, theta: float) -> tuple[float, float, float]:
-    """Sagitta squeeze per module, projected onto its in-plane share."""
-    if cfg.length >= 2.0 * bend.radius:
-        raise NoFitError(
-            f"robot length {cfg.length:g} mm cannot chord a bend of radius {bend.radius:g} mm"
-        )
-    h = cfg.length ** 2 / (8.0 * bend.radius)
-    return tuple(h * abs(math.cos(theta + offset)) for offset in MODULE_OFFSETS)
-
-
-def bend_tilts(cfg: RobotConfig, bend: Bend, theta: float) -> tuple[float, float, float]:
-    """Asymmetric-compression angle per module inside a bend, degrees.
-
-    The chord of the robot body meets the arc at the half-chord angle
-    asin(L / 2R); each module sees the in-plane projection of it.
-    """
-    half = cfg.length / (2.0 * bend.radius)
-    if half >= 1.0:
-        raise NoFitError(
-            f"robot length {cfg.length:g} mm cannot chord a bend of radius {bend.radius:g} mm"
-        )
-    base = math.degrees(math.asin(half))
-    return tuple(base * abs(math.cos(theta + offset)) for offset in MODULE_OFFSETS)
-
-
-def compression_in_bend(
-    cfg: RobotConfig, spec: PipeSpec, bend: Bend, theta: float
-) -> tuple[float, float, float]:
-    """Per-module compression inside a bend at roll orientation ``theta``.
-
-    Converges to the straight-pipe value as the bend radius grows.
-
-    Raises:
-        NoFitError: any module would need more than ``max_compression``.
-    """
-    base = compression_in_straight(cfg, spec)
-    extras = bend_extra_compression(cfg, bend, theta)
-    deltas = tuple(b + e for b, e in zip(base, extras))
-    worst = max(deltas)
-    if worst > cfg.max_compression:
-        module = deltas.index(worst)
-        raise NoFitError(
-            f"bend of radius {bend.radius:g} mm requires {worst:.3f} mm compression "
-            f"on module {module}, limit is {cfg.max_compression:g} mm"
-        )
-    return deltas
-
-
 def module_state(
     cfg: RobotConfig, spec: PipeSpec, segment: Segment, theta: float
 ) -> ModuleState:
     """Admissible spring state inside ``segment``, or NoFitError.
 
-    Checks both the compression limit and the asymmetric-tilt limit; a
-    violated limit is always surfaced as an error, never clamped.
+    The checks run in this order: wall contact and the compression limit
+    of the straight pipe, then, inside a bend, that the body can chord it,
+    the bend's compression and its tilt.  A violated limit is always
+    surfaced as an error, never clamped.  Bend compressions converge to the
+    straight-pipe value as the bend radius grows.
     """
+    base = cfg.preload_compression + (cfg.nominal_body_radius - spec.inner_radius)
+    if base < 0.0:
+        raise NoFitError(
+            f"pipe radius {spec.inner_radius:g} mm is beyond module reach; "
+            "no wall contact at zero compression"
+        )
+    if base > cfg.max_compression:
+        raise NoFitError(
+            f"straight pipe requires {base:.3f} mm compression, "
+            f"limit is {cfg.max_compression:g} mm"
+        )
     if isinstance(segment, Straight):
-        deltas = compression_in_straight(cfg, spec)
-        tilts = (0.0, 0.0, 0.0)
-    else:
-        deltas = compression_in_bend(cfg, spec, segment, theta)
-        tilts = bend_tilts(cfg, segment, theta)
-        worst = max(tilts)
-        if worst > cfg.max_tilt_deg:
-            module = tilts.index(worst)
-            raise NoFitError(
-                f"bend of radius {segment.radius:g} mm demands {worst:.2f} deg "
-                f"asymmetric compression on module {module}, "
-                f"limit is {cfg.max_tilt_deg:g} deg"
-            )
+        return ModuleState((base, base, base), (0.0, 0.0, 0.0))
+    radius = segment.radius
+    if cfg.length >= 2.0 * radius:
+        raise NoFitError(
+            f"robot length {cfg.length:g} mm cannot chord a bend of radius {radius:g} mm"
+        )
+    # Each module's in-plane share of the sagitta and of the chord angle.
+    shares = tuple(abs(math.cos(theta + offset)) for offset in MODULE_OFFSETS)
+    sagitta = cfg.length ** 2 / (8.0 * radius)
+    deltas = tuple(base + sagitta * share for share in shares)
+    worst = max(deltas)
+    if worst > cfg.max_compression:
+        raise NoFitError(
+            f"bend of radius {radius:g} mm requires {worst:.3f} mm compression "
+            f"on module {deltas.index(worst)}, limit is {cfg.max_compression:g} mm"
+        )
+    half_chord_deg = math.degrees(math.asin(cfg.length / (2.0 * radius)))
+    tilts = tuple(half_chord_deg * share for share in shares)
+    worst = max(tilts)
+    if worst > cfg.max_tilt_deg:
+        raise NoFitError(
+            f"bend of radius {radius:g} mm demands {worst:.2f} deg "
+            f"asymmetric compression on module {tilts.index(worst)}, "
+            f"limit is {cfg.max_tilt_deg:g} deg"
+        )
     return ModuleState(deltas, tilts)

@@ -76,10 +76,6 @@ class Scenario:
     def segments(self) -> tuple[Segment, ...]:
         return self.network.segments
 
-    def build_network(self) -> PipeNetwork:
-        """The scenario's network, as built when it was parsed."""
-        return self.network
-
 
 class _Issues:
     def __init__(self):

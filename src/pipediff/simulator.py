@@ -14,8 +14,8 @@ then steps each segment as one block of numpy columns: record times are
 the block.  A block ends at the first record that stops the run or whose
 next step leaves the segment.  Speeds switch at the first record after a
 segment boundary; there is no blending.  Every segment the reference point
-crosses is checked for admissibility, even one that a single step jumps
-past.
+crosses is checked for admissibility and summarised, even one that a
+single step jumps past.
 
 Runs are deterministic: identical inputs, including the disturbance seed,
 produce bit-identical traces.  The block arithmetic does the same
@@ -150,7 +150,12 @@ class Trace:
 
 @dataclass(frozen=True)
 class SegmentSummary:
-    """Aggregates over the records that fell inside one segment."""
+    """Aggregates over the records that fell inside one segment.
+
+    A segment that one step crossed whole holds no records: its speeds are
+    the plan's resolved speeds, its APE is None, and its entry and exit
+    times are both that of the first record past it (or the run's last).
+    """
 
     index: int
     kind: str  # "straight" or "bend <sweep>deg"
@@ -192,7 +197,7 @@ class RunSummary:
     disturbance_amplitude: float
     disturbance_seed: int
     max_slip: float  # mm/s over all records and tracks
-    max_compression: float  # mm over all records and modules
+    max_compression: float  # mm over every segment entered and its modules
     segments: tuple[SegmentSummary, ...]
     tracks: tuple[TrackTotals, TrackTotals, TrackTotals]
 
@@ -222,13 +227,10 @@ def _plan_segment(
     v_nominal: float,
 ) -> _SegmentPlan:
     theta = params.theta_rad
-    wall_radius = net.spec.inner_radius
     try:
         state = module_state(robot, net.spec, segment, theta)
-        demanded = theoretical_speeds(segment, theta, v_nominal, wall_radius)
-        resolved = resolved_speeds(
-            gear, robot, segment, theta, params.omega_u, contact_radius=wall_radius
-        )
+        demanded = theoretical_speeds(segment, theta, v_nominal, net.spec.inner_radius)
+        resolved = resolved_speeds(gear, robot, demanded, params.omega_u)
     except (NoFitError, InfeasibleConstraintError) as exc:
         return _SegmentPlan(error=str(exc))
     return _SegmentPlan(
@@ -341,6 +343,9 @@ def run(
             index += 1
             error = plan[index].error
 
+    # Every segment up to the last one entered is summarised; one whose
+    # check failed was never entered.
+    entered = index if plan[index].error else index + 1
     columns = {name: np.concatenate(column) for name, column in parts.items()}
     v_theo = np.array([p.demanded for p in plan])[columns["segment"]]
     trace = Trace(
@@ -351,7 +356,7 @@ def run(
         slip=np.abs(columns["v"] - v_theo),
     )
     summary = _summarize(
-        net, robot, params, plan, trace, completed, stop_reason, error, v_nominal
+        net, robot, params, plan, entered, trace, completed, stop_reason, error, v_nominal
     )
     return trace, summary
 
@@ -392,6 +397,7 @@ def _summarize(
     robot: RobotConfig,
     params: SimParams,
     plan: list[_SegmentPlan],
+    entered: int,
     trace: Trace,
     completed: bool,
     stop_reason: str | None,
@@ -399,31 +405,40 @@ def _summarize(
     v_nominal: float,
 ) -> RunSummary:
     # Segment indices never decrease along a trace, so each segment's
-    # records are one contiguous slice.
+    # records are one contiguous slice, empty for a segment that a single
+    # step crossed whole.
     n = len(trace)
-    cuts = [0, *(np.flatnonzero(np.diff(trace.segment)) + 1).tolist(), n] if n else [0]
+    bounds = np.searchsorted(trace.segment, np.arange(entered + 1)).tolist()
     summaries = []
-    for a, b in zip(cuts, cuts[1:]):
-        index = int(trace.segment[a])
+    for index, (a, b) in enumerate(zip(bounds, bounds[1:])):
         segment = net.segments[index]
         length = segment_length(segment)
-        start = net.arc_start(index)
-        lo = start + WINDOW_MARGIN * length
-        hi = start + (1.0 - WINDOW_MARGIN) * length
-        s = trace.s[a:b]
-        window = (lo <= s) & (s <= hi)
-        if not window.any():
-            window = slice(None)
-        v = trace.v[a:b]
-        v_window = v[window]
-        mean_speeds = tuple(math.fsum(col) / len(v_window) for col in v_window.T.tolist())
-        slip, v_theo = trace.slip[a:b][window], trace.v_theo[a:b][window]
-        ape = []
-        for i in range(3):
-            defined = v_theo[:, i] != 0.0
-            terms = (100.0 * slip[defined, i] / np.abs(v_theo[defined, i])).tolist()
-            ape.append(math.fsum(terms) / len(terms) if terms else None)
-        entered_next = b < n and trace.segment[b] == index + 1
+        # A segment is left at the first record of any later segment.
+        exit_time = float(trace.t[min(b, n - 1)])
+        if a == b:
+            entry_time = exit_time
+            mean_speeds = min_speeds = max_speeds = plan[index].resolved
+            ape = (None, None, None)
+        else:
+            entry_time = float(trace.t[a])
+            start = net.arc_start(index)
+            lo = start + WINDOW_MARGIN * length
+            hi = start + (1.0 - WINDOW_MARGIN) * length
+            s = trace.s[a:b]
+            window = (lo <= s) & (s <= hi)
+            if not window.any():
+                window = slice(None)
+            v = trace.v[a:b]
+            v_window = v[window]
+            mean_speeds = tuple(math.fsum(col) / len(v_window) for col in v_window.T.tolist())
+            min_speeds = tuple(v.min(axis=0).tolist())
+            max_speeds = tuple(v.max(axis=0).tolist())
+            slip, v_theo = trace.slip[a:b][window], trace.v_theo[a:b][window]
+            ape = []
+            for i in range(3):
+                defined = v_theo[:, i] != 0.0
+                terms = (100.0 * slip[defined, i] / np.abs(v_theo[defined, i])).tolist()
+                ape.append(math.fsum(terms) / len(terms) if terms else None)
         max_compression = max(plan[index].compressions)
         max_tilt = plan[index].max_tilt_deg
         summaries.append(
@@ -431,11 +446,11 @@ def _summarize(
                 index=index,
                 kind=_segment_kind(segment),
                 length=length,
-                entry_time=float(trace.t[a]),
-                exit_time=float(trace.t[b] if entered_next else trace.t[b - 1]),
+                entry_time=entry_time,
+                exit_time=exit_time,
                 mean_speeds=mean_speeds,
-                min_speeds=tuple(v.min(axis=0).tolist()),
-                max_speeds=tuple(v.max(axis=0).tolist()),
+                min_speeds=min_speeds,
+                max_speeds=max_speeds,
                 ape=tuple(ape),
                 max_compression=max_compression,
                 max_tilt_deg=max_tilt,

@@ -20,7 +20,7 @@ def reference_scenario(reference_text):
 
 @pytest.fixture(scope="session")
 def reference_network(reference_scenario):
-    return reference_scenario.build_network()
+    return reference_scenario.network
 
 
 @pytest.fixture(scope="session")

@@ -35,9 +35,9 @@ def reference_run(net, robot, gear, params):
     for seg in net.segments:
         try:
             state = module_state(robot, net.spec, seg, theta)
-            demanded = theoretical_speeds(seg, theta, v_nominal, wall).as_tuple()
-            resolved = resolved_speeds(gear, robot, seg, theta, params.omega_u, wall).as_tuple()
-            plan.append((None, state, resolved, demanded))
+            demanded = theoretical_speeds(seg, theta, v_nominal, wall)
+            resolved = resolved_speeds(gear, robot, demanded, params.omega_u).as_tuple()
+            plan.append((None, state, resolved, demanded.as_tuple()))
         except (NoFitError, InfeasibleConstraintError) as exc:
             plan.append((str(exc), None, None, None))
     total, dt, amplitude = net.total_length, params.dt, params.disturbance.amplitude
@@ -69,17 +69,23 @@ def reference_run(net, robot, gear, params):
         while error is None and index + 1 < len(plan) and s >= net.arc_start(index + 1):
             index += 1
             error = plan[index][0]
-    tilts = [None if p[1] is None else max(p[1].tilts_deg) for p in plan]
-    summary = _reference_summary(net, robot, params, tilts, records, v_nominal)
+    # The segments entered: those starting at or before the last position
+    # reached, up to the first that failed its check.
+    entered = []
+    for i, (failure, state, resolved, _) in enumerate(plan):
+        if failure is not None or net.arc_start(i) > s:
+            break
+        entered.append((state, resolved))
+    summary = _reference_summary(net, robot, params, entered, records, v_nominal)
     return records, RunSummary(completed, stop_reason, error, *summary)
 
 
-def _reference_summary(net, robot, params, tilts, records, v_nominal):
-    groups = {}
-    for record in records:
-        groups.setdefault(record.segment, []).append(record)
+def _reference_summary(net, robot, params, entered, records, v_nominal):
     summaries = []
-    for index, recs in sorted(groups.items()):
+    for index, (state, resolved) in enumerate(entered):
+        recs = [r for r in records if r.segment == index]
+        later = [r for r in records if r.segment > index]
+        exit_time = later[0].t if later else records[-1].t
         segment = net.segments[index]
         length, start = segment_length(segment), net.arc_start(index)
         lo, hi = start + WINDOW_MARGIN * length, start + (1.0 - WINDOW_MARGIN) * length
@@ -88,22 +94,27 @@ def _reference_summary(net, robot, params, tilts, records, v_nominal):
         for i in range(3):
             terms = [100.0 * r.slip[i] / abs(r.v_theo[i]) for r in window if r.v_theo[i] != 0.0]
             ape.append(math.fsum(terms) / len(terms) if terms else None)
-        compression = max(max(r.compression) for r in recs)
-        following = groups.get(index + 1)
+        if recs:
+            mean = tuple(math.fsum(r.v[i] for r in window) / len(window) for i in range(3))
+            lowest = tuple(min(r.v[i] for r in recs) for i in range(3))
+            highest = tuple(max(r.v[i] for r in recs) for i in range(3))
+        else:  # crossed within one step
+            mean = lowest = highest = resolved
+        compression, tilt = max(state.compressions), max(state.tilts_deg)
         summaries.append(SegmentSummary(
             index=index,
             kind=f"bend {segment.sweep_deg:g}deg" if isinstance(segment, Bend) else "straight",
             length=length,
-            entry_time=recs[0].t,
-            exit_time=following[0].t if following else recs[-1].t,
-            mean_speeds=tuple(math.fsum(r.v[i] for r in window) / len(window) for i in range(3)),
-            min_speeds=tuple(min(r.v[i] for r in recs) for i in range(3)),
-            max_speeds=tuple(max(r.v[i] for r in recs) for i in range(3)),
+            entry_time=recs[0].t if recs else exit_time,
+            exit_time=exit_time,
+            mean_speeds=mean,
+            min_speeds=lowest,
+            max_speeds=highest,
             ape=tuple(ape),
             max_compression=compression,
-            max_tilt_deg=tilts[index],
+            max_tilt_deg=tilt,
             compression_headroom_mm=robot.max_compression - compression,
-            tilt_headroom_deg=robot.max_tilt_deg - tilts[index],
+            tilt_headroom_deg=robot.max_tilt_deg - tilt,
         ))
     total_time = records[-1].t if records else 0.0
     tracks = []
@@ -119,7 +130,7 @@ def _reference_summary(net, robot, params, tilts, records, v_nominal):
         total_time, total, total - robot.length if total >= robot.length else None, v_nominal,
         params.theta_deg, params.dt, params.disturbance.amplitude, params.disturbance.seed,
         max((max(r.slip) for r in records), default=0.0),
-        max((max(r.compression) for r in records), default=0.0),
+        max((seg.max_compression for seg in summaries), default=0.0),
         tuple(summaries), tuple(tracks),
     )
 

@@ -112,7 +112,7 @@ def test_criterion_2_bend_geometry_identity():
 
 def test_criterion_3_no_slip_everywhere(reference_scenario):
     sc = reference_scenario
-    net = sc.build_network()
+    net = sc.network
     kinds = [seg.kind for seg in (run(net, sc.robot, sc.gear, sc.sim)[1]).segments]
     ok = "straight" in kinds and "bend 90deg" in kinds and "bend 180deg" in kinds
     for theta in (0.0, 120.0, 240.0):
@@ -128,7 +128,7 @@ def test_criterion_3_no_slip_everywhere(reference_scenario):
 
 def test_criterion_4_published_number_calibration(reference_scenario):
     sc = reference_scenario
-    net = sc.build_network()
+    net = sc.network
     started = time.monotonic()
     records, summary = run(net, sc.robot, sc.gear, sc.sim)
     elapsed = time.monotonic() - started
@@ -162,7 +162,7 @@ def test_criterion_4_published_number_calibration(reference_scenario):
 
 def test_criterion_5_ape_pipeline(reference_scenario):
     sc = reference_scenario
-    net = sc.build_network()
+    net = sc.network
 
     noisy = replace(sc.sim, disturbance=DisturbanceConfig(amplitude=0.025, seed=42))
     _, summary = run(net, sc.robot, sc.gear, noisy)
@@ -182,7 +182,7 @@ def test_criterion_5_ape_pipeline(reference_scenario):
 
 def test_criterion_6_limits_enforcement(reference_scenario):
     sc = reference_scenario
-    net = sc.build_network()
+    net = sc.network
 
     # compression overrun: a 200 mm body needs ~19.9 mm in the elbow
     big = replace(sc.robot, length=200.0, max_tilt_deg=30.0)
@@ -204,7 +204,7 @@ def test_criterion_6_limits_enforcement(reference_scenario):
 
 def test_criterion_7_numerical_hygiene(reference_scenario):
     sc = reference_scenario
-    net = sc.build_network()
+    net = sc.network
 
     records, summary = run(net, sc.robot, sc.gear, sc.sim)
     _, halved = run(net, sc.robot, sc.gear, replace(sc.sim, dt=sc.sim.dt / 2.0))

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from pipediff import (
     Bend,
     GearTrainConfig,
+    InfeasibleConstraintError,
     RobotConfig,
     Straight,
+    TrackSpeeds,
     apply_disturbance,
     module_path_radius,
     resolved_speeds,
-    slip_and_ape,
     theoretical_speeds,
 )
 
@@ -35,7 +36,6 @@ class TestTheoreticalSpeeds:
     def test_straight_is_uniform(self):
         speeds = theoretical_speeds(STRAIGHT, 0.3, 50.0, 40.0)
         assert speeds.as_tuple() == (50.0, 50.0, 50.0)
-        assert speeds.source == "theoretical"
 
     def test_bend_nearest_module_slows(self):
         # oracle: rho = (160, 220, 220) scaled by v/R = 50/200
@@ -83,24 +83,24 @@ class TestResolvedSpeeds:
     def test_straight_equal_loads(self):
         gear = GearTrainConfig(ratio=1.0)
         robot = make_robot(sprocket_radius=25.0)
-        speeds = resolved_speeds(gear, robot, STRAIGHT, 0.0, 2.0)  # 1 * 2 * 25 = 50
+        demanded = theoretical_speeds(STRAIGHT, 0.0, 50.0, 40.0)
+        speeds = resolved_speeds(gear, robot, demanded, 2.0)  # 1 * 2 * 25 = 50
         assert speeds.as_tuple() == pytest.approx((50.0, 50.0, 50.0), rel=1e-12)
-        assert speeds.source == "resolved"
 
     def test_bend_matches_theoretical(self):
         gear = GearTrainConfig(ratio=1.0)
         robot = make_robot(sprocket_radius=25.0, nominal_body_radius=40.0)
-        resolved = resolved_speeds(gear, robot, BEND, 0.0, 2.0)
         demanded = theoretical_speeds(BEND, 0.0, 50.0, 40.0)
+        resolved = resolved_speeds(gear, robot, demanded, 2.0)
         for v_res, v_theo in zip(resolved.as_tuple(), demanded.as_tuple()):
             assert abs(v_res - v_theo) <= 1e-9
         assert resolved.as_tuple() == pytest.approx((40.0, 55.0, 55.0), rel=1e-9)
 
-    def test_explicit_contact_radius_overrides_nominal(self):
+    def test_demands_off_the_speed_sum_budget_are_infeasible(self):
+        # 1 * 2 rad/s gives a budget of 3 * 50 mm/s; these demands sum to 160.
         gear = GearTrainConfig(ratio=1.0)
-        robot = make_robot(sprocket_radius=25.0, nominal_body_radius=40.0)
-        wider = resolved_speeds(gear, robot, BEND, 0.0, 2.0, contact_radius=20.0)
-        assert wider.v_a == pytest.approx(50.0 * 180.0 / 200.0, rel=1e-9)
+        with pytest.raises(InfeasibleConstraintError, match="3 \\* ratio \\* omega_u"):
+            resolved_speeds(gear, make_robot(), TrackSpeeds(50.0, 50.0, 60.0), 2.0)
 
     @given(
         st.floats(min_value=-10.0, max_value=10.0),
@@ -112,65 +112,10 @@ class TestResolvedSpeeds:
         gear = GearTrainConfig(ratio=ratio)
         robot = make_robot(sprocket_radius=25.0, nominal_body_radius=40.0)
         v_nominal = ratio * omega_u * robot.sprocket_radius
-        resolved = resolved_speeds(gear, robot, BEND, theta, omega_u)
         demanded = theoretical_speeds(BEND, theta, v_nominal, 40.0)
+        resolved = resolved_speeds(gear, robot, demanded, omega_u)
         for v_res, v_theo in zip(resolved.as_tuple(), demanded.as_tuple()):
             assert abs(v_res - v_theo) <= 1e-9 * max(1.0, abs(v_theo))
-
-
-class TestSlipAndApe:
-    def test_identical_inputs(self):
-        speeds = theoretical_speeds(BEND, 0.0, 50.0, 40.0)
-        report = slip_and_ape(speeds, speeds)
-        assert report.slips == (0.0, 0.0, 0.0)
-        assert report.apes == (0.0, 0.0, 0.0)
-
-    def test_published_error_scale(self):
-        from pipediff import TrackSpeeds
-
-        resolved = TrackSpeeds(97.5, 97.5, 97.5, source="resolved")
-        demanded = TrackSpeeds(100.0, 100.0, 100.0, source="theoretical")
-        report = slip_and_ape(resolved, demanded)
-        assert report.apes == pytest.approx((2.5, 2.5, 2.5), rel=1e-12)
-
-    def test_resolved_equals_theoretical_gives_zeros(self):
-        gear = GearTrainConfig(ratio=1.0)
-        robot = make_robot(sprocket_radius=25.0, nominal_body_radius=40.0)
-        resolved = resolved_speeds(gear, robot, BEND, 0.0, 2.0)
-        demanded = theoretical_speeds(BEND, 0.0, 50.0, 40.0)
-        report = slip_and_ape(resolved, demanded)
-        assert max(report.slips) <= 1e-9
-        assert max(a for a in report.apes) <= 1e-9
-
-    def test_zero_theoretical_flags_undefined_ape(self):
-        from pipediff import TrackSpeeds
-
-        resolved = TrackSpeeds(1.0, 0.0, 2.0, source="resolved")
-        demanded = TrackSpeeds(0.0, 0.0, 4.0, source="theoretical")
-        report = slip_and_ape(resolved, demanded)
-        assert report.slips == (1.0, 0.0, 2.0)
-        assert report.apes[0] is None
-        assert report.apes[1] == 0.0
-        assert report.apes[2] == pytest.approx(50.0)
-
-    @given(
-        st.floats(min_value=0.01, max_value=100.0),
-        st.floats(min_value=1.0, max_value=100.0),
-        st.floats(min_value=-0.5, max_value=0.5),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_scale_invariance(self, scale, v, rel_err):
-        from pipediff import TrackSpeeds
-
-        resolved = TrackSpeeds(v * (1.0 + rel_err), v, v, source="resolved")
-        demanded = TrackSpeeds(v, v, v, source="theoretical")
-        base = slip_and_ape(resolved, demanded)
-        scaled = slip_and_ape(
-            TrackSpeeds(*(x * scale for x in resolved.as_tuple()), source="resolved"),
-            TrackSpeeds(*(x * scale for x in demanded.as_tuple()), source="theoretical"),
-        )
-        for a, b in zip(base.apes, scaled.apes):
-            assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
 
 
 class TestDisturbance:

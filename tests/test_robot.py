@@ -7,14 +7,13 @@ from pipediff import (
     NoFitError,
     PipeSpec,
     RobotConfig,
-    bend_tilts,
-    compression_in_bend,
-    compression_in_straight,
+    Straight,
     module_state,
     spring_force,
 )
 
 Y = (0.0, 1.0, 0.0)
+STRAIGHT = Straight(length=100.0, axis=(0.0, 0.0, 1.0))
 
 
 def make_robot(**overrides):
@@ -28,46 +27,50 @@ def make_robot(**overrides):
     return RobotConfig(**kwargs)
 
 
+def compressions(robot, spec, segment, theta=0.0):
+    return module_state(robot, spec, segment, theta).compressions
+
+
 class TestCompressionInStraight:
     def test_matched_pipe_sits_at_preload(self):
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius)
-        assert compression_in_straight(robot, spec) == (5.0, 5.0, 5.0)
+        assert compressions(robot, spec, STRAIGHT) == (5.0, 5.0, 5.0)
 
     def test_narrower_pipe_adds_the_radius_gap(self):
         # oracle: delta = preload + (nominal radius - pipe radius)
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius - 2.0)
-        deltas = compression_in_straight(robot, spec)
+        deltas = compressions(robot, spec, STRAIGHT)
         assert deltas == pytest.approx((7.0, 7.0, 7.0))
 
     def test_compression_limit_is_a_hard_no_fit(self):
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius - 12.0)  # needs 17 mm
         with pytest.raises(NoFitError):
-            compression_in_straight(robot, spec)
+            module_state(robot, spec, STRAIGHT, 0.0)
 
     def test_too_wide_pipe_loses_contact(self):
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius + robot.preload_compression + 1.0)
         with pytest.raises(NoFitError):
-            compression_in_straight(robot, spec)
+            module_state(robot, spec, STRAIGHT, 0.0)
 
 
 class TestCompressionInBend:
     def test_straight_limit_as_radius_grows(self):
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius)
-        straight = compression_in_straight(robot, spec)
+        straight = compressions(robot, spec, STRAIGHT)
         huge = Bend(radius=1e9, sweep_deg=90.0, normal=Y)
-        bent = compression_in_bend(robot, spec, huge, 0.3)
+        bent = compressions(robot, spec, huge, 0.3)
         assert max(abs(b - s) for b, s in zip(bent, straight)) < 1e-6
 
     def test_sagitta_increment_on_the_in_plane_module(self):
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius)
         bend = Bend(radius=335.0, sweep_deg=90.0, normal=Y)
-        deltas = compression_in_bend(robot, spec, bend, 0.0)
+        deltas = compressions(robot, spec, bend)
         # oracle: sagitta L^2 / (8R) on the module facing the bend center
         expected = robot.length**2 / (8.0 * bend.radius)
         assert deltas[0] - 5.0 == pytest.approx(expected, rel=1e-12)
@@ -82,21 +85,21 @@ class TestCompressionInBend:
         # oracle: preload + L^2/(8R) = 5 + 14.93 mm exceeds the 16 mm limit
         assert 5.0 + robot.length**2 / (8.0 * bend.radius) > robot.max_compression
         with pytest.raises(NoFitError, match="compression"):
-            compression_in_bend(robot, spec, bend, 0.0)
+            module_state(robot, spec, bend, 0.0)
 
     def test_robot_longer_than_chord(self):
         robot = make_robot(length=61.0)
         spec = PipeSpec(inner_radius=13.2)
         bend = Bend(radius=30.0, sweep_deg=90.0, normal=Y)
         with pytest.raises(NoFitError):
-            compression_in_bend(robot, spec, bend, 0.0)
+            module_state(robot, spec, bend, 0.0)
 
     def test_continuous_in_inverse_radius(self):
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius)
         radii = [300.0, 600.0, 1200.0, 1e6, 1e9]
         worst = [
-            max(compression_in_bend(robot, spec, Bend(r, 90.0, Y), 0.7)) for r in radii
+            max(compressions(robot, spec, Bend(r, 90.0, Y), 0.7)) for r in radii
         ]
         assert worst == sorted(worst, reverse=True)
         assert worst[-1] == pytest.approx(5.0, abs=1e-6)
@@ -105,8 +108,9 @@ class TestCompressionInBend:
 class TestTiltLimit:
     def test_tilt_projection(self):
         robot = make_robot()
+        spec = PipeSpec(inner_radius=robot.nominal_body_radius)
         bend = Bend(radius=290.0, sweep_deg=180.0, normal=Y)
-        tilts = bend_tilts(robot, bend, 0.0)
+        tilts = module_state(robot, spec, bend, 0.0).tilts_deg
         expected = math.degrees(math.asin(robot.length / (2.0 * bend.radius)))
         assert tilts[0] == pytest.approx(expected, rel=1e-12)
         assert tilts[1] == pytest.approx(expected / 2.0, rel=1e-9)
@@ -125,6 +129,35 @@ class TestTiltLimit:
         state = module_state(robot, spec, bend, 0.0)
         assert max(state.tilts_deg) <= robot.max_tilt_deg
         assert max(state.compressions) <= robot.max_compression
+
+
+# Each case also breaks every later check it can reach, so the message
+# shows which check runs first.
+CHORDLESS = Bend(radius=30.0, sweep_deg=90.0, normal=Y)
+ELBOW = Bend(radius=335.0, sweep_deg=90.0, normal=Y)
+
+
+@pytest.mark.parametrize(
+    "overrides, inner_radius, segment, message",
+    [
+        ({}, 19.2, CHORDLESS,
+         "pipe radius 19.2 mm is beyond module reach; no wall contact at zero compression"),
+        ({}, 1.2, CHORDLESS, "straight pipe requires 17.000 mm compression, limit is 16 mm"),
+        ({}, 13.2, CHORDLESS, "robot length 61 mm cannot chord a bend of radius 30 mm"),
+        # 5 + 200**2 / (8 * 335) mm, while asin(200 / 670) = 17.4 deg also breaks the tilt limit
+        ({"length": 200.0}, 13.2, ELBOW,
+         "bend of radius 335 mm requires 19.925 mm compression on module 0, limit is 16 mm"),
+        ({"length": 140.0}, 13.2, ELBOW,
+         "bend of radius 335 mm demands 12.06 deg asymmetric compression on module 0, "
+         "limit is 10 deg"),
+    ],
+    ids=["beyond reach", "too narrow", "no chord", "bend compression", "tilt"],
+)
+def test_module_state_check_order(overrides, inner_radius, segment, message):
+    robot = make_robot(**overrides)
+    with pytest.raises(NoFitError) as caught:
+        module_state(robot, PipeSpec(inner_radius=inner_radius), segment, 0.0)
+    assert str(caught.value) == message
 
 
 def test_spring_force_is_monotone():

@@ -333,7 +333,7 @@ class TestTraceCsv:
     @pytest.mark.parametrize("theta", sorted(REFERENCE_TRACE_SHA256))
     def test_reference_trace_bytes_are_pinned(self, reference_scenario, theta):
         sc = reference_scenario
-        records, _ = run(sc.build_network(), sc.robot, sc.gear, replace(sc.sim, theta_deg=theta))
+        records, _ = run(sc.network, sc.robot, sc.gear, replace(sc.sim, theta_deg=theta))
         digest = hashlib.sha256(render_trace(records).encode("utf-8")).hexdigest()
         assert digest == self.REFERENCE_TRACE_SHA256[theta]
 
@@ -342,7 +342,7 @@ class TestTraceCsv:
         # theta = 120 deg with a 2.5 % disturbance, seed 7.
         sc = reference_scenario
         sim = replace(sc.sim, theta_deg=120.0, disturbance=DisturbanceConfig(0.025, 7))
-        records, _ = run(sc.build_network(), sc.robot, sc.gear, sim)
+        records, _ = run(sc.network, sc.robot, sc.gear, sim)
         digest = hashlib.sha256(render_trace(records).encode("utf-8")).hexdigest()
         assert digest == "657532888c940c81c0d44727afcd535ff89fca03347c570b39ecedd080127f4e"
 
@@ -353,7 +353,7 @@ class TestReports:
         # base seed 7: every orientation's disturbed summary, byte for byte.
         sc = reference_scenario
         sim = replace(sc.sim, disturbance=DisturbanceConfig(0.025, 7))
-        results = run_orientation_sweep(sc.build_network(), sc.robot, sc.gear, sim, 8)
+        results = run_orientation_sweep(sc.network, sc.robot, sc.gear, sim, 8)
         text = render_sweep_report(results, sc.report, fmt="json")
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == "7639f70f8376c232e4c98bd3120ed4759eb7bcd23f591468a5b9f4d57c2a3828"
@@ -406,7 +406,7 @@ class TestReports:
         sim = dataclasses.replace(
             sc.sim, disturbance=DisturbanceConfig(amplitude=0.025, seed=42)
         )
-        net = sc.build_network()
+        net = sc.network
         records, summary = run(net, sc.robot, sc.gear, sim)
         payload = json.loads(render_report(summary, sc.report, fmt="json"))
         for segment in payload["segments"]:

@@ -17,8 +17,10 @@ from pipediff import (
     RobotConfig,
     SimParams,
     Straight,
+    kinematics,
     module_path_radius,
     module_state,
+    parse_scenario,
     render_trace,
     run,
     run_orientation_sweep,
@@ -180,6 +182,20 @@ class TestRun:
         )
         assert last.exit_time == summary.total_time
 
+    def test_each_segment_derives_its_demanded_speeds_once(self, reference_scenario):
+        sc = reference_scenario
+        real = kinematics.theoretical_speeds
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        with mock.patch.object(simulator, "theoretical_speeds", counting), \
+                mock.patch.object(kinematics, "theoretical_speeds", counting):
+            run(sc.network, sc.robot, sc.gear, sc.sim)
+        assert calls == list(sc.network.segments)
+
 
 def planar_network(spec, pieces):
     """Chain ``pieces`` in the x-z plane: ("straight", length) or
@@ -218,6 +234,24 @@ class TestSegmentAdmissibility:
             "limit is 16 mm"
         )
         assert records and all(r.segment == 0 for r in records)
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.025])
+    def test_a_segment_crossed_within_one_step_is_reported(self, reference_text, amplitude):
+        # At dt = 0.5 s one 17.5 mm step crosses the 0.1 mm straight whole.
+        sc = parse_scenario(reference_text.replace("length = 350.0", "length = 0.1"))
+        sim = replace(sc.sim, dt=0.5, disturbance=DisturbanceConfig(amplitude, 7))
+        trace, summary = run(sc.network, sc.robot, sc.gear, sim)
+        assert summary.completed and 2 not in trace.segment
+        assert [seg.index for seg in summary.segments] == [0, 1, 2, 3]
+        first, elbow, short, last = summary.segments
+        assert first.exit_time == elbow.entry_time
+        assert (elbow.exit_time, short.entry_time, short.exit_time, last.entry_time) == (
+            24.5, 24.5, 24.5, 24.5
+        )
+        assert short.ape == (None, None, None)
+        assert short.mean_speeds == short.min_speeds == short.max_speeds == (35.0, 35.0, 35.0)
+        assert short.max_compression == 5.0
+        assert summary.max_compression == max(seg.max_compression for seg in summary.segments)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -43,7 +43,6 @@ from .robot import (
     ModuleState,
     RobotConfig,
     module_state,
-    spring_force,
 )
 from .scenario import (
     ReportOptions,
@@ -68,14 +67,11 @@ from .transmission import (
     LoadState,
     OutputLoad,
     SpeedSolution,
-    TorqueSolution,
-    constraint_residual,
     free,
     imposed_speed,
     imposed_torque,
     ring_speed,
     solve_output_speeds,
-    solve_output_torques,
 )
 
 __version__ = "0.1.0"

@@ -59,11 +59,6 @@ class ModuleState:
     tilts_deg: tuple[float, float, float]  # deg, asymmetric front/rear share
 
 
-def spring_force(cfg: RobotConfig, delta: float) -> float:
-    """Radial wall-press force in N at compression ``delta``."""
-    return cfg.spring_stiffness * delta
-
-
 def module_state(
     cfg: RobotConfig, spec: PipeSpec, segment: Segment, theta: float
 ) -> ModuleState:

@@ -12,38 +12,28 @@ seconds for times, degrees for angles, rad/s for the input speed.  Unknown
 sections and keys are rejected, every diagnostic carries its line number,
 and defaults exist only for the documented optional keys.  Files are UTF-8.
 
+``KEYS`` is the one list of file keys: one row per key with its kind,
+bounds, default, requiredness and the ``Scenario`` field it fills.
+``parse_scenario`` reads every key through its row and
+``serialize_scenario`` writes every key from it.  Only the rules that span
+keys are code of their own: the segment ``type`` dispatch,
+``default_normal`` as the default bend normal, ``preload_compression`` at
+most ``max_compression``, and report segment indices within the network.
+
 The parser builds the scenario's ``PipeNetwork`` once and maps its
 violations to [segment] lines.  The network, not the parser, resolves the
 default start tangent and each straight's default axis, so the parsed
 scenario is explicit and ``serialize_scenario`` round-trips it.
-
-Keys:
-
-    [pipe]     inner_radius (mm, required); standard_label (text);
-               start_tangent (unit vector, default from the first straight);
-               default_normal (unit vector for bends, default 0 1 0)
-    [segment]  type = straight: length (mm); axis (unit vector, default:
-               continue the incoming tangent)
-               type = bend: radius (mm); sweep_angle (deg, in (0, 180]);
-               normal (unit vector, default default_normal)
-    [robot]    sprocket_radius, length, nominal_body_radius,
-               preload_compression (mm, required); spring_stiffness
-               (N/mm, default 2); max_compression (mm, default 16);
-               max_tilt_deg (deg, default 10)
-    [gear]     ratio (default 1)
-    [sim]      omega_u (rad/s, required, > 0); dt (s, default 0.01);
-               theta_deg (default 0); t_max (s, optional);
-               disturbance_amplitude (fraction in [0, 1), default 0);
-               disturbance_seed (int >= 0, default 0)
-    [report]   tracks (subset of "A B C", default all); segments ("all" or
-               indices, default all); ape (on/off, default on)
 """
 
 import math
+from operator import ge, gt, le, lt
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .errors import ScenarioParseError
 from .geometry import Bend, PipeNetwork, PipeSpec, Segment, Straight, UNIT_TOL, validate_network
+from .kinematics import TRACK_NAMES
 from .robot import RobotConfig
 from .simulator import DisturbanceConfig, SimParams
 from .transmission import GearTrainConfig
@@ -77,158 +67,200 @@ class Scenario:
         return self.network.segments
 
 
-class _Issues:
-    def __init__(self):
-        self.items: list[tuple[int, str]] = []
+class _Kind(NamedTuple):
+    """How a value is read from its file text, checked and written back."""
 
-    def add(self, line: int, message: str):
-        self.items.append((line, message))
-
-    def raise_if_any(self):
-        if self.items:
-            raise ScenarioParseError(sorted(self.items))
+    convert: Callable  # raw text -> value; ValueError or KeyError: not this kind
+    expected: str  # what the text must spell, for the diagnostic
+    check: Callable | None  # value -> diagnostic for a value this kind rejects, or None
+    write: Callable  # value -> text, or None to leave the key out
 
 
-def _tokenize(text: str, issues: _Issues):
+def _three_numbers(raw):
+    vec = tuple(float(part) for part in raw.split())
+    if len(vec) != 3:
+        raise ValueError
+    return vec
+
+
+def _not_unit(vec):
+    norm = math.sqrt(sum(c * c for c in vec))
+    return None if abs(norm - 1.0) <= UNIT_TOL else f"must be a unit vector, norm is {norm:.12g}"
+
+
+def _tracks(raw):
+    tracks = tuple(tok.upper() for tok in raw.split())
+    if not tracks or len(set(tracks)) < len(tracks) or not set(tracks) <= set(TRACK_NAMES):
+        raise ValueError
+    return tracks
+
+
+_SWITCH = {"on": True, "true": True, "yes": True, "1": True,
+           "off": False, "false": False, "no": False, "0": False}
+
+NUMBER = _Kind(float, "a number", lambda x: None if math.isfinite(x) else "must be finite",
+               lambda x: None if x is None else repr(x))
+INTEGER = _Kind(int, "an integer", None, repr)
+UNIT_VECTOR = _Kind(_three_numbers, "three numbers", _not_unit,
+                    lambda vec: " ".join(repr(float(c)) for c in vec))
+SWITCH = _Kind(lambda raw: _SWITCH[raw.lower()], "on/off", None, lambda on: "on" if on else "off")
+TEXT = _Kind(str, "text", None, lambda text: text or None)
+TRACKS = _Kind(_tracks, "a subset of 'A B C'", None, " ".join)
+INDICES = _Kind(lambda raw: None if raw.lower() == "all" else tuple(map(int, raw.split())),
+                "'all' or indices", None, lambda i: "all" if i is None else " ".join(map(str, i)))
+
+# The diagnostic of each bound test; ``got`` is the value as written.
+_BOUND_MESSAGES = {
+    gt: "must be greater than {limit:g}, got {got}",
+    ge: "must be at least {limit:g}, got {got}",
+    le: "must be at most {limit:g}, got {got}",
+    lt: "must be below {limit:g}",
+}
+POSITIVE = ((gt, 0.0),)
+NON_NEGATIVE = ((ge, 0.0),)
+
+
+class Key(NamedTuple):
+    """One file key: how it is read, checked, defaulted and stored."""
+
+    section: str
+    name: str
+    kind: _Kind
+    bounds: tuple  # (test, limit) pairs: test(value, limit) must hold
+    default: object  # value of an absent optional key, and after a diagnostic
+    required: bool
+    owner: type | None  # the Scenario part the value fills; None: parser only
+    attr: str = ""  # its field there, when not named like the key
+
+
+KEYS = (
+    Key("pipe", "inner_radius", NUMBER, POSITIVE, None, True, PipeSpec),
+    Key("pipe", "standard_label", TEXT, (), "", False, PipeSpec),
+    Key("pipe", "start_tangent", UNIT_VECTOR, (), None, False, PipeNetwork),
+    Key("pipe", "default_normal", UNIT_VECTOR, (), (0.0, 1.0, 0.0), False, None),
+    Key("segment", "type", TEXT, (), "", True, None),
+    Key("segment", "length", NUMBER, POSITIVE, None, True, Straight),
+    Key("segment", "axis", UNIT_VECTOR, (), None, False, Straight),
+    Key("segment", "radius", NUMBER, POSITIVE, None, True, Bend),
+    Key("segment", "sweep_angle", NUMBER, ((gt, 0.0), (le, 180.0)), None, True, Bend,
+        "sweep_deg"),
+    Key("segment", "normal", UNIT_VECTOR, (), None, False, Bend),  # None: default_normal
+    Key("robot", "sprocket_radius", NUMBER, POSITIVE, None, True, RobotConfig),
+    Key("robot", "length", NUMBER, POSITIVE, None, True, RobotConfig),
+    Key("robot", "nominal_body_radius", NUMBER, POSITIVE, None, True, RobotConfig),
+    Key("robot", "preload_compression", NUMBER, NON_NEGATIVE, None, True, RobotConfig),
+    Key("robot", "spring_stiffness", NUMBER, POSITIVE, 2.0, False, RobotConfig),
+    Key("robot", "max_compression", NUMBER, POSITIVE, 16.0, False, RobotConfig),
+    Key("robot", "max_tilt_deg", NUMBER, POSITIVE, 10.0, False, RobotConfig),
+    Key("gear", "ratio", NUMBER, POSITIVE, 1.0, False, GearTrainConfig),
+    Key("sim", "omega_u", NUMBER, POSITIVE, None, True, SimParams),
+    Key("sim", "dt", NUMBER, POSITIVE, 0.01, False, SimParams),
+    Key("sim", "theta_deg", NUMBER, (), 0.0, False, SimParams),
+    Key("sim", "t_max", NUMBER, POSITIVE, None, False, SimParams),
+    Key("sim", "disturbance_amplitude", NUMBER, ((ge, 0.0), (lt, 1.0)), 0.0, False,
+        DisturbanceConfig, "amplitude"),
+    Key("sim", "disturbance_seed", INTEGER, NON_NEGATIVE, 0, False, DisturbanceConfig, "seed"),
+    Key("report", "tracks", TRACKS, (), ("A", "B", "C"), False, ReportOptions),
+    Key("report", "segments", INDICES, (), None, False, ReportOptions),
+    Key("report", "ape", SWITCH, (), True, False, ReportOptions),
+)
+
+_SECTIONS = tuple(dict.fromkeys(key.section for key in KEYS))
+# A segment's type names its class.
+_SEGMENT_TYPES = {cls.__name__.lower(): cls for cls in (Straight, Bend)}
+# The keys of each section, except that [segment] holds only its type key
+# and each segment class has the keys of its fields; and the key names
+# each of them accepts.
+_KEYS_OF: dict = {}
+for _key in KEYS:
+    _KEYS_OF.setdefault(_key.owner if _key.owner in (Straight, Bend) else _key.section,
+                        []).append(_key)
+_NAMES = {group: frozenset(key.name for key in keys) for group, keys in _KEYS_OF.items()}
+for _cls in (Straight, Bend):
+    _NAMES[_cls] |= _NAMES["segment"]
+
+
+def _raise_if_any(issues: list):
+    if issues:
+        raise ScenarioParseError(sorted(issues))
+
+
+def _tokenize(text: str, issues: list):
     """Split into sections: [(name, header_line, {key: (line, raw_value)})]."""
     sections = []
     current = None
-    known = {"pipe", "robot", "gear", "sim", "report", "segment"}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                issues.add(lineno, f"malformed section header {line!r}")
-                current = None
-                continue
+        if line[0] == "[":
             name = line[1:-1].strip().lower()
-            if name not in known:
-                issues.add(lineno, f"unknown section [{name}]")
-                current = None
-                continue
-            if name != "segment" and any(sec[0] == name for sec in sections):
-                issues.add(lineno, f"duplicate section [{name}]")
-                current = None
-                continue
-            current = (name, lineno, {})
-            sections.append(current)
+            current = None
+            if not line.endswith("]"):
+                issues.append((lineno, f"malformed section header {line!r}"))
+            elif name not in _SECTIONS:
+                issues.append((lineno, f"unknown section [{name}]"))
+            elif name != "segment" and any(sec[0] == name for sec in sections):
+                issues.append((lineno, f"duplicate section [{name}]"))
+            else:
+                current = (name, lineno, {})
+                sections.append(current)
             continue
-        if "=" not in line:
-            issues.add(lineno, f"expected 'key = value', got {line!r}")
-            continue
-        if current is None:
-            issues.add(lineno, "key outside of any section")
-            continue
-        key, _, value = line.partition("=")
+        key, sep, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        if not key:
-            issues.add(lineno, "empty key")
-            continue
-        if key in current[2]:
-            issues.add(lineno, f"duplicate key {key!r} in [{current[0]}]")
-            continue
-        current[2][key] = (lineno, value)
+        if not sep:
+            issues.append((lineno, f"expected 'key = value', got {line!r}"))
+        elif current is None:
+            issues.append((lineno, "key outside of any section"))
+        elif not key:
+            issues.append((lineno, "empty key"))
+        elif key in current[2]:
+            issues.append((lineno, f"duplicate key {key!r} in [{current[0]}]"))
+        else:
+            current[2][key] = (lineno, value.strip())
     return sections
 
 
-class _SectionReader:
-    """Typed key access over one section, recording diagnostics."""
-
-    def __init__(self, name: str, header_line: int, bindings: dict, issues: _Issues):
-        self.name = name
-        self.header_line = header_line
-        self.bindings = bindings
-        self.issues = issues
-        self.consumed: set[str] = set()
-
-    def _raw(self, key: str):
-        self.consumed.add(key)
-        return self.bindings.get(key)
-
-    def get_float(self, key: str, required=False, default=None,
-                  minimum=None, maximum=None, exclusive_min=False):
-        entry = self._raw(key)
+def _read(section, keys, issues: list, known=None) -> dict:
+    """The value of each of ``keys`` in one tokenized section, by field
+    name; a key with a diagnostic keeps its default.  Keys of the section
+    not in ``known`` are rejected; None accepts every key."""
+    name, header_line, bindings = section
+    values = {}
+    for _, key, kind, bounds, default, required, _, attr in keys:
+        entry = bindings.get(key)
         if entry is None:
+            value = default
             if required:
-                self.issues.add(self.header_line, f"[{self.name}] is missing required key {key!r}")
-            return default
-        lineno, raw = entry
-        try:
-            value = float(raw)
-        except ValueError:
-            self.issues.add(lineno, f"{key}: expected a number, got {raw!r}")
-            return default
-        if not math.isfinite(value):
-            self.issues.add(lineno, f"{key}: must be finite")
-            return default
-        if minimum is not None and (value <= minimum if exclusive_min else value < minimum):
-            bound = "greater than" if exclusive_min else "at least"
-            self.issues.add(lineno, f"{key}: must be {bound} {minimum:g}, got {raw}")
-            return default
-        if maximum is not None and value > maximum:
-            self.issues.add(lineno, f"{key}: must be at most {maximum:g}, got {raw}")
-            return default
-        return value
+                issues.append((header_line, f"[{name}] is missing required key {key!r}"))
+        else:
+            line, raw = entry
+            try:
+                value = kind.convert(raw)
+            except (ValueError, KeyError):
+                value, problem = default, f"expected {kind.expected}, got {raw!r}"
+            else:
+                problem = kind.check(value) if kind.check else None
+            for test, limit in bounds:
+                if problem is None and not test(value, limit):
+                    # An integer is shown as parsed, a number as written.
+                    got = value if isinstance(value, int) else raw
+                    problem = _BOUND_MESSAGES[test].format(limit=limit, got=got)
+            if problem:
+                value = default
+                issues.append((line, f"{key}: {problem}"))
+        values[attr or key] = value
+    if known is not None and not known.issuperset(bindings):
+        for key, (lineno, _) in bindings.items():
+            if key not in known:
+                issues.append((lineno, f"unknown key {key!r} in [{name}]"))
+    return values
 
-    def get_int(self, key: str, default=None):
-        entry = self._raw(key)
-        if entry is None:
-            return default
-        lineno, raw = entry
-        try:
-            return int(raw)
-        except ValueError:
-            self.issues.add(lineno, f"{key}: expected an integer, got {raw!r}")
-            return default
 
-    def get_str(self, key: str, required=False, default=""):
-        entry = self._raw(key)
-        if entry is None:
-            if required:
-                self.issues.add(self.header_line, f"[{self.name}] is missing required key {key!r}")
-            return default
-        return entry[1]
-
-    def get_vec3(self, key: str, default=None):
-        entry = self._raw(key)
-        if entry is None:
-            return default
-        lineno, raw = entry
-        parts = raw.split()
-        if len(parts) != 3:
-            self.issues.add(lineno, f"{key}: expected three numbers, got {raw!r}")
-            return default
-        try:
-            vec = tuple(float(p) for p in parts)
-        except ValueError:
-            self.issues.add(lineno, f"{key}: expected three numbers, got {raw!r}")
-            return default
-        norm = math.sqrt(sum(c * c for c in vec))
-        if not abs(norm - 1.0) <= UNIT_TOL:
-            self.issues.add(lineno, f"{key}: must be a unit vector, norm is {norm:.12g}")
-            return default
-        return vec
-
-    def get_bool(self, key: str, default=None):
-        entry = self._raw(key)
-        if entry is None:
-            return default
-        lineno, raw = entry
-        lowered = raw.strip().lower()
-        if lowered in ("on", "true", "yes", "1"):
-            return True
-        if lowered in ("off", "false", "no", "0"):
-            return False
-        self.issues.add(lineno, f"{key}: expected on/off, got {raw!r}")
-        return default
-
-    def reject_unknown(self):
-        for key, (lineno, _) in self.bindings.items():
-            if key not in self.consumed:
-                self.issues.add(lineno, f"unknown key {key!r} in [{self.name}]")
+def _fields(values: dict, owner: type) -> dict:
+    """The entries of ``values`` that are fields of ``owner``."""
+    names = [key.attr or key.name for key in KEYS if key.owner is owner]
+    return {name: values[name] for name in names}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -237,221 +269,104 @@ def parse_scenario(text: str) -> Scenario:
     Raises:
         ScenarioParseError: carries every diagnostic with its line number.
     """
-    issues = _Issues()
+    issues: list[tuple[int, str]] = []
     sections = _tokenize(text, issues)
 
-    by_name = {name: (line, bindings) for name, line, bindings in sections if name != "segment"}
-    segment_sections = [(line, bindings) for name, line, bindings in sections if name == "segment"]
+    by_name = {sec[0]: sec for sec in sections if sec[0] != "segment"}
+    segment_sections = [sec for sec in sections if sec[0] == "segment"]
 
-    for required in ("pipe", "robot", "sim"):
-        if required not in by_name:
-            issues.add(0, f"missing [{required}] section")
-    if not segment_sections:
-        issues.add(0, "missing [segment] sections: at least one segment required")
-    issues.raise_if_any()
+    # A section is required when it holds a required key.
+    for name in dict.fromkeys(key.section for key in KEYS if key.required):
+        if name == "segment" and not segment_sections:
+            issues.append((0, "missing [segment] sections: at least one segment required"))
+        elif name != "segment" and name not in by_name:
+            issues.append((0, f"missing [{name}] section"))
+    _raise_if_any(issues)
 
-    # [pipe]
-    line, bindings = by_name["pipe"]
-    pipe_reader = _SectionReader("pipe", line, bindings, issues)
-    inner_radius = pipe_reader.get_float("inner_radius", required=True, minimum=0.0,
-                                         exclusive_min=True, default=1.0)
-    standard_label = pipe_reader.get_str("standard_label")
-    start_tangent = pipe_reader.get_vec3("start_tangent")
-    default_normal = pipe_reader.get_vec3("default_normal", default=(0.0, 1.0, 0.0))
-    pipe_reader.reject_unknown()
-    pipe = PipeSpec(inner_radius=inner_radius, standard_label=standard_label)
+    # Every section but [segment]; an absent optional one reads as empty.
+    values: dict = {}
+    for name in _SECTIONS:
+        if name != "segment":
+            section = by_name.get(name, (name, 0, {}))
+            values.update(_read(section, _KEYS_OF[name], issues, _NAMES[name]))
+    preload = values["preload_compression"]
+    if preload is not None and preload > values["max_compression"]:
+        issues.append((by_name["robot"][1], "preload_compression exceeds max_compression"))
 
-    # [segment] list.  The file-format default normal is applied here; a
-    # missing axis and start tangent are resolved by PipeNetwork.
+    # [segment] list: the type picks the class and its keys.  The file's
+    # default normal is applied here; a missing axis and start tangent are
+    # resolved by PipeNetwork.
     segments: list[Segment] = []
     segment_lines: list[int] = []
-    for line, bindings in segment_sections:
-        reader = _SectionReader("segment", line, bindings, issues)
-        kind = reader.get_str("type", required=True).strip().lower()
-        if kind == "straight":
-            length = reader.get_float("length", required=True, minimum=0.0,
-                                      exclusive_min=True, default=1.0)
-            axis = reader.get_vec3("axis")
-            reader.reject_unknown()
-            segments.append(Straight(length=length, axis=axis))
-        elif kind == "bend":
-            radius = reader.get_float("radius", required=True, minimum=0.0,
-                                      exclusive_min=True, default=1.0)
-            sweep = reader.get_float("sweep_angle", required=True, minimum=0.0,
-                                     maximum=180.0, exclusive_min=True, default=90.0)
-            normal = reader.get_vec3("normal", default=default_normal)
-            reader.reject_unknown()
-            segments.append(Bend(radius=radius, sweep_deg=sweep, normal=normal))
+    for section in segment_sections:
+        kind = _read(section, _KEYS_OF["segment"], issues)["type"].lower()
+        cls = _SEGMENT_TYPES.get(kind)
+        if cls is None:
+            issues.append((section[1], f"segment type must be straight or bend, got {kind!r}"))
         else:
-            issues.add(line, f"segment type must be straight or bend, got {kind!r}")
-        segment_lines.append(line)
+            fields = _read(section, _KEYS_OF[cls], issues, _NAMES[cls])
+            if cls is Bend and fields["normal"] is None:
+                fields["normal"] = values["default_normal"]
+            segments.append(cls(**fields))
+        segment_lines.append(section[1])
 
-    # [robot]
-    line, bindings = by_name["robot"]
-    robot_reader = _SectionReader("robot", line, bindings, issues)
-    robot_kwargs = dict(
-        sprocket_radius=robot_reader.get_float("sprocket_radius", required=True, minimum=0.0,
-                                               exclusive_min=True, default=1.0),
-        length=robot_reader.get_float("length", required=True, minimum=0.0,
-                                      exclusive_min=True, default=1.0),
-        nominal_body_radius=robot_reader.get_float("nominal_body_radius", required=True,
-                                                   minimum=0.0, exclusive_min=True, default=1.0),
-        preload_compression=robot_reader.get_float("preload_compression", required=True,
-                                                   minimum=0.0, default=0.0),
-        spring_stiffness=robot_reader.get_float("spring_stiffness", minimum=0.0,
-                                                exclusive_min=True, default=2.0),
-        max_compression=robot_reader.get_float("max_compression", minimum=0.0,
-                                               exclusive_min=True, default=16.0),
-        max_tilt_deg=robot_reader.get_float("max_tilt_deg", minimum=0.0,
-                                            exclusive_min=True, default=10.0),
-    )
-    robot_reader.reject_unknown()
-    if robot_kwargs["preload_compression"] > robot_kwargs["max_compression"]:
-        issues.add(line, "preload_compression exceeds max_compression")
-        robot_kwargs["preload_compression"] = 0.0
+    bad = [i for i in values["segments"] or () if not 0 <= i < len(segments)]
+    if bad:
+        line = by_name["report"][2]["segments"][0]
+        issues.append((line, f"segments: index {bad[0]} out of range"))
 
-    # [gear]
-    if "gear" in by_name:
-        line, bindings = by_name["gear"]
-        gear_reader = _SectionReader("gear", line, bindings, issues)
-        ratio = gear_reader.get_float("ratio", minimum=0.0, exclusive_min=True, default=1.0)
-        gear_reader.reject_unknown()
-    else:
-        ratio = 1.0
-
-    # [sim]
-    line, bindings = by_name["sim"]
-    sim_reader = _SectionReader("sim", line, bindings, issues)
-    omega_u = sim_reader.get_float("omega_u", required=True, minimum=0.0,
-                                   exclusive_min=True, default=1.0)
-    dt = sim_reader.get_float("dt", minimum=0.0, exclusive_min=True, default=0.01)
-    theta_deg = sim_reader.get_float("theta_deg", default=0.0)
-    t_max = sim_reader.get_float("t_max", minimum=0.0, exclusive_min=True, default=None)
-    amplitude = sim_reader.get_float("disturbance_amplitude", minimum=0.0, default=0.0)
-    if amplitude is not None and amplitude >= 1.0:
-        sim_line = bindings["disturbance_amplitude"][0]
-        issues.add(sim_line, "disturbance_amplitude: must be below 1")
-        amplitude = 0.0
-    seed = sim_reader.get_int("disturbance_seed", default=0)
-    if seed < 0:
-        issues.add(bindings["disturbance_seed"][0], f"disturbance_seed: must be at least 0, got {seed}")
-        seed = 0
-    sim_reader.reject_unknown()
-
-    # [report]
-    report = ReportOptions()
-    if "report" in by_name:
-        line, bindings = by_name["report"]
-        report_reader = _SectionReader("report", line, bindings, issues)
-        tracks_raw = report_reader.get_str("tracks", default="A B C")
-        tracks = tuple(tok.upper() for tok in tracks_raw.split())
-        if not tracks or any(t not in ("A", "B", "C") for t in tracks):
-            where = bindings.get("tracks", (line, ""))[0]
-            issues.add(where, f"tracks: expected a subset of 'A B C', got {tracks_raw!r}")
-            tracks = ("A", "B", "C")
-        segments_raw = report_reader.get_str("segments", default="all")
-        if segments_raw.strip().lower() == "all":
-            report_segments = None
-        else:
-            where = bindings.get("segments", (line, ""))[0]
-            try:
-                report_segments = tuple(int(tok) for tok in segments_raw.split())
-            except ValueError:
-                issues.add(where, f"segments: expected 'all' or indices, got {segments_raw!r}")
-                report_segments = None
-            else:
-                bad = [i for i in report_segments if not 0 <= i < len(segments)]
-                if bad:
-                    issues.add(where, f"segments: index {bad[0]} out of range")
-                    report_segments = None
-        ape = report_reader.get_bool("ape", default=True)
-        report_reader.reject_unknown()
-        report = ReportOptions(tracks=tracks, segments=report_segments, ape=ape)
-
-    issues.raise_if_any()
+    _raise_if_any(issues)
 
     # Geometric invariants, mapped back to the offending [segment] line.
-    network = PipeNetwork(pipe, tuple(segments), start_tangent=start_tangent)
+    network = PipeNetwork(
+        PipeSpec(**_fields(values, PipeSpec)), tuple(segments), **_fields(values, PipeNetwork)
+    )
     for violation in validate_network(network):
         if violation.segment_index is None:
-            issues.add(by_name["pipe"][0], str(violation))
+            issues.append((by_name["pipe"][1], str(violation)))
         else:
-            issues.add(segment_lines[violation.segment_index], str(violation))
-    issues.raise_if_any()
+            issues.append((segment_lines[violation.segment_index], str(violation)))
+    _raise_if_any(issues)
 
     return Scenario(
         network=network,
-        robot=RobotConfig(**robot_kwargs),
-        gear=GearTrainConfig(ratio=ratio),
-        sim=SimParams(
-            omega_u=omega_u,
-            dt=dt,
-            theta_deg=theta_deg,
-            t_max=t_max,
-            disturbance=DisturbanceConfig(amplitude=amplitude, seed=seed),
-        ),
-        report=report,
+        robot=RobotConfig(**_fields(values, RobotConfig)),
+        gear=GearTrainConfig(**_fields(values, GearTrainConfig)),
+        sim=SimParams(**_fields(values, SimParams),
+                      disturbance=DisturbanceConfig(**_fields(values, DisturbanceConfig))),
+        report=ReportOptions(**_fields(values, ReportOptions)),
     )
 
 
-def _fmt_vec(vec) -> str:
-    return " ".join(repr(float(c)) for c in vec)
+def _write(name: str, keys, owners: dict, *first: str) -> str:
+    """One section's text: its header, the ``first`` lines, then each key
+    of ``keys`` whose owner is in ``owners`` and whose value is set."""
+    lines = [f"[{name}]", *first]
+    for key in keys:
+        if key.owner in owners:
+            text = key.kind.write(getattr(owners[key.owner], key.attr or key.name))
+            if text is not None:
+                lines.append(f"{key.name} = {text}")
+    return "\n".join(lines)
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical text for a Scenario; parse(serialize(s)) equals s."""
     net = scenario.network
-    lines = ["[pipe]"]
-    lines.append(f"inner_radius = {net.spec.inner_radius!r}")
-    if net.spec.standard_label:
-        lines.append(f"standard_label = {net.spec.standard_label}")
-    lines.append(f"start_tangent = {_fmt_vec(net.start_tangent)}")
-    for segment in net.segments:
-        lines.append("")
-        lines.append("[segment]")
-        if isinstance(segment, Straight):
-            lines.append("type = straight")
-            lines.append(f"length = {segment.length!r}")
-            lines.append(f"axis = {_fmt_vec(segment.axis)}")
-        else:
-            lines.append("type = bend")
-            lines.append(f"radius = {segment.radius!r}")
-            lines.append(f"sweep_angle = {segment.sweep_deg!r}")
-            lines.append(f"normal = {_fmt_vec(segment.normal)}")
-    robot = scenario.robot
-    lines += [
-        "",
-        "[robot]",
-        f"sprocket_radius = {robot.sprocket_radius!r}",
-        f"length = {robot.length!r}",
-        f"nominal_body_radius = {robot.nominal_body_radius!r}",
-        f"preload_compression = {robot.preload_compression!r}",
-        f"spring_stiffness = {robot.spring_stiffness!r}",
-        f"max_compression = {robot.max_compression!r}",
-        f"max_tilt_deg = {robot.max_tilt_deg!r}",
-        "",
-        "[gear]",
-        f"ratio = {scenario.gear.ratio!r}",
-        "",
-        "[sim]",
-        f"omega_u = {scenario.sim.omega_u!r}",
-        f"dt = {scenario.sim.dt!r}",
-        f"theta_deg = {scenario.sim.theta_deg!r}",
-    ]
-    if scenario.sim.t_max is not None:
-        lines.append(f"t_max = {scenario.sim.t_max!r}")
-    lines += [
-        f"disturbance_amplitude = {scenario.sim.disturbance.amplitude!r}",
-        f"disturbance_seed = {scenario.sim.disturbance.seed!r}",
-        "",
-        "[report]",
-        f"tracks = {' '.join(scenario.report.tracks)}",
-        "segments = "
-        + ("all" if scenario.report.segments is None
-           else " ".join(str(i) for i in scenario.report.segments)),
-        f"ape = {'on' if scenario.report.ape else 'off'}",
-    ]
-    return "\n".join(lines) + "\n"
+    owners = {
+        PipeSpec: net.spec, PipeNetwork: net, RobotConfig: scenario.robot,
+        GearTrainConfig: scenario.gear, SimParams: scenario.sim,
+        DisturbanceConfig: scenario.sim.disturbance, ReportOptions: scenario.report,
+    }
+    blocks = []
+    for name in _SECTIONS:
+        if name != "segment":
+            blocks.append(_write(name, _KEYS_OF[name], owners))
+            continue
+        for segment in net.segments:
+            cls = type(segment)
+            blocks.append(_write(name, _KEYS_OF[cls], {cls: segment}, f"type = {cls.__name__.lower()}"))
+    return "\n\n".join(blocks) + "\n"
 
 
 def load_scenario(path) -> Scenario:

@@ -230,9 +230,20 @@ def _plan_segment(
     try:
         state = module_state(robot, net.spec, segment, theta)
         demanded = theoretical_speeds(segment, theta, v_nominal, net.spec.inner_radius)
-        resolved = resolved_speeds(gear, robot, demanded, params.omega_u)
+        # The differential's speed budget, the demands and the delivered
+        # speeds (at their most disturbed) must each sum inside the float
+        # range: the solve and the stepper add them up.
+        budget = 3.0 * gear.ratio * params.omega_u
+        resolved = None
+        if math.isfinite(budget) and math.isfinite(sum(demanded.as_tuple())):
+            resolved = resolved_speeds(gear, robot, demanded, params.omega_u)
     except (NoFitError, InfeasibleConstraintError) as exc:
         return _SegmentPlan(error=str(exc))
+    peak = 1.0 + params.disturbance.amplitude
+    if resolved is None or not math.isfinite(sum(resolved.as_tuple()) * peak):
+        return _SegmentPlan(
+            error=f"track speeds exceed the float range at nominal speed {v_nominal:g} mm/s"
+        )
     return _SegmentPlan(
         None, resolved.as_tuple(), demanded.as_tuple(), state.compressions, max(state.tilts_deg)
     )
@@ -256,10 +267,10 @@ def run(
     """Simulate until the network end, ``t_max``, or an abort; return the
     ``Trace`` and its ``RunSummary``.
 
-    A no-fit or infeasible-constraint abort keeps the partial trace and
-    records the cause in the summary instead of raising.  The abort falls
-    on the first step that enters an impassable segment, before that
-    step's record.
+    A no-fit, infeasible-constraint or track-speed overflow abort keeps the
+    partial trace and records the cause in the summary instead of raising.
+    The abort falls on the first step that enters an impassable segment,
+    before that step's record.
 
     Raises:
         InvalidScenarioError: the network recorded violations when it was

@@ -88,7 +88,7 @@ class LoadState:
 
 @dataclass(frozen=True)
 class GearTrainConfig:
-    """Ratio and coupling topology of the three-output differential.
+    """Speed ratio of the three-output differential.
 
     ``ratio`` is the input-to-ring speed ratio: each ring gear turns at
     ``ratio * omega_u``.  The published source never states the numeric
@@ -100,14 +100,6 @@ class GearTrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.ratio) and self.ratio > 0.0):
             raise ValueError(f"gear ratio must be finite and positive, got {self.ratio!r}")
-
-    def coupled_pairs(self) -> tuple[tuple[tuple[int, str], tuple[int, str]], ...]:
-        """Cyclic side-gear coupling; pair k feeds output k.
-
-        Each entry is ((unit, side), (unit, side)): unit i's right side gear
-        is locked to unit (i+1)%3's left side gear.
-        """
-        return tuple(((i, "right"), ((i + 1) % 3, "left")) for i in range(3))
 
 
 @dataclass(frozen=True)
@@ -121,19 +113,6 @@ class SpeedSolution:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.omega_a, self.omega_b, self.omega_c)
-
-
-@dataclass(frozen=True)
-class TorqueSolution:
-    """Equal output torque split of the lossless open differential."""
-
-    tau_a: float  # N*mm
-    tau_b: float
-    tau_c: float
-    tau_input_reflected: float  # N*mm, input torque implied by the outputs
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.tau_a, self.tau_b, self.tau_c)
 
 
 def ring_speed(omega_side_left: float, omega_side_right: float) -> float:
@@ -201,25 +180,3 @@ def solve_output_speeds(cfg: GearTrainConfig, omega_u: float, loads: LoadState) 
 
     residual = abs(math.fsum(result) - target)
     return SpeedSolution(result[0], result[1], result[2], residual)
-
-
-def solve_output_torques(cfg: GearTrainConfig, tau_input: float) -> TorqueSolution:
-    """Split the input torque equally over the outputs (lossless model).
-
-    Each output receives ``ratio * tau_input / 3``; reflecting the output
-    sum back through the ratio recovers ``tau_input``.
-    """
-    if not math.isfinite(tau_input):
-        raise ValueError("input torque must be finite")
-    tau = cfg.ratio * tau_input / 3.0
-    reflected = math.fsum((tau, tau, tau)) / cfg.ratio
-    return TorqueSolution(tau, tau, tau, reflected)
-
-
-def constraint_residual(
-    cfg: GearTrainConfig, omega_u: float, speeds: tuple[float, float, float]
-) -> float:
-    """Absolute violation of the speed-sum relation for candidate speeds."""
-    if not math.isfinite(omega_u) or not all(math.isfinite(w) for w in speeds):
-        raise ValueError("speeds and input speed must be finite")
-    return abs(math.fsum(speeds) - 3.0 * cfg.ratio * omega_u)

@@ -144,6 +144,14 @@ def _overflowing(tmp_path, text):
     return write_scenario(tmp_path, text)
 
 
+def _fast(tmp_path, text, omega_u, ratio="1.0"):
+    """Finite inputs whose track speeds overflow: v_nominal * rho_i in a bend
+    (omega_u = 1e306), the sum of three finite straight speeds (1e307), or
+    v_nominal itself (omega_u = 1e308, ratio = 1e10)."""
+    text = text.replace("omega_u = 2.0", f"omega_u = {omega_u}")
+    return write_scenario(tmp_path, text.replace("ratio = 1.0", f"ratio = {ratio}"))
+
+
 # (argv from tmp_path and the reference text, environment, exit code,
 # expected start of the first stderr line)
 BAD_INPUTS = {
@@ -168,6 +176,26 @@ BAD_INPUTS = {
     "run: lengths that sum past the float range": (
         lambda tmp, text: ["run", _overflowing(tmp, text)],
         {}, 1, "error: line 9: total-length @ network: segment lengths sum to inf mm",
+    ),
+    "run: bend speeds past the float range": (
+        lambda tmp, text: ["run", _fast(tmp, text, "1e306"), "--trace", str(tmp / "t.csv")],
+        {}, 2, "error: track speeds exceed the float range at nominal speed 1.75e+307 mm/s",
+    ),
+    "sweep: bend speeds past the float range": (
+        lambda tmp, text: ["sweep", _fast(tmp, text, "1e306"), "--theta-steps", "2"],
+        {}, 2, "error: track speeds exceed the float range at nominal speed 1.75e+307 mm/s",
+    ),
+    "run: a speed sum past the float range": (
+        lambda tmp, text: ["run", _fast(tmp, text, "1e307")],
+        {}, 2, "error: track speeds exceed the float range at nominal speed 1.75e+308 mm/s",
+    ),
+    "run: a nominal speed past the float range": (
+        lambda tmp, text: ["run", _fast(tmp, text, "1e308", "1e10"), "--trace", str(tmp / "t.csv")],
+        {}, 2, "error: track speeds exceed the float range at nominal speed inf mm/s",
+    ),
+    "sweep: a nominal speed past the float range": (
+        lambda tmp, text: ["sweep", _fast(tmp, text, "1e308", "1e10"), "--theta-steps", "2"],
+        {}, 2, "error: track speeds exceed the float range at nominal speed inf mm/s",
     ),
     "nan --theta": (
         lambda tmp, text: ["run", str(REFERENCE_SCN), "--theta", "nan"],

@@ -9,7 +9,6 @@ from pipediff import (
     RobotConfig,
     Straight,
     module_state,
-    spring_force,
 )
 
 Y = (0.0, 1.0, 0.0)
@@ -158,14 +157,6 @@ def test_module_state_check_order(overrides, inner_radius, segment, message):
     with pytest.raises(NoFitError) as caught:
         module_state(robot, PipeSpec(inner_radius=inner_radius), segment, 0.0)
     assert str(caught.value) == message
-
-
-def test_spring_force_is_monotone():
-    robot = make_robot()
-    forces = [spring_force(robot, d) for d in (0.0, 2.0, 5.0, 16.0)]
-    assert forces == sorted(forces)
-    assert forces[0] == 0.0
-    assert spring_force(robot, 5.0) == pytest.approx(robot.spring_stiffness * 5.0)
 
 
 def test_config_validation():

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -26,8 +27,9 @@ from pipediff import (
     write_trace,
 )
 from pipediff.cli import main
+from pipediff.scenario import KEYS
 
-from conftest import REFERENCE_SCN
+from conftest import REFERENCE_SCN, REPO_ROOT
 
 MINIMAL = """\
 [pipe]
@@ -141,6 +143,19 @@ class TestParse:
         assert scenario.report.tracks == ("A", "C")
         assert scenario.report.ape is False
 
+    def test_repeated_report_tracks_are_rejected(self):
+        text = MINIMAL + "\n[report]\ntracks = A A\n"
+        line = text.splitlines().index("tracks = A A") + 1
+        assert issues_of(text) == ((line, "tracks: expected a subset of 'A B C', got 'A A'"),)
+
+    def test_readme_key_table_matches_the_schema(self):
+        # Rows of the README's scenario key table: (section, key, required).
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| (\w+) \| `(\w+)` \|.*\| ([^|]*) \|$", readme, re.MULTILINE)
+        documented = [(section, key, default.startswith("required"))
+                      for section, key, default in rows]
+        assert documented == [(key.section, key.name, key.required) for key in KEYS]
+
     def test_report_segment_indices_validated(self):
         text = MINIMAL + "\n[report]\nsegments = 0 7\n"
         issues = issues_of(text)
@@ -180,6 +195,10 @@ def _vec(v):
     return " ".join(repr(c) for c in v)
 
 
+_LABELS = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20)
+_DEFAULT_NORMALS = ((0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (1.0, 0.0, 0.0))
+
+
 @st.composite
 def network_scenarios(draw):
     """Scenario text for a G1 chain, with the tangent each straight must get.
@@ -187,16 +206,27 @@ def network_scenarios(draw):
     The chain keeps an orthonormal frame (t, u, w): a bend turns t towards
     some q in +-u, +-w, so its normal is t x q.  Turning only towards +-u
     keeps every bend in the plane with normal +-w = +-y; turning towards
-    +-w as well leaves it.  A normal of exactly +y is left to the file
-    default, and each straight states its axis or leaves it to the network.
+    +-w as well leaves it.  A bend whose normal is the default normal may
+    leave it out, each straight states its axis or leaves it to the
+    network, and every other optional key and section is drawn present or
+    absent.
     """
+
+    def maybe(key, values):
+        if draw(st.booleans()):
+            lines.append(f"{key} = {draw(values)}")
+
     planes = draw(st.sampled_from(((0,), (0, 1))))
     t, frame = (0.0, 0.0, 1.0), [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
     lines = ["[pipe]", "inner_radius = 13.2"]
-    if draw(st.booleans()):
-        lines.append("start_tangent = 0 0 1")
+    maybe("standard_label", _LABELS)
+    maybe("start_tangent", st.just("0 0 1"))
+    default_normal = draw(st.sampled_from(_DEFAULT_NORMALS))
+    if default_normal != (0.0, 1.0, 0.0) or draw(st.booleans()):
+        lines.append(f"default_normal = {_vec(default_normal)}")
     tangents = []
-    for _ in range(draw(st.integers(1, 8))):
+    count = draw(st.integers(1, 8))
+    for _ in range(count):
         lines.append("[segment]")
         if draw(st.booleans()):
             lines += ["type = straight", f"length = {draw(st.floats(0.5, 500.0))!r}"]
@@ -210,22 +240,33 @@ def network_scenarios(draw):
         normal = _cross(t, q)
         lines += ["type = bend", f"radius = {draw(st.floats(14.0, 2000.0))!r}",
                   f"sweep_angle = {sweep!r}"]
-        if normal != (0.0, 1.0, 0.0):
+        if normal != default_normal or draw(st.booleans()):
             lines.append(f"normal = {_vec(normal)}")
         c, s = math.cos(math.radians(sweep)), math.sin(math.radians(sweep))
         t, q = (tuple(c * a + s * b for a, b in zip(t, q)),
                 tuple(c * b - s * a for a, b in zip(t, q)))
         frame[plane] = tuple(sign * x for x in q)
-    lines += [
-        "[robot]", "sprocket_radius = 25.0", "length = 40.0", "nominal_body_radius = 13.2",
-        "preload_compression = 5.0",
-        "[sim]", "omega_u = 2.0",
-        f"dt = {draw(st.sampled_from((0.01, 0.005, 0.2)))!r}",
-        f"theta_deg = {draw(st.floats(-360.0, 360.0))!r}",
-        f"disturbance_amplitude = {draw(st.sampled_from((0.0, 0.025)))!r}",
-        f"disturbance_seed = {draw(st.integers(0, 2**31))}",
-        "[report]", f"tracks = {draw(st.sampled_from(('A B C', 'B', 'C A')))}",
-    ]
+    lines += ["[robot]", "sprocket_radius = 25.0", "length = 40.0", "nominal_body_radius = 13.2",
+              "preload_compression = 5.0"]
+    maybe("spring_stiffness", st.floats(0.1, 10.0).map(repr))
+    maybe("max_compression", st.floats(5.0, 40.0).map(repr))
+    maybe("max_tilt_deg", st.floats(0.5, 45.0).map(repr))
+    if draw(st.booleans()):
+        lines.append("[gear]")
+        maybe("ratio", st.floats(0.1, 10.0).map(repr))
+    lines += ["[sim]", "omega_u = 2.0"]
+    maybe("dt", st.sampled_from(("0.01", "0.005", "0.2")))
+    maybe("theta_deg", st.floats(-360.0, 360.0).map(repr))
+    maybe("t_max", st.floats(0.1, 1000.0).map(repr))
+    maybe("disturbance_amplitude", st.sampled_from(("0.0", "0.025")))
+    maybe("disturbance_seed", st.integers(0, 2**31).map(str))
+    if draw(st.booleans()):
+        lines.append("[report]")
+        maybe("tracks", st.sampled_from(("A B C", "B", "C A", "b a")))
+        indices = st.lists(st.integers(0, count - 1), max_size=3).map(
+            lambda idx: " ".join(map(str, idx)))
+        maybe("segments", st.one_of(st.just("all"), indices))
+        maybe("ape", st.sampled_from(("on", "off", "no", "1")))
     return "\n".join(lines) + "\n", tangents
 
 

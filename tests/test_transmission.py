@@ -10,13 +10,11 @@ from pipediff import (
     GearTrainConfig,
     InfeasibleConstraintError,
     LoadState,
-    constraint_residual,
     free,
     imposed_speed,
     imposed_torque,
     ring_speed,
     solve_output_speeds,
-    solve_output_torques,
 )
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
@@ -105,53 +103,23 @@ class TestSolveOutputSpeeds:
         assert sol.omega_a == 4.0
 
 
-class TestSolveOutputTorques:
-    def test_unit_ratio_split(self):
-        sol = solve_output_torques(GearTrainConfig(ratio=1.0), 30.0)
-        assert sol.as_tuple() == (10.0, 10.0, 10.0)
-        assert sol.tau_input_reflected == pytest.approx(30.0, rel=1e-12)
+class TestSpeedSolutionResidual:
+    def test_free_outputs_leave_no_residual(self):
+        sol = solve_output_speeds(GearTrainConfig(ratio=1.0), 10.0, LoadState.all_free())
+        assert sol.residual == 0.0
 
-    def test_zero_input(self):
-        sol = solve_output_torques(GearTrainConfig(ratio=1.0), 0.0)
-        assert sol.as_tuple() == (0.0, 0.0, 0.0)
+    def test_solved_state_leaves_no_residual(self):
+        loads = LoadState((imposed_speed(8.0), free(), free()))
+        sol = solve_output_speeds(GearTrainConfig(ratio=1.0), 10.0, loads)
+        assert sol.as_tuple() == (8.0, 11.0, 11.0)
+        assert sol.residual == 0.0
 
-    def test_ratio_three(self):
-        sol = solve_output_torques(GearTrainConfig(ratio=3.0), 10.0)
-        assert sol.as_tuple() == (10.0, 10.0, 10.0)
-        assert sol.tau_input_reflected == pytest.approx(10.0, rel=1e-12)
-
-    def test_power_balance_at_unit_ratio(self):
-        # Lossless check: omega_u * tau_input == sum(omega_i * tau_i) when
-        # ratio == 1 and all loads are equal.
-        cfg = GearTrainConfig(ratio=1.0)
-        omega_u, tau_input = 7.0, 12.0
-        speeds = solve_output_speeds(cfg, omega_u, LoadState.all_free()).as_tuple()
-        torques = solve_output_torques(cfg, tau_input).as_tuple()
-        out_power = math.fsum(w * t for w, t in zip(speeds, torques))
-        assert out_power == pytest.approx(omega_u * tau_input, rel=1e-12)
-
-    @given(st.floats(min_value=0.1, max_value=10.0), finite)
-    @settings(max_examples=200, deadline=None)
-    def test_reflected_sum_recovers_input(self, ratio, tau_input):
-        sol = solve_output_torques(GearTrainConfig(ratio=ratio), tau_input)
-        assert sol.tau_a == sol.tau_b == sol.tau_c
-        assert math.fsum(sol.as_tuple()) / ratio == pytest.approx(
-            tau_input, rel=1e-9, abs=1e-12
-        )
-
-
-class TestConstraintResidual:
-    def test_zero_residual(self):
-        cfg = GearTrainConfig(ratio=1.0)
-        assert constraint_residual(cfg, 10.0, (10.0, 10.0, 10.0)) == 0.0
-
-    def test_solved_state_residual(self):
-        cfg = GearTrainConfig(ratio=1.0)
-        assert constraint_residual(cfg, 10.0, (8.0, 11.0, 11.0)) == 0.0
-
-    def test_unit_violation(self):
-        cfg = GearTrainConfig(ratio=1.0)
-        assert constraint_residual(cfg, 10.0, (10.0, 10.0, 11.0)) == 1.0
+    def test_tolerated_violation_is_reported(self):
+        # 1e-5 rad/s off the 30 rad/s budget is inside the feasibility
+        # tolerance, so the solve keeps the imposed speeds and reports the miss.
+        loads = LoadState((imposed_speed(10.0), imposed_speed(10.0), imposed_speed(10.00001)))
+        sol = solve_output_speeds(GearTrainConfig(ratio=1.0), 10.0, loads)
+        assert sol.residual == pytest.approx(1e-5, rel=1e-6)
 
 
 def load_strategy():
@@ -221,17 +189,6 @@ def test_two_equal_loads_share_speed_exactly(ratio, omega_u, imposed, tau):
         sol = solve_output_speeds(cfg, omega_u, loads)
         assert sol.omega_b == sol.omega_c
         assert sol.omega_a == imposed
-
-
-def test_coupling_topology():
-    pairs = GearTrainConfig().coupled_pairs()
-    assert len(pairs) == 3
-    # every side gear appears in exactly one coupled pair
-    sides = [side for pair in pairs for side in pair]
-    assert len(set(sides)) == 6
-    for k, ((unit_r, side_r), (unit_l, side_l)) in enumerate(pairs):
-        assert side_r == "right" and side_l == "left"
-        assert unit_r == k and unit_l == (k + 1) % 3
 
 
 def test_gear_config_rejects_bad_ratio():

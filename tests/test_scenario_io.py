@@ -399,6 +399,22 @@ class TestReports:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == "7639f70f8376c232e4c98bd3120ed4759eb7bcd23f591468a5b9f4d57c2a3828"
 
+    def test_disturbed_sweep_text_report_bytes_are_pinned(self, reference_scenario):
+        # The same sweep as the JSON pin above, as the text table.
+        sc = reference_scenario
+        sim = replace(sc.sim, disturbance=DisturbanceConfig(0.025, 7))
+        results = run_orientation_sweep(sc.network, sc.robot, sc.gear, sim, 8)
+        text = render_sweep_report(results, sc.report, fmt="text")
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "9e16a1d8db8b847508ea875aee0db1b8af2acabcbf5885d1867cd40f7fc9db0c"
+
+    def test_reference_text_report_bytes_are_pinned(self, reference_run, reference_scenario):
+        # The text report of the reference run at theta = 0.
+        _, summary = reference_run
+        text = render_report(summary, reference_scenario.report, fmt="text")
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "3e1889ecbdf9b71f15faa8c52cce2716237053425affe8bfa5d48891be5e28a2"
+
     def test_text_report_lists_the_published_timings(self, reference_run, reference_scenario):
         _, summary = reference_run
         text = render_report(summary, reference_scenario.report, fmt="text")

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input (scenario file, ``--seed``,
 ``--theta`` or PIPEDIFF_SEED), 2 runtime failure (no-fit, infeasible
-constraints, stalled run, an output that cannot be written).  ``--seed``
-falls back to the PIPEDIFF_SEED environment variable.
+constraints, float range, bad nominal speed, stall, unwritable output).
+``--seed`` falls back to the PIPEDIFF_SEED environment variable.
 """
 
 import argparse
@@ -155,7 +155,7 @@ def main(argv=None) -> int:
         except (PipeClimbError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        failed = [summary.error for _theta, _trace, summary in results if summary.error]
+        failed = [summary.error for _theta, summary in results if summary.error]
         if failed:
             print(f"error: {failed[0]}", file=sys.stderr)
             return EXIT_RUNTIME

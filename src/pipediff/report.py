@@ -208,14 +208,14 @@ def render_sweep_report(results, options: ReportOptions | None = None,
                         fmt: str = "text") -> str:
     """Aggregate report over orientation-sweep results.
 
-    ``results`` is the list produced by ``run_orientation_sweep``.
+    ``results`` holds the ``(theta_deg, summary)`` pairs of ``run_orientation_sweep``.
     """
     options = options or ReportOptions()
     if fmt == "json":
         payload = {
             "orientations": [
                 {"theta_deg": theta, **_json_payload(summary, options)}
-                for theta, _trace, summary in results
+                for theta, summary in results
             ]
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -225,7 +225,7 @@ def render_sweep_report(results, options: ReportOptions | None = None,
         + " ".join(f"{'v_' + t:>8}" for t in options.tracks)
     )
     lines.append(header)
-    for theta, _trace, summary in results:
+    for theta, summary in results:
         status = "ok" if summary.completed else ("abort" if summary.error else "stop")
         row = f"{theta:>7.1f} {status:<9} {summary.total_time:>8.3f} {summary.max_slip:>9.3g}"
         for name in options.tracks:

@@ -3,19 +3,19 @@
 The robot's reference point advances along the centerline at the mean of
 the three resolved track speeds (the differential holds that mean at the
 nominal speed, in straights and bends alike).  Roll orientation is a
-scenario constant: it is measured from each bend's inward direction and no
-roll dynamics are modeled, matching the treatment of orientation as an
-experiment parameter.
+scenario constant, measured from each bend's inward direction; no roll
+dynamics are modeled.
 
 The model is piecewise constant: compressions, tilts, demanded and resolved
-speeds depend only on the segment.  ``run`` derives them once per segment,
-then steps each segment as one block of numpy columns: record times are
-``k * dt``, and positions and per-track distances are running sums over
-the block.  A block ends at the first record that stops the run or whose
-next step leaves the segment.  Speeds switch at the first record after a
-segment boundary; there is no blending.  Every segment the reference point
-crosses is checked for admissibility and summarised, even one that a
-single step jumps past.
+speeds depend only on the segment.  ``run`` plans them once, as per-segment
+columns over the segments the robot can enter: in order, up to the first
+that fails its checks.  It then steps each segment as one block of numpy
+columns: record times are ``k * dt``, and positions and per-track
+distances are running sums over the block.  A block ends at the first
+record that stops the run or whose next step leaves the segment.  Speeds
+switch at the first record after a segment boundary; there is no blending.
+The step that enters the first impassable segment aborts the run, even one
+that jumps past whole segments.
 
 Runs are deterministic: identical inputs, including the disturbance seed,
 produce bit-identical traces.  The block arithmetic does the same
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InfeasibleConstraintError, InvalidScenarioError, NoFitError
-from .geometry import Bend, PipeNetwork, Segment, segment_length, validate_network
+from .geometry import Bend, PipeNetwork, segment_length, validate_network
 from .kinematics import TRACK_NAMES, apply_disturbance, resolved_speeds, theoretical_speeds
 from .robot import RobotConfig, module_state
 from .transmission import GearTrainConfig
@@ -202,51 +202,61 @@ class RunSummary:
     tracks: tuple[TrackTotals, TrackTotals, TrackTotals]
 
 
-# An impassable segment holds no records, so its placeholder rows in the
-# per-segment tables are never read.
-_UNSET = (math.nan, math.nan, math.nan)
-
-
 @dataclass(frozen=True)
-class _SegmentPlan:
-    """The robot's constant state inside one segment, or why it cannot enter."""
+class _Plan:
+    """Per-segment columns over the m segments a run can enter."""
 
-    error: str | None
-    resolved: tuple[float, float, float] = _UNSET  # mm/s
-    demanded: tuple[float, float, float] = _UNSET  # mm/s
-    compressions: tuple[float, float, float] = _UNSET  # mm
-    max_tilt_deg: float = math.nan
+    resolved: np.ndarray  # (m, 3) mm/s
+    demanded: np.ndarray  # (m, 3) mm/s
+    compressions: np.ndarray  # (m, 3) mm
+    max_tilt_deg: np.ndarray  # (m,)
+    error: str | None  # why segment m cannot be entered; None when m covers the network
 
 
-def _plan_segment(
+def _plan(
     net: PipeNetwork,
     robot: RobotConfig,
     gear: GearTrainConfig,
     params: SimParams,
-    segment: Segment,
     v_nominal: float,
-) -> _SegmentPlan:
-    theta = params.theta_rad
-    try:
-        state = module_state(robot, net.spec, segment, theta)
-        demanded = theoretical_speeds(segment, theta, v_nominal, net.spec.inner_radius)
-        # The differential's speed budget, the demands and the delivered
-        # speeds (at their most disturbed) must each sum inside the float
-        # range: the solve and the stepper add them up.
-        budget = 3.0 * gear.ratio * params.omega_u
-        resolved = None
-        if math.isfinite(budget) and math.isfinite(sum(demanded.as_tuple())):
-            resolved = resolved_speeds(gear, robot, demanded, params.omega_u)
-    except (NoFitError, InfeasibleConstraintError) as exc:
-        return _SegmentPlan(error=str(exc))
-    peak = 1.0 + params.disturbance.amplitude
-    if resolved is None or not math.isfinite(sum(resolved.as_tuple()) * peak):
-        return _SegmentPlan(
-            error=f"track speeds exceed the float range at nominal speed {v_nominal:g} mm/s"
-        )
-    return _SegmentPlan(
-        None, resolved.as_tuple(), demanded.as_tuple(), state.compressions, max(state.tilts_deg)
-    )
+) -> _Plan:
+    """Walk the segments in order up to the first that fails ``module_state``,
+    the differential solve or the float-range rule."""
+    theta, dt = params.theta_rad, params.dt
+    amplitude = params.disturbance.amplitude
+    # Bounds on the records the run forms up to the end of the segment being
+    # planned (a block forms up to two past its segment, none past the last
+    # that ``t_max`` keeps) and on the sum of the three track speeds so far.
+    limit = math.inf if params.t_max is None else params.t_max / dt + 2.0
+    count = speeds = 0.0
+    rows = []
+    error = None
+    for segment in net.segments:
+        try:
+            state = module_state(robot, net.spec, segment, theta)
+            demanded = theoretical_speeds(segment, theta, v_nominal, net.spec.inner_radius)
+            # The differential's speed budget and the demands must sum inside
+            # the float range: the solve adds them up.
+            if not math.isfinite(3.0 * gear.ratio * params.omega_u + sum(demanded.as_tuple())):
+                error = f"track speeds exceed the float range at nominal speed {v_nominal:g} mm/s"
+                break
+            resolved = resolved_speeds(gear, robot, demanded, params.omega_u).as_tuple()
+        except (NoFitError, InfeasibleConstraintError) as exc:
+            error = str(exc)
+            break
+        # With the stepper's shortest step here, these bound every record
+        # time, position and distance it forms and any speed summed over a
+        # segment's records.
+        step = sum(resolved) / 3.0 * dt * (1.0 - amplitude)
+        count += segment_length(segment) / step + 2.0 if step > 0.0 else math.inf
+        speeds = max(speeds, sum(resolved) * (1.0 + amplitude))
+        formed = min(count, limit)
+        if not all(map(math.isfinite, (formed * dt, formed * speeds * dt, formed * speeds))):
+            error = f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s leave the float range"
+            break
+        rows.append(resolved + demanded.as_tuple() + state.compressions + (max(state.tilts_deg),))
+    table = np.reshape(rows, (-1, 10))
+    return _Plan(table[:, 0:3], table[:, 3:6], table[:, 6:9], table[:, 9], error)
 
 
 def _running_sums(first, increments: np.ndarray) -> np.ndarray:
@@ -267,14 +277,13 @@ def run(
     """Simulate until the network end, ``t_max``, or an abort; return the
     ``Trace`` and its ``RunSummary``.
 
-    A no-fit, infeasible-constraint or track-speed overflow abort keeps the
-    partial trace and records the cause in the summary instead of raising.
-    The abort falls on the first step that enters an impassable segment,
-    before that step's record.
+    A no-fit, infeasible-constraint or float-range abort keeps the partial
+    trace and records the cause in the summary instead of raising.  It falls
+    on the step that enters the first impassable segment, before its record.
 
     Raises:
         InvalidScenarioError: the network recorded violations when it was
-            built, or the nominal track speed is not positive.
+            built, or the nominal track speed is not finite and positive.
     """
     violations = validate_network(net)
     if violations:
@@ -282,18 +291,19 @@ def run(
             "network invalid: " + "; ".join(str(v) for v in violations)
         )
     v_nominal = gear.ratio * params.omega_u * robot.sprocket_radius
-    if v_nominal <= 0.0:
+    if not (math.isfinite(v_nominal) and v_nominal > 0.0):
         raise InvalidScenarioError(
-            f"nominal track speed must be positive, got {v_nominal:g} mm/s"
+            f"nominal track speed must be finite and positive, got {v_nominal:g} mm/s"
         )
     total = net.total_length
     dt = params.dt
-    t_max = params.t_max
+    t_max = math.inf if params.t_max is None else params.t_max
     amplitude = params.disturbance.amplitude
     rng = np.random.default_rng(params.disturbance.seed) if amplitude > 0.0 else None
-    plan = [_plan_segment(net, robot, gear, params, seg, v_nominal) for seg in net.segments]
+    plan = _plan(net, robot, gear, params, v_nominal)
+    passable = len(plan.resolved)
     # The sentinel start ends the last segment's block only at ``total``.
-    starts = [net.arc_start(i) for i in range(len(plan))] + [math.inf]
+    starts = [net.arc_start(i) for i in range(len(net.segments))] + [math.inf]
 
     # Each column's parts start with an empty array, so that a run without
     # records still joins to columns of the right shape.
@@ -306,14 +316,16 @@ def run(
     distance = np.zeros(3)
     completed = False
     stop_reason = None
-    error = plan[0].error
+    error = None if passable else plan.error
     while error is None:
-        resolved = plan[index].resolved
+        resolved = plan.resolved[index]
         mean_v = math.fsum(resolved) / 3.0
         boundary = min(starts[index + 1], total)
-        # Enough rows to reach the boundary at the slowest disturbed speed.
+        # Enough rows to reach the boundary at the slowest disturbed speed,
+        # and none past ``t_max``.
         step = mean_v * dt * (1.0 - amplitude)
-        rows = int(min((boundary - s) / step if step > 0.0 else 0.0, BLOCK_ROWS - 2)) + 2
+        to_boundary = (boundary - s) / step if step > 0.0 else 0.0
+        rows = int(min(to_boundary, t_max / dt - k, BLOCK_ROWS - 2)) + 2
         if rng is None:
             v = np.full((rows, 3), resolved)
             means = np.full(rows, mean_v)
@@ -328,8 +340,7 @@ def run(
         # The block's last record is the first that stops the run or whose
         # next step leaves the segment; a stop on that record wins.
         ends = (positions[:-1] >= total) | (means <= 0.0) | (positions[1:] >= boundary)
-        if t_max is not None:
-            ends |= t >= t_max - 1e-12
+        ends |= t >= t_max - 1e-12
         hits = np.flatnonzero(ends)
         n = int(hits[0]) + 1 if hits.size else rows
         for name, column in (("t", t), ("s", positions), ("v", v), ("distance", distances)):
@@ -339,7 +350,7 @@ def run(
         if positions[n - 1] >= total:
             completed = True
             break
-        if t_max is not None and t[n - 1] >= t_max - 1e-12:
+        if t[n - 1] >= t_max - 1e-12:
             stop_reason = "t_max"
             break
         if means[n - 1] <= 0.0:
@@ -352,18 +363,18 @@ def run(
         # on this step, including any the step jumped past entirely.
         while error is None and s >= starts[index + 1]:
             index += 1
-            error = plan[index].error
+            if index == passable:
+                error = plan.error
 
-    # Every segment up to the last one entered is summarised; one whose
-    # check failed was never entered.
-    entered = index if plan[index].error else index + 1
+    # Segments up to the last one entered are summarised, never an impassable one.
+    entered = min(index + 1, passable)
     columns = {name: np.concatenate(column) for name, column in parts.items()}
-    v_theo = np.array([p.demanded for p in plan])[columns["segment"]]
+    v_theo = plan.demanded[columns["segment"]]
     trace = Trace(
         **columns,
         theta_deg=params.theta_deg,
         v_theo=v_theo,
-        compression=np.array([p.compressions for p in plan])[columns["segment"]],
+        compression=plan.compressions[columns["segment"]],
         slip=np.abs(columns["v"] - v_theo),
     )
     summary = _summarize(
@@ -378,12 +389,14 @@ def run_orientation_sweep(
     gear: GearTrainConfig,
     params: SimParams,
     steps: int,
-) -> list[tuple[float, Trace, RunSummary]]:
-    """Run ``steps`` evenly spaced roll orientations over a full turn.
+) -> list[tuple[float, RunSummary]]:
+    """Run ``steps`` evenly spaced roll orientations over a full turn and
+    return one ``(theta_deg, summary)`` pair per orientation.
 
     Results come back in orientation order; when a disturbance is active,
     orientation k uses seed ``base_seed + k`` so the runs stay independent
-    yet reproducible.
+    yet reproducible.  Each run's trace is dropped as soon as it is
+    summarised, so the sweep holds one trace at a time.
     """
     if steps < 1:
         raise ValueError("at least one orientation required")
@@ -392,22 +405,16 @@ def run_orientation_sweep(
         theta = k * 360.0 / steps
         disturbance = replace(params.disturbance, seed=params.disturbance.seed + k)
         oriented = replace(params, theta_deg=theta, disturbance=disturbance)
-        trace, summary = run(net, robot, gear, oriented)
-        results.append((theta, trace, summary))
+        _, summary = run(net, robot, gear, oriented)
+        results.append((theta, summary))
     return results
-
-
-def _segment_kind(segment) -> str:
-    if isinstance(segment, Bend):
-        return f"bend {segment.sweep_deg:g}deg"
-    return "straight"
 
 
 def _summarize(
     net: PipeNetwork,
     robot: RobotConfig,
     params: SimParams,
-    plan: list[_SegmentPlan],
+    plan: _Plan,
     entered: int,
     trace: Trace,
     completed: bool,
@@ -420,15 +427,17 @@ def _summarize(
     # step crossed whole.
     n = len(trace)
     bounds = np.searchsorted(trace.segment, np.arange(entered + 1)).tolist()
+    rows = zip(zip(bounds, bounds[1:]), plan.resolved.tolist(),
+               plan.compressions.max(axis=1).tolist(), plan.max_tilt_deg.tolist())
     summaries = []
-    for index, (a, b) in enumerate(zip(bounds, bounds[1:])):
+    for index, ((a, b), resolved, max_compression, max_tilt) in enumerate(rows):
         segment = net.segments[index]
         length = segment_length(segment)
         # A segment is left at the first record of any later segment.
         exit_time = float(trace.t[min(b, n - 1)])
         if a == b:
             entry_time = exit_time
-            mean_speeds = min_speeds = max_speeds = plan[index].resolved
+            mean_speeds = min_speeds = max_speeds = tuple(resolved)
             ape = (None, None, None)
         else:
             entry_time = float(trace.t[a])
@@ -450,12 +459,10 @@ def _summarize(
                 defined = v_theo[:, i] != 0.0
                 terms = (100.0 * slip[defined, i] / np.abs(v_theo[defined, i])).tolist()
                 ape.append(math.fsum(terms) / len(terms) if terms else None)
-        max_compression = max(plan[index].compressions)
-        max_tilt = plan[index].max_tilt_deg
         summaries.append(
             SegmentSummary(
                 index=index,
-                kind=_segment_kind(segment),
+                kind=f"bend {segment.sweep_deg:g}deg" if isinstance(segment, Bend) else "straight",
                 length=length,
                 entry_time=entry_time,
                 exit_time=exit_time,
@@ -475,17 +482,9 @@ def _summarize(
     max_slips = trace.slip.max(axis=0).tolist() if n else [0.0, 0.0, 0.0]
     tracks = []
     for i, name in enumerate(TRACK_NAMES):
-        distance = distances[i]
-        apes = [s.ape[i] for s in summaries if s.ape[i] is not None]
-        tracks.append(
-            TrackTotals(
-                name=name,
-                distance=distance,
-                mean_speed=distance / total_time if total_time > 0.0 else 0.0,
-                max_slip=max_slips[i],
-                max_ape=max(apes) if apes else None,
-            )
-        )
+        mean_speed = distances[i] / total_time if total_time > 0.0 else 0.0
+        worst_ape = max((s.ape[i] for s in summaries if s.ape[i] is not None), default=None)
+        tracks.append(TrackTotals(name, distances[i], mean_speed, max_slips[i], worst_ape))
 
     total = net.total_length
     effective = total - robot.length if total >= robot.length else None

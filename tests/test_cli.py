@@ -1,11 +1,26 @@
+import contextlib
+import io
 import json
+import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipediff import TRACE_HEADER, PipeNetwork
 from pipediff.cli import main
 
 from conftest import REFERENCE_SCN
+
+
+def _refuse(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+def strict_json(text):
+    """Parse a JSON report, rejecting the non-standard NaN and Infinity tokens."""
+    return json.loads(text, parse_constant=_refuse)
 
 
 def write_scenario(tmp_path, text, name="case.scn"):
@@ -63,12 +78,12 @@ class TestRun:
 
     def test_json_report_to_stdout(self, capsys):
         assert main(["run", str(REFERENCE_SCN), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         assert payload["run"]["completed"] is True
 
     def test_theta_override_changes_the_inner_track(self, capsys):
         assert main(["run", str(REFERENCE_SCN), "--format", "json", "--theta", "120"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         elbow = payload["segments"][1]["tracks"]
         # at theta = 120 deg module C faces the bend center
         assert elbow["C"]["mean_speed_mm_s"] < elbow["A"]["mean_speed_mm_s"]
@@ -89,12 +104,12 @@ class TestRun:
             ),
         )
         assert main(["run", noisy, "--format", "json", "--seed", "7"]) == 0
-        by_flag = json.loads(capsys.readouterr().out)
+        by_flag = strict_json(capsys.readouterr().out)
         assert by_flag["run"]["disturbance_seed"] == 7
 
         monkeypatch.setenv("PIPEDIFF_SEED", "7")
         assert main(["run", noisy, "--format", "json"]) == 0
-        by_env = json.loads(capsys.readouterr().out)
+        by_env = strict_json(capsys.readouterr().out)
         assert by_env == by_flag
 
         monkeypatch.setenv("PIPEDIFF_SEED", "not-a-number")
@@ -114,7 +129,7 @@ class TestSweep:
         assert main([
             "sweep", str(REFERENCE_SCN), "--theta-steps", "2", "--format", "json",
         ]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         thetas = [entry["theta_deg"] for entry in payload["orientations"]]
         assert thetas == [0.0, 180.0]
 
@@ -144,13 +159,19 @@ def _overflowing(tmp_path, text):
     return write_scenario(tmp_path, text)
 
 
-def _fast(tmp_path, text, omega_u, ratio="1.0"):
-    """Finite inputs whose track speeds overflow: v_nominal * rho_i in a bend
-    (omega_u = 1e306), the sum of three finite straight speeds (1e307), or
-    v_nominal itself (omega_u = 1e308, ratio = 1e10)."""
-    text = text.replace("omega_u = 2.0", f"omega_u = {omega_u}")
-    return write_scenario(tmp_path, text.replace("ratio = 1.0", f"ratio = {ratio}"))
+def _fast(tmp_path, text, omega_u, ratio="1.0", dt="0.01", length="315.0"):
+    """Finite inputs past the float range: v_nominal * rho_i in a bend
+    (omega_u = 1e306), the sum of three finite straight speeds (1e307),
+    v_nominal itself (omega_u = 1e308, ratio = 1e10), one step's travel
+    (omega_u = 1e303, dt = 1e300), or the speeds summed over the records of
+    the first straight (omega_u = 5e305, length = 1e308)."""
+    for key, old, new in (("omega_u", "2.0", omega_u), ("ratio", "1.0", ratio),
+                          ("dt", "0.01", dt), ("length", "315.0", length)):
+        text = text.replace(f"{key} = {old}", f"{key} = {new}")
+    return write_scenario(tmp_path, text)
 
+
+STEP_RANGE_ERROR = "error: steps of {dt} s at nominal speed {v} mm/s leave the float range"
 
 # (argv from tmp_path and the reference text, environment, exit code,
 # expected start of the first stderr line)
@@ -190,12 +211,27 @@ BAD_INPUTS = {
         {}, 2, "error: track speeds exceed the float range at nominal speed 1.75e+308 mm/s",
     ),
     "run: a nominal speed past the float range": (
-        lambda tmp, text: ["run", _fast(tmp, text, "1e308", "1e10"), "--trace", str(tmp / "t.csv")],
-        {}, 2, "error: track speeds exceed the float range at nominal speed inf mm/s",
+        lambda tmp, text: [
+            "run", _fast(tmp, text, "1e308", "1e10"), "--trace", str(tmp / "t.csv"),
+            "--format", "json",
+        ],
+        {}, 2, "error: nominal track speed must be finite and positive, got inf mm/s",
     ),
     "sweep: a nominal speed past the float range": (
         lambda tmp, text: ["sweep", _fast(tmp, text, "1e308", "1e10"), "--theta-steps", "2"],
-        {}, 2, "error: track speeds exceed the float range at nominal speed inf mm/s",
+        {}, 2, "error: nominal track speed must be finite and positive, got inf mm/s",
+    ),
+    "run: one step's travel past the float range": (
+        lambda tmp, text: ["run", _fast(tmp, text, "1e303", dt="1e300"), "--format", "json"],
+        {}, 2, STEP_RANGE_ERROR.format(dt="1e+300", v="1.75e+304"),
+    ),
+    "sweep: one step's travel past the float range": (
+        lambda tmp, text: ["sweep", _fast(tmp, text, "1e303", dt="1e300"), "--theta-steps", "2"],
+        {}, 2, STEP_RANGE_ERROR.format(dt="1e+300", v="1.75e+304"),
+    ),
+    "run: a segment's record sums past the float range": (
+        lambda tmp, text: ["run", _fast(tmp, text, "5e305", length="1e308"), "--format", "json"],
+        {}, 2, STEP_RANGE_ERROR.format(dt="0.01", v="8.75e+306"),
     ),
     "nan --theta": (
         lambda tmp, text: ["run", str(REFERENCE_SCN), "--theta", "nan"],
@@ -228,8 +264,44 @@ def test_bad_input_exits_with_an_error_line(case, tmp_path, reference_text, caps
     monkeypatch.delenv("PIPEDIFF_SEED", raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert main(make_argv(tmp_path, reference_text)) == code
-    assert capsys.readouterr().err.startswith(message)
+    argv = make_argv(tmp_path, reference_text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert err.startswith(message)
+    if "json" in argv and out:
+        strict_json(out)
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    omega_u=_log_uniform(1e-3, 1e308),
+    ratio=_log_uniform(1e-3, 1e308),
+    dt=_log_uniform(1e-3, 1e308),
+    length=_log_uniform(1e-3, 1e308),
+    steps=st.integers(1, 1000),
+)
+def test_float_range_inputs_exit_cleanly(
+    tmp_path_factory, reference_text, omega_u, ratio, dt, length, steps
+):
+    # t_max = steps * dt keeps every example to at most 1,001 records.
+    text = reference_text.replace("dt = 0.01", f"dt = 0.01\nt_max = {steps * dt!r}")
+    scenario = _fast(tmp_path_factory.mktemp("range"), text, repr(omega_u), repr(ratio),
+                     dt=repr(dt), length=repr(length))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["run", scenario, "--format", "json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        strict_json(out.getvalue())
 
 
 @pytest.mark.parametrize("argv", [

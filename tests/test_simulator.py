@@ -223,6 +223,22 @@ class TestSegmentAdmissibility:
         ("bend", 335.0, 90.0, 1),
     )
 
+    def test_planning_stops_at_the_first_impassable_segment(self, reference_scenario):
+        # With a 5.5 mm limit the robot fits the first straight but not the
+        # elbow after it, so the plan never looks at the last two segments.
+        sc = reference_scenario
+        robot = replace(sc.robot, max_compression=5.5)
+        with mock.patch.object(simulator, "module_state", wraps=module_state) as counted:
+            trace, summary = run(sc.network, robot, sc.gear, sc.sim)
+        assert counted.call_count == 2
+        assert summary.error == (
+            "bend of radius 335 mm requires 6.388 mm compression on module 0, limit is 5.5 mm"
+        )
+        assert len(trace) == 900 and set(trace.segment.tolist()) == {0}
+        records, expected = reference_run(sc.network, robot, sc.gear, sc.sim)
+        assert list(trace) == records
+        assert summary == expected
+
     @pytest.mark.parametrize("dt", [0.5, 0.2])
     def test_a_stepped_over_segment_still_aborts(self, reference_scenario, dt):
         sc = reference_scenario
@@ -356,18 +372,18 @@ class TestOrientationSweep:
         net, robot, gear, params = small_setup()
         nominal = gear.ratio * params.omega_u * robot.sprocket_radius
         results = run_orientation_sweep(net, robot, gear, params, steps=4)
-        assert [theta for theta, _, _ in results] == [0.0, 90.0, 180.0, 270.0]
-        for _theta, records, summary in results:
-            assert summary.completed
-            for record in records:
-                assert math.fsum(record.v) / 3.0 == pytest.approx(nominal, rel=1e-9)
+        assert [theta for theta, _ in results] == [0.0, 90.0, 180.0, 270.0]
+        for theta, summary in results:
+            assert summary.completed and summary.theta_deg == theta
+            for segment in summary.segments:
+                assert math.fsum(segment.mean_speeds) / 3.0 == pytest.approx(nominal, rel=1e-9)
 
     def test_per_orientation_seeds_differ(self):
         net, robot, gear, params = small_setup(
             disturbance=DisturbanceConfig(amplitude=0.02, seed=5)
         )
         results = run_orientation_sweep(net, robot, gear, params, steps=2)
-        seeds = [summary.disturbance_seed for _, _, summary in results]
+        seeds = [summary.disturbance_seed for _, summary in results]
         assert seeds == [5, 6]
 
     def test_rejects_zero_steps(self):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
 from dataclasses import replace
 
@@ -386,6 +387,54 @@ class TestTraceCsv:
         records, _ = run(sc.network, sc.robot, sc.gear, sim)
         digest = hashlib.sha256(render_trace(records).encode("utf-8")).hexdigest()
         assert digest == "657532888c940c81c0d44727afcd535ff89fca03347c570b39ecedd080127f4e"
+
+
+def many_segment_scenario(seed: int, amplitude: float) -> str:
+    """A seeded planar network of 200 short alternating straights and bends.
+
+    At dt = 0.2 s and 35 mm/s each segment holds 6 to 39 records, so
+    one 512-row chunk of the trace CSV crosses dozens of segment boundaries.
+    Radii of 200-400 mm keep the robot inside its limits; the roll of 30 deg
+    gives the three tracks three different speeds in every bend.
+    """
+    rng = random.Random(seed)
+    lines = ["[pipe]", "inner_radius = 13.2", "start_tangent = 0 0 1", "default_normal = 0 1 0"]
+    for k in range(200):
+        lines.append("[segment]")
+        if k % 2 == 0:
+            lines += ["type = straight", f"length = {rng.uniform(40.0, 120.0):.3f}"]
+        else:
+            lines += ["type = bend", f"radius = {rng.uniform(200.0, 400.0):.3f}",
+                      f"sweep_angle = {rng.uniform(10.0, 40.0):.3f}"]
+    lines += ["[robot]", "sprocket_radius = 17.5", "length = 61.0", "nominal_body_radius = 13.2",
+              "preload_compression = 5.0", "spring_stiffness = 2.0", "max_compression = 16.0",
+              "max_tilt_deg = 10.0",
+              "[sim]", "omega_u = 2.0", "dt = 0.2", "theta_deg = 30.0",
+              f"disturbance_amplitude = {amplitude!r}", "disturbance_seed = 3"]
+    return "\n".join(lines) + "\n"
+
+
+class TestManySegmentPins:
+    # SHA-256 of the trace CSV and of the JSON report of the network above,
+    # undisturbed and with a 2.5 % disturbance.
+    PINS = {
+        0.0: ("b286b95b24c00ebcdd2ca49681874303969b66949adbfe34a2480bedc59e0d91",
+              "7a4b885d552fceb84116483cc64cbf7d68575a2bae511f8e1169d1f3ea2c5e98"),
+        0.025: ("35735b6fdcf042380f5fbf90aba541b3439b92551260a60d5d0ed1dfbad0284a",
+                "feb5cec6444d2d28af9d42dc82358d5085c5214a35a90581dff8a23a8d1ac525"),
+    }
+
+    @pytest.mark.parametrize("amplitude", sorted(PINS))
+    def test_trace_and_json_report_bytes_are_pinned(self, amplitude):
+        sc = parse_scenario(many_segment_scenario(11, amplitude))
+        records, summary = run(sc.network, sc.robot, sc.gear, sc.sim)
+        assert summary.completed and len(summary.segments) == 200
+        assert len(records) > 3 * 512
+        digests = tuple(
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for text in (render_trace(records), render_report(summary, sc.report, fmt="json"))
+        )
+        assert digests == self.PINS[amplitude]
 
 
 class TestReports:

@@ -16,8 +16,32 @@ _TRACK_INDEX = {"A": 0, "B": 1, "C": 2}
 
 
 # Rows formatted per pass: converting one chunk of the columns to Python
-# floats at a time keeps the peak memory close to that of the CSV text.
+# floats and text at a time keeps the peak memory close to that of the CSV
+# text.  Runs of equal values are found within a chunk, so a run that
+# crosses a chunk boundary is formatted once on each side.
 _CHUNK_ROWS = 512
+
+
+def _run_texts(values: np.ndarray, fmt: str) -> list[str]:
+    """``fmt % row`` for each row of ``values``, formatted once per run of
+    rows whose bits are equal.
+
+    Comparing bits rather than values keeps ``-0.0`` apart from ``0.0`` and
+    never merges NaNs of different payloads, so each text is exactly the one
+    its own row would format to.
+    """
+    bits = values.view(f"i{values.itemsize}")
+    changed = bits[1:] != bits[:-1]
+    if changed.ndim > 1:
+        changed = changed.any(axis=1)
+    firsts = np.flatnonzero(np.concatenate(([True], changed)))
+    firsts_values = values[firsts]
+    rows = zip(*firsts_values.T.tolist()) if values.ndim > 1 else firsts_values.tolist()
+    texts = list(map(fmt.__mod__, rows))
+    if len(texts) == len(values):
+        return texts
+    counts = np.diff(firsts, append=len(values))
+    return np.repeat(np.array(texts, dtype=object), counts).tolist()
 
 
 def render_trace(trace) -> str:
@@ -25,13 +49,21 @@ def render_trace(trace) -> str:
 
     Floats are fixed to 6 decimals, theta in degrees.  ``trace`` is a
     ``Trace``; an empty sequence gives the header alone.
+
+    The model is piecewise constant, so within a segment most columns repeat
+    from row to row.  Each chunk of rows is formatted column by column, each
+    run of bit-identical rows of a column once (``t``, ``s`` and the
+    distances change every row), and the rows are joined from the columns'
+    texts.  The output is the same as formatting every value on its own.
     """
     lines = [TRACE_HEADER]
     for a in range(0, len(trace), _CHUNK_ROWS):
         chunk = trace[a:a + _CHUNK_ROWS]
-        table = np.column_stack([getattr(chunk, name) for name in TRACE_COLUMNS])
-        row = f"%.6f,%.6f,%d,{chunk.theta_deg:.6f}" + ",%.6f" * 15
-        lines.extend(row % tuple(values) for values in table.tolist())
+        # theta is one constant per trace, so it rides in the segment's format.
+        formats = {"t": "%.6f", "s": "%.6f", "segment": f"%d,{chunk.theta_deg:.6f}"}
+        cells = [_run_texts(getattr(chunk, name), formats.get(name, "%.6f,%.6f,%.6f"))
+                 for name in TRACE_COLUMNS]
+        lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 

@@ -231,6 +231,7 @@ def _plan(
     count = speeds = 0.0
     rows = []
     error = None
+    speed_range = f"track speeds exceed the float range at nominal speed {v_nominal:g} mm/s"
     for segment in net.segments:
         try:
             state = module_state(robot, net.spec, segment, theta)
@@ -238,18 +239,23 @@ def _plan(
             # The differential's speed budget and the demands must sum inside
             # the float range: the solve adds them up.
             if not math.isfinite(3.0 * gear.ratio * params.omega_u + sum(demanded.as_tuple())):
-                error = f"track speeds exceed the float range at nominal speed {v_nominal:g} mm/s"
+                error = speed_range
                 break
             resolved = resolved_speeds(gear, robot, demanded, params.omega_u).as_tuple()
         except (NoFitError, InfeasibleConstraintError) as exc:
             error = str(exc)
+            break
+        speeds = max(speeds, sum(resolved) * (1.0 + amplitude))
+        # A disturbed record slips by at most ``amplitude`` times its speeds,
+        # and its percent error scales that slip by 100.
+        if not math.isfinite(100.0 * amplitude * speeds):
+            error = speed_range
             break
         # With the stepper's shortest step here, these bound every record
         # time, position and distance it forms and any speed summed over a
         # segment's records.
         step = sum(resolved) / 3.0 * dt * (1.0 - amplitude)
         count += segment_length(segment) / step + 2.0 if step > 0.0 else math.inf
-        speeds = max(speeds, sum(resolved) * (1.0 + amplitude))
         formed = min(count, limit)
         if not all(map(math.isfinite, (formed * dt, formed * speeds * dt, formed * speeds))):
             error = f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s leave the float range"

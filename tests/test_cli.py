@@ -274,6 +274,22 @@ def test_bad_input_exits_with_an_error_line(case, tmp_path, reference_text, caps
         strict_json(out)
 
 
+def test_disturbed_percent_error_past_the_float_range_aborts(tmp_path, reference_text, capsys):
+    # The first straight's speeds are finite, but 100 times a 90 % slip on
+    # them is not: the run aborts before forming a record whose APE overflows.
+    text = reference_text.replace("disturbance_amplitude = 0.0", "disturbance_amplitude = 0.9")
+    scenario = _fast(tmp_path, text, "5e305")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", scenario, "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(
+        "error: track speeds exceed the float range at nominal speed 8.75e+306 mm/s")
+    report = strict_json(out)
+    assert report["run"]["error"] == err[len("error: "):].rstrip("\n")
+    assert report["segments"] == []
+
+
 def _log_uniform(low, high):
     return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0 ** e)
 

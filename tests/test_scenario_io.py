@@ -6,7 +6,9 @@ import math
 import random
 import re
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from pipediff import (
     ScenarioParseError,
     Straight,
     TRACE_HEADER,
+    Trace,
     load_scenario,
     parse_scenario,
     render_report,
@@ -27,10 +30,12 @@ from pipediff import (
     serialize_scenario,
     write_trace,
 )
+from pipediff import report
 from pipediff.cli import main
 from pipediff.scenario import KEYS
 
 from conftest import REFERENCE_SCN, REPO_ROOT
+from reference_stepper import reference_csv
 
 MINIMAL = """\
 [pipe]
@@ -387,6 +392,87 @@ class TestTraceCsv:
         records, _ = run(sc.network, sc.robot, sc.gear, sim)
         digest = hashlib.sha256(render_trace(records).encode("utf-8")).hexdigest()
         assert digest == "657532888c940c81c0d44727afcd535ff89fca03347c570b39ecedd080127f4e"
+
+
+def hand_trace(n, theta_deg=0.0, **columns):
+    """An n-row ``Trace``: the given columns, zeros in the others."""
+    zeros = {"t": np.zeros(n), "s": np.zeros(n), "segment": np.zeros(n, dtype=int)}
+    for name in ("v", "v_theo", "compression", "slip", "distance"):
+        zeros[name] = np.zeros((n, 3))
+    return Trace(theta_deg=theta_deg, **(zeros | columns))
+
+
+def assert_matches_the_oracle(trace):
+    """``render_trace`` formats each run of equal values once; the oracle
+    formats every value on its own.  Lines are compared so that a mismatch
+    reports its first differing row."""
+    assert render_trace(trace).split("\n") == reference_csv(trace).split("\n")
+
+
+class TestTraceCsvRuns:
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_one_row_traces(self, n):
+        trace = hand_trace(n, theta_deg=120.0, t=np.full(n, 0.5), v=np.full((n, 3), 35.0))
+        assert_matches_the_oracle(trace)
+
+    def test_signed_zeros_in_a_constant_column_stay_apart(self):
+        signs = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
+        trace = hand_trace(6, t=signs, slip=np.column_stack((signs, -signs, np.zeros(6))))
+        assert_matches_the_oracle(trace)
+        assert "-0.000000" in render_trace(trace)
+
+    def test_nan_and_infinities_format_as_the_oracle(self):
+        values = np.array([np.nan, np.nan, np.inf, -np.inf, -np.inf, np.nan])
+        trace = hand_trace(6, s=values, compression=np.column_stack((values,) * 3))
+        assert_matches_the_oracle(trace)
+
+    def test_runs_crossing_a_chunk_boundary(self):
+        n = 2 * report._CHUNK_ROWS + 7
+        segment = np.repeat([0, 1, 2], [report._CHUNK_ROWS - 3, report._CHUNK_ROWS + 6, 4])
+        v_theo = np.where(segment[:, None] == 1, [33.6211, 35.0, 36.3789], 35.0)
+        # Only track C's compression changes between segments 0 and 1.
+        compression = np.where(segment[:, None] == 1, [5.25, 5.25, 6.75], 5.25)
+        trace = hand_trace(n, t=np.arange(n) * 0.01, segment=segment, v=v_theo,
+                           v_theo=v_theo, compression=compression,
+                           distance=np.cumsum(v_theo * 0.01, axis=0))
+        assert_matches_the_oracle(trace)
+
+    def test_a_column_where_every_value_differs(self):
+        rng = np.random.default_rng(5)
+        n = report._CHUNK_ROWS + 40
+        v = 35.0 * (1.0 + 0.025 * rng.uniform(-1.0, 1.0, size=(n, 3)))
+        trace = hand_trace(n, t=np.arange(n) * 0.01, v=v, v_theo=np.full((n, 3), 35.0),
+                           slip=np.abs(v - 35.0), distance=np.cumsum(v * 0.01, axis=0))
+        assert_matches_the_oracle(trace)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 40),
+        chunk_rows=st.integers(1, 9),
+        theta_deg=st.sampled_from((0.0, -0.0, 120.0, 359.9999995)),
+    )
+    def test_small_traces_with_few_distinct_values(self, data, n, chunk_rows, theta_deg):
+        # Each column repeats one to three rows drawn from a small pool, so
+        # it has long runs, runs across the small chunks, and neighbours that
+        # differ only in sign or in the last formatted digit.
+        pool = st.sampled_from(
+            (0.0, -0.0, 1.0, 35.0, 33.6211, 2.5e-7, 5e-7, 1e300, -1e-300, math.nan, math.inf))
+
+        def column(width):
+            rows = data.draw(st.lists(st.lists(pool, min_size=width, max_size=width),
+                                      min_size=1, max_size=3))
+            picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+            return np.array([rows[i] for i in picks], dtype=float).reshape(n, width)
+
+        segments = sorted(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        trace = hand_trace(n, theta_deg, t=column(1)[:, 0], s=column(1)[:, 0],
+                           segment=np.array(segments, dtype=int),
+                           **{name: column(3) for name in
+                              ("v", "v_theo", "compression", "slip", "distance")})
+        with mock.patch.object(report, "_CHUNK_ROWS", chunk_rows):
+            assert_matches_the_oracle(trace)
 
 
 def many_segment_scenario(seed: int, amplitude: float) -> str:

@@ -64,7 +64,8 @@ def render_trace(trace) -> str:
         cells = [_run_texts(getattr(chunk, name), formats.get(name, "%.6f,%.6f,%.6f"))
                  for name in TRACE_COLUMNS]
         lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the text to add it
+    return "\n".join(lines)
 
 
 def write_trace(trace, path) -> None:

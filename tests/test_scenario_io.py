@@ -410,7 +410,6 @@ def assert_matches_the_oracle(trace):
 
 
 class TestTraceCsvRuns:
-
     @pytest.mark.parametrize("n", [0, 1])
     def test_empty_and_one_row_traces(self, n):
         trace = hand_trace(n, theta_deg=120.0, t=np.full(n, 0.5), v=np.full((n, 3), 35.0))

@@ -1,6 +1,12 @@
-"""Trace CSV serialization and run reports (text and JSON)."""
+"""Trace CSV serialization and run reports (text and JSON), both byte contracts.
+
+The JSON report reads as ``json.dumps(payload, indent=2, sort_keys=True)``
+would write it, but each kind of object is laid out once, as a ``%``-template.
+"""
 
 import json
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,6 +50,20 @@ def _run_texts(values: np.ndarray, fmt: str) -> list[str]:
     return np.repeat(np.array(texts, dtype=object), counts).tolist()
 
 
+def _trace_chunks(trace):
+    """The trace CSV in pieces: the header line, then each chunk's lines."""
+    yield TRACE_HEADER + "\n"
+    for a in range(0, len(trace), _CHUNK_ROWS):
+        chunk = trace[a:a + _CHUNK_ROWS]
+        # theta is one constant per trace, so it rides in the segment's format.
+        formats = {"t": "%.6f", "s": "%.6f", "segment": f"%d,{chunk.theta_deg:.6f}"}
+        cells = [_run_texts(getattr(chunk, name), formats.get(name, "%.6f,%.6f,%.6f"))
+                 for name in TRACE_COLUMNS]
+        lines = list(map(",".join, zip(*cells)))
+        lines.append("")  # the chunk's final newline, without copying the text to add it
+        yield "\n".join(lines)
+
+
 def render_trace(trace) -> str:
     """Header plus one row per record; byte-deterministic for a given trace.
 
@@ -56,23 +76,15 @@ def render_trace(trace) -> str:
     distances change every row), and the rows are joined from the columns'
     texts.  The output is the same as formatting every value on its own.
     """
-    lines = [TRACE_HEADER]
-    for a in range(0, len(trace), _CHUNK_ROWS):
-        chunk = trace[a:a + _CHUNK_ROWS]
-        # theta is one constant per trace, so it rides in the segment's format.
-        formats = {"t": "%.6f", "s": "%.6f", "segment": f"%d,{chunk.theta_deg:.6f}"}
-        cells = [_run_texts(getattr(chunk, name), formats.get(name, "%.6f,%.6f,%.6f"))
-                 for name in TRACE_COLUMNS]
-        lines.extend(map(",".join, zip(*cells)))
-    lines.append("")  # the final newline, without copying the text to add it
-    return "\n".join(lines)
+    return "".join(_trace_chunks(trace))
 
 
 def write_trace(trace, path) -> None:
-    """Write the trace CSV; I/O failures surface with the path."""
+    """Write the trace CSV, one chunk of rows at a time, so that the text is
+    never held whole; I/O failures surface with the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(render_trace(trace))
+            handle.writelines(_trace_chunks(trace))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
@@ -90,46 +102,77 @@ def _min_headroom(summary: RunSummary) -> tuple[float | None, float | None]:
             min((s.tilt_headroom_deg for s in summary.segments), default=None))
 
 
-def _json_payload(summary: RunSummary, options: ReportOptions) -> dict:
-    track_ids = [(_TRACK_INDEX[name], name) for name in options.tracks]
-    segments = []
-    for seg in _selected_segments(summary, options):
-        tracks = {}
-        for i, name in track_ids:
-            entry = {
-                "mean_speed_mm_s": seg.mean_speeds[i],
-                "min_speed_mm_s": seg.min_speeds[i],
-                "max_speed_mm_s": seg.max_speeds[i],
-            }
-            if options.ape:
-                entry["ape_pct"] = seg.ape[i]
-            tracks[name] = entry
-        segments.append(
-            {
-                "index": seg.index,
-                "kind": seg.kind,
-                "length_mm": seg.length,
-                "entry_time_s": seg.entry_time,
-                "exit_time_s": seg.exit_time,
-                "max_compression_mm": seg.max_compression,
-                "max_tilt_deg": seg.max_tilt_deg,
-                "compression_headroom_mm": seg.compression_headroom_mm,
-                "tilt_headroom_deg": seg.tilt_headroom_deg,
-                "tracks": tracks,
-            }
-        )
-    tracks = []
-    for i, name in track_ids:
-        totals = summary.tracks[i]
-        entry = {
-            "name": name,
-            "distance_mm": totals.distance,
-            "mean_speed_mm_s": totals.mean_speed,
-            "max_slip_mm_s": totals.max_slip,
-        }
-        if options.ape:
-            entry["max_ape_pct"] = totals.max_ape
-        tracks.append(entry)
+def _spell(value) -> str:
+    """One JSON value as ``json.dumps`` spells it."""
+    if type(value) is float and value - value == 0.0:  # finite: the common case
+        return float.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _layout(skeleton, depth: int) -> tuple[str, list]:
+    """``(template, leaves)``: ``skeleton`` as ``json.dumps(..., indent=2,
+    sort_keys=True)`` lays it out ``depth`` levels deep, with a ``%s`` for
+    each value that is not a dict or list, in the order of ``leaves``."""
+    leaves = []
+
+    def mark(value):
+        if isinstance(value, dict):
+            return {key: mark(value[key]) for key in sorted(value)}
+        if isinstance(value, list):
+            return list(map(mark, value))
+        leaves.append(value)
+        return "%s"
+    text = json.dumps(mark(skeleton), indent=2, sort_keys=True).replace("%", "%%")
+    return text.replace('"%%s"', "%s").replace("\n", "\n" + "  " * depth), leaves
+
+
+def _fill(skeleton, depth: int = 0) -> str:
+    """``skeleton``, whose leaves are JSON texts, laid out ``depth`` levels deep."""
+    template, texts = _layout(skeleton, depth)
+    return template % tuple(texts)
+
+
+def _rows(fields: dict, items, depth: int) -> str:
+    """An array of one object per item; the leaves of ``fields`` are getters."""
+    template, getters = _layout(fields, depth + 1)
+    return _fill([template % tuple([_spell(get(item)) for get in getters]) for item in items],
+                 depth)
+
+
+# JSON key -> attribute of the RunSummary, a SegmentSummary, its per-track
+# tuples, and a TrackTotals.
+_RUN_KEYS = {"completed": "completed", "stop_reason": "stop_reason", "error": "error",
+             "total_time_s": "total_time", "total_length_mm": "total_length",
+             "effective_path_mm": "effective_path", "nominal_speed_mm_s": "nominal_speed",
+             "theta_deg": "theta_deg", "dt_s": "dt", "disturbance_amplitude":
+             "disturbance_amplitude", "disturbance_seed": "disturbance_seed"}
+_SEGMENT_KEYS = {"index": "index", "kind": "kind", "length_mm": "length",
+                 "entry_time_s": "entry_time", "exit_time_s": "exit_time",
+                 "max_compression_mm": "max_compression", "max_tilt_deg": "max_tilt_deg",
+                 "compression_headroom_mm": "compression_headroom_mm",
+                 "tilt_headroom_deg": "tilt_headroom_deg"}
+_SEGMENT_TRACK_KEYS = {"mean_speed_mm_s": "mean_speeds", "min_speed_mm_s": "min_speeds",
+                       "max_speed_mm_s": "max_speeds"}
+_TOTALS_KEYS = {"name": "name", "distance_mm": "distance", "mean_speed_mm_s": "mean_speed",
+                "max_slip_mm_s": "max_slip"}
+
+
+def _payload(summary: RunSummary, options: ReportOptions, depth: int) -> dict:
+    """One run's JSON object ``depth`` levels deep, its leaves as JSON texts."""
+    per_track = _SEGMENT_TRACK_KEYS | ({"ape_pct": "ape"} if options.ape else {})
+    segment = {key: attrgetter(attr) for key, attr in _SEGMENT_KEYS.items()}
+    segment["tracks"] = {
+        name: {key: lambda seg, attr=attr, i=_TRACK_INDEX[name]: getattr(seg, attr)[i]
+               for key, attr in per_track.items()}
+        for name in options.tracks
+    }
+    totals = {key: attrgetter(attr) for key, attr in _TOTALS_KEYS.items()}
+    if options.ape:
+        totals["max_ape_pct"] = attrgetter("max_ape")
     compression_headroom, tilt_headroom = _min_headroom(summary)
     limits = {
         "max_compression_mm": summary.max_compression,
@@ -140,20 +183,13 @@ def _json_payload(summary: RunSummary, options: ReportOptions) -> dict:
         "completed": summary.completed,
         "error": summary.error,
     }
-    run = {
-        "completed": summary.completed,
-        "stop_reason": summary.stop_reason,
-        "error": summary.error,
-        "total_time_s": summary.total_time,
-        "total_length_mm": summary.total_length,
-        "effective_path_mm": summary.effective_path,
-        "nominal_speed_mm_s": summary.nominal_speed,
-        "theta_deg": summary.theta_deg,
-        "dt_s": summary.dt,
-        "disturbance_amplitude": summary.disturbance_amplitude,
-        "disturbance_seed": summary.disturbance_seed,
+    return {
+        "run": {key: _spell(getattr(summary, attr)) for key, attr in _RUN_KEYS.items()},
+        "segments": _rows(segment, _selected_segments(summary, options), depth + 1),
+        "tracks": _rows(totals, [summary.tracks[_TRACK_INDEX[name]] for name in options.tracks],
+                        depth + 1),
+        "limits": {key: _spell(value) for key, value in limits.items()},
     }
-    return {"run": run, "segments": segments, "tracks": tracks, "limits": limits}
 
 
 def _fmt_ape(value) -> str:
@@ -231,7 +267,7 @@ def render_report(summary: RunSummary, options: ReportOptions | None = None,
     """Render one run summary as text or JSON."""
     options = options or ReportOptions()
     if fmt == "json":
-        return json.dumps(_json_payload(summary, options), indent=2, sort_keys=True) + "\n"
+        return _fill(_payload(summary, options, 0)) + "\n"
     if fmt == "text":
         return _render_text(summary, options)
     raise ValueError(f"unknown report format {fmt!r}")
@@ -245,13 +281,9 @@ def render_sweep_report(results, options: ReportOptions | None = None,
     """
     options = options or ReportOptions()
     if fmt == "json":
-        payload = {
-            "orientations": [
-                {"theta_deg": theta, **_json_payload(summary, options)}
-                for theta, summary in results
-            ]
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        orientations = [_fill({"theta_deg": _spell(theta), **_payload(summary, options, 2)}, 2)
+                        for theta, summary in results]
+        return _fill({"orientations": orientations}) + "\n"
     lines = [f"orientation sweep: {len(results)} runs"]
     header = (
         f"{'theta':>7} {'status':<9} {'t_total':>8} {'max_slip':>9} "

@@ -274,6 +274,14 @@ def _running_sums(first, increments: np.ndarray) -> np.ndarray:
     return sums.cumsum(axis=0)
 
 
+def _window_means(column: np.ndarray, windows, counts) -> list:
+    """Per ``(a, b)`` window, ``math.fsum(column[a:b])`` over its count, or
+    None when the count is 0."""
+    values = column.tolist()
+    return [math.fsum(values[a:b]) / count if count else None
+            for (a, b), count in zip(windows, counts)]
+
+
 def run(
     net: PipeNetwork,
     robot: RobotConfig,
@@ -428,58 +436,62 @@ def _summarize(
     error: str | None,
     v_nominal: float,
 ) -> RunSummary:
-    # Segment indices never decrease along a trace, so each segment's
-    # records are one contiguous slice, empty for a segment that a single
-    # step crossed whole.
+    """Summarise the ``entered`` segments and the run.  The per-record work is
+    numpy over whole trace columns, one track at a time; each segment then
+    costs a ``math.fsum`` of its window's slice of each column, which keeps
+    means and APE correctly rounded."""
+    # Segment indices and positions never decrease along a trace, so each
+    # segment's records are one contiguous slice, empty for a segment that a
+    # single step crossed whole, and so are the records in its window.
     n = len(trace)
-    bounds = np.searchsorted(trace.segment, np.arange(entered + 1)).tolist()
-    rows = zip(zip(bounds, bounds[1:]), plan.resolved.tolist(),
-               plan.compressions.max(axis=1).tolist(), plan.max_tilt_deg.tolist())
+    bounds = np.searchsorted(trace.segment, np.arange(entered + 1))
+    first, last = bounds[:-1], bounds[1:]
+    # A segment is entered at its first record and left at the first record
+    # of any later segment, or at the run's last record.
+    times = trace.t[np.minimum(bounds, n - 1)].tolist() if n else [0.0] * (entered + 1)
+    lengths = [segment_length(s) for s in net.segments[:entered]]
+    starts, spans = np.array([net.arc_start(i) for i in range(entered)]), np.array(lengths)
+    lo = np.searchsorted(trace.s, starts + WINDOW_MARGIN * spans)
+    hi = np.searchsorted(trace.s, starts + (1.0 - WINDOW_MARGIN) * spans, side="right")
+    lo, hi = np.clip(lo, first, last), np.clip(hi, first, last)
+    # A window that holds no record falls back to the whole segment.
+    lo, hi = np.where(lo < hi, lo, first), np.where(lo < hi, hi, last)
+    windows = list(zip(lo.tolist(), hi.tolist()))
+    means, apes = [], []
+    for v, slip, v_theo in zip(trace.v.T, trace.slip.T, trace.v_theo.T):
+        means.append(_window_means(v, windows, (hi - lo).tolist()))
+        defined = v_theo != 0.0
+        terms = np.multiply(100.0, slip, out=np.zeros_like(slip), where=defined)
+        np.divide(terms, np.abs(v_theo), out=terms, where=defined)
+        defined = _running_sums(0, defined).astype(int)
+        apes.append(_window_means(terms, windows, (defined[hi] - defined[lo]).tolist()))
+    firsts = first[first < last]  # of the segments with records
+    extremes = zip(np.minimum.reduceat(trace.v, firsts).tolist(),
+                   np.maximum.reduceat(trace.v, firsts).tolist())
+    rows = zip(net.segments, lengths, first.tolist(), last.tolist(), zip(*means), zip(*apes),
+               plan.resolved.tolist(), plan.compressions.max(axis=1).tolist(),
+               plan.max_tilt_deg.tolist())
     summaries = []
-    for index, ((a, b), resolved, max_compression, max_tilt) in enumerate(rows):
-        segment = net.segments[index]
-        length = segment_length(segment)
-        # A segment is left at the first record of any later segment.
-        exit_time = float(trace.t[min(b, n - 1)])
-        if a == b:
-            entry_time = exit_time
+    for index, (seg, length, a, b, mean, ape, resolved, compression, tilt) in enumerate(rows):
+        if a == b:  # no records: the plan's speeds, and no APE
             mean_speeds = min_speeds = max_speeds = tuple(resolved)
-            ape = (None, None, None)
         else:
-            entry_time = float(trace.t[a])
-            start = net.arc_start(index)
-            lo = start + WINDOW_MARGIN * length
-            hi = start + (1.0 - WINDOW_MARGIN) * length
-            s = trace.s[a:b]
-            window = (lo <= s) & (s <= hi)
-            if not window.any():
-                window = slice(None)
-            v = trace.v[a:b]
-            v_window = v[window]
-            mean_speeds = tuple(math.fsum(col) / len(v_window) for col in v_window.T.tolist())
-            min_speeds = tuple(v.min(axis=0).tolist())
-            max_speeds = tuple(v.max(axis=0).tolist())
-            slip, v_theo = trace.slip[a:b][window], trace.v_theo[a:b][window]
-            ape = []
-            for i in range(3):
-                defined = v_theo[:, i] != 0.0
-                terms = (100.0 * slip[defined, i] / np.abs(v_theo[defined, i])).tolist()
-                ape.append(math.fsum(terms) / len(terms) if terms else None)
+            mean_speeds, (min_speeds, max_speeds) = mean, map(tuple, next(extremes))
         summaries.append(
             SegmentSummary(
                 index=index,
-                kind=f"bend {segment.sweep_deg:g}deg" if isinstance(segment, Bend) else "straight",
+                kind=f"bend {seg.sweep_deg:g}deg" if isinstance(seg, Bend) else "straight",
                 length=length,
-                entry_time=entry_time,
-                exit_time=exit_time,
+                entry_time=times[index],
+                exit_time=times[index + 1],
                 mean_speeds=mean_speeds,
                 min_speeds=min_speeds,
                 max_speeds=max_speeds,
-                ape=tuple(ape),
-                max_compression=max_compression,
-                max_tilt_deg=max_tilt,
-                compression_headroom_mm=robot.max_compression - max_compression,
-                tilt_headroom_deg=robot.max_tilt_deg - max_tilt,
+                ape=ape,
+                max_compression=compression,
+                max_tilt_deg=tilt,
+                compression_headroom_mm=robot.max_compression - compression,
+                tilt_headroom_deg=robot.max_tilt_deg - tilt,
             )
         )
 

@@ -16,10 +16,13 @@ from hypothesis import strategies as st
 from pipediff import (
     DisturbanceConfig,
     ReportOptions,
+    RunSummary,
     ScenarioParseError,
+    SegmentSummary,
     Straight,
     TRACE_HEADER,
     Trace,
+    TrackTotals,
     load_scenario,
     parse_scenario,
     render_report,
@@ -35,6 +38,7 @@ from pipediff.cli import main
 from pipediff.scenario import KEYS
 
 from conftest import REFERENCE_SCN, REPO_ROOT
+from reference_report import reference_json_report, reference_json_sweep_report
 from reference_stepper import reference_csv
 
 MINIMAL = """\
@@ -623,3 +627,99 @@ class TestReports:
         _, summary = reference_run
         with pytest.raises(ValueError):
             render_report(summary, fmt="xml")
+
+
+# Floats the JSON emitter must spell as json.dumps does: non-finite values,
+# signed zeros, subnormals, integral values and digits near repr's limits.
+report_floats = st.one_of(
+    st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e22, 0.1)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# Text with quotes, backslashes, control characters, non-ASCII and "%s".
+report_texts = st.text(alphabet=st.sampled_from('ab%s "\\\n\t\x00\x7f\u00e9\u2028\U0001f600'),
+                       max_size=8)
+maybe_floats = st.one_of(st.none(), report_floats)
+triples = st.tuples(report_floats, report_floats, report_floats)
+
+
+@st.composite
+def report_summaries(draw):
+    """A ``RunSummary`` of arbitrary values, within the types a run gives."""
+    segments = tuple(
+        SegmentSummary(
+            index=draw(st.integers(0, 5)),
+            kind=draw(st.one_of(st.sampled_from(("straight", "bend 90deg")), report_texts)),
+            length=draw(report_floats),
+            entry_time=draw(report_floats),
+            exit_time=draw(report_floats),
+            mean_speeds=draw(triples),
+            min_speeds=draw(triples),
+            max_speeds=draw(triples),
+            ape=draw(st.tuples(maybe_floats, maybe_floats, maybe_floats)),
+            max_compression=draw(report_floats),
+            max_tilt_deg=draw(report_floats),
+            compression_headroom_mm=draw(report_floats),
+            tilt_headroom_deg=draw(report_floats),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    tracks = tuple(
+        TrackTotals(name, draw(report_floats), draw(report_floats), draw(report_floats),
+                    draw(maybe_floats))
+        for name in "ABC"
+    )
+    error = draw(st.one_of(st.none(), report_texts))
+    return RunSummary(
+        completed=draw(st.booleans()),
+        stop_reason=draw(st.one_of(st.none(), st.just("t_max"), report_texts)),
+        error=error,
+        total_time=draw(report_floats),
+        total_length=draw(report_floats),
+        effective_path=draw(maybe_floats),
+        nominal_speed=draw(report_floats),
+        theta_deg=draw(report_floats),
+        dt=draw(report_floats),
+        disturbance_amplitude=draw(report_floats),
+        disturbance_seed=draw(st.integers(0, 2**64)),
+        max_slip=draw(report_floats),
+        max_compression=draw(report_floats),
+        segments=segments,
+        tracks=tracks,
+    )
+
+
+@st.composite
+def report_options(draw):
+    """Any subset of the tracks in any order, APE on or off, any segments."""
+    tracks = draw(st.permutations("ABC"))[:draw(st.integers(0, 3))]
+    segments = draw(st.one_of(st.none(), st.lists(st.integers(0, 5), max_size=4).map(tuple)))
+    return ReportOptions(tracks=tuple(tracks), segments=segments, ape=draw(st.booleans()))
+
+
+class TestJsonReportAgainstJsonDumps:
+    """The template emitter against ``json.dumps`` in reference_report."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(summary=report_summaries(), options=report_options())
+    def test_run_report_bytes(self, summary, options):
+        assert render_report(summary, options, fmt="json") == reference_json_report(
+            summary, options)
+
+    @settings(max_examples=100, deadline=None)
+    @given(results=st.lists(st.tuples(report_floats, report_summaries()), max_size=3),
+           options=report_options())
+    def test_sweep_report_bytes(self, results, options):
+        assert render_sweep_report(results, options, fmt="json") == (
+            reference_json_sweep_report(results, options))
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.025])
+    def test_many_segment_run_and_sweep(self, amplitude):
+        sc = parse_scenario(many_segment_scenario(5, amplitude))
+        _, summary = run(sc.network, sc.robot, sc.gear, sc.sim)
+        options = ReportOptions(tracks=("C", "A"), segments=(0, 7, 199), ape=True)
+        for opts in (sc.report, options):
+            assert render_report(summary, opts, fmt="json").split("\n") == (
+                reference_json_report(summary, opts).split("\n"))
+        results = [(0.0, summary), (-0.0, summary)]
+        assert render_sweep_report(results, sc.report, fmt="json").split("\n") == (
+            reference_json_sweep_report(results, sc.report).split("\n"))

@@ -344,7 +344,66 @@ class TestAgainstTheTickStepper:
         records, expected = reference_run(net, sc.robot, sc.gear, params)
         assert list(trace) == records
         assert summary == expected
-        assert render_trace(trace) == reference_csv(records)
+        # Lines, so that a mismatch reports its first differing row at once.
+        assert render_trace(trace).split("\n") == reference_csv(records).split("\n")
+
+
+class TestSummaryEdges:
+    """``_summarize`` works on whole-trace columns; these runs reach the
+    edges of that layout, each against the tick-by-tick reference."""
+
+    def check(self, net, robot, gear, params):
+        trace, summary = run(net, robot, gear, params)
+        records, expected = reference_run(net, robot, gear, params)
+        assert list(trace) == records
+        assert summary == expected
+        return trace, summary
+
+    def test_first_segment_impassable_gives_no_records_and_no_segments(
+        self, reference_scenario
+    ):
+        # The 61 mm robot cannot fit a 20 mm elbow at all.
+        sc = reference_scenario
+        net = planar_network(sc.network.spec, [("bend", 20.0, 90.0, 1), ("straight", 50.0)])
+        trace, summary = self.check(net, sc.robot, sc.gear, sc.sim)
+        assert len(trace) == 0 and summary.segments == ()
+        assert summary.error == "robot length 61 mm cannot chord a bend of radius 20 mm"
+        assert summary.total_time == 0.0 and summary.max_compression == 0.0
+        assert all(track.max_ape is None for track in summary.tracks)
+
+    def test_t_max_stop_inside_a_segment_window(self, reference_scenario):
+        # The first straight's window spans 0.9 s to 8.1 s at 35 mm/s.
+        sc = reference_scenario
+        params = replace(sc.sim, t_max=5.0, disturbance=DisturbanceConfig(0.025, 7))
+        trace, summary = self.check(sc.network, sc.robot, sc.gear, params)
+        assert summary.stop_reason == "t_max" and len(summary.segments) == 1
+        assert 31.5 < trace.s[-1] < 283.5
+        assert summary.segments[0].exit_time == trace.t[-1] == 5.0
+
+    def test_a_segment_whose_window_holds_no_record_averages_all_of_them(
+        self, reference_scenario
+    ):
+        # The 0.4 mm straight holds two records, 0.030 mm and 0.375 mm past
+        # its start: both outside its window of 0.04 mm to 0.36 mm.
+        sc = reference_scenario
+        net = planar_network(sc.network.spec,
+                             [("straight", 30.06), ("straight", 0.4), ("bend", 335.0, 90.0, 1)])
+        params = replace(sc.sim, disturbance=DisturbanceConfig(0.025, 2))
+        trace, summary = self.check(net, sc.robot, sc.gear, params)
+        offsets = trace.s[trace.segment == 1] - net.arc_start(1)
+        assert len(offsets) == 2
+        assert not ((0.04 <= offsets) & (offsets <= 0.36)).any()
+        v = trace.v[trace.segment == 1]
+        assert summary.segments[1].mean_speeds == tuple((v[0] + v[1]) / 2.0)
+        assert all(ape is not None for ape in summary.segments[1].ape)
+
+    @pytest.mark.parametrize("block_rows", [3, 7])
+    def test_disturbed_run_in_small_blocks(self, reference_scenario, block_rows):
+        sc = reference_scenario
+        params = replace(sc.sim, dt=0.05, disturbance=DisturbanceConfig(0.025, 7))
+        with mock.patch.object(simulator, "BLOCK_ROWS", block_rows):
+            _, summary = self.check(sc.network, sc.robot, sc.gear, params)
+        assert summary.completed and len(summary.segments) == 4
 
 
 class TestEffectiveRobotPath:

@@ -74,19 +74,22 @@ def module_state(
     if base < 0.0:
         raise NoFitError(
             f"pipe radius {spec.inner_radius:g} mm is beyond module reach; "
-            "no wall contact at zero compression"
+            "no wall contact at zero compression",
+            quantity="reach", value=base, limit=0.0,
         )
     if base > cfg.max_compression:
         raise NoFitError(
             f"straight pipe requires {base:.3f} mm compression, "
-            f"limit is {cfg.max_compression:g} mm"
+            f"limit is {cfg.max_compression:g} mm",
+            quantity="compression", value=base, limit=cfg.max_compression,
         )
     if isinstance(segment, Straight):
         return ModuleState((base, base, base), (0.0, 0.0, 0.0))
     radius = segment.radius
     if cfg.length >= 2.0 * radius:
         raise NoFitError(
-            f"robot length {cfg.length:g} mm cannot chord a bend of radius {radius:g} mm"
+            f"robot length {cfg.length:g} mm cannot chord a bend of radius {radius:g} mm",
+            quantity="chord", value=cfg.length, limit=2.0 * radius,
         )
     # Each module's in-plane share of the sagitta and of the chord angle.
     shares = tuple(abs(math.cos(theta + offset)) for offset in MODULE_OFFSETS)
@@ -94,17 +97,21 @@ def module_state(
     deltas = tuple(base + sagitta * share for share in shares)
     worst = max(deltas)
     if worst > cfg.max_compression:
+        module = deltas.index(worst)
         raise NoFitError(
             f"bend of radius {radius:g} mm requires {worst:.3f} mm compression "
-            f"on module {deltas.index(worst)}, limit is {cfg.max_compression:g} mm"
+            f"on module {module}, limit is {cfg.max_compression:g} mm",
+            module=module, quantity="compression", value=worst, limit=cfg.max_compression,
         )
     half_chord_deg = math.degrees(math.asin(cfg.length / (2.0 * radius)))
     tilts = tuple(half_chord_deg * share for share in shares)
     worst = max(tilts)
     if worst > cfg.max_tilt_deg:
+        module = tilts.index(worst)
         raise NoFitError(
             f"bend of radius {radius:g} mm demands {worst:.2f} deg "
-            f"asymmetric compression on module {tilts.index(worst)}, "
-            f"limit is {cfg.max_tilt_deg:g} deg"
+            f"asymmetric compression on module {module}, "
+            f"limit is {cfg.max_tilt_deg:g} deg",
+            module=module, quantity="tilt", value=worst, limit=cfg.max_tilt_deg,
         )
     return ModuleState(deltas, tilts)

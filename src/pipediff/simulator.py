@@ -9,20 +9,26 @@ dynamics are modeled.
 The model is piecewise constant: compressions, tilts, demanded and resolved
 speeds depend only on the segment.  ``run`` plans them once, as per-segment
 columns over the segments the robot can enter: in order, up to the first
-that fails its checks.  It then steps each segment as one block of numpy
-columns: record times are ``k * dt``, and positions and per-track
-distances are running sums over the block.  A block ends at the first
-record that stops the run or whose next step leaves the segment.  Speeds
-switch at the first record after a segment boundary; there is no blending.
-The step that enters the first impassable segment aborts the run, even one
-that jumps past whole segments.
+that fails its checks.  It then steps in blocks of numpy columns that span
+as many segments as their records reach: record times are ``k * dt``, and
+positions and per-track distances are running sums over the block.  Each
+block speculates, verifies, then commits.  It guesses every record's
+segment from the positions the current segment's mean speed reaches,
+steps with the guessed segments' speeds, and locates every formed position
+again.  It keeps the records up to the first whose segment was guessed
+wrong, or through the first that stops the run, and the next block starts
+at the first record not kept.  Speeds switch at the first record after a
+segment boundary; there is no blending.  The step that enters the first
+impassable segment aborts the run, even one that jumps past whole
+segments.
 
 Runs are deterministic: identical inputs, including the disturbance seed,
-produce bit-identical traces.  The block arithmetic does the same
-floating-point operations in the same order as stepping one tick at a time
-(``np.cumsum`` adds in sequence, the 3-term mean is ``math.fsum``), and the
-disturbance takes one row of draws per record in the generator's stream
-order.  Independent runs share nothing and may execute in parallel.
+produce bit-identical traces.  The kept records do the same floating-point
+operations in the same order as stepping one tick at a time (``np.cumsum``
+adds in sequence, the 3-term mean is ``math.fsum``, and a block starts
+from a kept position), and the disturbance takes one row of draws per
+record in the generator's stream order.  Independent runs share nothing and
+may execute in parallel.
 """
 
 import math
@@ -41,8 +47,9 @@ from .transmission import GearTrainConfig
 # transients at the joints.
 WINDOW_MARGIN = 0.1
 
-# Most records one stepping block holds.  A longer segment takes several
-# blocks, so a block's working arrays stay a few hundred kilobytes.
+# Most records one stepping block forms.  A block crosses segment joints, so
+# a run takes about one block per this many records, not one per segment,
+# and a block's working arrays stay a few hundred kilobytes.
 BLOCK_ROWS = 4096
 
 
@@ -207,6 +214,7 @@ class _Plan:
     """Per-segment columns over the m segments a run can enter."""
 
     resolved: np.ndarray  # (m, 3) mm/s
+    means: np.ndarray  # (m,) mm/s, ``math.fsum`` of the resolved speeds over 3
     demanded: np.ndarray  # (m, 3) mm/s
     compressions: np.ndarray  # (m, 3) mm
     max_tilt_deg: np.ndarray  # (m,)
@@ -225,8 +233,10 @@ def _plan(
     theta, dt = params.theta_rad, params.dt
     amplitude = params.disturbance.amplitude
     # Bounds on the records the run forms up to the end of the segment being
-    # planned (a block forms up to two past its segment, none past the last
-    # that ``t_max`` keeps) and on the sum of the three track speeds so far.
+    # planned and on the sum of the three track speeds so far.  Blocks form
+    # up to two records past the end of the planned prefix, so the bound of
+    # its last segment covers them, and none past the last that ``t_max``
+    # keeps.
     limit = math.inf if params.t_max is None else params.t_max / dt + 2.0
     count = speeds = 0.0
     rows = []
@@ -260,9 +270,10 @@ def _plan(
         if not all(map(math.isfinite, (formed * dt, formed * speeds * dt, formed * speeds))):
             error = f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s leave the float range"
             break
-        rows.append(resolved + demanded.as_tuple() + state.compressions + (max(state.tilts_deg),))
-    table = np.reshape(rows, (-1, 10))
-    return _Plan(table[:, 0:3], table[:, 3:6], table[:, 6:9], table[:, 9], error)
+        rows.append(resolved + (math.fsum(resolved) / 3.0,) + demanded.as_tuple()
+                    + state.compressions + (max(state.tilts_deg),))
+    table = np.reshape(rows, (-1, 11))
+    return _Plan(table[:, 0:3], table[:, 3], table[:, 4:7], table[:, 7:10], table[:, 10], error)
 
 
 def _running_sums(first, increments: np.ndarray) -> np.ndarray:
@@ -272,6 +283,33 @@ def _running_sums(first, increments: np.ndarray) -> np.ndarray:
     sums[0] = first
     sums[1:] = increments
     return sums.cumsum(axis=0)
+
+
+def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
+    """Speculate ``rows`` records from position ``s`` in segment ``index``.
+
+    Each record's segment is guessed by locating the positions that the
+    current segment's mean speed reaches, clamped to the planned prefix;
+    with ``draws`` (disturbed runs) the guess is refined once from plain
+    row sums of the disturbed speeds.  Returns the guessed segments, the
+    records' mean and track speeds, and ``rows + 1`` positions and
+    distances: the records' and, last, where the next record would start.
+    """
+    last = len(plan.resolved) - 1
+
+    def guess(positions):
+        return np.minimum(np.searchsorted(starts, positions, side="right") - 1, last)
+
+    segment = guess(_running_sums(s, np.full(rows - 1, plan.means[index] * dt)))
+    if draws is None:
+        v, means = plan.resolved[segment], plan.means[segment]
+    else:
+        v = apply_disturbance(plan.resolved[segment], amplitude, draws)
+        segment = guess(_running_sums(s, v.mean(axis=1)[:-1] * dt))
+        v = apply_disturbance(plan.resolved[segment], amplitude, draws)
+        means = np.fromiter(map(math.fsum, zip(*v.T.tolist())), float, len(v)) / 3.0
+    return (segment, means, v, _running_sums(s, means * dt),
+            _running_sums(distance, v * dt))
 
 
 def _window_means(column: np.ndarray, windows, counts) -> list:
@@ -316,8 +354,11 @@ def run(
     rng = np.random.default_rng(params.disturbance.seed) if amplitude > 0.0 else None
     plan = _plan(net, robot, gear, params, v_nominal)
     passable = len(plan.resolved)
-    # The sentinel start ends the last segment's block only at ``total``.
-    starts = [net.arc_start(i) for i in range(len(net.segments))] + [math.inf]
+    starts = np.array([net.arc_start(i) for i in range(len(net.segments))] + [math.inf])
+    # Blocks form records up to the end of the planned prefix, the span that
+    # the plan's float-range rule covers; the sentinel start ends a prefix
+    # that holds every segment.
+    end = min(total, float(starts[passable]))
 
     # Each column's parts start with an empty array, so that a run without
     # records still joins to columns of the right shape.
@@ -326,59 +367,58 @@ def run(
     draws = np.empty((0, 3))  # disturbance draws not used yet, in stream order
     s = 0.0
     k = 0
-    index = 0
     distance = np.zeros(3)
     completed = False
     stop_reason = None
-    error = None if passable else plan.error
-    while error is None:
-        resolved = plan.resolved[index]
-        mean_v = math.fsum(resolved) / 3.0
-        boundary = min(starts[index + 1], total)
-        # Enough rows to reach the boundary at the slowest disturbed speed,
-        # and none past ``t_max``.
-        step = mean_v * dt * (1.0 - amplitude)
-        to_boundary = (boundary - s) / step if step > 0.0 else 0.0
-        rows = int(min(to_boundary, t_max / dt - k, BLOCK_ROWS - 2)) + 2
-        if rng is None:
-            v = np.full((rows, 3), resolved)
-            means = np.full(rows, mean_v)
-        else:
-            if len(draws) < rows:
-                draws = np.concatenate((draws, rng.uniform(-1.0, 1.0, size=(BLOCK_ROWS, 3))))
-            v = apply_disturbance(resolved, amplitude, draws[:rows])
-            means = np.array([math.fsum(r) for r in v.tolist()]) / 3.0
+    error = None
+    while True:
+        # Joints belong to the later segment.  The step that enters the first
+        # impassable segment aborts the run, even one that jumps past it.
+        index = int(np.searchsorted(starts, s, side="right")) - 1
+        if index >= passable:
+            error = plan.error
+            break
+        # Enough rows to reach the end of the prefix at the slowest disturbed
+        # speed, and none past ``t_max``.
+        step = plan.means[index] * dt * (1.0 - amplitude)
+        to_end = (end - s) / step if step > 0.0 else 0.0
+        rows = int(min(to_end, t_max / dt - k, BLOCK_ROWS - 2)) + 2
+        if rng is not None and len(draws) < rows:
+            draws = np.concatenate((draws, rng.uniform(-1.0, 1.0, size=(BLOCK_ROWS, 3))))
+        segment, means, v, positions, distances = _step_block(
+            plan, starts, index, s, distance, rows, dt,
+            amplitude, draws[:rows] if rng is not None else None,
+        )
+        np.minimum(positions, total, out=positions)  # the run ends at the network's end
         t = np.arange(k, k + rows, dtype=float) * dt
-        positions = _running_sums(s, means * dt)
-        distances = _running_sums(distance, v * dt)
-        # The block's last record is the first that stops the run or whose
-        # next step leaves the segment; a stop on that record wins.
-        ends = (positions[:-1] >= total) | (means <= 0.0) | (positions[1:] >= boundary)
-        ends |= t >= t_max - 1e-12
-        hits = np.flatnonzero(ends)
-        n = int(hits[0]) + 1 if hits.size else rows
-        for name, column in (("t", t), ("s", positions), ("v", v), ("distance", distances)):
+        located = np.searchsorted(starts, positions[:-1], side="right") - 1
+        stops = (positions[:-1] >= total) | (t >= t_max - 1e-12) | (means <= 0.0)
+        # Keep the records up to the first whose segment was guessed wrong,
+        # or through the first that stops the run, whichever comes first.
+        misses, hits = np.flatnonzero(located != segment), np.flatnonzero(stops)
+        n = int(misses[0]) if misses.size else rows
+        stopped = hits.size > 0 and hits[0] < n
+        if stopped:
+            n = int(hits[0]) + 1
+        for name, column in (("t", t), ("s", positions), ("segment", segment), ("v", v),
+                             ("distance", distances)):
             parts[name].append(column[:n])
-        parts["segment"].append(np.full(n, index))
         draws = draws[n:]
-        if positions[n - 1] >= total:
-            completed = True
+        if stopped:
+            index = int(segment[n - 1])
+            if positions[n - 1] >= total:
+                completed = True
+            elif t[n - 1] >= t_max - 1e-12:
+                stop_reason = "t_max"
+            else:
+                mean = float(means[n - 1])
+                error = f"stalled: mean track speed {mean:g} mm/s is not positive"
             break
-        if t[n - 1] >= t_max - 1e-12:
-            stop_reason = "t_max"
-            break
-        if means[n - 1] <= 0.0:
-            error = f"stalled: mean track speed {float(means[n - 1]):g} mm/s is not positive"
-            break
-        s = min(float(positions[n]), total)
+        # The kept records stepped at their own segments' speeds, so the next
+        # block starts from the same position the tick loop would reach.
+        s = float(positions[n])
         distance = distances[n]
         k += n
-        # Joints belong to the later segment.  Check every segment entered
-        # on this step, including any the step jumped past entirely.
-        while error is None and s >= starts[index + 1]:
-            index += 1
-            if index == passable:
-                error = plan.error
 
     # Segments up to the last one entered are summarised, never an impassable one.
     entered = min(index + 1, passable)

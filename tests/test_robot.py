@@ -137,26 +137,48 @@ ELBOW = Bend(radius=335.0, sweep_deg=90.0, normal=Y)
 
 
 @pytest.mark.parametrize(
-    "overrides, inner_radius, segment, message",
+    "overrides, inner_radius, segment, message, fields",
     [
+        # 5 + (13.2 - 19.2) mm: the springs fall 1 mm short of the wall
         ({}, 19.2, CHORDLESS,
-         "pipe radius 19.2 mm is beyond module reach; no wall contact at zero compression"),
-        ({}, 1.2, CHORDLESS, "straight pipe requires 17.000 mm compression, limit is 16 mm"),
-        ({}, 13.2, CHORDLESS, "robot length 61 mm cannot chord a bend of radius 30 mm"),
+         "pipe radius 19.2 mm is beyond module reach; no wall contact at zero compression",
+         (None, "reach", -1.0, 0.0)),
+        ({}, 1.2, CHORDLESS, "straight pipe requires 17.000 mm compression, limit is 16 mm",
+         (None, "compression", 17.0, 16.0)),
+        ({}, 13.2, CHORDLESS, "robot length 61 mm cannot chord a bend of radius 30 mm",
+         (None, "chord", 61.0, 60.0)),
         # 5 + 200**2 / (8 * 335) mm, while asin(200 / 670) = 17.4 deg also breaks the tilt limit
         ({"length": 200.0}, 13.2, ELBOW,
-         "bend of radius 335 mm requires 19.925 mm compression on module 0, limit is 16 mm"),
+         "bend of radius 335 mm requires 19.925 mm compression on module 0, limit is 16 mm",
+         (0, "compression", 5.0 + 200.0**2 / (8.0 * 335.0), 16.0)),
         ({"length": 140.0}, 13.2, ELBOW,
          "bend of radius 335 mm demands 12.06 deg asymmetric compression on module 0, "
-         "limit is 10 deg"),
+         "limit is 10 deg",
+         (0, "tilt", math.degrees(math.asin(140.0 / 670.0)), 10.0)),
     ],
     ids=["beyond reach", "too narrow", "no chord", "bend compression", "tilt"],
 )
-def test_module_state_check_order(overrides, inner_radius, segment, message):
+def test_module_state_check_order(overrides, inner_radius, segment, message, fields):
     robot = make_robot(**overrides)
     with pytest.raises(NoFitError) as caught:
         module_state(robot, PipeSpec(inner_radius=inner_radius), segment, 0.0)
-    assert str(caught.value) == message
+    error = caught.value
+    assert str(error) == message
+    # The failed check as data: module, quantity, value and limit.
+    module, quantity, value, limit = fields
+    assert (error.module, error.quantity, error.limit) == (module, quantity, limit)
+    assert error.value == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("overrides, quantity", [({"length": 200.0}, "compression"),
+                                                 ({"length": 140.0}, "tilt")])
+def test_no_fit_error_names_the_worst_module(overrides, quantity):
+    # At theta = 240 deg module 1 (offset 120 deg) faces the bend centre.
+    robot = make_robot(**overrides)
+    with pytest.raises(NoFitError) as caught:
+        module_state(robot, PipeSpec(inner_radius=13.2), ELBOW, 4.0 * math.pi / 3.0)
+    assert (caught.value.module, caught.value.quantity) == (1, quantity)
+    assert "on module 1," in str(caught.value)
 
 
 def test_config_validation():

@@ -33,7 +33,7 @@ from pipediff import (
     serialize_scenario,
     write_trace,
 )
-from pipediff import report
+from pipediff import report, simulator
 from pipediff.cli import main
 from pipediff.scenario import KEYS
 
@@ -524,6 +524,16 @@ class TestManySegmentPins:
             for text in (render_trace(records), render_report(summary, sc.report, fmt="json"))
         )
         assert digests == self.PINS[amplitude]
+
+    @pytest.mark.parametrize("amplitude", sorted(PINS))
+    def test_stepping_passes_follow_the_records_not_the_segments(self, amplitude):
+        # One stepping block spans as many of the 200 segments as its records
+        # reach, so the passes are bounded by the record count alone.
+        sc = parse_scenario(many_segment_scenario(11, amplitude))
+        with mock.patch.object(simulator, "_step_block", wraps=simulator._step_block) as step:
+            records, summary = run(sc.network, sc.robot, sc.gear, sc.sim)
+        assert summary.completed
+        assert step.call_count <= math.ceil(len(records) / (simulator.BLOCK_ROWS - 2)) + 2
 
 
 class TestReports:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -251,6 +252,25 @@ class TestSegmentAdmissibility:
         )
         assert records and all(r.segment == 0 for r in records)
 
+    def test_blocks_stay_inside_the_float_range_past_an_abort(self, reference_scenario):
+        # At 3.5e-299 mm/s and dt = 1e305 s the first 3.5e6 mm step jumps from
+        # the straight past the impassable elbow into the 1e12 mm straight.
+        # The plan bounds record times only up to the elbow: a block sized to
+        # the network's end would form 4,096 of them and overflow at 1.8e308 s.
+        sc = reference_scenario
+        net = planar_network(sc.network.spec,
+                             [("straight", 320.0), ("bend", 40.0, 5.0, 1), ("straight", 1e12)])
+        params = replace(sc.sim, dt=1e305, omega_u=sc.sim.omega_u * 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace, summary = run(net, sc.robot, sc.gear, params)
+        assert not summary.completed
+        assert summary.error == (
+            "bend of radius 40 mm requires 16.628 mm compression on module 0, "
+            "limit is 16 mm"
+        )
+        assert len(trace) == 1 and trace.segment.tolist() == [0]
+
     @pytest.mark.parametrize("amplitude", [0.0, 0.025])
     def test_a_segment_crossed_within_one_step_is_reported(self, reference_text, amplitude):
         # At dt = 0.5 s one 17.5 mm step crosses the 0.1 mm straight whole.
@@ -322,7 +342,8 @@ class TestAgainstTheTickStepper:
                 ),
             ),
             min_size=1,
-            max_size=6,
+            # Long enough that one block spans many joints.
+            max_size=24,
         ),
         dt=st.one_of(st.floats(0.01, 2.0), st.sampled_from((0.1, 0.2, 0.5))),
         theta_deg=st.floats(0.0, 360.0),

@@ -21,7 +21,6 @@ from .geometry import (
     PipeSpec,
     Segment,
     Straight,
-    Violation,
     module_path_radius,
     segment_length,
     validate_network,
@@ -29,7 +28,6 @@ from .geometry import (
 from .kinematics import (
     TrackSpeeds,
     apply_disturbance,
-    resolved_speeds,
     theoretical_speeds,
 )
 from .report import (
@@ -40,9 +38,8 @@ from .report import (
     write_trace,
 )
 from .robot import (
-    ModuleState,
     RobotConfig,
-    module_state,
+    module_states,
 )
 from .scenario import (
     ReportOptions,
@@ -63,10 +60,7 @@ from .simulator import (
 )
 from .transmission import (
     GearTrainConfig,
-    LoadKind,
     LoadState,
-    OutputLoad,
-    SpeedSolution,
     free,
     imposed_speed,
     imposed_torque,

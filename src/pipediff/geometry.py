@@ -46,6 +46,7 @@ class PipeSpec:
 class Straight:
     length: float  # mm
     axis: Vec3 | None = None  # unit direction of travel; None continues the incoming tangent
+    radius = math.inf  # not a field: a straight is a bend of infinite radius
 
 
 @dataclass(frozen=True)

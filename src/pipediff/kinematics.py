@@ -1,12 +1,12 @@
-"""Per-segment track speeds and their resolution by the differential.
+"""Track speeds the pipe geometry demands, and their seeded disturbance.
 
 ``theoretical_speeds`` gives the speeds the geometry demands: uniform in a
 straight, scaled by each module's path radius inside a bend.  Because the
 three path radii average to the bend radius, the demanded speeds always
 average to the nominal speed, which is exactly the budget the differential
-distributes -- so the wall constraints are feasible and the resolved speeds
-match the geometric ones.  That is the no-slip mechanism, restated at the
-level where it is literally true.
+distributes -- so the wall constraints are feasible and the differential
+delivers the demanded speeds.  That is the no-slip mechanism, restated at
+the level where it is literally true.
 
 The path radius uses the wall radius of the pipe: under maintained contact
 a module's contact point sits on the inner wall, so its distance from the
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Segment, Straight, module_path_radius
-from .robot import RobotConfig
-from .transmission import GearTrainConfig, LoadState, imposed_speed, solve_output_speeds
 
 TRACK_NAMES = ("A", "B", "C")
 
@@ -61,25 +59,6 @@ def theoretical_speeds(
         v_nominal * module_path_radius(segment, theta, i, contact_radius) / segment.radius
         for i in range(3)
     ))
-
-
-def resolved_speeds(
-    gear: GearTrainConfig, robot: RobotConfig, demanded: TrackSpeeds, omega_u: float
-) -> TrackSpeeds:
-    """Track speeds after the differential distributes the input.
-
-    The wall imposes each ``demanded`` track speed (from
-    ``theoretical_speeds``) as a per-output speed constraint; the train
-    honors them whenever they respect its speed-sum budget, which the bend
-    geometry guarantees when ``v_nominal = ratio * omega_u * sprocket_radius``.
-
-    Raises:
-        InfeasibleConstraintError: the demands break the speed-sum budget.
-    """
-    r = robot.sprocket_radius
-    loads = LoadState(tuple(imposed_speed(v / r) for v in demanded.as_tuple()))
-    solution = solve_output_speeds(gear, omega_u, loads)
-    return TrackSpeeds(*(w * r for w in solution.as_tuple()))
 
 
 def apply_disturbance(speeds, amplitude: float, draws: np.ndarray) -> np.ndarray:

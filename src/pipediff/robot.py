@@ -10,14 +10,17 @@ sees a tighter effective cross-section; the chord-sagitta height
 is the extra squeeze, distributed over the modules by how much of their
 contact direction lies in the bend plane (|cos theta_i|).  The same
 projection scales the asymmetric front/rear compression, reported as a
-per-module tilt angle and checked against the robot's tilt limit.
+per-module tilt angle and checked against the robot's tilt limit.  A
+straight is a bend of infinite radius, with sagitta and chord angle 0.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NoFitError
-from .geometry import MODULE_OFFSETS, PipeSpec, Segment, Straight
+from .geometry import MODULE_OFFSETS, PipeSpec, Segment
 
 
 @dataclass(frozen=True)
@@ -51,67 +54,65 @@ class RobotConfig:
             raise ValueError("preload_compression exceeds max_compression")
 
 
-@dataclass(frozen=True)
-class ModuleState:
-    """Spring state of the three modules at one position along the pipe."""
-
-    compressions: tuple[float, float, float]  # mm
-    tilts_deg: tuple[float, float, float]  # deg, asymmetric front/rear share
+def first_failure(failing) -> int:
+    """Index of the first True in ``failing``, or its length when none is."""
+    hits = np.flatnonzero(failing)
+    return int(hits[0]) if hits.size else len(failing)
 
 
-def module_state(
-    cfg: RobotConfig, spec: PipeSpec, segment: Segment, theta: float
-) -> ModuleState:
-    """Admissible spring state inside ``segment``, or NoFitError.
+def module_states(cfg: RobotConfig, spec: PipeSpec, segments: tuple[Segment, ...],
+                  theta: float) -> tuple[np.ndarray, np.ndarray, NoFitError | None]:
+    """(m, 3) compressions (mm) and tilts (deg) of the first m ``segments``,
+    and the NoFitError of segment m, or None when m covers them all.
 
-    The checks run in this order: wall contact and the compression limit
-    of the straight pipe, then, inside a bend, that the body can chord it,
-    the bend's compression and its tilt.  A violated limit is always
-    surfaced as an error, never clamped.  Bend compressions converge to the
-    straight-pipe value as the bend radius grows.
-    """
+    The checks, in order: wall contact and the straight pipe's compression
+    limit, then the body's chord, the bend's compression and its tilt.  Each
+    cuts the rows at its first failure before the earlier cuts, which gives
+    the first failing segment and its first failing check.  A violated
+    limit is always surfaced as an error, never clamped."""
     base = cfg.preload_compression + (cfg.nominal_body_radius - spec.inner_radius)
-    if base < 0.0:
-        raise NoFitError(
+    radius = np.array([segment.radius for segment in segments], dtype=float)
+    m, error = len(radius), None
+    if m and base < 0.0:
+        m, error = 0, NoFitError(
             f"pipe radius {spec.inner_radius:g} mm is beyond module reach; "
-            "no wall contact at zero compression",
-            quantity="reach", value=base, limit=0.0,
-        )
-    if base > cfg.max_compression:
-        raise NoFitError(
+            "no wall contact at zero compression", quantity="reach", value=base, limit=0.0)
+    elif m and base > cfg.max_compression:
+        m, error = 0, NoFitError(
             f"straight pipe requires {base:.3f} mm compression, "
             f"limit is {cfg.max_compression:g} mm",
-            quantity="compression", value=base, limit=cfg.max_compression,
-        )
-    if isinstance(segment, Straight):
-        return ModuleState((base, base, base), (0.0, 0.0, 0.0))
-    radius = segment.radius
-    if cfg.length >= 2.0 * radius:
-        raise NoFitError(
-            f"robot length {cfg.length:g} mm cannot chord a bend of radius {radius:g} mm",
-            quantity="chord", value=cfg.length, limit=2.0 * radius,
-        )
+            quantity="compression", value=base, limit=cfg.max_compression)
+    # 2 * R past R = 9e307 mm and L**2 past L = 1.3e154 mm are inf, and a
+    # straight's sagitta stays 0 where L**2 / inf would be inf / inf.
+    with np.errstate(over="ignore"):
+        cut = first_failure(cfg.length >= 2.0 * radius[:m])
+        if cut < m:
+            m, error = cut, NoFitError(
+                f"robot length {cfg.length:g} mm cannot chord a bend of radius {radius[cut]:g} mm",
+                quantity="chord", value=cfg.length, limit=2.0 * float(radius[cut]))
+        radius = radius[:m]
+        sagitta = np.divide(np.float64(cfg.length) ** 2, 8.0 * radius,
+                            out=np.zeros(m), where=radius < math.inf)
     # Each module's in-plane share of the sagitta and of the chord angle.
-    shares = tuple(abs(math.cos(theta + offset)) for offset in MODULE_OFFSETS)
-    sagitta = cfg.length ** 2 / (8.0 * radius)
-    deltas = tuple(base + sagitta * share for share in shares)
-    worst = max(deltas)
-    if worst > cfg.max_compression:
-        module = deltas.index(worst)
-        raise NoFitError(
-            f"bend of radius {radius:g} mm requires {worst:.3f} mm compression "
+    shares = np.array([abs(math.cos(theta + offset)) for offset in MODULE_OFFSETS])
+    compressions = base + sagitta[:, None] * shares
+    worst = compressions.max(axis=1)
+    cut = first_failure(worst > cfg.max_compression)
+    if cut < m:
+        module, worst = int(np.argmax(compressions[cut])), float(worst[cut])
+        m, error = cut, NoFitError(
+            f"bend of radius {radius[cut]:g} mm requires {worst:.3f} mm compression "
             f"on module {module}, limit is {cfg.max_compression:g} mm",
-            module=module, quantity="compression", value=worst, limit=cfg.max_compression,
-        )
-    half_chord_deg = math.degrees(math.asin(cfg.length / (2.0 * radius)))
-    tilts = tuple(half_chord_deg * share for share in shares)
-    worst = max(tilts)
-    if worst > cfg.max_tilt_deg:
-        module = tilts.index(worst)
-        raise NoFitError(
-            f"bend of radius {radius:g} mm demands {worst:.2f} deg "
-            f"asymmetric compression on module {module}, "
-            f"limit is {cfg.max_tilt_deg:g} deg",
-            module=module, quantity="tilt", value=worst, limit=cfg.max_tilt_deg,
-        )
-    return ModuleState(deltas, tilts)
+            module=module, quantity="compression", value=worst, limit=cfg.max_compression)
+    # ``math.asin``, not ``np.arcsin``: the two differ in the last bit.
+    half_chord_deg = [math.degrees(math.asin(cfg.length / (2.0 * r))) for r in radius[:m].tolist()]
+    tilts = np.reshape(half_chord_deg, (m, 1)) * shares
+    worst = tilts.max(axis=1)
+    cut = first_failure(worst > cfg.max_tilt_deg)
+    if cut < m:
+        module, worst = int(np.argmax(tilts[cut])), float(worst[cut])
+        m, error = cut, NoFitError(
+            f"bend of radius {radius[cut]:g} mm demands {worst:.2f} deg "
+            f"asymmetric compression on module {module}, limit is {cfg.max_tilt_deg:g} deg",
+            module=module, quantity="tilt", value=worst, limit=cfg.max_tilt_deg)
+    return compressions[:m], tilts[:m], error

@@ -7,20 +7,21 @@ scenario constant, measured from each bend's inward direction; no roll
 dynamics are modeled.
 
 The model is piecewise constant: compressions, tilts, demanded and resolved
-speeds depend only on the segment.  ``run`` plans them once, as per-segment
-columns over the segments the robot can enter: in order, up to the first
-that fails its checks.  It then steps in blocks of numpy columns that span
-as many segments as their records reach: record times are ``k * dt``, and
-positions and per-track distances are running sums over the block.  Each
-block speculates, verifies, then commits.  It guesses every record's
-segment from the positions the current segment's mean speed reaches,
-steps with the guessed segments' speeds, and locates every formed position
-again.  It keeps the records up to the first whose segment was guessed
-wrong, or through the first that stops the run, and the next block starts
-at the first record not kept.  Speeds switch at the first record after a
-segment boundary; there is no blending.  The step that enters the first
-impassable segment aborts the run, even one that jumps past whole
-segments.
+speeds depend only on the segment.  ``run`` plans them once, as numpy
+columns over the whole network, a straight being a bend of infinite radius.
+Each check cuts the columns at its first failing row, so the plan keeps the
+segments the robot can enter: in order, up to the first that fails.  It
+then steps in blocks of numpy columns that span as many segments as their
+records reach: record times are ``k * dt``, and positions and per-track
+distances are running sums over the block.  Each block speculates,
+verifies, then commits.  It guesses every record's segment from the
+positions the current segment's mean speed reaches, steps with the guessed
+segments' speeds, and locates every formed position again.  It keeps the
+records up to the first whose segment was guessed wrong, or through the
+first that stops the run, and the next block starts at the first record
+not kept.  Speeds switch at the first record after a segment boundary;
+there is no blending.  The step that enters the first impassable segment
+aborts the run, even one that jumps past whole segments.
 
 Runs are deterministic: identical inputs, including the disturbance seed,
 produce bit-identical traces.  The kept records do the same floating-point
@@ -36,11 +37,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InfeasibleConstraintError, InvalidScenarioError, NoFitError
-from .geometry import Bend, PipeNetwork, segment_length, validate_network
-from .kinematics import TRACK_NAMES, apply_disturbance, resolved_speeds, theoretical_speeds
-from .robot import RobotConfig, module_state
-from .transmission import GearTrainConfig
+from .errors import InvalidScenarioError
+from .geometry import MODULE_OFFSETS, Bend, PipeNetwork, segment_length, validate_network
+from .kinematics import TRACK_NAMES, apply_disturbance
+from .robot import RobotConfig, first_failure, module_states
+from .transmission import GearTrainConfig, first_budget_miss
 
 # Fraction of a segment's arc excluded at each end of the reporting window:
 # speeds are averaged over the middle 80 percent, away from transition
@@ -221,59 +222,63 @@ class _Plan:
     error: str | None  # why segment m cannot be entered; None when m covers the network
 
 
-def _plan(
-    net: PipeNetwork,
-    robot: RobotConfig,
-    gear: GearTrainConfig,
-    params: SimParams,
-    v_nominal: float,
-) -> _Plan:
-    """Walk the segments in order up to the first that fails ``module_state``,
-    the differential solve or the float-range rule."""
-    theta, dt = params.theta_rad, params.dt
-    amplitude = params.disturbance.amplitude
-    # Bounds on the records the run forms up to the end of the segment being
-    # planned and on the sum of the three track speeds so far.  Blocks form
-    # up to two records past the end of the planned prefix, so the bound of
-    # its last segment covers them, and none past the last that ``t_max``
-    # keeps.
+def _plan(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: SimParams,
+          v_nominal: float) -> _Plan:
+    """Plan the segments up to the first that fails ``module_states``, the
+    differential's budget or the float-range rule, in that order: each rule
+    cuts the columns at its first failing row before the earlier cuts.
+    Rows past a cut may overflow; they are never kept."""
+    theta, dt, amplitude = params.theta_rad, params.dt, params.disturbance.amplitude
+    compressions, tilts, no_fit = module_states(robot, net.spec, net.segments, theta)
+    m, error = len(compressions), None if no_fit is None else str(no_fit)
+    radius = np.array([segment.radius for segment in net.segments[:m]]).reshape(m, 1)
+    lengths = np.array([segment_length(segment) for segment in net.segments[:m]])
+    cosines = np.array([math.cos(theta + offset) for offset in MODULE_OFFSETS])
+    # Bounds on the records the run forms up to the end of each segment and
+    # on the sum of the three track speeds so far.  Blocks form up to two
+    # records past the end of the planned prefix, so the bound of its last
+    # segment covers them, and none past the last that ``t_max`` keeps.
     limit = math.inf if params.t_max is None else params.t_max / dt + 2.0
-    count = speeds = 0.0
-    rows = []
-    error = None
     speed_range = f"track speeds exceed the float range at nominal speed {v_nominal:g} mm/s"
-    for segment in net.segments:
-        try:
-            state = module_state(robot, net.spec, segment, theta)
-            demanded = theoretical_speeds(segment, theta, v_nominal, net.spec.inner_radius)
-            # The differential's speed budget and the demands must sum inside
-            # the float range: the solve adds them up.
-            if not math.isfinite(3.0 * gear.ratio * params.omega_u + sum(demanded.as_tuple())):
-                error = speed_range
-                break
-            resolved = resolved_speeds(gear, robot, demanded, params.omega_u).as_tuple()
-        except (NoFitError, InfeasibleConstraintError) as exc:
-            error = str(exc)
-            break
-        speeds = max(speeds, sum(resolved) * (1.0 + amplitude))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # A bend's demands scale with the path radii R - r_c * cos(theta_i).
+        demanded = np.where(radius < math.inf,
+                            v_nominal * (radius - net.spec.inner_radius * cosines) / radius,
+                            v_nominal)
+        # The budget plus the demands must stay finite: the budget check adds them.
+        cut = first_failure(~np.isfinite(3.0 * gear.ratio * params.omega_u
+                                         + _row_sums(demanded[:m])))
+        if cut < m:
+            m, error = cut, speed_range
+        imposed = demanded / robot.sprocket_radius
+        cut, miss = first_budget_miss(gear, params.omega_u, imposed[:m].tolist())
+        if miss is not None:
+            m, error = cut, str(miss)
+        resolved = imposed * robot.sprocket_radius
         # A disturbed record slips by at most ``amplitude`` times its speeds,
         # and its percent error scales that slip by 100.
-        if not math.isfinite(100.0 * amplitude * speeds):
-            error = speed_range
-            break
-        # With the stepper's shortest step here, these bound every record
-        # time, position and distance it forms and any speed summed over a
-        # segment's records.
-        step = sum(resolved) / 3.0 * dt * (1.0 - amplitude)
-        count += segment_length(segment) / step + 2.0 if step > 0.0 else math.inf
-        formed = min(count, limit)
-        if not all(map(math.isfinite, (formed * dt, formed * speeds * dt, formed * speeds))):
-            error = f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s leave the float range"
-            break
-        rows.append(resolved + (math.fsum(resolved) / 3.0,) + demanded.as_tuple()
-                    + state.compressions + (max(state.tilts_deg),))
-    table = np.reshape(rows, (-1, 11))
-    return _Plan(table[:, 0:3], table[:, 3], table[:, 4:7], table[:, 7:10], table[:, 10], error)
+        speeds = np.maximum.accumulate(_row_sums(resolved) * (1.0 + amplitude))
+        cut = first_failure(~np.isfinite(100.0 * amplitude * speeds[:m]))
+        if cut < m:
+            m, error = cut, speed_range
+        # With the stepper's shortest step in each segment, these bound every
+        # record time, position and distance it forms and any speed summed
+        # over a segment's records.  ``np.cumsum`` adds in sequence.
+        step = _row_sums(resolved) / 3.0 * dt * (1.0 - amplitude)
+        count = np.cumsum(np.where(step > 0.0, lengths / step + 2.0, math.inf))
+        formed = np.minimum(count, limit)[:m]
+        cut = first_failure(~(np.isfinite(formed * dt) & np.isfinite(formed * speeds[:m] * dt)
+                              & np.isfinite(formed * speeds[:m])))
+        if cut < m:
+            m, error = cut, (f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s "
+                             "leave the float range")
+    means = np.fromiter(map(math.fsum, resolved[:m].tolist()), float, m) / 3.0
+    return _Plan(resolved[:m], means, demanded[:m], compressions[:m], tilts[:m].max(axis=1), error)
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's three entries added left to right, as Python's ``sum`` does."""
+    return rows[:, 0] + rows[:, 1] + rows[:, 2]
 
 
 def _running_sums(first, increments: np.ndarray) -> np.ndarray:
@@ -379,8 +384,8 @@ def run(
             error = plan.error
             break
         # Enough rows to reach the end of the prefix at the slowest disturbed
-        # speed, and none past ``t_max``.
-        step = plan.means[index] * dt * (1.0 - amplitude)
+        # speed, and none past ``t_max``.  Python floats: ``to_end`` may be inf.
+        step = float(plan.means[index]) * dt * (1.0 - amplitude)
         to_end = (end - s) / step if step > 0.0 else 0.0
         rows = int(min(to_end, t_max / dt - k, BLOCK_ROWS - 2)) + 2
         if rng is not None and len(draws) < rows:

@@ -122,6 +122,24 @@ def ring_speed(omega_side_left: float, omega_side_right: float) -> float:
     return (omega_side_left + omega_side_right) / 2.0
 
 
+def first_budget_miss(cfg: GearTrainConfig, omega_u: float,
+                      rows) -> tuple[int, InfeasibleConstraintError | None]:
+    """The first of ``rows`` of three imposed output speeds (rad/s) whose
+    exactly rounded sum misses the budget ``3 * ratio * omega_u`` by more
+    than ``FEASIBILITY_RTOL`` relative, with its error; or the number of
+    rows and None when every row meets it."""
+    target = 3.0 * cfg.ratio * omega_u
+    tolerance = FEASIBILITY_RTOL * max(1.0, abs(target))
+    for index, row in enumerate(rows):
+        total = math.fsum(row)
+        if abs(total - target) > tolerance:
+            return index, InfeasibleConstraintError(
+                f"imposed speeds sum to {total:g} rad/s but the train requires "
+                f"{target:g} rad/s (3 * ratio * omega_u)"
+            )
+    return len(rows), None
+
+
 def solve_output_speeds(cfg: GearTrainConfig, omega_u: float, loads: LoadState) -> SpeedSolution:
     """Distribute the speed budget ``3 * ratio * omega_u`` over the outputs.
 
@@ -152,12 +170,9 @@ def solve_output_speeds(cfg: GearTrainConfig, omega_u: float, loads: LoadState) 
         result[i] = entries[i].value
 
     if not open_idx:
-        total = math.fsum(result)
-        if abs(total - target) > FEASIBILITY_RTOL * max(1.0, abs(target)):
-            raise InfeasibleConstraintError(
-                f"imposed speeds sum to {total:g} rad/s but the train requires "
-                f"{target:g} rad/s (3 * ratio * omega_u)"
-            )
+        _, miss = first_budget_miss(cfg, omega_u, [result])
+        if miss is not None:
+            raise miss
     else:
         torque_vals = [entries[i].value for i in open_idx if entries[i].kind is LoadKind.TORQUE]
         scale = max((abs(t) for t in torque_vals), default=0.0)

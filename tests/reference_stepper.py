@@ -1,10 +1,14 @@
 """The tick-by-tick stepper that ``simulator.run`` replaced by a columnar
-block stepper, kept as the reference the block stepper must match exactly.
+block stepper, and the per-segment planner that ``simulator._plan`` replaced
+by whole-network columns, kept as the references the new code must match
+exactly.
 
-``reference_run`` steps one record per tick with plain Python floats and
-summarises record by record; ``reference_csv`` formats each value with
-``f"{x:.6f}"``.  Both are independent of the code under test apart from
-the per-segment physics (``module_state`` and the two speed solvers).
+``reference_module_state`` checks one segment at a time with plain Python
+floats; ``reference_plan`` walks the segments in order through it, the
+geometric demands and the general differential solver; ``reference_run``
+steps one record per tick and summarises record by record;
+``reference_csv`` formats each value with ``f"{x:.6f}"``.  They share only
+``theoretical_speeds`` and ``solve_output_speeds`` with the code under test.
 """
 
 import math
@@ -14,45 +18,140 @@ import numpy as np
 from pipediff import (
     Bend,
     InfeasibleConstraintError,
+    LoadState,
     NoFitError,
     RunSummary,
     SegmentSummary,
+    Straight,
     TRACE_HEADER,
     TrackTotals,
-    module_state,
-    resolved_speeds,
+    imposed_speed,
     segment_length,
+    solve_output_speeds,
     theoretical_speeds,
 )
-from pipediff.simulator import WINDOW_MARGIN, TraceRecord
+from pipediff.geometry import MODULE_OFFSETS
+from pipediff.simulator import WINDOW_MARGIN, TraceRecord, _Plan
+
+
+def reference_module_state(cfg, spec, segment, theta):
+    """``(compressions, tilts_deg)`` of the three modules inside ``segment``,
+    or NoFitError: reach, straight compression, chord, bend compression and
+    tilt, checked in that order."""
+    base = cfg.preload_compression + (cfg.nominal_body_radius - spec.inner_radius)
+    if base < 0.0:
+        raise NoFitError(
+            f"pipe radius {spec.inner_radius:g} mm is beyond module reach; "
+            "no wall contact at zero compression",
+            quantity="reach", value=base, limit=0.0,
+        )
+    if base > cfg.max_compression:
+        raise NoFitError(
+            f"straight pipe requires {base:.3f} mm compression, "
+            f"limit is {cfg.max_compression:g} mm",
+            quantity="compression", value=base, limit=cfg.max_compression,
+        )
+    if isinstance(segment, Straight):
+        return (base, base, base), (0.0, 0.0, 0.0)
+    radius = segment.radius
+    if cfg.length >= 2.0 * radius:
+        raise NoFitError(
+            f"robot length {cfg.length:g} mm cannot chord a bend of radius {radius:g} mm",
+            quantity="chord", value=cfg.length, limit=2.0 * radius,
+        )
+    shares = tuple(abs(math.cos(theta + offset)) for offset in MODULE_OFFSETS)
+    sagitta = cfg.length ** 2 / (8.0 * radius)
+    deltas = tuple(base + sagitta * share for share in shares)
+    worst = max(deltas)
+    if worst > cfg.max_compression:
+        module = deltas.index(worst)
+        raise NoFitError(
+            f"bend of radius {radius:g} mm requires {worst:.3f} mm compression "
+            f"on module {module}, limit is {cfg.max_compression:g} mm",
+            module=module, quantity="compression", value=worst, limit=cfg.max_compression,
+        )
+    half_chord_deg = math.degrees(math.asin(cfg.length / (2.0 * radius)))
+    tilts = tuple(half_chord_deg * share for share in shares)
+    worst = max(tilts)
+    if worst > cfg.max_tilt_deg:
+        module = tilts.index(worst)
+        raise NoFitError(
+            f"bend of radius {radius:g} mm demands {worst:.2f} deg "
+            f"asymmetric compression on module {module}, "
+            f"limit is {cfg.max_tilt_deg:g} deg",
+            module=module, quantity="tilt", value=worst, limit=cfg.max_tilt_deg,
+        )
+    return deltas, tilts
+
+
+def reference_plan(net, robot, gear, params):
+    """``(plan, rule)``: the segments planned one at a time, in order, up to
+    the first that fails a check, and the name of the rule that stopped the
+    plan (None when it covers the network)."""
+    theta, dt = params.theta_rad, params.dt
+    amplitude = params.disturbance.amplitude
+    v_nominal = gear.ratio * params.omega_u * robot.sprocket_radius
+    r = robot.sprocket_radius
+    limit = math.inf if params.t_max is None else params.t_max / dt + 2.0
+    count = speeds = 0.0
+    rows = []
+    error = rule = None
+    speed_range = f"track speeds exceed the float range at nominal speed {v_nominal:g} mm/s"
+    for segment in net.segments:
+        try:
+            compressions, tilts = reference_module_state(robot, net.spec, segment, theta)
+        except NoFitError as exc:
+            error, rule = str(exc), f"no fit: {exc.quantity}"
+            break
+        demanded = theoretical_speeds(segment, theta, v_nominal, net.spec.inner_radius)
+        if not math.isfinite(3.0 * gear.ratio * params.omega_u + sum(demanded.as_tuple())):
+            error, rule = speed_range, "demand range"
+            break
+        loads = LoadState(tuple(imposed_speed(v / r) for v in demanded.as_tuple()))
+        try:
+            solution = solve_output_speeds(gear, params.omega_u, loads)
+        except InfeasibleConstraintError as exc:
+            error, rule = str(exc), "budget"
+            break
+        resolved = tuple(w * r for w in solution.as_tuple())
+        speeds = max(speeds, sum(resolved) * (1.0 + amplitude))
+        if not math.isfinite(100.0 * amplitude * speeds):
+            error, rule = speed_range, "APE range"
+            break
+        step = sum(resolved) / 3.0 * dt * (1.0 - amplitude)
+        count += segment_length(segment) / step + 2.0 if step > 0.0 else math.inf
+        formed = min(count, limit)
+        if not all(map(math.isfinite, (formed * dt, formed * speeds * dt, formed * speeds))):
+            error = f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s leave the float range"
+            rule = "record range"
+            break
+        rows.append(resolved + (math.fsum(resolved) / 3.0,) + demanded.as_tuple()
+                    + compressions + (max(tilts),))
+    table = np.reshape(rows, (-1, 11))
+    plan = _Plan(table[:, 0:3], table[:, 3], table[:, 4:7], table[:, 7:10], table[:, 10], error)
+    return plan, rule
 
 
 def reference_run(net, robot, gear, params):
     """``(records, summary)`` for one run, one ``TraceRecord`` per tick."""
-    theta, wall = params.theta_rad, net.spec.inner_radius
     v_nominal = gear.ratio * params.omega_u * robot.sprocket_radius
-    plan = []
-    for seg in net.segments:
-        try:
-            state = module_state(robot, net.spec, seg, theta)
-            demanded = theoretical_speeds(seg, theta, v_nominal, wall)
-            resolved = resolved_speeds(gear, robot, demanded, params.omega_u).as_tuple()
-            plan.append((None, state, resolved, demanded.as_tuple()))
-        except (NoFitError, InfeasibleConstraintError) as exc:
-            plan.append((str(exc), None, None, None))
+    plan, _ = reference_plan(net, robot, gear, params)
+    passable = len(plan.resolved)
     total, dt, amplitude = net.total_length, params.dt, params.disturbance.amplitude
     rng = np.random.default_rng(params.disturbance.seed) if amplitude > 0.0 else None
     records, s, k, index, distances = [], 0.0, 0, 0, (0.0, 0.0, 0.0)
-    completed, stop_reason, error = False, None, plan[0][0]
+    completed, stop_reason = False, None
+    error = plan.error if passable == 0 else None
     while error is None:
-        _, state, v, demanded = plan[index]
+        v = tuple(plan.resolved[index].tolist())
+        demanded = tuple(plan.demanded[index].tolist())
         t = k * dt
         if rng is not None:
             u = rng.uniform(-1.0, 1.0, size=3)
             v = tuple(x * (1.0 + amplitude * float(f)) for x, f in zip(v, u))
         slip = tuple(abs(x - y) for x, y in zip(v, demanded))
         records.append(TraceRecord(t, s, index, params.theta_deg, v, demanded,
-                                   state.compressions, slip, distances))
+                                   tuple(plan.compressions[index].tolist()), slip, distances))
         if s >= total:
             completed = True
             break
@@ -66,23 +165,21 @@ def reference_run(net, robot, gear, params):
         s = min(s + mean_v * dt, total)
         distances = tuple(d + x * dt for d, x in zip(distances, v))
         k += 1
-        while error is None and index + 1 < len(plan) and s >= net.arc_start(index + 1):
+        while error is None and index + 1 < len(net.segments) and s >= net.arc_start(index + 1):
             index += 1
-            error = plan[index][0]
+            if index == passable:
+                error = plan.error
     # The segments entered: those starting at or before the last position
-    # reached, up to the first that failed its check.
-    entered = []
-    for i, (failure, state, resolved, _) in enumerate(plan):
-        if failure is not None or net.arc_start(i) > s:
-            break
-        entered.append((state, resolved))
-    summary = _reference_summary(net, robot, params, entered, records, v_nominal)
+    # reached, up to the first that failed its checks.
+    entered = [i for i in range(passable) if net.arc_start(i) <= s]
+    summary = _reference_summary(net, robot, params, plan, entered, records, v_nominal)
     return records, RunSummary(completed, stop_reason, error, *summary)
 
 
-def _reference_summary(net, robot, params, entered, records, v_nominal):
+def _reference_summary(net, robot, params, plan, entered, records, v_nominal):
     summaries = []
-    for index, (state, resolved) in enumerate(entered):
+    for index in entered:
+        resolved = tuple(plan.resolved[index].tolist())
         recs = [r for r in records if r.segment == index]
         later = [r for r in records if r.segment > index]
         exit_time = later[0].t if later else records[-1].t
@@ -100,7 +197,8 @@ def _reference_summary(net, robot, params, entered, records, v_nominal):
             highest = tuple(max(r.v[i] for r in recs) for i in range(3))
         else:  # crossed within one step
             mean = lowest = highest = resolved
-        compression, tilt = max(state.compressions), max(state.tilts_deg)
+        compression = max(plan.compressions[index].tolist())
+        tilt = float(plan.max_tilt_deg[index])
         summaries.append(SegmentSummary(
             index=index,
             kind=f"bend {segment.sweep_deg:g}deg" if isinstance(segment, Bend) else "straight",

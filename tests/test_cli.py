@@ -202,6 +202,13 @@ BAD_INPUTS = {
         lambda tmp, text: ["run", _fast(tmp, text, "1e306"), "--trace", str(tmp / "t.csv")],
         {}, 2, "error: track speeds exceed the float range at nominal speed 1.75e+307 mm/s",
     ),
+    # 1e200 ** 2 is past the float range; the elbow is wide enough to chord.
+    "run: a robot too long to square its length": (
+        lambda tmp, text: ["run", write_scenario(tmp, text.replace(
+            "length = 61.0", "length = 1e200").replace("radius = 335.0", "radius = 1e300"))],
+        {}, 2, "error: bend of radius 1e+300 mm requires inf mm compression on module 0, "
+        "limit is 16 mm",
+    ),
     "sweep: bend speeds past the float range": (
         lambda tmp, text: ["sweep", _fast(tmp, text, "1e306"), "--theta-steps", "2"],
         {}, 2, "error: track speeds exceed the float range at nominal speed 1.75e+307 mm/s",

@@ -7,29 +7,15 @@ from hypothesis import strategies as st
 
 from pipediff import (
     Bend,
-    GearTrainConfig,
-    InfeasibleConstraintError,
-    RobotConfig,
     Straight,
-    TrackSpeeds,
     apply_disturbance,
     module_path_radius,
-    resolved_speeds,
     theoretical_speeds,
 )
 
 Y = (0.0, 1.0, 0.0)
 BEND = Bend(radius=200.0, sweep_deg=90.0, normal=Y)
 STRAIGHT = Straight(length=100.0, axis=(0.0, 0.0, 1.0))
-
-
-def make_robot(sprocket_radius=25.0, nominal_body_radius=40.0):
-    return RobotConfig(
-        sprocket_radius=sprocket_radius,
-        length=61.0,
-        nominal_body_radius=nominal_body_radius,
-        preload_compression=5.0,
-    )
 
 
 class TestTheoreticalSpeeds:
@@ -77,45 +63,6 @@ class TestTheoreticalSpeeds:
             v_nominal * (1.0 - (r_c / BEND.radius) * math.cos(t)) for t in thetas
         ]
         assert track_a == pytest.approx(expected, rel=1e-12)
-
-
-class TestResolvedSpeeds:
-    def test_straight_equal_loads(self):
-        gear = GearTrainConfig(ratio=1.0)
-        robot = make_robot(sprocket_radius=25.0)
-        demanded = theoretical_speeds(STRAIGHT, 0.0, 50.0, 40.0)
-        speeds = resolved_speeds(gear, robot, demanded, 2.0)  # 1 * 2 * 25 = 50
-        assert speeds.as_tuple() == pytest.approx((50.0, 50.0, 50.0), rel=1e-12)
-
-    def test_bend_matches_theoretical(self):
-        gear = GearTrainConfig(ratio=1.0)
-        robot = make_robot(sprocket_radius=25.0, nominal_body_radius=40.0)
-        demanded = theoretical_speeds(BEND, 0.0, 50.0, 40.0)
-        resolved = resolved_speeds(gear, robot, demanded, 2.0)
-        for v_res, v_theo in zip(resolved.as_tuple(), demanded.as_tuple()):
-            assert abs(v_res - v_theo) <= 1e-9
-        assert resolved.as_tuple() == pytest.approx((40.0, 55.0, 55.0), rel=1e-9)
-
-    def test_demands_off_the_speed_sum_budget_are_infeasible(self):
-        # 1 * 2 rad/s gives a budget of 3 * 50 mm/s; these demands sum to 160.
-        gear = GearTrainConfig(ratio=1.0)
-        with pytest.raises(InfeasibleConstraintError, match="3 \\* ratio \\* omega_u"):
-            resolved_speeds(gear, make_robot(), TrackSpeeds(50.0, 50.0, 60.0), 2.0)
-
-    @given(
-        st.floats(min_value=-10.0, max_value=10.0),
-        st.floats(min_value=0.2, max_value=5.0),
-        st.floats(min_value=0.1, max_value=20.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_consistency_with_theoretical_everywhere(self, theta, ratio, omega_u):
-        gear = GearTrainConfig(ratio=ratio)
-        robot = make_robot(sprocket_radius=25.0, nominal_body_radius=40.0)
-        v_nominal = ratio * omega_u * robot.sprocket_radius
-        demanded = theoretical_speeds(BEND, theta, v_nominal, 40.0)
-        resolved = resolved_speeds(gear, robot, demanded, omega_u)
-        for v_res, v_theo in zip(resolved.as_tuple(), demanded.as_tuple()):
-            assert abs(v_res - v_theo) <= 1e-9 * max(1.0, abs(v_theo))
 
 
 class TestDisturbance:

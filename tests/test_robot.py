@@ -8,7 +8,7 @@ from pipediff import (
     PipeSpec,
     RobotConfig,
     Straight,
-    module_state,
+    module_states,
 )
 
 Y = (0.0, 1.0, 0.0)
@@ -26,8 +26,17 @@ def make_robot(**overrides):
     return RobotConfig(**kwargs)
 
 
+def segment_state(robot, spec, segment, theta):
+    """``(compressions, tilts)`` of one segment; raises the NoFitError that
+    ``module_states`` returns for it."""
+    compressions, tilts, error = module_states(robot, spec, (segment,), theta)
+    if error is not None:
+        raise error
+    return tuple(compressions[0].tolist()), tuple(tilts[0].tolist())
+
+
 def compressions(robot, spec, segment, theta=0.0):
-    return module_state(robot, spec, segment, theta).compressions
+    return segment_state(robot, spec, segment, theta)[0]
 
 
 class TestCompressionInStraight:
@@ -47,13 +56,13 @@ class TestCompressionInStraight:
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius - 12.0)  # needs 17 mm
         with pytest.raises(NoFitError):
-            module_state(robot, spec, STRAIGHT, 0.0)
+            segment_state(robot, spec, STRAIGHT, 0.0)
 
     def test_too_wide_pipe_loses_contact(self):
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius + robot.preload_compression + 1.0)
         with pytest.raises(NoFitError):
-            module_state(robot, spec, STRAIGHT, 0.0)
+            segment_state(robot, spec, STRAIGHT, 0.0)
 
 
 class TestCompressionInBend:
@@ -84,14 +93,14 @@ class TestCompressionInBend:
         # oracle: preload + L^2/(8R) = 5 + 14.93 mm exceeds the 16 mm limit
         assert 5.0 + robot.length**2 / (8.0 * bend.radius) > robot.max_compression
         with pytest.raises(NoFitError, match="compression"):
-            module_state(robot, spec, bend, 0.0)
+            segment_state(robot, spec, bend, 0.0)
 
     def test_robot_longer_than_chord(self):
         robot = make_robot(length=61.0)
         spec = PipeSpec(inner_radius=13.2)
         bend = Bend(radius=30.0, sweep_deg=90.0, normal=Y)
         with pytest.raises(NoFitError):
-            module_state(robot, spec, bend, 0.0)
+            segment_state(robot, spec, bend, 0.0)
 
     def test_continuous_in_inverse_radius(self):
         robot = make_robot()
@@ -109,7 +118,7 @@ class TestTiltLimit:
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius)
         bend = Bend(radius=290.0, sweep_deg=180.0, normal=Y)
-        tilts = module_state(robot, spec, bend, 0.0).tilts_deg
+        _, tilts = segment_state(robot, spec, bend, 0.0)
         expected = math.degrees(math.asin(robot.length / (2.0 * bend.radius)))
         assert tilts[0] == pytest.approx(expected, rel=1e-12)
         assert tilts[1] == pytest.approx(expected / 2.0, rel=1e-9)
@@ -119,15 +128,15 @@ class TestTiltLimit:
         spec = PipeSpec(inner_radius=robot.nominal_body_radius)
         bend = Bend(radius=335.0, sweep_deg=90.0, normal=Y)
         with pytest.raises(NoFitError, match="asymmetric"):
-            module_state(robot, spec, bend, 0.0)
+            segment_state(robot, spec, bend, 0.0)
 
     def test_module_state_within_limits(self):
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius)
         bend = Bend(radius=335.0, sweep_deg=90.0, normal=Y)
-        state = module_state(robot, spec, bend, 0.0)
-        assert max(state.tilts_deg) <= robot.max_tilt_deg
-        assert max(state.compressions) <= robot.max_compression
+        compressions, tilts = segment_state(robot, spec, bend, 0.0)
+        assert max(tilts) <= robot.max_tilt_deg
+        assert max(compressions) <= robot.max_compression
 
 
 # Each case also breaks every later check it can reach, so the message
@@ -161,7 +170,7 @@ ELBOW = Bend(radius=335.0, sweep_deg=90.0, normal=Y)
 def test_module_state_check_order(overrides, inner_radius, segment, message, fields):
     robot = make_robot(**overrides)
     with pytest.raises(NoFitError) as caught:
-        module_state(robot, PipeSpec(inner_radius=inner_radius), segment, 0.0)
+        segment_state(robot, PipeSpec(inner_radius=inner_radius), segment, 0.0)
     error = caught.value
     assert str(error) == message
     # The failed check as data: module, quantity, value and limit.
@@ -176,9 +185,58 @@ def test_no_fit_error_names_the_worst_module(overrides, quantity):
     # At theta = 240 deg module 1 (offset 120 deg) faces the bend centre.
     robot = make_robot(**overrides)
     with pytest.raises(NoFitError) as caught:
-        module_state(robot, PipeSpec(inner_radius=13.2), ELBOW, 4.0 * math.pi / 3.0)
+        segment_state(robot, PipeSpec(inner_radius=13.2), ELBOW, 4.0 * math.pi / 3.0)
     assert (caught.value.module, caught.value.quantity) == (1, quantity)
     assert "on module 1," in str(caught.value)
+
+
+class TestAlongANetwork:
+    """``module_states`` over several segments: the rows up to the first
+    segment that breaks a limit, and that segment's error."""
+
+    def test_rows_match_one_segment_at_a_time(self):
+        robot = make_robot()
+        spec = PipeSpec(inner_radius=robot.nominal_body_radius)
+        segments = (STRAIGHT, ELBOW, Bend(290.0, 180.0, Y), STRAIGHT)
+        compressions, tilts, error = module_states(robot, spec, segments, 0.4)
+        assert error is None and compressions.shape == tilts.shape == (4, 3)
+        for segment, row, tilt in zip(segments, compressions.tolist(), tilts.tolist()):
+            assert (tuple(row), tuple(tilt)) == segment_state(robot, spec, segment, 0.4)
+
+    def test_the_first_failing_segment_stops_the_rows(self):
+        # The elbow breaks the tilt limit and the later bend the chord: the
+        # elbow comes first, although chord is the earlier check.
+        robot = make_robot(length=140.0)
+        spec = PipeSpec(inner_radius=robot.nominal_body_radius)
+        compressions, tilts, error = module_states(
+            robot, spec, (STRAIGHT, ELBOW, STRAIGHT, CHORDLESS), 0.0
+        )
+        assert compressions.tolist() == [[5.0, 5.0, 5.0]] and tilts.tolist() == [[0.0] * 3]
+        assert error.quantity == "tilt"
+
+    def test_a_segment_that_breaks_two_limits_reports_the_earlier_check(self):
+        robot = make_robot(length=200.0)
+        spec = PipeSpec(inner_radius=robot.nominal_body_radius)
+        compressions, _, error = module_states(robot, spec, (ELBOW, CHORDLESS), 0.0)
+        assert len(compressions) == 0 and error.quantity == "compression"
+
+    def test_no_segments(self):
+        robot = make_robot()
+        compressions, tilts, error = module_states(robot, PipeSpec(inner_radius=30.0), (), 0.0)
+        assert compressions.shape == tilts.shape == (0, 3) and error is None
+
+    def test_a_robot_too_long_to_square_keeps_straight_compressions(self):
+        # 1e200 ** 2 is past the float range: a straight's sagitta stays 0,
+        # and a bend wide enough to chord needs more compression than any limit.
+        robot = make_robot(length=1e200)
+        spec = PipeSpec(inner_radius=robot.nominal_body_radius)
+        compressions, tilts, error = module_states(
+            robot, spec, (STRAIGHT, Bend(1e300, 90.0, Y)), 0.0
+        )
+        assert compressions.tolist() == [[5.0, 5.0, 5.0]] and tilts.tolist() == [[0.0] * 3]
+        assert str(error) == (
+            "bend of radius 1e+300 mm requires inf mm compression on module 0, limit is 16 mm"
+        )
 
 
 def test_config_validation():

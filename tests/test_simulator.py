@@ -4,7 +4,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from pipediff import (
@@ -18,17 +18,16 @@ from pipediff import (
     RobotConfig,
     SimParams,
     Straight,
-    kinematics,
     module_path_radius,
-    module_state,
     parse_scenario,
     render_trace,
     run,
     run_orientation_sweep,
     simulator,
+    validate_network,
 )
 
-from reference_stepper import reference_csv, reference_run
+from reference_stepper import reference_csv, reference_module_state, reference_plan, reference_run
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -183,20 +182,6 @@ class TestRun:
         )
         assert last.exit_time == summary.total_time
 
-    def test_each_segment_derives_its_demanded_speeds_once(self, reference_scenario):
-        sc = reference_scenario
-        real = kinematics.theoretical_speeds
-        calls = []
-
-        def counting(*args):
-            calls.append(args[0])
-            return real(*args)
-
-        with mock.patch.object(simulator, "theoretical_speeds", counting), \
-                mock.patch.object(kinematics, "theoretical_speeds", counting):
-            run(sc.network, sc.robot, sc.gear, sc.sim)
-        assert calls == list(sc.network.segments)
-
 
 def planar_network(spec, pieces):
     """Chain ``pieces`` in the x-z plane: ("straight", length) or
@@ -226,12 +211,10 @@ class TestSegmentAdmissibility:
 
     def test_planning_stops_at_the_first_impassable_segment(self, reference_scenario):
         # With a 5.5 mm limit the robot fits the first straight but not the
-        # elbow after it, so the plan never looks at the last two segments.
+        # elbow after it.
         sc = reference_scenario
         robot = replace(sc.robot, max_compression=5.5)
-        with mock.patch.object(simulator, "module_state", wraps=module_state) as counted:
-            trace, summary = run(sc.network, robot, sc.gear, sc.sim)
-        assert counted.call_count == 2
+        trace, summary = run(sc.network, robot, sc.gear, sc.sim)
         assert summary.error == (
             "bend of radius 335 mm requires 6.388 mm compression on module 0, limit is 5.5 mm"
         )
@@ -270,6 +253,18 @@ class TestSegmentAdmissibility:
             "limit is 16 mm"
         )
         assert len(trace) == 1 and trace.segment.tolist() == [0]
+
+    def test_a_block_sized_past_the_float_range_stops_at_t_max(self, reference_scenario):
+        # 1e307 mm at 0.0175 mm a step is 5.7e308 steps, past the float
+        # range; t_max keeps the plan's bounds finite and stops the run.
+        sc = reference_scenario
+        net = planar_network(sc.network.spec, [("straight", 1e307), ("bend", 335.0, 90.0, 1)])
+        params = replace(sc.sim, omega_u=1.0, dt=0.001, t_max=0.001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace, summary = run(net, sc.robot, sc.gear, params)
+        assert summary.stop_reason == "t_max" and summary.error is None
+        assert trace.t.tolist() == [0.0, 0.001]
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.025])
     def test_a_segment_crossed_within_one_step_is_reported(self, reference_text, amplitude):
@@ -315,7 +310,7 @@ class TestSegmentAdmissibility:
         first_error = None
         for segment in net.segments:
             try:
-                module_state(sc.robot, net.spec, segment, sc.sim.theta_rad)
+                reference_module_state(sc.robot, net.spec, segment, sc.sim.theta_rad)
             except NoFitError as exc:
                 first_error = str(exc)
                 break
@@ -367,6 +362,122 @@ class TestAgainstTheTickStepper:
         assert summary == expected
         # Lines, so that a mismatch reports its first differing row at once.
         assert render_trace(trace).split("\n") == reference_csv(records).split("\n")
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.one_of(
+                st.tuples(st.just("straight"), st.floats(1.0, 150.0)),
+                st.tuples(st.just("straight"), st.integers(1, 40).map(lambda n: 3.5 * n)),
+                st.tuples(st.just("straight"), st.floats(0.01, 1.0)),
+                # 45 mm needs 15.3 mm of compression and 42.7 deg of tilt
+                st.tuples(
+                    st.just("bend"),
+                    st.floats(45.0, 400.0),
+                    st.floats(0.5, 180.0),
+                    st.sampled_from((1, -1)),
+                ),
+            ),
+            min_size=10,
+            max_size=30,
+        ),
+        dt=st.one_of(st.floats(0.05, 2.0), st.sampled_from((0.1, 0.2, 0.5))),
+        theta_deg=st.floats(0.0, 360.0),
+        amplitude=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+        seed=st.integers(0, 2**32),
+        # Mostly unset; when set, later than any of these networks' runs end.
+        t_max=st.one_of(st.none(), st.none(), st.none(), st.floats(4000.0, 1e6)),
+        block_rows=st.sampled_from((3, 50, simulator.BLOCK_ROWS)),
+    )
+    def test_deep_networks_complete_and_match(
+        self, reference_scenario, pieces, dt, theta_deg, amplitude, seed, t_max, block_rows
+    ):
+        # Passable by construction: a 45 deg tilt limit admits every bend
+        # drawn here, where the reference robot's 10 deg rejects any under
+        # about 176 mm.
+        sc = reference_scenario
+        robot = replace(sc.robot, max_tilt_deg=45.0)
+        net = planar_network(sc.network.spec, pieces)
+        params = replace(sc.sim, dt=dt, theta_deg=theta_deg, t_max=t_max,
+                         disturbance=DisturbanceConfig(amplitude, seed))
+        with mock.patch.object(simulator, "BLOCK_ROWS", block_rows):
+            trace, summary = run(net, robot, sc.gear, params)
+        event(f"segments entered: {len(summary.segments)}")
+        assert summary.completed and len(summary.segments) == len(pieces)
+        records, expected = reference_run(net, robot, sc.gear, params)
+        assert list(trace) == records
+        assert summary == expected
+        assert render_trace(trace).split("\n") == reference_csv(records).split("\n")
+
+
+def log_uniform(low, high):
+    """Floats ``10 ** e`` for exponents ``e`` drawn uniformly in [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+class TestPlanAgainstTheReference:
+    """``_plan``'s whole-network columns against ``reference_plan``, which
+    plans one segment at a time: bit for bit, over inputs that make each of
+    its cuts fire."""
+
+    PLAN_COLUMNS = ("resolved", "means", "demanded", "compressions", "max_tilt_deg")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.one_of(
+                st.tuples(st.just("straight"), st.floats(0.01, 500.0)),
+                st.tuples(st.just("straight"), log_uniform(-3.0, 306.0)),
+                # Down past the 30.5 mm chord limit of the 61 mm robot.
+                st.tuples(
+                    st.just("bend"),
+                    st.floats(14.0, 400.0),
+                    st.floats(0.5, 180.0),
+                    st.sampled_from((1, -1)),
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        # Speeds up to 1e307 mm/s put 100 times a disturbed speed past the
+        # float range but keep the speeds inside it.
+        omega_u=st.one_of(log_uniform(-320.0, 308.0), log_uniform(303.0, 307.0)),
+        ratio=st.one_of(st.just(1.0), log_uniform(-320.0, 308.0)),
+        dt=log_uniform(-320.0, 308.0),
+        # A subnormal nominal speed loses the bits that keep the demands on
+        # the differential's budget.
+        sprocket_radius=st.one_of(st.just(17.5), log_uniform(-323.3, 3.0),
+                                  log_uniform(-323.3, -318.0)),
+        # Against the 13.2 mm bore: below 8.2 mm the springs miss the wall,
+        # above 24.2 mm the straight pipe needs more than 16 mm.
+        nominal_body_radius=st.one_of(st.just(13.2), st.floats(5.0, 30.0)),
+        theta_deg=st.floats(0.0, 360.0),
+        amplitude=st.one_of(st.just(0.0), st.floats(0.0, 0.99, exclude_min=True)),
+        t_max=st.one_of(st.none(), log_uniform(-3.0, 308.0)),
+    )
+    def test_columns_and_error_match(
+        self, reference_scenario, pieces, omega_u, ratio, dt, sprocket_radius,
+        nominal_body_radius, theta_deg, amplitude, t_max,
+    ):
+        sc = reference_scenario
+        net = planar_network(sc.network.spec, pieces)
+        robot = replace(sc.robot, sprocket_radius=sprocket_radius,
+                        nominal_body_radius=nominal_body_radius)
+        gear = replace(sc.gear, ratio=ratio)
+        params = replace(sc.sim, omega_u=omega_u, dt=dt, theta_deg=theta_deg, t_max=t_max,
+                         disturbance=DisturbanceConfig(amplitude, 0))
+        v_nominal = ratio * omega_u * sprocket_radius
+        # ``run`` refuses these before it plans.
+        assume(math.isfinite(v_nominal) and v_nominal > 0.0 and not validate_network(net))
+        plan = simulator._plan(net, robot, gear, params, v_nominal)
+        expected, rule = reference_plan(net, robot, gear, params)
+        event(f"cut: {rule}")
+        assert plan.error == expected.error
+        for name in self.PLAN_COLUMNS:
+            column, reference = getattr(plan, name), getattr(expected, name)
+            assert column.shape == reference.shape, name
+            assert column.tobytes() == reference.tobytes(), name
 
 
 class TestSummaryEdges:

@@ -7,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipediff import (
+    Bend,
     GearTrainConfig,
     InfeasibleConstraintError,
     LoadState,
+    Straight,
     free,
     imposed_speed,
     imposed_torque,
     ring_speed,
     solve_output_speeds,
+    theoretical_speeds,
 )
+from pipediff.transmission import first_budget_miss
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 
@@ -101,6 +105,77 @@ class TestSolveOutputSpeeds:
         sol = solve_output_speeds(cfg, 10.0, loads)
         assert sol.omega_b == sol.omega_c
         assert sol.omega_a == 4.0
+
+
+class TestImposedDemands:
+    """The wall imposes each demanded track speed (mm/s) on its output as
+    ``v / sprocket_radius``; the train honours them when they respect the
+    speed-sum budget, which the bend geometry guarantees when
+    ``v_nominal = ratio * omega_u * sprocket_radius``."""
+
+    BEND = Bend(radius=200.0, sweep_deg=90.0, normal=(0.0, 1.0, 0.0))
+    STRAIGHT = Straight(length=100.0, axis=(0.0, 0.0, 1.0))
+    SPROCKET = 25.0  # mm
+
+    def resolve(self, gear, demanded, omega_u):
+        """Track speeds (mm/s) the train delivers for ``demanded``."""
+        loads = LoadState(tuple(imposed_speed(v / self.SPROCKET) for v in demanded))
+        solution = solve_output_speeds(gear, omega_u, loads)
+        return tuple(w * self.SPROCKET for w in solution.as_tuple())
+
+    def test_straight_equal_loads(self):
+        demanded = theoretical_speeds(self.STRAIGHT, 0.0, 50.0, 40.0).as_tuple()
+        speeds = self.resolve(GearTrainConfig(ratio=1.0), demanded, 2.0)  # 1 * 2 * 25 = 50
+        assert speeds == pytest.approx((50.0, 50.0, 50.0), rel=1e-12)
+
+    def test_bend_matches_theoretical(self):
+        demanded = theoretical_speeds(self.BEND, 0.0, 50.0, 40.0).as_tuple()
+        resolved = self.resolve(GearTrainConfig(ratio=1.0), demanded, 2.0)
+        for v_res, v_theo in zip(resolved, demanded):
+            assert abs(v_res - v_theo) <= 1e-9
+        assert resolved == pytest.approx((40.0, 55.0, 55.0), rel=1e-9)
+
+    def test_demands_off_the_speed_sum_budget_are_infeasible(self):
+        # 1 * 2 rad/s gives a budget of 3 * 50 mm/s; these demands sum to 160.
+        with pytest.raises(InfeasibleConstraintError) as caught:
+            self.resolve(GearTrainConfig(ratio=1.0), (50.0, 50.0, 60.0), 2.0)
+        assert str(caught.value) == (
+            "imposed speeds sum to 6.4 rad/s but the train requires 6 rad/s (3 * ratio * omega_u)"
+        )
+
+    @given(
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.floats(min_value=0.2, max_value=5.0),
+        st.floats(min_value=0.1, max_value=20.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_consistency_with_theoretical_everywhere(self, theta, ratio, omega_u):
+        v_nominal = ratio * omega_u * self.SPROCKET
+        demanded = theoretical_speeds(self.BEND, theta, v_nominal, 40.0).as_tuple()
+        resolved = self.resolve(GearTrainConfig(ratio=ratio), demanded, omega_u)
+        for v_res, v_theo in zip(resolved, demanded):
+            assert abs(v_res - v_theo) <= 1e-9 * max(1.0, abs(v_theo))
+
+
+class TestFirstBudgetMiss:
+    def test_every_row_meets_the_budget(self):
+        assert first_budget_miss(GearTrainConfig(2.0), 1.0, [[2.0, 2.0, 2.0], [1.0, 2.0, 3.0]]) == (
+            2, None
+        )
+        assert first_budget_miss(GearTrainConfig(2.0), 1.0, []) == (0, None)
+
+    def test_the_first_row_off_the_budget_and_its_error(self):
+        rows = [[2.0, 2.0, 2.0], [2.0, 2.0, 2.1], [0.0, 0.0, 0.0]]
+        index, miss = first_budget_miss(GearTrainConfig(2.0), 1.0, rows)
+        assert index == 1 and isinstance(miss, InfeasibleConstraintError)
+        assert str(miss) == (
+            "imposed speeds sum to 6.1 rad/s but the train requires 6 rad/s (3 * ratio * omega_u)"
+        )
+
+    def test_the_sum_is_exactly_rounded(self):
+        # Added left to right the three give 0; their exact sum is 1.
+        _, miss = first_budget_miss(GearTrainConfig(1.0), 0.0, [[1e20, 1.0, -1e20]])
+        assert str(miss).startswith("imposed speeds sum to 1 rad/s")
 
 
 class TestSpeedSolutionResidual:

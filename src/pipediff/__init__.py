@@ -22,7 +22,6 @@ from .geometry import (
     Segment,
     Straight,
     module_path_radius,
-    segment_length,
     validate_network,
 )
 from .kinematics import (
@@ -64,7 +63,6 @@ from .transmission import (
     free,
     imposed_speed,
     imposed_torque,
-    ring_speed,
     solve_output_speeds,
 )
 

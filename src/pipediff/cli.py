@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 invalid input (scenario file, ``--seed``,
-``--theta`` or PIPEDIFF_SEED), 2 runtime failure (no-fit, infeasible
-constraints, float range, bad nominal speed, stall, unwritable output).
-``--seed`` falls back to the PIPEDIFF_SEED environment variable.
+Exit codes: 0 success, 1 invalid input (command line, scenario file,
+``--seed``, ``--theta`` or PIPEDIFF_SEED), 2 runtime failure (no-fit,
+infeasible constraints, float range, bad nominal speed, stall, unwritable
+output).  ``--seed`` falls back to the PIPEDIFF_SEED environment variable.
 """
 
 import argparse
@@ -23,8 +23,15 @@ EXIT_RUNTIME = 2
 SEED_ENV_VAR = "PIPEDIFF_SEED"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as invalid input instead of exiting with status 2."""
+
+    def error(self, message):
+        raise ScenarioParseError([(0, message)])
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pipediff",
         description=(
             "Deterministic kinematics simulator for a differential-driven "
@@ -32,25 +39,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario = _Parser(add_help=False)
+    scenario.add_argument("scenario", help="path to the scenario file")
+    sub.add_parser("validate", parents=[scenario], help="check a scenario file")
 
-    p_validate = sub.add_parser("validate", help="check a scenario file")
-    p_validate.add_argument("scenario", help="path to the scenario file")
-
-    p_run = sub.add_parser("run", help="simulate one traversal")
-    p_run.add_argument("scenario", help="path to the scenario file")
+    simulate = _Parser(add_help=False, parents=[scenario])
+    simulate.add_argument("--report", metavar="PATH", help="write the report here (default: stdout)")
+    simulate.add_argument("--format", choices=("text", "json"), default="text")
+    simulate.add_argument("--seed", type=int,
+                          help="disturbance seed override (a sweep's base seed)")
+    p_run = sub.add_parser("run", parents=[simulate], help="simulate one traversal")
     p_run.add_argument("--trace", metavar="PATH", help="write the trace CSV here")
-    p_run.add_argument("--report", metavar="PATH", help="write the report here (default: stdout)")
-    p_run.add_argument("--format", choices=("text", "json"), default="text")
-    p_run.add_argument("--seed", type=int, help="disturbance seed override")
     p_run.add_argument("--theta", type=float, metavar="DEG", help="roll orientation override")
-
-    p_sweep = sub.add_parser("sweep", help="run several roll orientations")
-    p_sweep.add_argument("scenario", help="path to the scenario file")
+    p_sweep = sub.add_parser("sweep", parents=[simulate], help="run several roll orientations")
     p_sweep.add_argument("--theta-steps", type=int, required=True, metavar="K",
                          help="number of evenly spaced orientations")
-    p_sweep.add_argument("--report", metavar="PATH", help="write the report here (default: stdout)")
-    p_sweep.add_argument("--format", choices=("text", "json"), default="text")
-    p_sweep.add_argument("--seed", type=int, help="disturbance base seed override")
     return parser
 
 
@@ -105,10 +108,11 @@ def _print_issues(exc: ScenarioParseError) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-
     try:
+        args = _build_parser().parse_args(argv)
         scenario = _load(args.scenario)
+        if args.command != "validate":
+            scenario = _apply_overrides(scenario, args.seed, getattr(args, "theta", None))
     except ScenarioParseError as exc:
         _print_issues(exc)
         return EXIT_VALIDATION
@@ -120,48 +124,31 @@ def main(argv=None) -> int:
             f"total length {total:.3f} mm)"
         )
         return EXIT_OK
-
-    try:
-        scenario = _apply_overrides(scenario, args.seed, getattr(args, "theta", None))
-    except ScenarioParseError as exc:
-        _print_issues(exc)
+    if args.command == "sweep" and args.theta_steps < 1:
+        print("error: --theta-steps must be at least 1", file=sys.stderr)
         return EXIT_VALIDATION
 
-    net = scenario.network
-
-    if args.command == "run":
-        try:
-            trace, summary = run(net, scenario.robot, scenario.gear, scenario.sim)
+    inputs = (scenario.network, scenario.robot, scenario.gear, scenario.sim)
+    try:
+        if args.command == "run":
+            trace, summary = run(*inputs)
             if args.trace:
                 write_trace(trace, args.trace)
-            _emit(render_report(summary, scenario.report, fmt=args.format), args.report)
-        except (PipeClimbError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        if summary.error:
-            print(f"error: {summary.error}", file=sys.stderr)
-            return EXIT_RUNTIME
-        return EXIT_OK
-
-    if args.command == "sweep":
-        if args.theta_steps < 1:
-            print("error: --theta-steps must be at least 1", file=sys.stderr)
-            return EXIT_VALIDATION
-        try:
-            results = run_orientation_sweep(
-                net, scenario.robot, scenario.gear, scenario.sim, args.theta_steps
-            )
-            _emit(render_sweep_report(results, scenario.report, fmt=args.format), args.report)
-        except (PipeClimbError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        failed = [summary.error for _theta, summary in results if summary.error]
-        if failed:
-            print(f"error: {failed[0]}", file=sys.stderr)
-            return EXIT_RUNTIME
-        return EXIT_OK
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+            summaries = [summary]
+            text = render_report(summary, scenario.report, fmt=args.format)
+        else:
+            results = run_orientation_sweep(*inputs, args.theta_steps)
+            summaries = [summary for _theta, summary in results]
+            text = render_sweep_report(results, scenario.report, fmt=args.format)
+        _emit(text, args.report)
+    except (PipeClimbError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    failed = [summary.error for summary in summaries if summary.error]
+    if failed:
+        print(f"error: {failed[0]}", file=sys.stderr)
+        return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -62,18 +62,18 @@ class Bend:
         return math.radians(self.sweep_deg)
 
     @property
-    def arc_length(self) -> float:
+    def length(self) -> float:
+        """Centerline arc length in mm."""
         return self.radius * self.sweep_rad
 
 
 Segment = Straight | Bend
 
 
-def segment_length(segment: Segment) -> float:
-    """Centerline length of one segment in mm."""
-    if isinstance(segment, Straight):
-        return segment.length
-    return segment.arc_length
+def module_cosines(theta: float) -> tuple[float, float, float]:
+    """``cos(theta_i)`` of the three modules' contact angles at roll ``theta``
+    (rad): the one place the 120-degree module spacing enters the model."""
+    return tuple(math.cos(theta + offset) for offset in MODULE_OFFSETS)
 
 
 def _dot(a, b) -> float:
@@ -160,16 +160,16 @@ class PipeNetwork:
     defaults to the first straight's axis (or +z), and a straight without
     an axis takes the incoming tangent; both are stored resolved, so
     ``segments`` and ``start_tangent`` are explicit.  The same walk records
-    each segment's arc-length start and every broken invariant, which
-    ``validate_network`` returns: a network is checked exactly when it is
-    built.
+    ``starts``, the arc-length coordinate where each segment begins, and
+    every broken invariant, which ``validate_network`` returns: a network is
+    checked exactly when it is built.
     """
 
     spec: PipeSpec
     segments: tuple[Segment, ...]
     start_tangent: Vec3 | None = None
 
-    _starts: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
+    starts: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
     _total: float = field(init=False, repr=False, compare=False, default=0.0)
     _violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False, default=())
 
@@ -203,10 +203,10 @@ class PipeNetwork:
                 tangent = _unit(_rotate(tangent, normal, segment.sweep_rad), tangent)
             resolved.append(segment)
             starts.append(s)
-            s += segment_length(segment)
+            s += segment.length
         # Finite lengths can still sum past the float range; stepping needs
         # a finite end to stop at.
-        if not math.isfinite(s) and all(map(math.isfinite, map(segment_length, resolved))):
+        if not math.isfinite(s) and all(math.isfinite(seg.length) for seg in resolved):
             violations.append(
                 Violation(None, "total-length",
                           f"segment lengths sum to {s!r} mm, beyond the float range")
@@ -214,7 +214,7 @@ class PipeNetwork:
 
         object.__setattr__(self, "segments", tuple(resolved))
         object.__setattr__(self, "start_tangent", start)
-        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "starts", tuple(starts))
         object.__setattr__(self, "_total", s)
         object.__setattr__(self, "_violations", tuple(violations))
 
@@ -222,10 +222,6 @@ class PipeNetwork:
     def total_length(self) -> float:
         """Total centerline length in mm; bends contribute R * sweep."""
         return self._total
-
-    def arc_start(self, index: int) -> float:
-        """Arc-length coordinate where segment ``index`` begins."""
-        return self._starts[index]
 
 
 def module_path_radius(
@@ -246,7 +242,7 @@ def module_path_radius(
             f"contact radius {contact_radius:g} mm must lie in [0, bend radius "
             f"{bend.radius:g} mm)"
         )
-    return bend.radius - contact_radius * math.cos(theta + MODULE_OFFSETS[module_index])
+    return bend.radius - contact_radius * module_cosines(theta)[module_index]
 
 
 def validate_network(net: PipeNetwork) -> list[Violation]:

@@ -284,6 +284,8 @@ def render_sweep_report(results, options: ReportOptions | None = None,
         orientations = [_fill({"theta_deg": _spell(theta), **_payload(summary, options, 2)}, 2)
                         for theta, summary in results]
         return _fill({"orientations": orientations}) + "\n"
+    if fmt != "text":
+        raise ValueError(f"unknown report format {fmt!r}")
     lines = [f"orientation sweep: {len(results)} runs"]
     header = (
         f"{'theta':>7} {'status':<9} {'t_total':>8} {'max_slip':>9} "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFitError
-from .geometry import MODULE_OFFSETS, PipeSpec, Segment
+from .geometry import PipeSpec, Segment, module_cosines
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def module_states(cfg: RobotConfig, spec: PipeSpec, segments: tuple[Segment, ...
         sagitta = np.divide(np.float64(cfg.length) ** 2, 8.0 * radius,
                             out=np.zeros(m), where=radius < math.inf)
     # Each module's in-plane share of the sagitta and of the chord angle.
-    shares = np.array([abs(math.cos(theta + offset)) for offset in MODULE_OFFSETS])
+    shares = np.abs(module_cosines(theta))
     compressions = base + sagitta[:, None] * shares
     worst = compressions.max(axis=1)
     cut = first_failure(worst > cfg.max_compression)

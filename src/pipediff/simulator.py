@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidScenarioError
-from .geometry import MODULE_OFFSETS, Bend, PipeNetwork, segment_length, validate_network
+from .geometry import Bend, PipeNetwork, module_cosines, validate_network
 from .kinematics import TRACK_NAMES, apply_disturbance
 from .robot import RobotConfig, first_failure, module_states
 from .transmission import GearTrainConfig, first_budget_miss
@@ -232,8 +232,8 @@ def _plan(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: S
     compressions, tilts, no_fit = module_states(robot, net.spec, net.segments, theta)
     m, error = len(compressions), None if no_fit is None else str(no_fit)
     radius = np.array([segment.radius for segment in net.segments[:m]]).reshape(m, 1)
-    lengths = np.array([segment_length(segment) for segment in net.segments[:m]])
-    cosines = np.array([math.cos(theta + offset) for offset in MODULE_OFFSETS])
+    lengths = np.array([segment.length for segment in net.segments[:m]])
+    cosines = np.array(module_cosines(theta))
     # Bounds on the records the run forms up to the end of each segment and
     # on the sum of the three track speeds so far.  Blocks form up to two
     # records past the end of the planned prefix, so the bound of its last
@@ -355,11 +355,12 @@ def run(
     total = net.total_length
     dt = params.dt
     t_max = math.inf if params.t_max is None else params.t_max
+    t_stop = t_max * (1.0 - 1e-12)  # records within 1e-12 of t_max, relative, stop the run
     amplitude = params.disturbance.amplitude
     rng = np.random.default_rng(params.disturbance.seed) if amplitude > 0.0 else None
     plan = _plan(net, robot, gear, params, v_nominal)
     passable = len(plan.resolved)
-    starts = np.array([net.arc_start(i) for i in range(len(net.segments))] + [math.inf])
+    starts = np.array(net.starts + (math.inf,))
     # Blocks form records up to the end of the planned prefix, the span that
     # the plan's float-range rule covers; the sentinel start ends a prefix
     # that holds every segment.
@@ -397,7 +398,7 @@ def run(
         np.minimum(positions, total, out=positions)  # the run ends at the network's end
         t = np.arange(k, k + rows, dtype=float) * dt
         located = np.searchsorted(starts, positions[:-1], side="right") - 1
-        stops = (positions[:-1] >= total) | (t >= t_max - 1e-12) | (means <= 0.0)
+        stops = (positions[:-1] >= total) | (t >= t_stop) | (means <= 0.0)
         # Keep the records up to the first whose segment was guessed wrong,
         # or through the first that stops the run, whichever comes first.
         misses, hits = np.flatnonzero(located != segment), np.flatnonzero(stops)
@@ -413,7 +414,7 @@ def run(
             index = int(segment[n - 1])
             if positions[n - 1] >= total:
                 completed = True
-            elif t[n - 1] >= t_max - 1e-12:
+            elif t[n - 1] >= t_stop:
                 stop_reason = "t_max"
             else:
                 mean = float(means[n - 1])
@@ -494,8 +495,8 @@ def _summarize(
     # A segment is entered at its first record and left at the first record
     # of any later segment, or at the run's last record.
     times = trace.t[np.minimum(bounds, n - 1)].tolist() if n else [0.0] * (entered + 1)
-    lengths = [segment_length(s) for s in net.segments[:entered]]
-    starts, spans = np.array([net.arc_start(i) for i in range(entered)]), np.array(lengths)
+    lengths = [segment.length for segment in net.segments[:entered]]
+    starts, spans = np.array(net.starts[:entered]), np.array(lengths)
     lo = np.searchsorted(trace.s, starts + WINDOW_MARGIN * spans)
     hi = np.searchsorted(trace.s, starts + (1.0 - WINDOW_MARGIN) * spans, side="right")
     lo, hi = np.clip(lo, first, last), np.clip(hi, first, last)

@@ -115,13 +115,6 @@ class SpeedSolution:
         return (self.omega_a, self.omega_b, self.omega_c)
 
 
-def ring_speed(omega_side_left: float, omega_side_right: float) -> float:
-    """Ring gear speed of one two-output unit: the mean of its side gears."""
-    if not (math.isfinite(omega_side_left) and math.isfinite(omega_side_right)):
-        raise ValueError("side gear speeds must be finite")
-    return (omega_side_left + omega_side_right) / 2.0
-
-
 def first_budget_miss(cfg: GearTrainConfig, omega_u: float,
                       rows) -> tuple[int, InfeasibleConstraintError | None]:
     """The first of ``rows`` of three imposed output speeds (rad/s) whose

@@ -7,8 +7,11 @@ exactly.
 floats; ``reference_plan`` walks the segments in order through it, the
 geometric demands and the general differential solver; ``reference_run``
 steps one record per tick and summarises record by record;
-``reference_csv`` formats each value with ``f"{x:.6f}"``.  They share only
-``theoretical_speeds`` and ``solve_output_speeds`` with the code under test.
+``reference_csv`` formats each value with ``f"{x:.6f}"``.  Segment lengths
+and starts are their own running sum, and the module angles come from
+``MODULE_OFFSETS`` here.  The one rule they share with the code under test
+is the differential's budget check, ``first_budget_miss``, which
+``solve_output_speeds`` applies.
 """
 
 import math
@@ -26,12 +29,32 @@ from pipediff import (
     TRACE_HEADER,
     TrackTotals,
     imposed_speed,
-    segment_length,
     solve_output_speeds,
-    theoretical_speeds,
 )
 from pipediff.geometry import MODULE_OFFSETS
 from pipediff.simulator import WINDOW_MARGIN, TraceRecord, _Plan
+
+
+def reference_lengths(net):
+    """``(lengths, starts, total)``: each segment's centerline length, the
+    running sum of the lengths before it, and their sum, in mm."""
+    lengths = [segment.length if isinstance(segment, Straight)
+               else segment.radius * math.radians(segment.sweep_deg) for segment in net.segments]
+    starts, total = [], 0.0
+    for length in lengths:
+        starts.append(total)
+        total += length
+    return lengths, starts, total
+
+
+def reference_demands(segment, theta, v_nominal, wall_radius):
+    """Track speeds the geometry demands: ``v_nominal * rho_i / R`` in a bend
+    with ``rho_i = R - r_c * cos(theta + offset_i)``, ``v_nominal`` in a straight."""
+    if isinstance(segment, Straight):
+        return (v_nominal,) * 3
+    radius = segment.radius
+    return tuple(v_nominal * (radius - wall_radius * math.cos(theta + offset)) / radius
+                 for offset in MODULE_OFFSETS)
 
 
 def reference_module_state(cfg, spec, segment, theta):
@@ -97,17 +120,18 @@ def reference_plan(net, robot, gear, params):
     rows = []
     error = rule = None
     speed_range = f"track speeds exceed the float range at nominal speed {v_nominal:g} mm/s"
-    for segment in net.segments:
+    lengths, _, _ = reference_lengths(net)
+    for segment, length in zip(net.segments, lengths):
         try:
             compressions, tilts = reference_module_state(robot, net.spec, segment, theta)
         except NoFitError as exc:
             error, rule = str(exc), f"no fit: {exc.quantity}"
             break
-        demanded = theoretical_speeds(segment, theta, v_nominal, net.spec.inner_radius)
-        if not math.isfinite(3.0 * gear.ratio * params.omega_u + sum(demanded.as_tuple())):
+        demanded = reference_demands(segment, theta, v_nominal, net.spec.inner_radius)
+        if not math.isfinite(3.0 * gear.ratio * params.omega_u + sum(demanded)):
             error, rule = speed_range, "demand range"
             break
-        loads = LoadState(tuple(imposed_speed(v / r) for v in demanded.as_tuple()))
+        loads = LoadState(tuple(imposed_speed(v / r) for v in demanded))
         try:
             solution = solve_output_speeds(gear, params.omega_u, loads)
         except InfeasibleConstraintError as exc:
@@ -119,13 +143,13 @@ def reference_plan(net, robot, gear, params):
             error, rule = speed_range, "APE range"
             break
         step = sum(resolved) / 3.0 * dt * (1.0 - amplitude)
-        count += segment_length(segment) / step + 2.0 if step > 0.0 else math.inf
+        count += length / step + 2.0 if step > 0.0 else math.inf
         formed = min(count, limit)
         if not all(map(math.isfinite, (formed * dt, formed * speeds * dt, formed * speeds))):
             error = f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s leave the float range"
             rule = "record range"
             break
-        rows.append(resolved + (math.fsum(resolved) / 3.0,) + demanded.as_tuple()
+        rows.append(resolved + (math.fsum(resolved) / 3.0,) + demanded
                     + compressions + (max(tilts),))
     table = np.reshape(rows, (-1, 11))
     plan = _Plan(table[:, 0:3], table[:, 3], table[:, 4:7], table[:, 7:10], table[:, 10], error)
@@ -137,7 +161,8 @@ def reference_run(net, robot, gear, params):
     v_nominal = gear.ratio * params.omega_u * robot.sprocket_radius
     plan, _ = reference_plan(net, robot, gear, params)
     passable = len(plan.resolved)
-    total, dt, amplitude = net.total_length, params.dt, params.disturbance.amplitude
+    lengths, starts, total = reference_lengths(net)
+    dt, amplitude = params.dt, params.disturbance.amplitude
     rng = np.random.default_rng(params.disturbance.seed) if amplitude > 0.0 else None
     records, s, k, index, distances = [], 0.0, 0, 0, (0.0, 0.0, 0.0)
     completed, stop_reason = False, None
@@ -155,7 +180,7 @@ def reference_run(net, robot, gear, params):
         if s >= total:
             completed = True
             break
-        if params.t_max is not None and t >= params.t_max - 1e-12:
+        if params.t_max is not None and t >= params.t_max * (1.0 - 1e-12):
             stop_reason = "t_max"
             break
         mean_v = math.fsum(v) / 3.0
@@ -165,18 +190,20 @@ def reference_run(net, robot, gear, params):
         s = min(s + mean_v * dt, total)
         distances = tuple(d + x * dt for d, x in zip(distances, v))
         k += 1
-        while error is None and index + 1 < len(net.segments) and s >= net.arc_start(index + 1):
+        while error is None and index + 1 < len(net.segments) and s >= starts[index + 1]:
             index += 1
             if index == passable:
                 error = plan.error
     # The segments entered: those starting at or before the last position
     # reached, up to the first that failed its checks.
-    entered = [i for i in range(passable) if net.arc_start(i) <= s]
-    summary = _reference_summary(net, robot, params, plan, entered, records, v_nominal)
+    entered = [i for i in range(passable) if starts[i] <= s]
+    summary = _reference_summary(net, robot, params, plan, entered, records, v_nominal,
+                                 lengths, starts, total)
     return records, RunSummary(completed, stop_reason, error, *summary)
 
 
-def _reference_summary(net, robot, params, plan, entered, records, v_nominal):
+def _reference_summary(net, robot, params, plan, entered, records, v_nominal,
+                       lengths, starts, total):
     summaries = []
     for index in entered:
         resolved = tuple(plan.resolved[index].tolist())
@@ -184,7 +211,7 @@ def _reference_summary(net, robot, params, plan, entered, records, v_nominal):
         later = [r for r in records if r.segment > index]
         exit_time = later[0].t if later else records[-1].t
         segment = net.segments[index]
-        length, start = segment_length(segment), net.arc_start(index)
+        length, start = lengths[index], starts[index]
         lo, hi = start + WINDOW_MARGIN * length, start + (1.0 - WINDOW_MARGIN) * length
         window = [r for r in recs if lo <= r.s <= hi] or recs
         ape = []
@@ -223,7 +250,6 @@ def _reference_summary(net, robot, params, plan, entered, records, v_nominal):
             name, distance, distance / total_time if total_time > 0.0 else 0.0,
             max((r.slip[i] for r in records), default=0.0), max(apes) if apes else None,
         ))
-    total = net.total_length
     return (
         total_time, total, total - robot.length if total >= robot.length else None, v_nominal,
         params.theta_deg, params.dt, params.disturbance.amplitude, params.disturbance.seed,

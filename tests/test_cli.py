@@ -173,6 +173,31 @@ def _fast(tmp_path, text, omega_u, ratio="1.0", dt="0.01", length="315.0"):
 
 STEP_RANGE_ERROR = "error: steps of {dt} s at nominal speed {v} mm/s leave the float range"
 
+# One straight at a nominal speed of the smallest subnormal, disturbed by up
+# to 90 %: the mean track speed rounds to 0 at the 21st record.
+STALLING_SCENARIO = """\
+[pipe]
+inner_radius = 13.2
+
+[segment]
+type = straight
+length = 100.0
+axis = 0 0 1
+
+[robot]
+sprocket_radius = 1.0
+length = 10.0
+nominal_body_radius = 13.2
+preload_compression = 1.0
+
+[sim]
+omega_u = 5e-324
+dt = 1e300
+t_max = 1e303
+disturbance_amplitude = 0.9
+disturbance_seed = 0
+"""
+
 # (argv from tmp_path and the reference text, environment, exit code,
 # expected start of the first stderr line)
 BAD_INPUTS = {
@@ -240,6 +265,35 @@ BAD_INPUTS = {
         lambda tmp, text: ["run", _fast(tmp, text, "5e305", length="1e308"), "--format", "json"],
         {}, 2, STEP_RANGE_ERROR.format(dt="0.01", v="8.75e+306"),
     ),
+    "run: a mean track speed that rounds to zero": (
+        lambda tmp, text: ["run", write_scenario(tmp, STALLING_SCENARIO), "--trace",
+                           str(tmp / "t.csv")],
+        {}, 2, "error: stalled: mean track speed 0 mm/s is not positive",
+    ),
+    "non-integer --seed": (
+        lambda tmp, text: ["run", str(REFERENCE_SCN), "--seed", "abc"],
+        {}, 1, "error: argument --seed: invalid int value: 'abc'",
+    ),
+    "non-numeric --theta": (
+        lambda tmp, text: ["run", str(REFERENCE_SCN), "--theta", "xyz"],
+        {}, 1, "error: argument --theta: invalid float value: 'xyz'",
+    ),
+    "non-integer --theta-steps": (
+        lambda tmp, text: ["sweep", str(REFERENCE_SCN), "--theta-steps", "x"],
+        {}, 1, "error: argument --theta-steps: invalid int value: 'x'",
+    ),
+    "unknown --format": (
+        lambda tmp, text: ["run", str(REFERENCE_SCN), "--format", "xml"],
+        {}, 1, "error: argument --format: invalid choice: 'xml'",
+    ),
+    "unknown command": (
+        lambda tmp, text: ["simulate", str(REFERENCE_SCN)],
+        {}, 1, "error: argument command: invalid choice: 'simulate'",
+    ),
+    "missing command": (
+        lambda tmp, text: [],
+        {}, 1, "error: the following arguments are required: command",
+    ),
     "nan --theta": (
         lambda tmp, text: ["run", str(REFERENCE_SCN), "--theta", "nan"],
         {}, 1, "error: --theta: theta_deg must be finite",
@@ -279,6 +333,14 @@ def test_bad_input_exits_with_an_error_line(case, tmp_path, reference_text, caps
     assert err.startswith(message)
     if "json" in argv and out:
         strict_json(out)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["sweep", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pipediff")
 
 
 def test_disturbed_percent_error_past_the_float_range_aborts(tmp_path, reference_text, capsys):

@@ -45,7 +45,7 @@ class TestTotalLength:
         # independent oracle: prefix-sum table of segment lengths
         lengths = [350.0, 100.0 * math.pi / 2.0, 200.0]
         starts = [0.0, lengths[0], lengths[0] + lengths[1]]
-        assert [net.arc_start(i) for i in range(3)] == pytest.approx(starts, rel=1e-12)
+        assert net.starts == pytest.approx(starts, rel=1e-12)
         assert net.total_length == pytest.approx(sum(lengths), rel=1e-12)
 
 

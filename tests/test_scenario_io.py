@@ -605,7 +605,7 @@ class TestReports:
         import dataclasses
         import math
 
-        from pipediff import DisturbanceConfig, segment_length
+        from pipediff import DisturbanceConfig
 
         sc = reference_scenario
         sim = dataclasses.replace(
@@ -621,8 +621,8 @@ class TestReports:
         # oracle: recompute the windowed APE directly from the raw trace
         for segment in payload["segments"]:
             index = segment["index"]
-            start = net.arc_start(index)
-            length = segment_length(net.segments[index])
+            start = net.starts[index]
+            length = net.segments[index].length
             lo, hi = start + 0.1 * length, start + 0.9 * length
             window = [r for r in records if r.segment == index and lo <= r.s <= hi]
             for name, i in (("A", 0), ("B", 1), ("C", 2)):
@@ -637,6 +637,18 @@ class TestReports:
         _, summary = reference_run
         with pytest.raises(ValueError):
             render_report(summary, fmt="xml")
+
+    def test_unknown_sweep_format_is_rejected(self, reference_run):
+        _, summary = reference_run
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            render_sweep_report([(0.0, summary)], fmt="xml")
+
+    def test_text_report_names_a_t_max_stop(self, reference_scenario):
+        sc = reference_scenario
+        _, summary = run(sc.network, sc.robot, sc.gear, replace(sc.sim, t_max=5.0))
+        lines = render_report(summary, sc.report).splitlines()
+        assert lines[:2] == ["run stopped: t = 5.000 s over 2102.279 mm of pipe",
+                             "stop reason: t_max"]
 
 
 # Floats the JSON emitter must spell as json.dumps does: non-finite values,

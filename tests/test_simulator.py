@@ -512,6 +512,27 @@ class TestSummaryEdges:
         assert 31.5 < trace.s[-1] < 283.5
         assert summary.segments[0].exit_time == trace.t[-1] == 5.0
 
+    @pytest.mark.parametrize("t_max, records", [(5e-12, 501), (1e-12, 101)])
+    def test_t_max_tolerance_is_relative(self, t_max, records):
+        # An absolute 1e-12 s tolerance stopped these at 401 records and at 1.
+        net, robot, gear, params = small_setup(dt=1e-14, t_max=t_max)
+        trace, summary = self.check(net, robot, gear, params)
+        assert len(trace) == records and summary.stop_reason == "t_max"
+        assert trace.t[-1] == pytest.approx(t_max, rel=1e-12)
+
+    def test_a_mean_track_speed_that_rounds_to_zero_stalls_the_run(self):
+        # A nominal speed of the smallest subnormal, disturbed by up to 90 %:
+        # the 21st record's three speeds sum to one subnormal, whose third
+        # rounds to a mean of 0.
+        net = PipeNetwork(PipeSpec(inner_radius=13.2), (Straight(100.0, Z),))
+        robot = RobotConfig(sprocket_radius=1.0, length=10.0, nominal_body_radius=13.2,
+                            preload_compression=1.0)
+        params = SimParams(omega_u=5e-324, dt=1e300, t_max=1e303,
+                           disturbance=DisturbanceConfig(0.9, 0))
+        trace, summary = self.check(net, robot, GearTrainConfig(), params)
+        assert len(trace) == 21 and not summary.completed and summary.stop_reason is None
+        assert summary.error == "stalled: mean track speed 0 mm/s is not positive"
+
     def test_a_segment_whose_window_holds_no_record_averages_all_of_them(
         self, reference_scenario
     ):
@@ -522,7 +543,7 @@ class TestSummaryEdges:
                              [("straight", 30.06), ("straight", 0.4), ("bend", 335.0, 90.0, 1)])
         params = replace(sc.sim, disturbance=DisturbanceConfig(0.025, 2))
         trace, summary = self.check(net, sc.robot, sc.gear, params)
-        offsets = trace.s[trace.segment == 1] - net.arc_start(1)
+        offsets = trace.s[trace.segment == 1] - net.starts[1]
         assert len(offsets) == 2
         assert not ((0.04 <= offsets) & (offsets <= 0.36)).any()
         v = trace.v[trace.segment == 1]

@@ -15,7 +15,6 @@ from pipediff import (
     free,
     imposed_speed,
     imposed_torque,
-    ring_speed,
     solve_output_speeds,
     theoretical_speeds,
 )
@@ -29,28 +28,6 @@ def brute_force_two_free(target, fixed, lo=-50.0, hi=50.0, steps=20001):
     grid = np.linspace(lo, hi, steps)
     residuals = np.abs(fixed + 2.0 * grid - target)
     return float(grid[int(np.argmin(residuals))])
-
-
-class TestRingSpeed:
-    def test_equal_sides(self):
-        assert ring_speed(10.0, 10.0) == 10.0
-
-    def test_arithmetic_mean(self):
-        assert ring_speed(8.0, 14.0) == 11.0
-
-    def test_symmetry(self):
-        assert ring_speed(-5.0, 5.0) == 0.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ring_speed(float("nan"), 1.0)
-        with pytest.raises(ValueError):
-            ring_speed(1.0, float("inf"))
-
-    @given(finite, finite)
-    @settings(max_examples=200, deadline=None)
-    def test_is_exactly_the_mean(self, a, b):
-        assert ring_speed(a, b) == (a + b) / 2.0
 
 
 class TestSolveOutputSpeeds:

@@ -26,10 +26,11 @@ aborts the run, even one that jumps past whole segments.
 Runs are deterministic: identical inputs, including the disturbance seed,
 produce bit-identical traces.  The kept records do the same floating-point
 operations in the same order as stepping one tick at a time (``np.cumsum``
-adds in sequence, the 3-term mean is ``math.fsum``, and a block starts
-from a kept position), and the disturbance takes one row of draws per
-record in the generator's stream order.  Independent runs share nothing and
-may execute in parallel.
+adds in sequence, the 3-term mean is the correctly rounded sum that
+``math.fsum`` gives, formed in numpy by ``_sum3``, and a block starts from a
+kept position), and the disturbance takes one row of draws per record in
+the generator's stream order.  Independent runs share nothing and may
+execute in parallel.
 """
 
 import math
@@ -52,6 +53,11 @@ WINDOW_MARGIN = 0.1
 # a run takes about one block per this many records, not one per segment,
 # and a block's working arrays stay a few hundred kilobytes.
 BLOCK_ROWS = 4096
+
+# Most times a disturbed block re-guesses its records' segments.  A guess
+# that has not settled by then is still checked record by record, so the
+# cap bounds the work per block, never the result.
+GUESS_REFINEMENTS = 3
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,9 @@ class SimParams:
 
     @property
     def theta_rad(self) -> float:
-        return math.radians(self.theta_deg)
+        """The roll in radians, reduced mod 360 deg first (exactly, by ``fmod``),
+        so that a large roll does not swamp the modules' 120 deg offsets."""
+        return math.radians(math.fmod(self.theta_deg, 360.0))
 
 
 @dataclass(frozen=True)
@@ -215,7 +223,7 @@ class _Plan:
     """Per-segment columns over the m segments a run can enter."""
 
     resolved: np.ndarray  # (m, 3) mm/s
-    means: np.ndarray  # (m,) mm/s, ``math.fsum`` of the resolved speeds over 3
+    means: np.ndarray  # (m,) mm/s, correctly rounded sum of the resolved speeds over 3
     demanded: np.ndarray  # (m, 3) mm/s
     compressions: np.ndarray  # (m, 3) mm
     max_tilt_deg: np.ndarray  # (m,)
@@ -272,13 +280,48 @@ def _plan(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: S
         if cut < m:
             m, error = cut, (f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s "
                              "leave the float range")
-    means = np.fromiter(map(math.fsum, resolved[:m].tolist()), float, m) / 3.0
-    return _Plan(resolved[:m], means, demanded[:m], compressions[:m], tilts[:m].max(axis=1), error)
+    resolved = resolved[:m]
+    return _Plan(resolved, _sum3(resolved) / 3.0, demanded[:m], compressions[:m],
+                 tilts[:m].max(axis=1), error)
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
     """Each row's three entries added left to right, as Python's ``sum`` does."""
     return rows[:, 0] + rows[:, 1] + rows[:, 2]
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b`` rounded, and its rounding error, which is exact (Knuth's TwoSum)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _sum3(rows: np.ndarray) -> np.ndarray:
+    """Each row's three entries summed with one rounding, bit for bit what
+    ``math.fsum`` gives, using only float operations (Boldo and Melquiond,
+    "Emulation of FMA and Correctly Rounded Sums: Proved Algorithms Using
+    Rounding to Odd", IEEE Trans. Computers 57(4), 2008).
+
+    Two TwoSums leave ``hi + lo + low`` equal to the row's sum; ``lo + low``
+    is rounded to odd, so that adding it to ``hi`` rounds once.  Every
+    intermediate must stay finite.  The plan's speeds and their disturbed
+    values are non-negative (a bend's radius exceeds the pipe's and the
+    amplitude is below 1), so no intermediate exceeds the row's sum by more
+    than rounding, and the plan's record-range rule, which counts at least
+    two records, keeps that sum below half the float range."""
+    mid, low = _two_sum(rows[:, 1], rows[:, 2])
+    hi, lo = _two_sum(rows[:, 0], mid)
+    odd, error = _two_sum(lo, low)
+    # Round to odd: an inexact sum with an even last bit moves one ulp
+    # toward the exact value.  An inexact sum is never subnormal.  Terms of
+    # like magnitude, such as a row of track speeds, leave ``lo + low``
+    # exact, so the step is skipped unless some row needs it.
+    inexact = error != 0.0
+    if inexact.any():
+        even = inexact & (odd.view(np.int64) & 1 == 0)
+        odd[even] = np.nextafter(odd[even], np.copysign(math.inf, error[even]))
+    return hi + odd
 
 
 def _running_sums(first, increments: np.ndarray) -> np.ndarray:
@@ -294,11 +337,13 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
     """Speculate ``rows`` records from position ``s`` in segment ``index``.
 
     Each record's segment is guessed by locating the positions that the
-    current segment's mean speed reaches, clamped to the planned prefix;
-    with ``draws`` (disturbed runs) the guess is refined once from plain
-    row sums of the disturbed speeds.  Returns the guessed segments, the
-    records' mean and track speeds, and ``rows + 1`` positions and
-    distances: the records' and, last, where the next record would start.
+    current segment's mean speed reaches, clamped to the planned prefix.
+    With ``draws`` (disturbed runs) the guess is then located again from
+    the positions that the guessed segments' disturbed speeds reach, until
+    it stops changing or ``GUESS_REFINEMENTS`` runs out.  Returns the
+    guessed segments, the records' mean and track speeds, and ``rows + 1``
+    positions and distances: the records' and, last, where the next record
+    would start.
     """
     last = len(plan.resolved) - 1
 
@@ -310,9 +355,14 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
         v, means = plan.resolved[segment], plan.means[segment]
     else:
         v = apply_disturbance(plan.resolved[segment], amplitude, draws)
-        segment = guess(_running_sums(s, v.mean(axis=1)[:-1] * dt))
-        v = apply_disturbance(plan.resolved[segment], amplitude, draws)
-        means = np.fromiter(map(math.fsum, zip(*v.T.tolist())), float, len(v)) / 3.0
+        means = _sum3(v) / 3.0
+        for _ in range(GUESS_REFINEMENTS):
+            refined = guess(_running_sums(s, means[:-1] * dt))
+            if np.array_equal(refined, segment):
+                break
+            segment = refined
+            v = apply_disturbance(plan.resolved[segment], amplitude, draws)
+            means = _sum3(v) / 3.0
     return (segment, means, v, _running_sums(s, means * dt),
             _running_sums(distance, v * dt))
 

@@ -88,6 +88,14 @@ class TestRun:
         # at theta = 120 deg module C faces the bend center
         assert elbow["C"]["mean_speed_mm_s"] < elbow["A"]["mean_speed_mm_s"]
 
+    @pytest.mark.parametrize("theta", ["1e15", "1e308"])
+    def test_a_large_theta_is_reduced_mod_360(self, theta, capsys):
+        # Unreduced, these rolls broke the differential's budget and exited 2.
+        assert main(["run", str(REFERENCE_SCN), "--format", "json", "--theta", theta]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["run"]["completed"] is True
+        assert payload["run"]["theta_deg"] == float(theta)
+
     def test_no_fit_exits_two_with_partial_trace(self, no_fit_scenario, tmp_path, capsys):
         trace = tmp_path / "partial.csv"
         code = main(["run", no_fit_scenario, "--trace", str(trace)])

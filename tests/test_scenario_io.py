@@ -525,10 +525,12 @@ class TestManySegmentPins:
         )
         assert digests == self.PINS[amplitude]
 
-    @pytest.mark.parametrize("amplitude", sorted(PINS))
+    @pytest.mark.parametrize("amplitude", sorted(PINS) + [0.1, 0.3, 0.9])
     def test_stepping_passes_follow_the_records_not_the_segments(self, amplitude):
         # One stepping block spans as many of the 200 segments as its records
-        # reach, so the passes are bounded by the record count alone.
+        # reach, so the passes are bounded by the record count alone.  A
+        # disturbed block re-guesses its segments until the guess settles,
+        # so a strong disturbance does not cost extra passes either.
         sc = parse_scenario(many_segment_scenario(11, amplitude))
         with mock.patch.object(simulator, "_step_block", wraps=simulator._step_block) as step:
             records, summary = run(sc.network, sc.robot, sc.gear, sc.sim)

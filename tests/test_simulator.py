@@ -1,8 +1,11 @@
+import itertools
 import math
+import sys
 import warnings
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
@@ -112,6 +115,16 @@ class TestRun:
         net, robot, gear, params = small_setup()
         records, summary = run(net, robot, gear, params)
         assert summary.max_slip <= 1e-9
+
+    @pytest.mark.parametrize("theta_deg, reduced", [(1e15, 280.0), (-1e15, -280.0)])
+    def test_roll_is_reduced_mod_360(self, reference_scenario, theta_deg, reduced):
+        # Unreduced, radians(1e15) + 2 pi / 3 rounds away the modules' offsets,
+        # and the three path radii stop averaging to the bend radius.
+        sc = reference_scenario
+        trace, summary = run(sc.network, sc.robot, sc.gear, replace(sc.sim, theta_deg=theta_deg))
+        expected = run(sc.network, sc.robot, sc.gear, replace(sc.sim, theta_deg=reduced))
+        assert summary.completed and summary.theta_deg == trace.theta_deg == theta_deg
+        assert (replace(trace, theta_deg=reduced), replace(summary, theta_deg=reduced)) == expected
 
     def test_determinism_bit_identical(self):
         net, robot, gear, params = small_setup(
@@ -557,6 +570,73 @@ class TestSummaryEdges:
         with mock.patch.object(simulator, "BLOCK_ROWS", block_rows):
             _, summary = self.check(sc.network, sc.robot, sc.gear, params)
         assert summary.completed and len(summary.segments) == 4
+
+
+def _finite_triples():
+    """Triples whose correctly rounded sum and TwoSum steps stay finite,
+    drawn to reach the cases that break naive three-term sums."""
+    bound = sys.float_info.max / 4.0
+    floats = st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+    tiny = st.floats(-sys.float_info.min, sys.float_info.min)  # zeros and subnormals
+    spread = st.builds(math.ldexp, st.floats(-2.0, 2.0), st.integers(-1074, 1020))
+
+    @st.composite
+    def cancelling(draw):
+        a = draw(floats | spread)
+        return (a, draw(spread) - a, draw(spread | tiny))
+
+    @st.composite
+    def tie(draw):
+        # ``a`` plus half an ulp of ``a`` lies midway between two floats, and
+        # one ulp of that half less lies just short of it; a third term of a
+        # fraction of that ulp, perhaps zero, decides which way the sum rounds.
+        a = draw(st.floats(1.0, 2.0, exclude_max=True) | spread)
+        b = math.ulp(a) / 2.0 * draw(st.sampled_from([1.0, -1.0, 3.0, -3.0]))
+        if draw(st.booleans()):
+            b = math.nextafter(b, 0.0)
+        return (a, b, math.ulp(b) * draw(st.floats(-2.0, 2.0)))
+
+    plain = st.tuples(*[floats | tiny | spread] * 3)
+    return plain | cancelling() | tie()
+
+
+class TestCorrectlyRoundedSums:
+    @settings(max_examples=2000, deadline=None)
+    @given(_finite_triples())
+    def test_sum3_is_math_fsum_bit_for_bit(self, triple):
+        rows = np.array(list(itertools.permutations(triple)))
+        expected = np.array([math.fsum(row) for row in rows.tolist()])
+        assert simulator._sum3(rows).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("network, amplitude, t_max, omega_u, rule, share", [
+        # A bend's demand ``v_nominal * rho_i`` overflows first: the rows sum
+        # to 0.45 % of the float range.
+        ("reference", 0.9, 5.0, 2.0024429238232423e+304,
+         "track speeds exceed the float range", 0.004),
+        # Two records on one straight: the record range cuts where the three
+        # disturbed speeds sum to half the float range.
+        ("one straight", 0.001, 1e-9, 2.9931620627078186e+307, "steps of 0.01 s", 0.499),
+    ])
+    def test_a_plan_row_at_the_float_range_cut_matches_the_reference(
+        self, reference_scenario, network, amplitude, t_max, omega_u, rule, share
+    ):
+        sc = reference_scenario
+        net, robot, gear, sim = sc.network, sc.robot, sc.gear, sc.sim
+        if network == "one straight":
+            net = PipeNetwork(PipeSpec(inner_radius=13.2), (Straight(100.0, Z),))
+            robot = RobotConfig(sprocket_radius=1.0, length=10.0, nominal_body_radius=13.2,
+                                preload_compression=1.0)
+        params = replace(sim, omega_u=omega_u, t_max=t_max,
+                         disturbance=DisturbanceConfig(amplitude, 3))
+        next_up = replace(params, omega_u=math.nextafter(omega_u, math.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace, summary = run(net, robot, gear, params)
+            _, over = run(net, robot, gear, next_up)
+        records, expected = reference_run(net, robot, gear, params)
+        assert summary.completed and list(trace) == records and summary == expected
+        assert trace.v.sum(axis=1).max() > share * sys.float_info.max
+        assert over.error.startswith(rule)
 
 
 class TestEffectiveRobotPath:

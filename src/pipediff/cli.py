@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 invalid input (command line, scenario file,
-``--seed``, ``--theta`` or PIPEDIFF_SEED), 2 runtime failure (no-fit,
-infeasible constraints, float range, bad nominal speed, stall, unwritable
-output).  ``--seed`` falls back to the PIPEDIFF_SEED environment variable.
+``--seed``, ``--theta`` or the PIPEDIFF_SEED environment variable that
+``--seed`` falls back to), 2 runtime failure (no-fit, infeasible constraints,
+float range, bad nominal speed, stall, unwritable output, out of memory).
 """
 
 import argparse
@@ -143,6 +143,9 @@ def main(argv=None) -> int:
         _emit(text, args.report)
     except (PipeClimbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return EXIT_RUNTIME
     failed = [summary.error for summary in summaries if summary.error]
     if failed:

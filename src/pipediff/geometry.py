@@ -5,8 +5,8 @@ A straight runs along its axis; one declared without an axis continues the
 incoming tangent.  Bends inherit the incoming tangent and turn inside the
 plane orthogonal to their normal (right-hand rule).  ``PipeNetwork`` walks
 the tangent chain once, when it is built: it resolves the default axes and
-start tangent, records where each segment starts, and records every broken
-invariant.  The types are immutable, so networks are thread-safe values.
+start tangent, records each segment's radius, length and start, and every
+broken invariant.  The types are immutable, so networks are thread-safe values.
 
 Inside a bend the three drive modules ride circles of different radii: the
 module whose contact point sits at circumferential angle ``theta_i`` from
@@ -21,6 +21,8 @@ always average to ``R`` -- the identity the passive differential exploits.
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InvalidGeometryError
 
@@ -160,17 +162,19 @@ class PipeNetwork:
     defaults to the first straight's axis (or +z), and a straight without
     an axis takes the incoming tangent; both are stored resolved, so
     ``segments`` and ``start_tangent`` are explicit.  The same walk records
-    ``starts``, the arc-length coordinate where each segment begins, and
-    every broken invariant, which ``validate_network`` returns: a network is
-    checked exactly when it is built.
+    the per-segment columns ``radii``, ``lengths`` and ``starts`` (read-only
+    float64 arrays), ``total_length`` and every broken invariant, which
+    ``validate_network`` returns: a network is checked exactly when built.
     """
 
     spec: PipeSpec
     segments: tuple[Segment, ...]
     start_tangent: Vec3 | None = None
 
-    starts: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
-    _total: float = field(init=False, repr=False, compare=False, default=0.0)
+    radii: np.ndarray = field(init=False, repr=False, compare=False)  # mm, inf for a straight
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)  # mm, R * sweep for a bend
+    starts: np.ndarray = field(init=False, repr=False, compare=False)  # mm, where each begins
+    total_length: float = field(init=False, repr=False, compare=False)  # mm
     _violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
@@ -190,7 +194,7 @@ class PipeNetwork:
 
         tangent = _unit(start, _PLUS_Z)
         resolved = []
-        starts = []
+        rows = []  # radius, length and start of each segment
         s = 0.0
         for k, segment in enumerate(segments):
             if isinstance(segment, Straight) and segment.axis is None:
@@ -202,7 +206,7 @@ class PipeNetwork:
                 normal = _unit(segment.normal, _PLUS_Y)
                 tangent = _unit(_rotate(tangent, normal, segment.sweep_rad), tangent)
             resolved.append(segment)
-            starts.append(s)
+            rows.append((segment.radius, segment.length, s))
             s += segment.length
         # Finite lengths can still sum past the float range; stepping needs
         # a finite end to stop at.
@@ -214,14 +218,12 @@ class PipeNetwork:
 
         object.__setattr__(self, "segments", tuple(resolved))
         object.__setattr__(self, "start_tangent", start)
-        object.__setattr__(self, "starts", tuple(starts))
-        object.__setattr__(self, "_total", s)
+        columns = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+        columns.flags.writeable = False
+        for name, column in zip(("radii", "lengths", "starts"), columns):
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "total_length", s)
         object.__setattr__(self, "_violations", tuple(violations))
-
-    @property
-    def total_length(self) -> float:
-        """Total centerline length in mm; bends contribute R * sweep."""
-        return self._total
 
 
 def module_path_radius(

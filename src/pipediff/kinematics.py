@@ -1,12 +1,12 @@
 """Track speeds the pipe geometry demands, and their seeded disturbance.
 
-``theoretical_speeds`` gives the speeds the geometry demands: uniform in a
-straight, scaled by each module's path radius inside a bend.  Because the
-three path radii average to the bend radius, the demanded speeds always
-average to the nominal speed, which is exactly the budget the differential
-distributes -- so the wall constraints are feasible and the differential
-delivers the demanded speeds.  That is the no-slip mechanism, restated at
-the level where it is literally true.
+``demanded_speeds`` gives the speeds the geometry demands, one row per
+segment: uniform in a straight, scaled by each module's path radius inside a
+bend.  Because the three path radii average to the bend radius, the demanded
+speeds always average to the nominal speed, which is exactly the budget the
+differential distributes -- so the wall constraints are feasible and the
+differential delivers the demanded speeds.  That is the no-slip mechanism,
+restated at the level where it is literally true.
 
 The path radius uses the wall radius of the pipe: under maintained contact
 a module's contact point sits on the inner wall, so its distance from the
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Segment, Straight, module_path_radius
+from .geometry import Bend, Segment, module_cosines, module_path_radius
 
 TRACK_NAMES = ("A", "B", "C")
 
@@ -44,21 +44,24 @@ class TrackSpeeds:
         return math.fsum(self.as_tuple()) / 3.0
 
 
-def theoretical_speeds(
-    segment: Segment, theta: float, v_nominal: float, contact_radius: float
-) -> TrackSpeeds:
-    """Speeds the pipe geometry requires of each track.
+def demanded_speeds(radii, theta: float, v_nominal: float, contact_radius: float) -> np.ndarray:
+    """(m, 3) track speeds the geometry demands in the segments of centerline
+    ``radii`` (mm, inf for a straight): ``v_nominal`` in a straight, and
+    ``v_nominal * rho_i / R`` in a bend, whose mean is ``v_nominal``."""
+    radius = np.reshape(radii, (-1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bent = v_nominal * (radius - contact_radius * np.array(module_cosines(theta))) / radius
+    return np.where(radius < math.inf, bent, v_nominal)
 
-    Straight: every track moves at ``v_nominal``.  Bend: track i moves at
-    ``v_nominal * rho_i / R``, so the mean over the three tracks is
-    ``v_nominal`` for every orientation.
-    """
-    if isinstance(segment, Straight):
-        return TrackSpeeds(v_nominal, v_nominal, v_nominal)
-    return TrackSpeeds(*(
-        v_nominal * module_path_radius(segment, theta, i, contact_radius) / segment.radius
-        for i in range(3)
-    ))
+
+def theoretical_speeds(segment: Segment, theta: float, v_nominal: float,
+                       contact_radius: float) -> TrackSpeeds:
+    """The row of ``demanded_speeds`` for one segment.  A bend first checks
+    ``theta`` and ``contact_radius`` as ``module_path_radius`` does."""
+    if isinstance(segment, Bend):
+        module_path_radius(segment, theta, 0, contact_radius)
+    row = demanded_speeds([segment.radius], theta, v_nominal, contact_radius)[0]
+    return TrackSpeeds(*row.tolist())
 
 
 def apply_disturbance(speeds, amplitude: float, draws: np.ndarray) -> np.ndarray:

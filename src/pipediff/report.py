@@ -10,6 +10,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from .kinematics import TRACK_NAMES
 from .scenario import ReportOptions
 from .simulator import TRACE_COLUMNS, RunSummary
 
@@ -18,7 +19,7 @@ TRACE_HEADER = (
     "dA,dB,dC,slipA,slipB,slipC,distA,distB,distC"
 )
 
-_TRACK_INDEX = {"A": 0, "B": 1, "C": 2}
+_TRACK_INDEX = {name: i for i, name in enumerate(TRACK_NAMES)}
 
 
 # Rows formatted per pass: converting one chunk of the columns to Python

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFitError
-from .geometry import PipeSpec, Segment, module_cosines
+from .geometry import PipeSpec, module_cosines
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,11 @@ def first_failure(failing) -> int:
     return int(hits[0]) if hits.size else len(failing)
 
 
-def module_states(cfg: RobotConfig, spec: PipeSpec, segments: tuple[Segment, ...],
+def module_states(cfg: RobotConfig, spec: PipeSpec, radii,
                   theta: float) -> tuple[np.ndarray, np.ndarray, NoFitError | None]:
-    """(m, 3) compressions (mm) and tilts (deg) of the first m ``segments``,
-    and the NoFitError of segment m, or None when m covers them all.
+    """(m, 3) compressions (mm) and tilts (deg) of the first m segments of
+    centerline radii ``radii`` (mm, inf for a straight), and the NoFitError
+    of segment m, or None when m covers them all.
 
     The checks, in order: wall contact and the straight pipe's compression
     limit, then the body's chord, the bend's compression and its tilt.  Each
@@ -71,7 +72,7 @@ def module_states(cfg: RobotConfig, spec: PipeSpec, segments: tuple[Segment, ...
     the first failing segment and its first failing check.  A violated
     limit is always surfaced as an error, never clamped."""
     base = cfg.preload_compression + (cfg.nominal_body_radius - spec.inner_radius)
-    radius = np.array([segment.radius for segment in segments], dtype=float)
+    radius = np.asarray(radii, dtype=float)
     m, error = len(radius), None
     if m and base < 0.0:
         m, error = 0, NoFitError(

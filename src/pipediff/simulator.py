@@ -39,8 +39,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidScenarioError
-from .geometry import Bend, PipeNetwork, module_cosines, validate_network
-from .kinematics import TRACK_NAMES, apply_disturbance
+from .geometry import Bend, PipeNetwork, validate_network
+from .kinematics import TRACK_NAMES, apply_disturbance, demanded_speeds
 from .robot import RobotConfig, first_failure, module_states
 from .transmission import GearTrainConfig, first_budget_miss
 
@@ -237,11 +237,9 @@ def _plan(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: S
     cuts the columns at its first failing row before the earlier cuts.
     Rows past a cut may overflow; they are never kept."""
     theta, dt, amplitude = params.theta_rad, params.dt, params.disturbance.amplitude
-    compressions, tilts, no_fit = module_states(robot, net.spec, net.segments, theta)
+    compressions, tilts, no_fit = module_states(robot, net.spec, net.radii, theta)
     m, error = len(compressions), None if no_fit is None else str(no_fit)
-    radius = np.array([segment.radius for segment in net.segments[:m]]).reshape(m, 1)
-    lengths = np.array([segment.length for segment in net.segments[:m]])
-    cosines = np.array(module_cosines(theta))
+    demanded = demanded_speeds(net.radii, theta, v_nominal, net.spec.inner_radius)
     # Bounds on the records the run forms up to the end of each segment and
     # on the sum of the three track speeds so far.  Blocks form up to two
     # records past the end of the planned prefix, so the bound of its last
@@ -249,10 +247,6 @@ def _plan(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: S
     limit = math.inf if params.t_max is None else params.t_max / dt + 2.0
     speed_range = f"track speeds exceed the float range at nominal speed {v_nominal:g} mm/s"
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # A bend's demands scale with the path radii R - r_c * cos(theta_i).
-        demanded = np.where(radius < math.inf,
-                            v_nominal * (radius - net.spec.inner_radius * cosines) / radius,
-                            v_nominal)
         # The budget plus the demands must stay finite: the budget check adds them.
         cut = first_failure(~np.isfinite(3.0 * gear.ratio * params.omega_u
                                          + _row_sums(demanded[:m])))
@@ -273,7 +267,7 @@ def _plan(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: S
         # record time, position and distance it forms and any speed summed
         # over a segment's records.  ``np.cumsum`` adds in sequence.
         step = _row_sums(resolved) / 3.0 * dt * (1.0 - amplitude)
-        count = np.cumsum(np.where(step > 0.0, lengths / step + 2.0, math.inf))
+        count = np.cumsum(np.where(step > 0.0, net.lengths / step + 2.0, math.inf))
         formed = np.minimum(count, limit)[:m]
         cut = first_failure(~(np.isfinite(formed * dt) & np.isfinite(formed * speeds[:m] * dt)
                               & np.isfinite(formed * speeds[:m])))
@@ -410,7 +404,7 @@ def run(
     rng = np.random.default_rng(params.disturbance.seed) if amplitude > 0.0 else None
     plan = _plan(net, robot, gear, params, v_nominal)
     passable = len(plan.resolved)
-    starts = np.array(net.starts + (math.inf,))
+    starts = np.append(net.starts, math.inf)
     # Blocks form records up to the end of the planned prefix, the span that
     # the plan's float-range rule covers; the sentinel start ends a prefix
     # that holds every segment.
@@ -503,10 +497,10 @@ def run_orientation_sweep(
     """Run ``steps`` evenly spaced roll orientations over a full turn and
     return one ``(theta_deg, summary)`` pair per orientation.
 
-    Results come back in orientation order; when a disturbance is active,
-    orientation k uses seed ``base_seed + k`` so the runs stay independent
-    yet reproducible.  Each run's trace is dropped as soon as it is
-    summarised, so the sweep holds one trace at a time.
+    Results come back in orientation order.  Orientation k uses seed
+    ``base_seed + k``, whether or not a disturbance is active, so disturbed
+    runs stay independent yet reproducible.  Each run's trace is dropped as
+    soon as it is summarised, so the sweep holds one trace at a time.
     """
     if steps < 1:
         raise ValueError("at least one orientation required")
@@ -545,8 +539,7 @@ def _summarize(
     # A segment is entered at its first record and left at the first record
     # of any later segment, or at the run's last record.
     times = trace.t[np.minimum(bounds, n - 1)].tolist() if n else [0.0] * (entered + 1)
-    lengths = [segment.length for segment in net.segments[:entered]]
-    starts, spans = np.array(net.starts[:entered]), np.array(lengths)
+    starts, spans = net.starts[:entered], net.lengths[:entered]
     lo = np.searchsorted(trace.s, starts + WINDOW_MARGIN * spans)
     hi = np.searchsorted(trace.s, starts + (1.0 - WINDOW_MARGIN) * spans, side="right")
     lo, hi = np.clip(lo, first, last), np.clip(hi, first, last)
@@ -564,8 +557,8 @@ def _summarize(
     firsts = first[first < last]  # of the segments with records
     extremes = zip(np.minimum.reduceat(trace.v, firsts).tolist(),
                    np.maximum.reduceat(trace.v, firsts).tolist())
-    rows = zip(net.segments, lengths, first.tolist(), last.tolist(), zip(*means), zip(*apes),
-               plan.resolved.tolist(), plan.compressions.max(axis=1).tolist(),
+    rows = zip(net.segments, spans.tolist(), first.tolist(), last.tolist(), zip(*means),
+               zip(*apes), plan.resolved.tolist(), plan.compressions.max(axis=1).tolist(),
                plan.max_tilt_deg.tolist())
     summaries = []
     for index, (seg, length, a, b, mean, ape, resolved, compression, tilt) in enumerate(rows):

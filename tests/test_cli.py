@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipediff import TRACE_HEADER, PipeNetwork
+from pipediff import TRACE_HEADER, PipeNetwork, cli
 from pipediff.cli import main
 
 from conftest import REFERENCE_SCN
@@ -413,3 +413,22 @@ def test_each_command_builds_the_network_once(argv, capsys, monkeypatch):
     monkeypatch.setattr(PipeNetwork, "__post_init__", counted)
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("run", ["run", str(REFERENCE_SCN)]),
+    ("run_orientation_sweep", ["sweep", str(REFERENCE_SCN), "--theta-steps", "2"]),
+    ("write_trace", ["run", str(REFERENCE_SCN), "--trace", "trace.csv"]),
+    ("render_report", ["run", str(REFERENCE_SCN), "--format", "json"]),
+], ids=["run", "sweep", "trace", "report"])
+@pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 EiB for an array"])
+def test_out_of_memory_exits_two_with_an_error_line(target, argv, message, capsys, monkeypatch):
+    # Stands in for an allocation that fails; nothing large is allocated.
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, target, exhausted)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory" + (f": {message}" if message else "") + "\n"

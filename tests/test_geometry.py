@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from pipediff import (
     module_path_radius,
     validate_network,
 )
+
+from reference_stepper import reference_lengths
 
 SPEC = PipeSpec(inner_radius=13.2, standard_label="test bore")
 Z = (0.0, 0.0, 1.0)
@@ -47,6 +50,43 @@ class TestTotalLength:
         starts = [0.0, lengths[0], lengths[0] + lengths[1]]
         assert net.starts == pytest.approx(starts, rel=1e-12)
         assert net.total_length == pytest.approx(sum(lengths), rel=1e-12)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestColumns:
+    """The per-segment columns that the walk records."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.builds(Straight, st.floats(-3.0, 308.2).map(lambda e: 10.0 ** e)),
+        st.builds(Straight, st.floats(1e-3, 1e3), st.just(Z)),
+        st.builds(Bend, st.floats(14.0, 1e4), st.floats(0.5, 180.0), st.just(Y)),
+    ), max_size=20))
+    def test_columns_match_an_independent_walk(self, segments):
+        net = make_net(*segments)
+        lengths, starts, total = reference_lengths(net)
+        assert net.radii.dtype == net.lengths.dtype == net.starts.dtype == np.float64
+        assert bits(net.radii) == bits([segment.radius for segment in net.segments])
+        assert bits(net.lengths) == bits(lengths)
+        assert bits(net.starts) == bits(starts)
+        assert bits([net.total_length]) == bits([total])
+
+    def test_columns_are_read_only(self):
+        net = make_net(Straight(350.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Y))
+        for column in (net.radii, net.lengths, net.starts):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        assert net.radii.tolist() == [math.inf, 100.0]
+
+    def test_equality_and_hashing_ignore_the_columns(self):
+        pieces = (Straight(350.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Y))
+        net, twin = make_net(*pieces), make_net(*pieces)
+        for name in ("radii", "lengths", "starts"):
+            object.__setattr__(twin, name, np.zeros(5))
+        assert twin == net and hash(twin) == hash(net)
 
 
 class TestModulePathRadius:

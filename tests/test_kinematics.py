@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pipediff import (
@@ -12,6 +12,7 @@ from pipediff import (
     module_path_radius,
     theoretical_speeds,
 )
+from pipediff.kinematics import demanded_speeds
 
 Y = (0.0, 1.0, 0.0)
 BEND = Bend(radius=200.0, sweep_deg=90.0, normal=Y)
@@ -63,6 +64,31 @@ class TestTheoreticalSpeeds:
             v_nominal * (1.0 - (r_c / BEND.radius) * math.cos(t)) for t in thetas
         ]
         assert track_a == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def segments_with_contact_radius(draw):
+    """A straight or a bend of radius 1e-3 to 1e300 mm, and a contact radius
+    in [0, R): anywhere from 0 to 1e300 mm for a straight."""
+    if draw(st.booleans()):
+        return Straight(100.0), draw(st.floats(0.0, 1e300))
+    radius = 10.0 ** draw(st.floats(-3.0, 300.0))
+    contact_radius = radius * draw(st.floats(0.0, 1.0, exclude_max=True))
+    assume(contact_radius < radius)
+    return Bend(radius, 90.0, Y), contact_radius
+
+
+@given(
+    segments_with_contact_radius(),
+    st.floats(-30.0, 30.0),  # rad, several turns either way
+    st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+)
+@settings(max_examples=500, deadline=None)
+def test_theoretical_speeds_is_the_row_of_demanded_speeds(case, theta, v_nominal):
+    segment, contact_radius = case
+    speeds = theoretical_speeds(segment, theta, v_nominal, contact_radius).as_tuple()
+    row = demanded_speeds([segment.radius], theta, v_nominal, contact_radius)[0]
+    assert np.array(speeds).view(np.int64).tolist() == row.view(np.int64).tolist()
 
 
 class TestDisturbance:

@@ -29,7 +29,7 @@ def make_robot(**overrides):
 def segment_state(robot, spec, segment, theta):
     """``(compressions, tilts)`` of one segment; raises the NoFitError that
     ``module_states`` returns for it."""
-    compressions, tilts, error = module_states(robot, spec, (segment,), theta)
+    compressions, tilts, error = module_states(robot, spec, (segment.radius,), theta)
     if error is not None:
         raise error
     return tuple(compressions[0].tolist()), tuple(tilts[0].tolist())
@@ -198,7 +198,9 @@ class TestAlongANetwork:
         robot = make_robot()
         spec = PipeSpec(inner_radius=robot.nominal_body_radius)
         segments = (STRAIGHT, ELBOW, Bend(290.0, 180.0, Y), STRAIGHT)
-        compressions, tilts, error = module_states(robot, spec, segments, 0.4)
+        compressions, tilts, error = module_states(
+            robot, spec, [segment.radius for segment in segments], 0.4
+        )
         assert error is None and compressions.shape == tilts.shape == (4, 3)
         for segment, row, tilt in zip(segments, compressions.tolist(), tilts.tolist()):
             assert (tuple(row), tuple(tilt)) == segment_state(robot, spec, segment, 0.4)
@@ -209,7 +211,7 @@ class TestAlongANetwork:
         robot = make_robot(length=140.0)
         spec = PipeSpec(inner_radius=robot.nominal_body_radius)
         compressions, tilts, error = module_states(
-            robot, spec, (STRAIGHT, ELBOW, STRAIGHT, CHORDLESS), 0.0
+            robot, spec, (STRAIGHT.radius, ELBOW.radius, STRAIGHT.radius, CHORDLESS.radius), 0.0
         )
         assert compressions.tolist() == [[5.0, 5.0, 5.0]] and tilts.tolist() == [[0.0] * 3]
         assert error.quantity == "tilt"
@@ -217,7 +219,7 @@ class TestAlongANetwork:
     def test_a_segment_that_breaks_two_limits_reports_the_earlier_check(self):
         robot = make_robot(length=200.0)
         spec = PipeSpec(inner_radius=robot.nominal_body_radius)
-        compressions, _, error = module_states(robot, spec, (ELBOW, CHORDLESS), 0.0)
+        compressions, _, error = module_states(robot, spec, (ELBOW.radius, CHORDLESS.radius), 0.0)
         assert len(compressions) == 0 and error.quantity == "compression"
 
     def test_no_segments(self):
@@ -231,7 +233,7 @@ class TestAlongANetwork:
         robot = make_robot(length=1e200)
         spec = PipeSpec(inner_radius=robot.nominal_body_radius)
         compressions, tilts, error = module_states(
-            robot, spec, (STRAIGHT, Bend(1e300, 90.0, Y)), 0.0
+            robot, spec, (STRAIGHT.radius, 1e300), 0.0
         )
         assert compressions.tolist() == [[5.0, 5.0, 5.0]] and tilts.tolist() == [[0.0] * 3]
         assert str(error) == (

@@ -27,6 +27,7 @@ from pipediff import (
     run,
     run_orientation_sweep,
     simulator,
+    theoretical_speeds,
     validate_network,
 )
 
@@ -491,6 +492,11 @@ class TestPlanAgainstTheReference:
             column, reference = getattr(plan, name), getattr(expected, name)
             assert column.shape == reference.shape, name
             assert column.tobytes() == reference.tobytes(), name
+        # The plan and ``theoretical_speeds`` share one demand rule.
+        for segment, row in zip(net.segments, plan.demanded):
+            speeds = theoretical_speeds(segment, params.theta_rad, v_nominal,
+                                        net.spec.inner_radius)
+            assert row.tobytes() == np.array(speeds.as_tuple()).tobytes()
 
 
 class TestSummaryEdges:

@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 invalid input (command line, scenario file,
 ``--seed``, ``--theta`` or the PIPEDIFF_SEED environment variable that
 ``--seed`` falls back to), 2 runtime failure (no-fit, infeasible constraints,
-float range, bad nominal speed, stall, unwritable output, out of memory).
+float range, record count, bad nominal speed, stall, unwritable output, out of
+memory).
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -30,6 +32,7 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioParseError([(0, message)])
 
 
+@functools.cache  # one parser per process: building it costs about ten parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pipediff",

@@ -12,7 +12,7 @@ import numpy as np
 
 from .kinematics import TRACK_NAMES
 from .scenario import ReportOptions
-from .simulator import TRACE_COLUMNS, RunSummary
+from .simulator import RunSummary
 
 TRACE_HEADER = (
     "t,s,segment,theta,vA,vB,vC,vA_theo,vB_theo,vC_theo,"
@@ -24,31 +24,24 @@ _TRACK_INDEX = {name: i for i, name in enumerate(TRACK_NAMES)}
 
 # Rows formatted per pass: converting one chunk of the columns to Python
 # floats and text at a time keeps the peak memory close to that of the CSV
-# text.  Runs of equal values are found within a chunk, so a run that
-# crosses a chunk boundary is formatted once on each side.
+# text.  A chunk is split into runs of one segment, and each run's rows
+# share one row template, so a run that crosses a chunk boundary gets a
+# template on each side.
 _CHUNK_ROWS = 512
 
+# The columns that a run's row template may hold as text.
+_BAKEABLE = ("v", "v_theo", "compression", "slip")
 
-def _run_texts(values: np.ndarray, fmt: str) -> list[str]:
-    """``fmt % row`` for each row of ``values``, formatted once per run of
-    rows whose bits are equal.
+
+def _changes(values: np.ndarray) -> np.ndarray:
+    """Whether each row's bits differ from the row before's.
 
     Comparing bits rather than values keeps ``-0.0`` apart from ``0.0`` and
-    never merges NaNs of different payloads, so each text is exactly the one
-    its own row would format to.
+    never merges NaNs of different payloads.
     """
     bits = values.view(f"i{values.itemsize}")
     changed = bits[1:] != bits[:-1]
-    if changed.ndim > 1:
-        changed = changed.any(axis=1)
-    firsts = np.flatnonzero(np.concatenate(([True], changed)))
-    firsts_values = values[firsts]
-    rows = zip(*firsts_values.T.tolist()) if values.ndim > 1 else firsts_values.tolist()
-    texts = list(map(fmt.__mod__, rows))
-    if len(texts) == len(values):
-        return texts
-    counts = np.diff(firsts, append=len(values))
-    return np.repeat(np.array(texts, dtype=object), counts).tolist()
+    return changed.any(axis=1) if changed.ndim > 1 else changed
 
 
 def _trace_chunks(trace):
@@ -56,13 +49,27 @@ def _trace_chunks(trace):
     yield TRACE_HEADER + "\n"
     for a in range(0, len(trace), _CHUNK_ROWS):
         chunk = trace[a:a + _CHUNK_ROWS]
-        # theta is one constant per trace, so it rides in the segment's format.
-        formats = {"t": "%.6f", "s": "%.6f", "segment": f"%d,{chunk.theta_deg:.6f}"}
-        cells = [_run_texts(getattr(chunk, name), formats.get(name, "%.6f,%.6f,%.6f"))
-                 for name in TRACE_COLUMNS]
-        lines = list(map(",".join, zip(*cells)))
-        lines.append("")  # the chunk's final newline, without copying the text to add it
-        yield "\n".join(lines)
+        moved = _changes(chunk.segment)
+        firsts = np.flatnonzero(np.concatenate(([True], moved)))
+        # A column is baked when it changes only where the segment does, so
+        # each run's first row holds its value for the whole run.
+        baked = [name for name in _BAKEABLE if not (_changes(getattr(chunk, name)) & ~moved).any()]
+        moving = [getattr(chunk, name) for name in _BAKEABLE if name not in baked]
+        # The run format turns the segment, theta and the baked values into
+        # text, and each ``%%.6f`` into a ``%.6f`` slot of the row template.
+        # Baked texts hold no ``%``, so the template's slots are its only ones.
+        run_format = ",".join(["%%.6f,%%.6f,%d", f"{chunk.theta_deg:.6f}"] + [
+            "%.6f,%.6f,%.6f" if name in baked else "%%.6f,%%.6f,%%.6f" for name in _BAKEABLE
+        ]) + ",%%.6f,%%.6f,%%.6f\n"
+        heads = np.concatenate([np.empty((len(firsts), 0))]
+                               + [getattr(chunk, name)[firsts] for name in baked], axis=1)
+        values = tuple(np.concatenate([chunk.t[:, None], chunk.s[:, None], *moving,
+                                       chunk.distance], axis=1).ravel().tolist())
+        w = len(values) // len(chunk)  # slots per row
+        bounds = firsts.tolist() + [len(chunk)]
+        yield "".join([((run_format % (segment, *head)) * (hi - lo)) % values[w * lo:w * hi]
+                       for segment, head, lo, hi in zip(chunk.segment[firsts].tolist(),
+                                                         heads.tolist(), bounds, bounds[1:])])
 
 
 def render_trace(trace) -> str:
@@ -72,10 +79,10 @@ def render_trace(trace) -> str:
     ``Trace``; an empty sequence gives the header alone.
 
     The model is piecewise constant, so within a segment most columns repeat
-    from row to row.  Each chunk of rows is formatted column by column, each
-    run of bit-identical rows of a column once (``t``, ``s`` and the
-    distances change every row), and the rows are joined from the columns'
-    texts.  The output is the same as formatting every value on its own.
+    from row to row.  Each chunk is formed one segment run at a time: the
+    columns whose bits change only where the segment does are baked into
+    the run's row template as text, and one ``%`` fills its ``%.6f`` slots
+    for all the run's rows.  The output is that of formatting each value alone.
     """
     return "".join(_trace_chunks(trace))
 

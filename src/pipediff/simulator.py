@@ -59,6 +59,10 @@ BLOCK_ROWS = 4096
 # cap bounds the work per block, never the result.
 GUESS_REFINEMENTS = 3
 
+# Most records a trace can hold: 144 bytes each (t, s, segment and five
+# columns of three float64s) fill a 47-bit address space at this count.
+MAX_RECORDS = 2**47 // 144
+
 
 @dataclass(frozen=True)
 class DisturbanceConfig:
@@ -233,9 +237,9 @@ class _Plan:
 def _plan(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: SimParams,
           v_nominal: float) -> _Plan:
     """Plan the segments up to the first that fails ``module_states``, the
-    differential's budget or the float-range rule, in that order: each rule
-    cuts the columns at its first failing row before the earlier cuts.
-    Rows past a cut may overflow; they are never kept."""
+    differential's budget, the float-range rule or the record-count rule, in
+    that order: each rule cuts the columns at its first failing row before
+    the earlier cuts.  Rows past a cut may overflow; they are never kept."""
     theta, dt, amplitude = params.theta_rad, params.dt, params.disturbance.amplitude
     compressions, tilts, no_fit = module_states(robot, net.spec, net.radii, theta)
     m, error = len(compressions), None if no_fit is None else str(no_fit)
@@ -274,6 +278,10 @@ def _plan(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: S
         if cut < m:
             m, error = cut, (f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s "
                              "leave the float range")
+        cut = first_failure(formed > MAX_RECORDS)
+        if cut < m:
+            m, error = cut, (f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s form up "
+                             f"to {formed[cut]:.3g} records, more than memory can hold")
     resolved = resolved[:m]
     return _Plan(resolved, _sum3(resolved) / 3.0, demanded[:m], compressions[:m],
                  tilts[:m].max(axis=1), error)

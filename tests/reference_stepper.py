@@ -149,6 +149,11 @@ def reference_plan(net, robot, gear, params):
             error = f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s leave the float range"
             rule = "record range"
             break
+        if formed > 2**47 // 144:  # 144-byte records filling a 47-bit address space
+            error = (f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s form up to "
+                     f"{formed:.3g} records, more than memory can hold")
+            rule = "record count"
+            break
         rows.append(resolved + (math.fsum(resolved) / 3.0,) + demanded
                     + compressions + (max(tilts),))
     table = np.reshape(rows, (-1, 11))

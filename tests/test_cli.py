@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from pipediff import TRACE_HEADER, PipeNetwork, cli
 from pipediff.cli import main
 
-from conftest import REFERENCE_SCN
+from conftest import REFERENCE_SCN, REPO_ROOT
 
 
 def _refuse(constant):
@@ -432,3 +435,32 @@ def test_out_of_memory_exits_two_with_an_error_line(target, argv, message, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory" + (f": {message}" if message else "") + "\n"
+
+
+# Runs the command line in a child whose address space is capped at 1 GiB:
+# a run that the plan let through would fail there, not fill the host's memory.
+CAPPED_MAIN = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+from pipediff.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("omega_u, dt, message", [
+    ("1e-300", "0.01", "steps of 0.01 s at nominal speed 1.75e-299 mm/s form up to 1.8e+303"),
+    ("2.0", "1e-300", "steps of 1e-300 s at nominal speed 35 mm/s form up to 9e+300"),
+])
+def test_a_run_no_memory_can_hold_exits_two_at_the_plan(tmp_path, reference_text, omega_u, dt,
+                                                        message):
+    scenario = _fast(tmp_path, reference_text, omega_u, dt=dt)
+    trace = tmp_path / "t.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, "run", str(scenario), "--trace",
+                           str(trace)], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 2
+    assert done.stderr == f"error: {message} records, more than memory can hold\n"
+    assert trace.read_text(encoding="utf-8") == TRACE_HEADER + "\n"

@@ -407,9 +407,9 @@ def hand_trace(n, theta_deg=0.0, **columns):
 
 
 def assert_matches_the_oracle(trace):
-    """``render_trace`` formats each run of equal values once; the oracle
-    formats every value on its own.  Lines are compared so that a mismatch
-    reports its first differing row."""
+    """``render_trace`` writes the values that hold over a segment run once
+    per run; the oracle formats every value on its own.  Lines are compared
+    so that a mismatch reports its first differing row."""
     assert render_trace(trace).split("\n") == reference_csv(trace).split("\n")
 
 
@@ -476,6 +476,52 @@ class TestTraceCsvRuns:
                               ("v", "v_theo", "compression", "slip", "distance")})
         with mock.patch.object(report, "_CHUNK_ROWS", chunk_rows):
             assert_matches_the_oracle(trace)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 8)), max_size=8),
+        chunk_rows=st.integers(1, 9),
+    )
+    def test_columns_that_change_with_the_segment_or_apart_from_it(self, data, runs,
+                                                                    chunk_rows):
+        # Segment runs in any order, repeating after a gap.  Each column
+        # changes where the segment does, at chunk boundaries, at rows of its
+        # own, or at any mix of these, so one column may hold over each
+        # segment run in one chunk and move inside a run in the next.
+        segment = np.repeat([index for index, _ in runs], [rows for _, rows in runs]).astype(int)
+        n = len(segment)
+        rows = np.arange(n)
+        segment_changes = np.concatenate(([True], segment[1:] != segment[:-1]))[:n]
+        pool = st.sampled_from((0.0, -0.0, 35.0, 33.6211, 5e-7, math.nan, -math.inf))
+
+        def column():
+            changes = np.isin(rows, data.draw(st.lists(st.integers(0, 40), max_size=3)))
+            if data.draw(st.booleans()):
+                changes |= segment_changes
+            if data.draw(st.booleans()):
+                changes |= rows % chunk_rows == 0
+            pieces = np.cumsum(changes)
+            size = int(pieces[-1]) + 1 if n else 1
+            values = data.draw(st.lists(st.lists(pool, min_size=3, max_size=3),
+                                        min_size=size, max_size=size))
+            return np.array(values, dtype=float)[pieces]
+
+        trace = hand_trace(n, 120.0, t=rows * 0.25, s=rows * -1e-7, segment=segment,
+                           **{name: column() for name in
+                              ("v", "v_theo", "compression", "slip", "distance")})
+        with mock.patch.object(report, "_CHUNK_ROWS", chunk_rows):
+            assert_matches_the_oracle(trace)
+
+    def test_a_disturbed_reference_run(self, reference_scenario):
+        # v and slip move on every row; v_theo and compression hold per segment.
+        sc = reference_scenario
+        sim = replace(sc.sim, disturbance=DisturbanceConfig(0.025, 7))
+        trace, _ = run(sc.network, sc.robot, sc.gear, sim)
+        assert_matches_the_oracle(trace)
+
+    def test_an_empty_sequence_gives_the_header_alone(self):
+        assert render_trace([]) == TRACE_HEADER + "\n"
 
 
 def many_segment_scenario(seed: int, amplitude: float) -> str:

@@ -280,6 +280,44 @@ class TestSegmentAdmissibility:
         assert summary.stop_reason == "t_max" and summary.error is None
         assert trace.t.tolist() == [0.0, 0.001]
 
+    # Only the plan is made in the tests below: each run would form more
+    # records than memory holds.  ``_plan`` allocates per segment, not per record.
+    @pytest.mark.parametrize("key, value, records", [
+        ("omega_u", 1e-300, "1.8e+303"),
+        ("dt", 1e-300, "9e+300"),
+    ])
+    def test_a_run_no_memory_can_hold_is_cut_at_the_plan(self, reference_scenario, key, value,
+                                                         records):
+        # Every bound of the float-range rule stays finite for these runs.
+        sc = reference_scenario
+        params = replace(sc.sim, **{key: value})
+        v_nominal = sc.gear.ratio * params.omega_u * sc.robot.sprocket_radius
+        plan = simulator._plan(sc.network, sc.robot, sc.gear, params, v_nominal)
+        assert len(plan.resolved) == 0
+        assert plan.error == (f"steps of {params.dt:g} s at nominal speed {v_nominal:g} mm/s "
+                              f"form up to {records} records, more than memory can hold")
+
+    def test_the_record_count_cut_falls_on_the_first_segment_past_it(self, reference_scenario):
+        # 1e300 mm at 0.35 mm a step is about 2.9e300 records.
+        sc = reference_scenario
+        net = planar_network(sc.network.spec,
+                             [("straight", 100.0), ("bend", 335.0, 90.0, 1), ("straight", 1e300)])
+        plan = simulator._plan(net, sc.robot, sc.gear, sc.sim, 35.0)
+        assert len(plan.resolved) == 2
+        assert plan.error == ("steps of 0.01 s at nominal speed 35 mm/s form up to 2.86e+300 "
+                              "records, more than memory can hold")
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_t_max_bounds_the_record_count(self, reference_scenario, over):
+        # At dt = 1 s, t_max = MAX_RECORDS - 2 s lets the run form exactly
+        # MAX_RECORDS records, the most a trace may hold.
+        sc = reference_scenario
+        net = planar_network(sc.network.spec, [("straight", 1e300)])
+        params = replace(sc.sim, dt=1.0, t_max=float(simulator.MAX_RECORDS - 2 + over))
+        plan = simulator._plan(net, sc.robot, sc.gear, params, 35.0)
+        assert len(plan.resolved) == 1 - over
+        assert (plan.error is None) == (over == 0)
+
     @pytest.mark.parametrize("amplitude", [0.0, 0.025])
     def test_a_segment_crossed_within_one_step_is_reported(self, reference_text, amplitude):
         # At dt = 0.5 s one 17.5 mm step crosses the 0.1 mm straight whole.

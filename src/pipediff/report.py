@@ -144,9 +144,9 @@ def _fill(skeleton, depth: int = 0) -> str:
     return template % tuple(texts)
 
 
-def _rows(fields: dict, items, depth: int) -> str:
-    """An array of one object per item; the leaves of ``fields`` are getters."""
-    template, getters = _layout(fields, depth + 1)
+def _rows(layout, items, depth: int) -> str:
+    """An array of one object per item; ``layout`` is one of ``_row_layouts``."""
+    template, getters = layout
     return _fill([template % tuple([_spell(get(item)) for get in getters]) for item in items],
                  depth)
 
@@ -169,8 +169,9 @@ _TOTALS_KEYS = {"name": "name", "distance_mm": "distance", "mean_speed_mm_s": "m
                 "max_slip_mm_s": "max_slip"}
 
 
-def _payload(summary: RunSummary, options: ReportOptions, depth: int) -> dict:
-    """One run's JSON object ``depth`` levels deep, its leaves as JSON texts."""
+def _row_layouts(options: ReportOptions, depth: int) -> tuple:
+    """``_layout``s of the segment and the track rows, whose leaves are getters,
+    for ``_payload`` at ``depth``: a sweep report lays them out once."""
     per_track = _SEGMENT_TRACK_KEYS | ({"ape_pct": "ape"} if options.ape else {})
     segment = {key: attrgetter(attr) for key, attr in _SEGMENT_KEYS.items()}
     segment["tracks"] = {
@@ -181,6 +182,12 @@ def _payload(summary: RunSummary, options: ReportOptions, depth: int) -> dict:
     totals = {key: attrgetter(attr) for key, attr in _TOTALS_KEYS.items()}
     if options.ape:
         totals["max_ape_pct"] = attrgetter("max_ape")
+    return _layout(segment, depth + 2), _layout(totals, depth + 2)
+
+
+def _payload(summary: RunSummary, options: ReportOptions, depth: int, rows: tuple) -> dict:
+    """One run's JSON object ``depth`` levels deep, its leaves as JSON texts."""
+    segment, totals = rows
     compression_headroom, tilt_headroom = _min_headroom(summary)
     limits = {
         "max_compression_mm": summary.max_compression,
@@ -275,7 +282,7 @@ def render_report(summary: RunSummary, options: ReportOptions | None = None,
     """Render one run summary as text or JSON."""
     options = options or ReportOptions()
     if fmt == "json":
-        return _fill(_payload(summary, options, 0)) + "\n"
+        return _fill(_payload(summary, options, 0, _row_layouts(options, 0))) + "\n"
     if fmt == "text":
         return _render_text(summary, options)
     raise ValueError(f"unknown report format {fmt!r}")
@@ -289,8 +296,9 @@ def render_sweep_report(results, options: ReportOptions | None = None,
     """
     options = options or ReportOptions()
     if fmt == "json":
-        orientations = [_fill({"theta_deg": _spell(theta), **_payload(summary, options, 2)}, 2)
-                        for theta, summary in results]
+        rows = _row_layouts(options, 2)
+        orientations = [_fill({"theta_deg": _spell(theta), **_payload(summary, options, 2, rows)},
+                              2) for theta, summary in results]
         return _fill({"orientations": orientations}) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")

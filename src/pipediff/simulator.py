@@ -31,6 +31,10 @@ adds in sequence, the 3-term mean is the correctly rounded sum that
 kept position), and the disturbance takes one row of draws per record in
 the generator's stream order.  Independent runs share nothing and may
 execute in parallel.
+
+The summary's window means and APE are correctly rounded too:
+``_window_sums`` sums fixed-exponent integer limbs exactly, then rounds once,
+which gives what ``math.fsum`` gives of each window.
 """
 
 import math
@@ -369,12 +373,48 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
             _running_sums(distance, v * dt))
 
 
-def _window_means(column: np.ndarray, windows, counts) -> list:
-    """Per ``(a, b)`` window, ``math.fsum(column[a:b])`` over its count, or
-    None when the count is 0."""
-    values = column.tolist()
-    return [math.fsum(values[a:b]) / count if count else None
-            for (a, b), count in zip(windows, counts)]
+def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``math.fsum(column[a:b])`` for each window ``a, b`` of ``lo`` and ``hi``,
+    bit for bit.  From the top down, each value is cut exactly into three
+    limbs ``q * 2**b``, ``q`` an integer below ``2**width`` and ``b`` dropping by
+    ``width`` per limb (after Demmel and Hida, "Accurate and efficient floating
+    point summation", SIAM J. Sci. Comput. 25(4), 2003).  Any sum of n such
+    ``q`` is an integer below ``2**53``, so ``np.add.reduceat`` forms each
+    window's limb sums exactly, and ``_sum3`` rounds their sum once."""
+    n = len(column)
+    width = 53 - (n + 1).bit_length()
+    magnitudes = np.abs(column)
+    top = float(magnitudes.max(initial=0.0))
+    e_hi = math.frexp(top)[1]  # every magnitude is below 2**e_hi
+    # At or below every value's last bit.
+    e_lo = math.frexp(magnitudes.min(where=magnitudes > 0.0, initial=top))[1] - 53
+    limbs = -((e_lo - e_hi) // width)
+    scales = [math.ldexp(1.0, e_hi - j * width) for j in (1, 2, 3)]  # 2**b of each limb
+    # The guard: non-finite values, more than three limbs, or a scale 2**b out of
+    # [2**-1022, 2**969] (any subnormal, or magnitudes from 2**(969 + width) up).
+    # Inside it every scaling is exact and no sum here or in ``_sum3`` reaches 2**1024.
+    if not (top < math.inf and limbs <= 3 and e_hi - limbs * width >= -1022
+            and e_hi - width <= 969):
+        values = column.tolist()
+        return np.array([math.fsum(values[a:b]) for a, b in zip(lo.tolist(), hi.tolist())])
+    # Even bounds open the windows; the 0 past the last value lets a bound be n.
+    bounds = np.array((lo, hi)).T.ravel()
+    limb = np.zeros(n + 1)
+    terms = np.zeros((len(lo), 3))
+    rest = np.divide(column, scales[0], out=magnitudes)  # each below 2**width
+    for j in range(limbs):
+        np.trunc(rest, out=limb[:n])
+        terms[:, j] = np.add.reduceat(limb, bounds)[::2]
+        rest -= limb[:n]
+        rest *= 2.0 ** width
+    # ``reduceat`` gives an empty window its first value: scale it by 0.
+    return _sum3(terms * np.multiply.outer(lo < hi, scales))
+
+
+def _window_means(column: np.ndarray, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> list:
+    """Per window, its ``_window_sums`` entry over its count, or None for a count of 0."""
+    means = (_window_sums(column, lo, hi) / np.maximum(counts, 1)).tolist()
+    return [mean if count else None for mean, count in zip(means, counts.tolist())]
 
 
 def run(
@@ -535,9 +575,9 @@ def _summarize(
     v_nominal: float,
 ) -> RunSummary:
     """Summarise the ``entered`` segments and the run.  The per-record work is
-    numpy over whole trace columns, one track at a time; each segment then
-    costs a ``math.fsum`` of its window's slice of each column, which keeps
-    means and APE correctly rounded."""
+    numpy over whole trace columns, one track at a time.  ``_window_sums``
+    sums every segment's window of a column at once, bit for bit as
+    ``math.fsum`` would, which keeps means and APE correctly rounded."""
     # Segment indices and positions never decrease along a trace, so each
     # segment's records are one contiguous slice, empty for a segment that a
     # single step crossed whole, and so are the records in its window.
@@ -553,15 +593,14 @@ def _summarize(
     lo, hi = np.clip(lo, first, last), np.clip(hi, first, last)
     # A window that holds no record falls back to the whole segment.
     lo, hi = np.where(lo < hi, lo, first), np.where(lo < hi, hi, last)
-    windows = list(zip(lo.tolist(), hi.tolist()))
     means, apes = [], []
     for v, slip, v_theo in zip(trace.v.T, trace.slip.T, trace.v_theo.T):
-        means.append(_window_means(v, windows, (hi - lo).tolist()))
+        means.append(_window_means(v, lo, hi, hi - lo))
         defined = v_theo != 0.0
         terms = np.multiply(100.0, slip, out=np.zeros_like(slip), where=defined)
         np.divide(terms, np.abs(v_theo), out=terms, where=defined)
         defined = _running_sums(0, defined).astype(int)
-        apes.append(_window_means(terms, windows, (defined[hi] - defined[lo]).tolist()))
+        apes.append(_window_means(terms, lo, hi, defined[hi] - defined[lo]))
     firsts = first[first < last]  # of the segments with records
     extremes = zip(np.minimum.reduceat(trace.v, firsts).tolist(),
                    np.maximum.reduceat(trace.v, firsts).tolist())
@@ -594,7 +633,8 @@ def _summarize(
 
     total_time = float(trace.t[-1]) if n else 0.0
     distances = trace.distance[-1].tolist() if n else [0.0, 0.0, 0.0]
-    max_slips = trace.slip.max(axis=0).tolist() if n else [0.0, 0.0, 0.0]
+    # Per column: an axis-0 reduce over the (n, 3) block takes several times as long.
+    max_slips = [float(slip.max()) for slip in trace.slip.T] if n else [0.0, 0.0, 0.0]
     tracks = []
     for i, name in enumerate(TRACK_NAMES):
         mean_speed = distances[i] / total_time if total_time > 0.0 else 0.0

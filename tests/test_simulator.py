@@ -683,6 +683,112 @@ class TestCorrectlyRoundedSums:
         assert over.error.startswith(rule)
 
 
+def _limb_width(n):
+    """Bits per limb of ``simulator._window_sums`` for a column of n values."""
+    return 53 - (n + 1).bit_length()
+
+
+@st.composite
+def _columns(draw):
+    """``(column, kind)``: columns like the summary's, and columns at the
+    edges of ``_window_sums``' exact path and of its guard."""
+    # Besides small columns, lengths where the limb width changes: n + 1 = 2**k.
+    n = draw(st.integers(0, 40) | st.integers(1, 13).flatmap(
+        lambda k: st.sampled_from((2**k - 2, 2**k - 1)).filter(lambda n: n >= 0)))
+    kind = draw(st.sampled_from(("constant", "speeds", "ape", "zeros", "signed zeros", "signed",
+                                 "three limbs", "four limbs")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if kind == "constant":
+        return np.full(n, draw(st.floats(0.0, 1e6))), kind
+    if kind == "speeds":  # disturbed track speeds
+        amplitude = draw(st.floats(0.0, 0.9))
+        return draw(st.floats(1e-3, 1e6)) * (1.0 + amplitude * rng.uniform(-1.0, 1.0, n)), kind
+    if kind == "ape":  # percent errors, some tiny, some exactly 0
+        terms = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-60, 7, n))
+        return np.where(rng.uniform(size=n) < 0.1, 0.0, terms), kind
+    if kind == "zeros":
+        return np.zeros(n), kind
+    if kind == "signed zeros":  # ``-0.0`` among ``0.0`` and a few positive values
+        column = np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0)
+        column[rng.uniform(size=n) < 0.1] = draw(st.floats(0.0, 1e3))
+        return column, kind
+    if kind == "signed":
+        return rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-5, 5, n), kind
+    # The top value has exponent ``e`` and the least has its last bit
+    # ``3 * width`` bits lower, give or take one: three limbs just reach it
+    # or just miss it.
+    e = draw(st.integers(-200, 200))
+    over = draw(st.sampled_from((-1, 0))) if kind == "three limbs" else 1
+    bits = 3 * _limb_width(max(n, 2)) + over
+    column = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(e - bits + 53, e + 1, n))
+    if n >= 2:
+        column[rng.permutation(n)[:2]] = math.ldexp(0.75, e), math.ldexp(0.75, e - bits + 53)
+    return column, kind
+
+
+class TestWindowSums:
+    """``_window_sums`` against ``math.fsum``, compared bit for bit."""
+
+    @staticmethod
+    def sums(column, windows):
+        """``(sums, exact)``: ``_window_sums`` over ``windows``, and whether
+        they took the exact numpy path, which ends in ``_sum3``, or the guard."""
+        lo, hi = np.array(windows, dtype=np.intp).T
+        with mock.patch.object(simulator, "_sum3", wraps=simulator._sum3) as spy:
+            sums = simulator._window_sums(column, lo, hi)
+        return sums, spy.called
+
+    @staticmethod
+    def fsum_bits(column, windows):
+        """The bits of ``math.fsum`` of each window."""
+        values = column.tolist()
+        return np.array([math.fsum(values[a:b]) for a, b in windows]).view(np.int64).tolist()
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data(), drawn=_columns())
+    def test_each_window_is_math_fsum_bit_for_bit(self, data, drawn):
+        column, kind = drawn
+        n = len(column)
+        bound = st.integers(0, n)
+        windows = data.draw(st.lists(st.tuples(bound, bound).map(sorted).map(tuple), max_size=6)
+                            .map(lambda w: w + [(0, n), (n, n), (0, 0)]))
+        sums, exact = self.sums(column, windows)
+        event(f"{kind}: {'numpy' if exact else 'guard'}")
+        if kind == "three limbs":
+            assert exact
+        if kind == "four limbs" and n >= 2:
+            assert not exact
+        assert sums.view(np.int64).tolist() == self.fsum_bits(column, windows)
+
+    @pytest.mark.parametrize("column, exact", [
+        (np.full(5, 35.0), True),
+        (np.array([1e300, 1e-300, 2.0]), False),  # about 2,000 bits apart
+        (np.array([5e-324, 3e-310, 0.0]), False),  # subnormal
+        (np.array([1e-300, 1e-300]), False),  # limbs below 2**-1022
+        (np.array([8e307, 8e307]), False),  # limb sums past the float range
+        (np.array([1.0, math.inf]), False),
+        (np.array([1.0, math.nan]), False),
+    ])
+    def test_the_guard_takes_what_the_limbs_cannot_hold(self, column, exact):
+        windows = [(0, len(column)), (1, 1), (0, 1)]
+        sums, took_limbs = self.sums(column, windows)
+        assert took_limbs == exact
+        assert sums.view(np.int64).tolist() == self.fsum_bits(column, windows)
+
+    @pytest.mark.parametrize("amplitude", [0.025, 0.9])
+    def test_disturbed_reference_summary_matches_the_tick_stepper(self, reference_scenario,
+                                                                   amplitude):
+        # The tick stepper's summary takes each mean with ``math.fsum``;
+        # the reference scenario sets no ``t_max``.
+        sc = reference_scenario
+        params = replace(sc.sim, disturbance=DisturbanceConfig(amplitude, 5))
+        assert params.t_max is None
+        trace, summary = run(sc.network, sc.robot, sc.gear, params)
+        records, expected = reference_run(sc.network, sc.robot, sc.gear, params)
+        assert summary.completed and list(trace) == records
+        assert repr(summary) == repr(expected)
+
+
 class TestEffectiveRobotPath:
     def test_difference(self):
         net, robot, gear, params = small_setup()

@@ -9,7 +9,6 @@ without slip and without any active control.
 
 from .errors import (
     InfeasibleConstraintError,
-    InvalidGeometryError,
     InvalidScenarioError,
     NoFitError,
     PipeClimbError,
@@ -21,14 +20,9 @@ from .geometry import (
     PipeSpec,
     Segment,
     Straight,
-    module_path_radius,
     validate_network,
 )
-from .kinematics import (
-    TrackSpeeds,
-    apply_disturbance,
-    theoretical_speeds,
-)
+from .kinematics import apply_disturbance
 from .report import (
     TRACE_HEADER,
     render_report,

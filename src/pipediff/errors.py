@@ -9,10 +9,6 @@ class InfeasibleConstraintError(PipeClimbError):
     """Imposed output speeds conflict with the differential's sum relation."""
 
 
-class InvalidGeometryError(PipeClimbError):
-    """Geometric precondition violated (e.g. contact radius >= bend radius)."""
-
-
 class NoFitError(PipeClimbError):
     """The robot cannot pass: required compression or tilt exceeds its limits.
 

@@ -8,23 +8,18 @@ the tangent chain once, when it is built: it resolves the default axes and
 start tangent, records each segment's radius, length and start, and every
 broken invariant.  The types are immutable, so networks are thread-safe values.
 
-Inside a bend the three drive modules ride circles of different radii: the
-module whose contact point sits at circumferential angle ``theta_i`` from
-the bend-center direction follows
-
-    rho_i = R - r_c * cos(theta_i)
-
-with ``R`` the centerline bend radius and ``r_c`` the contact radius from
-the pipe axis.  The three angles are 120 degrees apart, so the path radii
-always average to ``R`` -- the identity the passive differential exploits.
+Inside a bend the three drive modules ride circles of different radii, set
+by the circumferential angle ``theta_i`` of each module's contact point from
+the bend-center direction.  ``module_cosines`` gives ``cos(theta_i)``; the
+angles are 120 degrees apart, so the path radii always average to the bend
+radius -- the identity the passive differential exploits.
+``kinematics.demanded_speeds`` holds the path radius ``rho_i`` itself.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import InvalidGeometryError
 
 UNIT_TOL = 1e-9  # accepted |norm - 1| for declared unit vectors
 ANGLE_TOL = 1e-9  # rad, accepted tangent mismatch at joints
@@ -224,27 +219,6 @@ class PipeNetwork:
             object.__setattr__(self, name, column)
         object.__setattr__(self, "total_length", s)
         object.__setattr__(self, "_violations", tuple(violations))
-
-
-def module_path_radius(
-    bend: Bend, theta: float, module_index: int, contact_radius: float
-) -> float:
-    """Path radius of one module's contact point inside a bend.
-
-    ``theta`` is the robot's roll measured so that ``theta = 0`` puts module
-    0's contact point nearest the bend center; modules sit 120 degrees
-    apart around the pipe axis.
-    """
-    if module_index not in (0, 1, 2):
-        raise ValueError(f"module index must be 0, 1, or 2, got {module_index!r}")
-    if not math.isfinite(theta):
-        raise ValueError("orientation angle must be finite")
-    if not (0.0 <= contact_radius < bend.radius):
-        raise InvalidGeometryError(
-            f"contact radius {contact_radius:g} mm must lie in [0, bend radius "
-            f"{bend.radius:g} mm)"
-        )
-    return bend.radius - contact_radius * module_cosines(theta)[module_index]
 
 
 def validate_network(net: PipeNetwork) -> list[Violation]:

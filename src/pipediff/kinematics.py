@@ -19,49 +19,28 @@ random state lives in this module.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Bend, Segment, module_cosines, module_path_radius
+from .geometry import module_cosines
 
 TRACK_NAMES = ("A", "B", "C")
-
-
-@dataclass(frozen=True)
-class TrackSpeeds:
-    """Linear speeds of the three tracks at the sprockets, mm/s."""
-
-    v_a: float
-    v_b: float
-    v_c: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.v_a, self.v_b, self.v_c)
-
-    @property
-    def mean(self) -> float:
-        return math.fsum(self.as_tuple()) / 3.0
 
 
 def demanded_speeds(radii, theta: float, v_nominal: float, contact_radius: float) -> np.ndarray:
     """(m, 3) track speeds the geometry demands in the segments of centerline
     ``radii`` (mm, inf for a straight): ``v_nominal`` in a straight, and
-    ``v_nominal * rho_i / R`` in a bend, whose mean is ``v_nominal``."""
+    ``v_nominal * rho_i / R`` in a bend, whose mean is ``v_nominal``.
+
+    Module i rides the path radius ``rho_i = R - r_c * cos(theta_i)``, with
+    ``cos(theta_i)`` from ``module_cosines(theta)``; this is the one place the
+    model computes it.  It needs ``0 <= r_c < R`` in every bend, which the
+    ``bend-radius`` rule of ``validate_network`` ensures: ``contact_radius``
+    is the pipe's inner radius."""
     radius = np.reshape(radii, (-1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         bent = v_nominal * (radius - contact_radius * np.array(module_cosines(theta))) / radius
     return np.where(radius < math.inf, bent, v_nominal)
-
-
-def theoretical_speeds(segment: Segment, theta: float, v_nominal: float,
-                       contact_radius: float) -> TrackSpeeds:
-    """The row of ``demanded_speeds`` for one segment.  A bend first checks
-    ``theta`` and ``contact_radius`` as ``module_path_radius`` does."""
-    if isinstance(segment, Bend):
-        module_path_radius(segment, theta, 0, contact_radius)
-    row = demanded_speeds([segment.radius], theta, v_nominal, contact_radius)[0]
-    return TrackSpeeds(*row.tolist())
 
 
 def apply_disturbance(speeds, amplitude: float, draws: np.ndarray) -> np.ndarray:

@@ -11,21 +11,18 @@ from dataclasses import replace
 import numpy as np
 
 from pipediff import (
-    Bend,
     DisturbanceConfig,
     GearTrainConfig,
     LoadState,
     free,
     imposed_speed,
     imposed_torque,
-    module_path_radius,
     render_trace,
     run,
     solve_output_speeds,
-    theoretical_speeds,
 )
-
-Y = (0.0, 1.0, 0.0)
+from pipediff.geometry import module_cosines
+from pipediff.kinematics import demanded_speeds
 
 
 def _criterion(name: str, ok: bool) -> bool:
@@ -102,11 +99,10 @@ def test_criterion_2_bend_geometry_identity():
         radius = float(rng.uniform(50.0, 2000.0))
         r_c = float(rng.uniform(0.0, 0.95)) * radius
         v_nominal = float(rng.uniform(1.0, 200.0))
-        bend = Bend(radius=radius, sweep_deg=90.0, normal=Y)
-        rhos = [module_path_radius(bend, theta, i, r_c) for i in range(3)]
+        rhos = [radius - r_c * c for c in module_cosines(theta)]
         ok &= abs(math.fsum(rhos) - 3.0 * radius) <= 1e-12 * 3.0 * radius
-        speeds = theoretical_speeds(bend, theta, v_nominal, r_c)
-        ok &= abs(speeds.mean - v_nominal) <= 1e-12 * v_nominal
+        speeds = demanded_speeds([radius], theta, v_nominal, r_c)[0]
+        ok &= abs(math.fsum(speeds) / 3.0 - v_nominal) <= 1e-12 * v_nominal
     assert _criterion("criterion 2: bend path radii sum to 3R and speeds keep the mean", ok)
 
 
@@ -221,8 +217,8 @@ def test_criterion_7_numerical_hygiene(reference_scenario):
         entry = groups[index][0]
         following = groups.get(index + 1)
         exit_record = following[0] if following else records[-1]
-        for i in range(3):
-            rho = module_path_radius(bend, theta, i, net.spec.inner_radius)
+        for i, c in enumerate(module_cosines(theta)):
+            rho = bend.radius - net.spec.inner_radius * c
             travelled = exit_record.distance[i] - entry.distance[i]
             ok &= abs(travelled - rho * bend.sweep_rad) <= tol
 

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from pipediff import (
     Bend,
-    InvalidGeometryError,
     PipeNetwork,
     PipeSpec,
     Straight,
-    module_path_radius,
     validate_network,
 )
+
+from pipediff.kinematics import demanded_speeds
 
 from reference_stepper import reference_lengths
 
@@ -89,38 +89,27 @@ class TestColumns:
         assert twin == net and hash(twin) == hash(net)
 
 
-class TestModulePathRadius:
-    BEND = Bend(radius=200.0, sweep_deg=90.0, normal=Y)
+def path_radii(radius, theta, contact_radius):
+    """rho_i of the three modules in a bend: its ``demanded_speeds`` row at
+    ``v_nominal = R``."""
+    return demanded_speeds([radius], theta, radius, contact_radius)[0].tolist()
 
+
+class TestPathRadii:
     def test_nearest_module(self):
-        assert module_path_radius(self.BEND, 0.0, 0, 40.0) == pytest.approx(160.0)
+        assert path_radii(200.0, 0.0, 40.0)[0] == pytest.approx(160.0, rel=1e-12)
 
     def test_offset_module(self):
         # oracle: R - r_c * cos(120 deg) = 200 + 40/2
         expected = 200.0 - 40.0 * math.cos(2.0 * math.pi / 3.0)
         assert expected == pytest.approx(220.0, rel=1e-12)
-        assert module_path_radius(self.BEND, 0.0, 1, 40.0) == pytest.approx(220.0, rel=1e-12)
+        assert path_radii(200.0, 0.0, 40.0)[1] == pytest.approx(220.0, rel=1e-12)
 
     def test_farthest_module(self):
-        assert module_path_radius(self.BEND, math.pi, 0, 40.0) == pytest.approx(240.0, rel=1e-12)
+        assert path_radii(200.0, math.pi, 40.0)[0] == pytest.approx(240.0, rel=1e-12)
 
     def test_radii_sum_to_three_r(self):
-        rhos = [module_path_radius(self.BEND, 0.3, i, 40.0) for i in range(3)]
-        assert math.fsum(rhos) == pytest.approx(3.0 * 200.0, rel=1e-12)
-
-    def test_contact_radius_must_stay_below_bend_radius(self):
-        with pytest.raises(InvalidGeometryError):
-            module_path_radius(self.BEND, 0.0, 0, 200.0)
-        with pytest.raises(InvalidGeometryError):
-            module_path_radius(self.BEND, 0.0, 0, -1.0)
-
-    def test_rejects_bad_module_index(self):
-        with pytest.raises(ValueError):
-            module_path_radius(self.BEND, 0.0, 3, 40.0)
-
-    def test_rejects_non_finite_theta(self):
-        with pytest.raises(ValueError):
-            module_path_radius(self.BEND, float("nan"), 0, 40.0)
+        assert math.fsum(path_radii(200.0, 0.3, 40.0)) == pytest.approx(3.0 * 200.0, rel=1e-12)
 
     @given(
         st.floats(min_value=-10.0, max_value=10.0),
@@ -129,9 +118,7 @@ class TestModulePathRadius:
     )
     @settings(max_examples=300, deadline=None)
     def test_sum_identity_property(self, theta, radius, fraction):
-        bend = Bend(radius=radius, sweep_deg=90.0, normal=Y)
-        r_c = fraction * radius
-        rhos = [module_path_radius(bend, theta, i, r_c) for i in range(3)]
+        rhos = path_radii(radius, theta, fraction * radius)
         assert math.fsum(rhos) == pytest.approx(3.0 * radius, rel=1e-12)
 
 
@@ -145,6 +132,13 @@ class TestValidateNetwork:
         violations = validate_network(net)
         assert [v.rule for v in violations] == ["bend-radius"]
         assert violations[0].segment_index == 0
+
+    def test_bend_radius_must_exceed_pipe_radius(self):
+        # demanded_speeds needs the contact radius (the pipe's) below R.
+        at = make_net(Bend(radius=SPEC.inner_radius, sweep_deg=90.0, normal=Y))
+        assert [v.rule for v in validate_network(at)] == ["bend-radius"]
+        above = make_net(Bend(radius=math.nextafter(SPEC.inner_radius, math.inf), sweep_deg=90.0, normal=Y))
+        assert validate_network(above) == []
 
     def test_discontinuous_joint(self):
         # after the 90 deg bend the tangent is +x; declaring +z breaks G1

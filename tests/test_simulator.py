@@ -21,15 +21,14 @@ from pipediff import (
     RobotConfig,
     SimParams,
     Straight,
-    module_path_radius,
     parse_scenario,
     render_trace,
     run,
     run_orientation_sweep,
     simulator,
-    theoretical_speeds,
     validate_network,
 )
+from pipediff.geometry import module_cosines
 
 from reference_stepper import reference_csv, reference_module_state, reference_plan, reference_run
 
@@ -144,8 +143,8 @@ class TestRun:
         sweep = bend.sweep_rad
         nominal = gear.ratio * params.omega_u * robot.sprocket_radius
         tol = 3.0 * nominal * params.dt
-        for i in range(3):
-            rho = module_path_radius(bend, params.theta_rad, i, net.spec.inner_radius)
+        for i, c in enumerate(module_cosines(params.theta_rad)):
+            rho = bend.radius - net.spec.inner_radius * c
             travelled = after[0].distance[i] - in_bend[0].distance[i]
             assert travelled == pytest.approx(rho * sweep, abs=tol)
 
@@ -530,11 +529,6 @@ class TestPlanAgainstTheReference:
             column, reference = getattr(plan, name), getattr(expected, name)
             assert column.shape == reference.shape, name
             assert column.tobytes() == reference.tobytes(), name
-        # The plan and ``theoretical_speeds`` share one demand rule.
-        for segment, row in zip(net.segments, plan.demanded):
-            speeds = theoretical_speeds(segment, params.theta_rad, v_nominal,
-                                        net.spec.inner_radius)
-            assert row.tobytes() == np.array(speeds.as_tuple()).tobytes()
 
 
 class TestSummaryEdges:
@@ -846,3 +840,10 @@ def test_sim_params_validation():
     assert SimParams(omega_u=1.0, theta_deg=120.0).theta_rad == pytest.approx(
         2.0 * math.pi / 3.0
     )
+
+
+@pytest.mark.parametrize("theta_deg", [math.nan, math.inf, -math.inf])
+def test_sim_params_rejects_a_non_finite_roll(theta_deg):
+    # The roll reaches demanded_speeds and module_states only through SimParams.
+    with pytest.raises(ValueError, match="theta_deg"):
+        SimParams(omega_u=1.0, theta_deg=theta_deg)

@@ -16,8 +16,8 @@ from pipediff import (
     imposed_speed,
     imposed_torque,
     solve_output_speeds,
-    theoretical_speeds,
 )
+from pipediff.kinematics import demanded_speeds
 from pipediff.transmission import first_budget_miss
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
@@ -94,6 +94,10 @@ class TestImposedDemands:
     STRAIGHT = Straight(length=100.0, axis=(0.0, 0.0, 1.0))
     SPROCKET = 25.0  # mm
 
+    def demand(self, segment, theta, v_nominal):
+        """The row of ``demanded_speeds`` for ``segment`` in a 40 mm bore."""
+        return demanded_speeds([segment.radius], theta, v_nominal, 40.0)[0].tolist()
+
     def resolve(self, gear, demanded, omega_u):
         """Track speeds (mm/s) the train delivers for ``demanded``."""
         loads = LoadState(tuple(imposed_speed(v / self.SPROCKET) for v in demanded))
@@ -101,12 +105,12 @@ class TestImposedDemands:
         return tuple(w * self.SPROCKET for w in solution.as_tuple())
 
     def test_straight_equal_loads(self):
-        demanded = theoretical_speeds(self.STRAIGHT, 0.0, 50.0, 40.0).as_tuple()
+        demanded = self.demand(self.STRAIGHT, 0.0, 50.0)
         speeds = self.resolve(GearTrainConfig(ratio=1.0), demanded, 2.0)  # 1 * 2 * 25 = 50
         assert speeds == pytest.approx((50.0, 50.0, 50.0), rel=1e-12)
 
     def test_bend_matches_theoretical(self):
-        demanded = theoretical_speeds(self.BEND, 0.0, 50.0, 40.0).as_tuple()
+        demanded = self.demand(self.BEND, 0.0, 50.0)
         resolved = self.resolve(GearTrainConfig(ratio=1.0), demanded, 2.0)
         for v_res, v_theo in zip(resolved, demanded):
             assert abs(v_res - v_theo) <= 1e-9
@@ -128,7 +132,7 @@ class TestImposedDemands:
     @settings(max_examples=200, deadline=None)
     def test_consistency_with_theoretical_everywhere(self, theta, ratio, omega_u):
         v_nominal = ratio * omega_u * self.SPROCKET
-        demanded = theoretical_speeds(self.BEND, theta, v_nominal, 40.0).as_tuple()
+        demanded = self.demand(self.BEND, theta, v_nominal)
         resolved = self.resolve(GearTrainConfig(ratio=ratio), demanded, omega_u)
         for v_res, v_theo in zip(resolved, demanded):
             assert abs(v_res - v_theo) <= 1e-9 * max(1.0, abs(v_theo))

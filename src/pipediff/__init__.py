@@ -42,7 +42,6 @@ from .scenario import (
     serialize_scenario,
 )
 from .simulator import (
-    DisturbanceConfig,
     RunSummary,
     SegmentSummary,
     SimParams,

@@ -80,7 +80,7 @@ def _apply_overrides(scenario: Scenario, seed, theta) -> Scenario:
     sim = scenario.sim
     try:
         if seed is not None:
-            sim = replace(sim, disturbance=replace(sim.disturbance, seed=seed))
+            sim = replace(sim, disturbance_seed=seed)
     except ValueError as exc:
         raise ScenarioParseError([(0, f"{source}: {exc}")]) from None
     try:

@@ -35,7 +35,7 @@ from .errors import ScenarioParseError
 from .geometry import Bend, PipeNetwork, PipeSpec, Segment, Straight, UNIT_TOL, validate_network
 from .kinematics import TRACK_NAMES
 from .robot import RobotConfig
-from .simulator import DisturbanceConfig, SimParams
+from .simulator import SimParams
 from .transmission import GearTrainConfig
 
 
@@ -157,9 +157,8 @@ KEYS = (
     Key("sim", "dt", NUMBER, POSITIVE, 0.01, False, SimParams),
     Key("sim", "theta_deg", NUMBER, (), 0.0, False, SimParams),
     Key("sim", "t_max", NUMBER, POSITIVE, None, False, SimParams),
-    Key("sim", "disturbance_amplitude", NUMBER, ((ge, 0.0), (lt, 1.0)), 0.0, False,
-        DisturbanceConfig, "amplitude"),
-    Key("sim", "disturbance_seed", INTEGER, NON_NEGATIVE, 0, False, DisturbanceConfig, "seed"),
+    Key("sim", "disturbance_amplitude", NUMBER, ((ge, 0.0), (lt, 1.0)), 0.0, False, SimParams),
+    Key("sim", "disturbance_seed", INTEGER, NON_NEGATIVE, 0, False, SimParams),
     Key("report", "tracks", TRACKS, (), ("A", "B", "C"), False, ReportOptions),
     Key("report", "segments", INDICES, (), None, False, ReportOptions),
     Key("report", "ape", SWITCH, (), True, False, ReportOptions),
@@ -332,8 +331,7 @@ def parse_scenario(text: str) -> Scenario:
         network=network,
         robot=RobotConfig(**_fields(values, RobotConfig)),
         gear=GearTrainConfig(**_fields(values, GearTrainConfig)),
-        sim=SimParams(**_fields(values, SimParams),
-                      disturbance=DisturbanceConfig(**_fields(values, DisturbanceConfig))),
+        sim=SimParams(**_fields(values, SimParams)),
         report=ReportOptions(**_fields(values, ReportOptions)),
     )
 
@@ -355,8 +353,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     net = scenario.network
     owners = {
         PipeSpec: net.spec, PipeNetwork: net, RobotConfig: scenario.robot,
-        GearTrainConfig: scenario.gear, SimParams: scenario.sim,
-        DisturbanceConfig: scenario.sim.disturbance, ReportOptions: scenario.report,
+        GearTrainConfig: scenario.gear, SimParams: scenario.sim, ReportOptions: scenario.report,
     }
     blocks = []
     for name in _SECTIONS:

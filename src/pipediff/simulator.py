@@ -14,14 +14,14 @@ segments the robot can enter: in order, up to the first that fails.  It
 then steps in blocks of numpy columns that span as many segments as their
 records reach: record times are ``k * dt``, and positions and per-track
 distances are running sums over the block.  Each block speculates,
-verifies, then commits.  It guesses every record's segment from the
-positions the current segment's mean speed reaches, steps with the guessed
-segments' speeds, and locates every formed position again.  It keeps the
-records up to the first whose segment was guessed wrong, or through the
-first that stops the run, and the next block starts at the first record
-not kept.  Speeds switch at the first record after a segment boundary;
-there is no blending.  The step that enters the first impassable segment
-aborts the run, even one that jumps past whole segments.
+verifies, then commits.  It first guesses every record in the current
+segment, then steps with the guessed segments' speeds, locates every formed
+position and takes those segments as the next guess, until the guess
+settles.  It keeps the records up to the first whose segment was guessed
+wrong, or through the first that stops the run, and the next block starts
+at the first record not kept.  Speeds switch at the first record after a
+segment boundary; there is no blending.  The step that enters the first
+impassable segment aborts the run, even one that jumps past whole segments.
 
 Runs are deterministic: identical inputs, including the disturbance seed,
 produce bit-identical traces.  The kept records do the same floating-point
@@ -38,7 +38,7 @@ which gives what ``math.fsum`` gives of each window.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,28 +58,14 @@ WINDOW_MARGIN = 0.1
 # and a block's working arrays stay a few hundred kilobytes.
 BLOCK_ROWS = 4096
 
-# Most times a disturbed block re-guesses its records' segments.  A guess
-# that has not settled by then is still checked record by record, so the
-# cap bounds the work per block, never the result.
+# Most times a block re-guesses its records' segments after the first
+# guess.  A guess that has not settled by then is still checked record by
+# record, so the cap bounds the work per block, never the result.
 GUESS_REFINEMENTS = 3
 
 # Most records a trace can hold: 144 bytes each (t, s, segment and five
 # columns of three float64s) fill a 47-bit address space at this count.
 MAX_RECORDS = 2**47 // 144
-
-
-@dataclass(frozen=True)
-class DisturbanceConfig:
-    """Optional multiplicative speed disturbance for error reporting."""
-
-    amplitude: float = 0.0  # fraction, 0 disables
-    seed: int = 0  # >= 0, as numpy's generator requires
-
-    def __post_init__(self):
-        if not (0.0 <= self.amplitude < 1.0):
-            raise ValueError(f"disturbance amplitude must be in [0, 1), got {self.amplitude!r}")
-        if self.seed < 0:
-            raise ValueError(f"disturbance seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +76,8 @@ class SimParams:
     dt: float = 0.01  # s
     theta_deg: float = 0.0  # roll orientation, degrees
     t_max: float | None = None  # s, optional stop time
-    disturbance: DisturbanceConfig = field(default_factory=DisturbanceConfig)
+    disturbance_amplitude: float = 0.0  # speeds v * (1 + amplitude * u); 0 disables
+    disturbance_seed: int = 0  # >= 0, as numpy's generator requires
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -101,6 +88,13 @@ class SimParams:
             raise ValueError("omega_u must be finite")
         if not math.isfinite(self.theta_deg):
             raise ValueError("theta_deg must be finite")
+        amplitude, seed = self.disturbance_amplitude, self.disturbance_seed
+        if not (0.0 <= amplitude < 1.0):
+            raise ValueError(f"disturbance amplitude must be in [0, 1), got {amplitude!r}")
+        if type(seed) is not int:  # not a bool either: numpy's generator takes ints
+            raise ValueError(f"disturbance seed must be an int, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"disturbance seed must be non-negative, got {seed!r}")
 
     @property
     def theta_rad(self) -> float:
@@ -244,7 +238,7 @@ def _plan(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: S
     differential's budget, the float-range rule or the record-count rule, in
     that order: each rule cuts the columns at its first failing row before
     the earlier cuts.  Rows past a cut may overflow; they are never kept."""
-    theta, dt, amplitude = params.theta_rad, params.dt, params.disturbance.amplitude
+    theta, dt, amplitude = params.theta_rad, params.dt, params.disturbance_amplitude
     compressions, tilts, no_fit = module_states(robot, net.spec, net.radii, theta)
     m, error = len(compressions), None if no_fit is None else str(no_fit)
     demanded = demanded_speeds(net.radii, theta, v_nominal, net.spec.inner_radius)
@@ -340,37 +334,29 @@ def _running_sums(first, increments: np.ndarray) -> np.ndarray:
 
 
 def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
-    """Speculate ``rows`` records from position ``s`` in segment ``index``.
-
-    Each record's segment is guessed by locating the positions that the
-    current segment's mean speed reaches, clamped to the planned prefix.
-    With ``draws`` (disturbed runs) the guess is then located again from
-    the positions that the guessed segments' disturbed speeds reach, until
-    it stops changing or ``GUESS_REFINEMENTS`` runs out.  Returns the
-    guessed segments, the records' mean and track speeds, and ``rows + 1``
-    positions and distances: the records' and, last, where the next record
-    would start.
-    """
-    last = len(plan.resolved) - 1
-
-    def guess(positions):
-        return np.minimum(np.searchsorted(starts, positions, side="right") - 1, last)
-
-    segment = guess(_running_sums(s, np.full(rows - 1, plan.means[index] * dt)))
-    if draws is None:
-        v, means = plan.resolved[segment], plan.means[segment]
-    else:
-        v = apply_disturbance(plan.resolved[segment], amplitude, draws)
-        means = _sum3(v) / 3.0
-        for _ in range(GUESS_REFINEMENTS):
-            refined = guess(_running_sums(s, means[:-1] * dt))
-            if np.array_equal(refined, segment):
-                break
-            segment = refined
+    """Speculate ``rows`` records from position ``s``, first guessing each in
+    segment ``index``.  Each pass steps at the guessed segments' speeds,
+    disturbed by ``draws`` when given, and locates the formed positions; the
+    located segments, clamped to the planned prefix, are the next guess, until
+    the guess settles or ``GUESS_REFINEMENTS`` runs out.  Returns the last
+    guess, where its records located, their mean and track speeds, and
+    ``rows + 1`` positions and distances: the records' and the next start."""
+    segment = np.full(rows, index)
+    for _ in range(GUESS_REFINEMENTS + 1):
+        if draws is None:
+            means = plan.means[segment]
+        else:
             v = apply_disturbance(plan.resolved[segment], amplitude, draws)
             means = _sum3(v) / 3.0
-    return (segment, means, v, _running_sums(s, means * dt),
-            _running_sums(distance, v * dt))
+        positions = _running_sums(s, means * dt)
+        # No finite start exceeds the network's end: ``run``'s clamp moves no record here.
+        located = np.searchsorted(starts, positions[:-1], side="right") - 1
+        guess, segment = segment, np.minimum(located, len(plan.resolved) - 1)
+        if np.array_equal(segment, guess):
+            break
+    if draws is None:
+        v = plan.resolved[guess]
+    return guess, located, means, v, positions, _running_sums(distance, v * dt)
 
 
 def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -444,12 +430,11 @@ def run(
         raise InvalidScenarioError(
             f"nominal track speed must be finite and positive, got {v_nominal:g} mm/s"
         )
-    total = net.total_length
-    dt = params.dt
+    total, dt = net.total_length, params.dt
     t_max = math.inf if params.t_max is None else params.t_max
     t_stop = t_max * (1.0 - 1e-12)  # records within 1e-12 of t_max, relative, stop the run
-    amplitude = params.disturbance.amplitude
-    rng = np.random.default_rng(params.disturbance.seed) if amplitude > 0.0 else None
+    amplitude = params.disturbance_amplitude
+    rng = np.random.default_rng(params.disturbance_seed) if amplitude > 0.0 else None
     plan = _plan(net, robot, gear, params, v_nominal)
     passable = len(plan.resolved)
     starts = np.append(net.starts, math.inf)
@@ -458,17 +443,13 @@ def run(
     # that holds every segment.
     end = min(total, float(starts[passable]))
 
-    # Each column's parts start with an empty array, so that a run without
-    # records still joins to columns of the right shape.
+    # Each column's parts start with an empty array, so that a run without records
+    # still joins to columns of the right shape; they are dropped as they are joined.
     parts = {"t": [np.empty(0)], "s": [np.empty(0)], "segment": [np.empty(0, dtype=int)],
              "v": [np.empty((0, 3))], "distance": [np.empty((0, 3))]}
     draws = np.empty((0, 3))  # disturbance draws not used yet, in stream order
-    s = 0.0
-    k = 0
-    distance = np.zeros(3)
-    completed = False
-    stop_reason = None
-    error = None
+    s, k, distance = 0.0, 0, np.zeros(3)
+    completed, stop_reason, error = False, None, None
     while True:
         # Joints belong to the later segment.  The step that enters the first
         # impassable segment aborts the run, even one that jumps past it.
@@ -483,13 +464,12 @@ def run(
         rows = int(min(to_end, t_max / dt - k, BLOCK_ROWS - 2)) + 2
         if rng is not None and len(draws) < rows:
             draws = np.concatenate((draws, rng.uniform(-1.0, 1.0, size=(BLOCK_ROWS, 3))))
-        segment, means, v, positions, distances = _step_block(
+        segment, located, means, v, positions, distances = _step_block(
             plan, starts, index, s, distance, rows, dt,
             amplitude, draws[:rows] if rng is not None else None,
         )
         np.minimum(positions, total, out=positions)  # the run ends at the network's end
         t = np.arange(k, k + rows, dtype=float) * dt
-        located = np.searchsorted(starts, positions[:-1], side="right") - 1
         stops = (positions[:-1] >= total) | (t >= t_stop) | (means <= 0.0)
         # Keep the records up to the first whose segment was guessed wrong,
         # or through the first that stops the run, whichever comes first.
@@ -520,7 +500,7 @@ def run(
 
     # Segments up to the last one entered are summarised, never an impassable one.
     entered = min(index + 1, passable)
-    columns = {name: np.concatenate(column) for name, column in parts.items()}
+    columns = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
     v_theo = plan.demanded[columns["segment"]]
     trace = Trace(
         **columns,
@@ -555,8 +535,7 @@ def run_orientation_sweep(
     results = []
     for k in range(steps):
         theta = k * 360.0 / steps
-        disturbance = replace(params.disturbance, seed=params.disturbance.seed + k)
-        oriented = replace(params, theta_deg=theta, disturbance=disturbance)
+        oriented = replace(params, theta_deg=theta, disturbance_seed=params.disturbance_seed + k)
         _, summary = run(net, robot, gear, oriented)
         results.append((theta, summary))
     return results
@@ -653,8 +632,8 @@ def _summarize(
         nominal_speed=v_nominal,
         theta_deg=params.theta_deg,
         dt=params.dt,
-        disturbance_amplitude=params.disturbance.amplitude,
-        disturbance_seed=params.disturbance.seed,
+        disturbance_amplitude=params.disturbance_amplitude,
+        disturbance_seed=params.disturbance_seed,
         max_slip=max(max_slips),
         max_compression=max((s.max_compression for s in summaries), default=0.0),
         segments=tuple(summaries),

@@ -115,16 +115,29 @@ class SpeedSolution:
         return (self.omega_a, self.omega_b, self.omega_c)
 
 
+def _exact_sum(values: list) -> float:
+    """The exact sum of ``values`` rounded once, as ``math.fsum`` rounds it,
+    or an infinity of its sign when it leaves the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # a partial sum overflowed; the exact sum may not have
+        from fractions import Fraction  # here, as importing it at start-up costs memory
+        exact = sum(map(Fraction, values))
+        if abs(exact) < 2**1024 - 2**970:  # the largest float plus half its last bit
+            return float(exact)
+        return math.inf if exact > 0 else -math.inf
+
+
 def first_budget_miss(cfg: GearTrainConfig, omega_u: float,
                       rows) -> tuple[int, InfeasibleConstraintError | None]:
     """The first of ``rows`` of three imposed output speeds (rad/s) whose
     exactly rounded sum misses the budget ``3 * ratio * omega_u`` by more
-    than ``FEASIBILITY_RTOL`` relative, with its error; or the number of
-    rows and None when every row meets it."""
+    than ``FEASIBILITY_RTOL`` relative, or leaves the float range, with its
+    error; or the number of rows and None when every row meets it."""
     target = 3.0 * cfg.ratio * omega_u
     tolerance = FEASIBILITY_RTOL * max(1.0, abs(target))
     for index, row in enumerate(rows):
-        total = math.fsum(row)
+        total = _exact_sum(row)
         if abs(total - target) > tolerance:
             return index, InfeasibleConstraintError(
                 f"imposed speeds sum to {total:g} rad/s but the train requires "
@@ -148,20 +161,20 @@ def solve_output_speeds(cfg: GearTrainConfig, omega_u: float, loads: LoadState) 
     which makes the solution bit-identical under relabeling of the outputs.
 
     Raises:
-        InfeasibleConstraintError: all three speeds are imposed and they
-            miss the sum budget by more than ``FEASIBILITY_RTOL`` relative.
+        InfeasibleConstraintError: the imposed speeds' exact sum leaves the
+            float range, or all three are imposed and they miss the sum
+            budget by more than ``FEASIBILITY_RTOL`` relative.
+        ValueError: the budget, a resolved speed or their sum leaves the float range.
     """
-    if not math.isfinite(omega_u):
-        raise ValueError("input speed must be finite")
     target = 3.0 * cfg.ratio * omega_u
+    if not math.isfinite(target):
+        raise ValueError(f"speed budget 3 * ratio * omega_u must be finite, got {target:g} rad/s")
     entries = loads.loads
-    speed_idx = [i for i in range(3) if entries[i].kind is LoadKind.SPEED]
     open_idx = [i for i in range(3) if entries[i].kind is not LoadKind.SPEED]
-
-    result = [0.0, 0.0, 0.0]
-    for i in speed_idx:
-        result[i] = entries[i].value
-
+    result = [0.0 if i in open_idx else entries[i].value for i in range(3)]
+    imposed = _exact_sum(result)
+    if not math.isfinite(imposed):
+        raise InfeasibleConstraintError(f"imposed speeds sum to {imposed:g} rad/s, beyond the float range")
     if not open_idx:
         _, miss = first_budget_miss(cfg, omega_u, [result])
         if miss is not None:
@@ -170,14 +183,13 @@ def solve_output_speeds(cfg: GearTrainConfig, omega_u: float, loads: LoadState) 
         torque_vals = [entries[i].value for i in open_idx if entries[i].kind is LoadKind.TORQUE]
         scale = max((abs(t) for t in torque_vals), default=0.0)
         uniform = scale == 0.0 or all(t == torque_vals[0] for t in torque_vals)
-        if not speed_idx and uniform:
+        if len(open_idx) == 3 and uniform:
             # Equal loads on every output: exactly the common ring speed.
             base = cfg.ratio * omega_u
             result = [base, base, base]
         else:
-            budget = target - math.fsum(entries[i].value for i in speed_idx)
-            v_mean = budget / len(open_idx)
-            tau_mean = math.fsum(torque_vals) / len(torque_vals) if torque_vals else 0.0
+            v_mean = (target - imposed) / len(open_idx)
+            tau_mean = _exact_sum(torque_vals) / len(torque_vals) if torque_vals else 0.0
             for i in open_idx:
                 load = entries[i]
                 if load.kind is LoadKind.TORQUE and scale > 0.0:
@@ -186,5 +198,7 @@ def solve_output_speeds(cfg: GearTrainConfig, omega_u: float, loads: LoadState) 
                 else:
                     result[i] = v_mean
 
-    residual = abs(math.fsum(result) - target)
+    residual = abs(_exact_sum(result) - target) if all(map(math.isfinite, result)) else math.inf
+    if not math.isfinite(residual):
+        raise ValueError(f"speeds resolved for budget {target:g} rad/s leave the float range")
     return SpeedSolution(result[0], result[1], result[2], residual)

@@ -112,7 +112,7 @@ def reference_plan(net, robot, gear, params):
     the first that fails a check, and the name of the rule that stopped the
     plan (None when it covers the network)."""
     theta, dt = params.theta_rad, params.dt
-    amplitude = params.disturbance.amplitude
+    amplitude = params.disturbance_amplitude
     v_nominal = gear.ratio * params.omega_u * robot.sprocket_radius
     r = robot.sprocket_radius
     limit = math.inf if params.t_max is None else params.t_max / dt + 2.0
@@ -167,8 +167,8 @@ def reference_run(net, robot, gear, params):
     plan, _ = reference_plan(net, robot, gear, params)
     passable = len(plan.resolved)
     lengths, starts, total = reference_lengths(net)
-    dt, amplitude = params.dt, params.disturbance.amplitude
-    rng = np.random.default_rng(params.disturbance.seed) if amplitude > 0.0 else None
+    dt, amplitude = params.dt, params.disturbance_amplitude
+    rng = np.random.default_rng(params.disturbance_seed) if amplitude > 0.0 else None
     records, s, k, index, distances = [], 0.0, 0, 0, (0.0, 0.0, 0.0)
     completed, stop_reason = False, None
     error = plan.error if passable == 0 else None
@@ -257,7 +257,7 @@ def _reference_summary(net, robot, params, plan, entered, records, v_nominal,
         ))
     return (
         total_time, total, total - robot.length if total >= robot.length else None, v_nominal,
-        params.theta_deg, params.dt, params.disturbance.amplitude, params.disturbance.seed,
+        params.theta_deg, params.dt, params.disturbance_amplitude, params.disturbance_seed,
         max((max(r.slip) for r in records), default=0.0),
         max((seg.max_compression for seg in summaries), default=0.0),
         tuple(summaries), tuple(tracks),

@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 
 from pipediff import (
-    DisturbanceConfig,
     GearTrainConfig,
     LoadState,
     free,
@@ -160,7 +159,7 @@ def test_criterion_5_ape_pipeline(reference_scenario):
     sc = reference_scenario
     net = sc.network
 
-    noisy = replace(sc.sim, disturbance=DisturbanceConfig(amplitude=0.025, seed=42))
+    noisy = replace(sc.sim, disturbance_amplitude=0.025, disturbance_seed=42)
     _, summary = run(net, sc.robot, sc.gear, noisy)
     ok = summary.completed
     for segment in summary.segments:

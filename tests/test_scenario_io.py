@@ -5,7 +5,7 @@ import json
 import math
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipediff import (
-    DisturbanceConfig,
     ReportOptions,
     RunSummary,
     ScenarioParseError,
     SegmentSummary,
+    SimParams,
     Straight,
     TRACE_HEADER,
     Trace,
@@ -87,7 +87,7 @@ class TestParse:
         assert scenario.robot.spring_stiffness == 2.0
         assert scenario.robot.max_compression == 16.0
         assert scenario.robot.max_tilt_deg == 10.0
-        assert scenario.sim.disturbance.amplitude == 0.0
+        assert scenario.sim.disturbance_amplitude == 0.0
         assert scenario.report == ReportOptions()
 
     def test_sweep_angle_above_180_is_rejected(self, reference_text):
@@ -165,6 +165,12 @@ class TestParse:
         documented = [(section, key, default.startswith("required"))
                       for section, key, default in rows]
         assert documented == [(key.section, key.name, key.required) for key in KEYS]
+
+    def test_sim_params_fields_are_the_sim_keys(self):
+        # Each [sim] key fills the SimParams field of its own name, in order.
+        sim_keys = [key for key in KEYS if key.section == "sim"]
+        assert [f.name for f in fields(SimParams)] == [key.name for key in sim_keys]
+        assert all(key.owner is SimParams and not key.attr for key in sim_keys)
 
     def test_report_segment_indices_validated(self):
         text = MINIMAL + "\n[report]\nsegments = 0 7\n"
@@ -392,7 +398,7 @@ class TestTraceCsv:
         # Pins which disturbance draw reaches which record: the reference at
         # theta = 120 deg with a 2.5 % disturbance, seed 7.
         sc = reference_scenario
-        sim = replace(sc.sim, theta_deg=120.0, disturbance=DisturbanceConfig(0.025, 7))
+        sim = replace(sc.sim, theta_deg=120.0, disturbance_amplitude=0.025, disturbance_seed=7)
         records, _ = run(sc.network, sc.robot, sc.gear, sim)
         digest = hashlib.sha256(render_trace(records).encode("utf-8")).hexdigest()
         assert digest == "657532888c940c81c0d44727afcd535ff89fca03347c570b39ecedd080127f4e"
@@ -516,7 +522,7 @@ class TestTraceCsvRuns:
     def test_a_disturbed_reference_run(self, reference_scenario):
         # v and slip move on every row; v_theo and compression hold per segment.
         sc = reference_scenario
-        sim = replace(sc.sim, disturbance=DisturbanceConfig(0.025, 7))
+        sim = replace(sc.sim, disturbance_amplitude=0.025, disturbance_seed=7)
         trace, _ = run(sc.network, sc.robot, sc.gear, sim)
         assert_matches_the_oracle(trace)
 
@@ -574,9 +580,9 @@ class TestManySegmentPins:
     @pytest.mark.parametrize("amplitude", sorted(PINS) + [0.1, 0.3, 0.9])
     def test_stepping_passes_follow_the_records_not_the_segments(self, amplitude):
         # One stepping block spans as many of the 200 segments as its records
-        # reach, so the passes are bounded by the record count alone.  A
-        # disturbed block re-guesses its segments until the guess settles,
-        # so a strong disturbance does not cost extra passes either.
+        # reach, so the passes are bounded by the record count alone.  Every
+        # block re-guesses its segments until the guess settles, so a strong
+        # disturbance does not cost extra passes either.
         sc = parse_scenario(many_segment_scenario(11, amplitude))
         with mock.patch.object(simulator, "_step_block", wraps=simulator._step_block) as step:
             records, summary = run(sc.network, sc.robot, sc.gear, sc.sim)
@@ -589,7 +595,7 @@ class TestReports:
         # The JSON report of an 8-orientation sweep with a 2.5 % disturbance,
         # base seed 7: every orientation's disturbed summary, byte for byte.
         sc = reference_scenario
-        sim = replace(sc.sim, disturbance=DisturbanceConfig(0.025, 7))
+        sim = replace(sc.sim, disturbance_amplitude=0.025, disturbance_seed=7)
         results = run_orientation_sweep(sc.network, sc.robot, sc.gear, sim, 8)
         text = render_sweep_report(results, sc.report, fmt="json")
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -598,7 +604,7 @@ class TestReports:
     def test_disturbed_sweep_text_report_bytes_are_pinned(self, reference_scenario):
         # The same sweep as the JSON pin above, as the text table.
         sc = reference_scenario
-        sim = replace(sc.sim, disturbance=DisturbanceConfig(0.025, 7))
+        sim = replace(sc.sim, disturbance_amplitude=0.025, disturbance_seed=7)
         results = run_orientation_sweep(sc.network, sc.robot, sc.gear, sim, 8)
         text = render_sweep_report(results, sc.report, fmt="text")
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -653,11 +659,9 @@ class TestReports:
         import dataclasses
         import math
 
-        from pipediff import DisturbanceConfig
-
         sc = reference_scenario
         sim = dataclasses.replace(
-            sc.sim, disturbance=DisturbanceConfig(amplitude=0.025, seed=42)
+            sc.sim, disturbance_amplitude=0.025, disturbance_seed=42
         )
         net = sc.network
         records, summary = run(net, sc.robot, sc.gear, sim)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from pipediff import (
     Bend,
-    DisturbanceConfig,
     GearTrainConfig,
     InvalidScenarioError,
     NoFitError,
@@ -21,6 +20,7 @@ from pipediff import (
     RobotConfig,
     SimParams,
     Straight,
+    apply_disturbance,
     parse_scenario,
     render_trace,
     run,
@@ -128,7 +128,7 @@ class TestRun:
 
     def test_determinism_bit_identical(self):
         net, robot, gear, params = small_setup(
-            disturbance=DisturbanceConfig(amplitude=0.025, seed=11)
+            disturbance_amplitude=0.025, disturbance_seed=11
         )
         first, _ = run(net, robot, gear, params)
         second, _ = run(net, robot, gear, params)
@@ -321,7 +321,7 @@ class TestSegmentAdmissibility:
     def test_a_segment_crossed_within_one_step_is_reported(self, reference_text, amplitude):
         # At dt = 0.5 s one 17.5 mm step crosses the 0.1 mm straight whole.
         sc = parse_scenario(reference_text.replace("length = 350.0", "length = 0.1"))
-        sim = replace(sc.sim, dt=0.5, disturbance=DisturbanceConfig(amplitude, 7))
+        sim = replace(sc.sim, dt=0.5, disturbance_amplitude=amplitude, disturbance_seed=7)
         trace, summary = run(sc.network, sc.robot, sc.gear, sim)
         assert summary.completed and 2 not in trace.segment
         assert [seg.index for seg in summary.segments] == [0, 1, 2, 3]
@@ -404,7 +404,7 @@ class TestAgainstTheTickStepper:
         sc = reference_scenario
         net = planar_network(sc.network.spec, pieces)
         params = replace(sc.sim, dt=dt, theta_deg=theta_deg, t_max=t_max,
-                         disturbance=DisturbanceConfig(amplitude, seed))
+                         disturbance_amplitude=amplitude, disturbance_seed=seed)
         # Small blocks split segments and refill the draw buffer mid-segment.
         with mock.patch.object(simulator, "BLOCK_ROWS", block_rows):
             trace, summary = run(net, sc.robot, sc.gear, params)
@@ -451,7 +451,7 @@ class TestAgainstTheTickStepper:
         robot = replace(sc.robot, max_tilt_deg=45.0)
         net = planar_network(sc.network.spec, pieces)
         params = replace(sc.sim, dt=dt, theta_deg=theta_deg, t_max=t_max,
-                         disturbance=DisturbanceConfig(amplitude, seed))
+                         disturbance_amplitude=amplitude, disturbance_seed=seed)
         with mock.patch.object(simulator, "BLOCK_ROWS", block_rows):
             trace, summary = run(net, robot, sc.gear, params)
         event(f"segments entered: {len(summary.segments)}")
@@ -517,7 +517,7 @@ class TestPlanAgainstTheReference:
                         nominal_body_radius=nominal_body_radius)
         gear = replace(sc.gear, ratio=ratio)
         params = replace(sc.sim, omega_u=omega_u, dt=dt, theta_deg=theta_deg, t_max=t_max,
-                         disturbance=DisturbanceConfig(amplitude, 0))
+                         disturbance_amplitude=amplitude, disturbance_seed=0)
         v_nominal = ratio * omega_u * sprocket_radius
         # ``run`` refuses these before it plans.
         assume(math.isfinite(v_nominal) and v_nominal > 0.0 and not validate_network(net))
@@ -557,7 +557,7 @@ class TestSummaryEdges:
     def test_t_max_stop_inside_a_segment_window(self, reference_scenario):
         # The first straight's window spans 0.9 s to 8.1 s at 35 mm/s.
         sc = reference_scenario
-        params = replace(sc.sim, t_max=5.0, disturbance=DisturbanceConfig(0.025, 7))
+        params = replace(sc.sim, t_max=5.0, disturbance_amplitude=0.025, disturbance_seed=7)
         trace, summary = self.check(sc.network, sc.robot, sc.gear, params)
         assert summary.stop_reason == "t_max" and len(summary.segments) == 1
         assert 31.5 < trace.s[-1] < 283.5
@@ -579,7 +579,7 @@ class TestSummaryEdges:
         robot = RobotConfig(sprocket_radius=1.0, length=10.0, nominal_body_radius=13.2,
                             preload_compression=1.0)
         params = SimParams(omega_u=5e-324, dt=1e300, t_max=1e303,
-                           disturbance=DisturbanceConfig(0.9, 0))
+                           disturbance_amplitude=0.9, disturbance_seed=0)
         trace, summary = self.check(net, robot, GearTrainConfig(), params)
         assert len(trace) == 21 and not summary.completed and summary.stop_reason is None
         assert summary.error == "stalled: mean track speed 0 mm/s is not positive"
@@ -592,7 +592,7 @@ class TestSummaryEdges:
         sc = reference_scenario
         net = planar_network(sc.network.spec,
                              [("straight", 30.06), ("straight", 0.4), ("bend", 335.0, 90.0, 1)])
-        params = replace(sc.sim, disturbance=DisturbanceConfig(0.025, 2))
+        params = replace(sc.sim, disturbance_amplitude=0.025, disturbance_seed=2)
         trace, summary = self.check(net, sc.robot, sc.gear, params)
         offsets = trace.s[trace.segment == 1] - net.starts[1]
         assert len(offsets) == 2
@@ -604,10 +604,36 @@ class TestSummaryEdges:
     @pytest.mark.parametrize("block_rows", [3, 7])
     def test_disturbed_run_in_small_blocks(self, reference_scenario, block_rows):
         sc = reference_scenario
-        params = replace(sc.sim, dt=0.05, disturbance=DisturbanceConfig(0.025, 7))
+        params = replace(sc.sim, dt=0.05, disturbance_amplitude=0.025, disturbance_seed=7)
         with mock.patch.object(simulator, "BLOCK_ROWS", block_rows):
             _, summary = self.check(sc.network, sc.robot, sc.gear, params)
         assert summary.completed and len(summary.segments) == 4
+
+
+class TestStepBlock:
+    # Two planned segments whose mean speeds differ, 10 and 20 mm/s, joined
+    # at 100 mm; a block of 20 records of 0.1 s starts 3.5 steps before the joint.
+    PLAN = simulator._Plan(
+        resolved=np.array([[9.0, 10.0, 11.0], [18.0, 20.0, 22.0]]), means=np.array([10.0, 20.0]),
+        demanded=np.zeros((2, 3)), compressions=np.zeros((2, 3)), max_tilt_deg=np.zeros(2),
+        error=None,
+    )
+    STARTS = np.array([0.0, 100.0, math.inf])
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.025])
+    def test_the_guess_settles_on_the_located_segments(self, amplitude):
+        draws = np.random.default_rng(5).uniform(-1.0, 1.0, (20, 3)) if amplitude else None
+        guess, located, means, v, positions, _ = simulator._step_block(
+            self.PLAN, self.STARTS, 0, 96.5, np.zeros(3), 20, 0.1, amplitude, draws
+        )
+        assert np.array_equal(guess, located)
+        assert np.array_equal(located, np.searchsorted(self.STARTS, positions[:-1], "right") - 1)
+        assert located.tolist() == [0] * 4 + [1] * 16
+        # Every record steps at its own segment's speeds, those past the joint too.
+        resolved = self.PLAN.resolved[located]
+        expected = resolved if draws is None else apply_disturbance(resolved, amplitude, draws)
+        assert np.array_equal(v, expected)
+        assert np.array_equal(positions[1:] - positions[:-1] > 1.5, located == 1)
 
 
 def _finite_triples():
@@ -665,7 +691,7 @@ class TestCorrectlyRoundedSums:
             robot = RobotConfig(sprocket_radius=1.0, length=10.0, nominal_body_radius=13.2,
                                 preload_compression=1.0)
         params = replace(sim, omega_u=omega_u, t_max=t_max,
-                         disturbance=DisturbanceConfig(amplitude, 3))
+                         disturbance_amplitude=amplitude, disturbance_seed=3)
         next_up = replace(params, omega_u=math.nextafter(omega_u, math.inf))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -775,7 +801,7 @@ class TestWindowSums:
         # The tick stepper's summary takes each mean with ``math.fsum``;
         # the reference scenario sets no ``t_max``.
         sc = reference_scenario
-        params = replace(sc.sim, disturbance=DisturbanceConfig(amplitude, 5))
+        params = replace(sc.sim, disturbance_amplitude=amplitude, disturbance_seed=5)
         assert params.t_max is None
         trace, summary = run(sc.network, sc.robot, sc.gear, params)
         records, expected = reference_run(sc.network, sc.robot, sc.gear, params)
@@ -816,7 +842,7 @@ class TestOrientationSweep:
 
     def test_per_orientation_seeds_differ(self):
         net, robot, gear, params = small_setup(
-            disturbance=DisturbanceConfig(amplitude=0.02, seed=5)
+            disturbance_amplitude=0.02, disturbance_seed=5
         )
         results = run_orientation_sweep(net, robot, gear, params, steps=2)
         seeds = [summary.disturbance_seed for _, summary in results]
@@ -833,13 +859,20 @@ def test_sim_params_validation():
         SimParams(omega_u=1.0, dt=0.0)
     with pytest.raises(ValueError):
         SimParams(omega_u=1.0, t_max=-1.0)
-    with pytest.raises(ValueError):
-        DisturbanceConfig(amplitude=1.5)
-    with pytest.raises(ValueError):
-        DisturbanceConfig(seed=-1)
+    with pytest.raises(ValueError, match="disturbance amplitude must be in"):
+        SimParams(omega_u=1.0, disturbance_amplitude=1.5)
+    with pytest.raises(ValueError, match="disturbance seed must be non-negative"):
+        SimParams(omega_u=1.0, disturbance_seed=-1)
     assert SimParams(omega_u=1.0, theta_deg=120.0).theta_rad == pytest.approx(
         2.0 * math.pi / 3.0
     )
+
+
+@pytest.mark.parametrize("seed", [1.5, 3.0, "3", True, False, None])
+def test_sim_params_rejects_a_seed_that_is_not_an_int(seed):
+    # Each would reach numpy's generator, or the report, as something else.
+    with pytest.raises(ValueError, match="disturbance seed must be an int"):
+        SimParams(omega_u=1.0, disturbance_amplitude=0.025, disturbance_seed=seed)
 
 
 @pytest.mark.parametrize("theta_deg", [math.nan, math.inf, -math.inf])

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,6 +159,14 @@ class TestFirstBudgetMiss:
         _, miss = first_budget_miss(GearTrainConfig(1.0), 0.0, [[1e20, 1.0, -1e20]])
         assert str(miss).startswith("imposed speeds sum to 1 rad/s")
 
+    def test_a_partial_sum_past_the_float_range_is_summed_exactly(self):
+        # The first two overflow when added; the exact sum of the row is 1e308.
+        assert first_budget_miss(GearTrainConfig(1.0), 1e308 / 3.0, [[1e308, 1e308, -1e308]]) == (
+            1, None
+        )
+        index, miss = first_budget_miss(GearTrainConfig(1.0), 1.0, [[1.0] * 3, [1e308] * 3])
+        assert index == 1 and str(miss).startswith("imposed speeds sum to inf rad/s")
+
 
 class TestSpeedSolutionResidual:
     def test_free_outputs_leave_no_residual(self):
@@ -176,6 +185,63 @@ class TestSpeedSolutionResidual:
         loads = LoadState((imposed_speed(10.0), imposed_speed(10.0), imposed_speed(10.00001)))
         sol = solve_output_speeds(GearTrainConfig(ratio=1.0), 10.0, loads)
         assert sol.residual == pytest.approx(1e-5, rel=1e-6)
+
+
+class TestFloatRange:
+    def test_three_imposed_speeds_past_the_float_range_are_infeasible(self):
+        loads = LoadState((imposed_speed(1e308),) * 3)
+        with pytest.raises(InfeasibleConstraintError, match="beyond the float range"):
+            solve_output_speeds(GearTrainConfig(ratio=1.0), 10.0, loads)
+
+    def test_two_imposed_speeds_past_the_float_range_are_infeasible(self):
+        loads = LoadState((imposed_speed(1e308), imposed_speed(1e308), free()))
+        with pytest.raises(InfeasibleConstraintError, match="beyond the float range"):
+            solve_output_speeds(GearTrainConfig(ratio=1.0), 10.0, loads)
+
+    def test_a_budget_past_the_float_range_is_rejected(self):
+        with pytest.raises(ValueError, match="speed budget"):
+            solve_output_speeds(GearTrainConfig(ratio=1e308), 10.0, LoadState.all_free())
+
+    def test_a_leftover_budget_past_the_float_range_is_rejected(self):
+        # 1e308 minus an imposed -1e308 leaves 2e308 for the two free outputs.
+        loads = LoadState((imposed_speed(-1e308), free(), free()))
+        with pytest.raises(ValueError, match="leave the float range"):
+            solve_output_speeds(GearTrainConfig(ratio=1.0), 1e308 / 3.0, loads)
+
+
+# Finite floats up to 1.7e308 in magnitude, two draws in three from the top decade.
+top = st.floats(min_value=1.7e307, max_value=1.7e308)
+huge = st.floats(min_value=-1.7e308, max_value=1.7e308) | top | top.map(lambda x: -x)
+
+
+@given(
+    st.floats(min_value=1e-300, max_value=1.7e308),
+    huge,
+    st.lists(st.tuples(st.sampled_from(("free", "speed", "torque")), huge),
+             min_size=3, max_size=3),
+)
+@settings(max_examples=500, deadline=None)
+def test_speeds_and_residual_stay_finite_to_the_edge_of_the_float_range(
+    ratio, omega_u, raw_loads
+):
+    target = 3.0 * ratio * omega_u
+    imposed = [v for kind, v in raw_loads if kind == "speed"]
+    exact = sum(map(Fraction, imposed), Fraction(0))
+    in_range = abs(exact) < 2**1024 - 2**970  # rounds to a finite float
+    loads = LoadState(tuple(build_load(k, v) for k, v in raw_loads))
+    try:
+        sol = solve_output_speeds(GearTrainConfig(ratio=ratio), omega_u, loads)
+    except InfeasibleConstraintError:
+        missed = abs(float(exact) - target) > 1e-6 * max(1.0, abs(target)) if in_range else True
+        assert math.isfinite(target) and (not in_range or len(imposed) == 3 and missed)
+        return
+    except ValueError:
+        assert not math.isfinite(target) or (in_range and len(imposed) < 3)
+        return
+    assert math.isfinite(target) and in_range
+    assert all(map(math.isfinite, (*sol.as_tuple(), sol.residual)))
+    for (kind, value), speed in zip(raw_loads, sol.as_tuple()):
+        assert kind != "speed" or speed == value
 
 
 def load_strategy():

@@ -20,9 +20,7 @@ from .geometry import (
     PipeSpec,
     Segment,
     Straight,
-    validate_network,
 )
-from .kinematics import apply_disturbance
 from .report import (
     TRACE_HEADER,
     render_report,

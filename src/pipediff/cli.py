@@ -140,9 +140,8 @@ def main(argv=None) -> int:
             summaries = [summary]
             text = render_report(summary, scenario.report, fmt=args.format)
         else:
-            results = run_orientation_sweep(*inputs, args.theta_steps)
-            summaries = [summary for _theta, summary in results]
-            text = render_sweep_report(results, scenario.report, fmt=args.format)
+            summaries = run_orientation_sweep(*inputs, args.theta_steps)
+            text = render_sweep_report(summaries, scenario.report, fmt=args.format)
         _emit(text, args.report)
     except (PipeClimbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ A straight runs along its axis; one declared without an axis continues the
 incoming tangent.  Bends inherit the incoming tangent and turn inside the
 plane orthogonal to their normal (right-hand rule).  ``PipeNetwork`` walks
 the tangent chain once, when it is built: it resolves the default axes and
-start tangent, records each segment's radius, length and start, and every
-broken invariant.  The types are immutable, so networks are thread-safe values.
+start tangent, and records each segment's radius, length and start, and
+every broken invariant as ``violations``.  The types are immutable, so
+networks are thread-safe values.
 
 Inside a bend the three drive modules ride circles of different radii, set
 by the circumferential angle ``theta_i`` of each module's contact point from
@@ -158,8 +159,14 @@ class PipeNetwork:
     an axis takes the incoming tangent; both are stored resolved, so
     ``segments`` and ``start_tangent`` are explicit.  The same walk records
     the per-segment columns ``radii``, ``lengths`` and ``starts`` (read-only
-    float64 arrays), ``total_length`` and every broken invariant, which
-    ``validate_network`` returns: a network is checked exactly when built.
+    float64 arrays), ``total_length`` and ``violations``: a network is checked
+    exactly when built.
+
+    ``violations`` holds every broken invariant in chain order, and is empty
+    iff the network is well-formed: positive pipe radius and straight lengths,
+    a finite total length, unit axes and normals, bend radius above the pipe
+    radius, sweep within (0, 180], normals orthogonal to the incoming tangent,
+    and G1 continuity at every joint.
     """
 
     spec: PipeSpec
@@ -170,7 +177,7 @@ class PipeNetwork:
     lengths: np.ndarray = field(init=False, repr=False, compare=False)  # mm, R * sweep for a bend
     starts: np.ndarray = field(init=False, repr=False, compare=False)  # mm, where each begins
     total_length: float = field(init=False, repr=False, compare=False)  # mm
-    _violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False, default=())
+    violations: tuple[Violation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segments = tuple(self.segments)
@@ -218,15 +225,5 @@ class PipeNetwork:
         for name, column in zip(("radii", "lengths", "starts"), columns):
             object.__setattr__(self, name, column)
         object.__setattr__(self, "total_length", s)
-        object.__setattr__(self, "_violations", tuple(violations))
+        object.__setattr__(self, "violations", tuple(violations))
 
-
-def validate_network(net: PipeNetwork) -> list[Violation]:
-    """The broken invariants ``net`` recorded when it was built, in chain order.
-
-    The list is empty iff the network is well-formed: positive pipe radius
-    and straight lengths, a finite total length, unit axes and normals,
-    bend radius above the pipe radius, sweep within (0, 180], normals
-    orthogonal to the incoming tangent, and G1 continuity at every joint.
-    """
-    return list(net._violations)

@@ -288,29 +288,28 @@ def render_report(summary: RunSummary, options: ReportOptions | None = None,
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def render_sweep_report(results, options: ReportOptions | None = None,
+def render_sweep_report(summaries, options: ReportOptions | None = None,
                         fmt: str = "text") -> str:
-    """Aggregate report over orientation-sweep results.
-
-    ``results`` holds the ``(theta_deg, summary)`` pairs of ``run_orientation_sweep``.
-    """
+    """Aggregate report over the summaries of ``run_orientation_sweep``, one
+    row per orientation, each labelled with its ``theta_deg``."""
     options = options or ReportOptions()
     if fmt == "json":
         rows = _row_layouts(options, 2)
-        orientations = [_fill({"theta_deg": _spell(theta), **_payload(summary, options, 2, rows)},
-                              2) for theta, summary in results]
+        orientations = [_fill({"theta_deg": _spell(summary.theta_deg),
+                               **_payload(summary, options, 2, rows)}, 2) for summary in summaries]
         return _fill({"orientations": orientations}) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
-    lines = [f"orientation sweep: {len(results)} runs"]
+    lines = [f"orientation sweep: {len(summaries)} runs"]
     header = (
         f"{'theta':>7} {'status':<9} {'t_total':>8} {'max_slip':>9} "
         + " ".join(f"{'v_' + t:>8}" for t in options.tracks)
     )
     lines.append(header)
-    for theta, summary in results:
+    for summary in summaries:
         status = "ok" if summary.completed else ("abort" if summary.error else "stop")
-        row = f"{theta:>7.1f} {status:<9} {summary.total_time:>8.3f} {summary.max_slip:>9.3g}"
+        row = (f"{summary.theta_deg:>7.1f} {status:<9} {summary.total_time:>8.3f} "
+               f"{summary.max_slip:>9.3g}")
         for name in options.tracks:
             row += f" {summary.tracks[_TRACK_INDEX[name]].mean_speed:>8.3f}"
         lines.append(row)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import ScenarioParseError
-from .geometry import Bend, PipeNetwork, PipeSpec, Segment, Straight, UNIT_TOL, validate_network
+from .geometry import Bend, PipeNetwork, PipeSpec, Segment, Straight, UNIT_TOL
 from .kinematics import TRACK_NAMES
 from .robot import RobotConfig
 from .simulator import SimParams
@@ -320,7 +320,7 @@ def parse_scenario(text: str) -> Scenario:
     network = PipeNetwork(
         PipeSpec(**_fields(values, PipeSpec)), tuple(segments), **_fields(values, PipeNetwork)
     )
-    for violation in validate_network(network):
+    for violation in network.violations:
         if violation.segment_index is None:
             issues.append((by_name["pipe"][1], str(violation)))
         else:

@@ -43,8 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidScenarioError
-from .geometry import Bend, PipeNetwork, validate_network
-from .kinematics import TRACK_NAMES, apply_disturbance, demanded_speeds
+from .geometry import Bend, PipeNetwork
+from .kinematics import TRACK_NAMES, demanded_speeds
 from .robot import RobotConfig, first_failure, module_states
 from .transmission import GearTrainConfig, first_budget_miss
 
@@ -335,8 +335,9 @@ def _running_sums(first, increments: np.ndarray) -> np.ndarray:
 
 def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
     """Speculate ``rows`` records from position ``s``, first guessing each in
-    segment ``index``.  Each pass steps at the guessed segments' speeds,
-    disturbed by ``draws`` when given, and locates the formed positions; the
+    segment ``index``.  Each pass steps at the guessed segments' speeds ``v``,
+    disturbed to ``v * (1 + amplitude * u)`` when ``draws`` gives a row of
+    ``u ~ U(-1, 1)`` per record, and locates the formed positions; the
     located segments, clamped to the planned prefix, are the next guess, until
     the guess settles or ``GUESS_REFINEMENTS`` runs out.  Returns the last
     guess, where its records located, their mean and track speeds, and
@@ -346,7 +347,7 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
         if draws is None:
             means = plan.means[segment]
         else:
-            v = apply_disturbance(plan.resolved[segment], amplitude, draws)
+            v = plan.resolved[segment] * (1.0 + amplitude * draws)
             means = _sum3(v) / 3.0
         positions = _running_sums(s, means * dt)
         # No finite start exceeds the network's end: ``run``'s clamp moves no record here.
@@ -420,10 +421,9 @@ def run(
         InvalidScenarioError: the network recorded violations when it was
             built, or the nominal track speed is not finite and positive.
     """
-    violations = validate_network(net)
-    if violations:
+    if net.violations:
         raise InvalidScenarioError(
-            "network invalid: " + "; ".join(str(v) for v in violations)
+            "network invalid: " + "; ".join(str(v) for v in net.violations)
         )
     v_nominal = gear.ratio * params.omega_u * robot.sprocket_radius
     if not (math.isfinite(v_nominal) and v_nominal > 0.0):
@@ -521,24 +521,23 @@ def run_orientation_sweep(
     gear: GearTrainConfig,
     params: SimParams,
     steps: int,
-) -> list[tuple[float, RunSummary]]:
+) -> list[RunSummary]:
     """Run ``steps`` evenly spaced roll orientations over a full turn and
-    return one ``(theta_deg, summary)`` pair per orientation.
+    return one summary per orientation, whose ``theta_deg`` is its roll.
 
-    Results come back in orientation order.  Orientation k uses seed
+    Summaries come back in orientation order.  Orientation k uses seed
     ``base_seed + k``, whether or not a disturbance is active, so disturbed
     runs stay independent yet reproducible.  Each run's trace is dropped as
     soon as it is summarised, so the sweep holds one trace at a time.
     """
     if steps < 1:
         raise ValueError("at least one orientation required")
-    results = []
+    summaries = []
     for k in range(steps):
-        theta = k * 360.0 / steps
-        oriented = replace(params, theta_deg=theta, disturbance_seed=params.disturbance_seed + k)
-        _, summary = run(net, robot, gear, oriented)
-        results.append((theta, summary))
-    return results
+        oriented = replace(params, theta_deg=k * 360.0 / steps,
+                           disturbance_seed=params.disturbance_seed + k)
+        summaries.append(run(net, robot, gear, oriented)[1])
+    return summaries
 
 
 def _summarize(
@@ -573,13 +572,14 @@ def _summarize(
     # A window that holds no record falls back to the whole segment.
     lo, hi = np.where(lo < hi, lo, first), np.where(lo < hi, hi, last)
     means, apes = [], []
-    for v, slip, v_theo in zip(trace.v.T, trace.slip.T, trace.v_theo.T):
+    demands = plan.demanded[:entered].T
+    for v, slip, v_theo, demand in zip(trace.v.T, trace.slip.T, trace.v_theo.T, demands):
         means.append(_window_means(v, lo, hi, hi - lo))
         defined = v_theo != 0.0
         terms = np.multiply(100.0, slip, out=np.zeros_like(slip), where=defined)
         np.divide(terms, np.abs(v_theo), out=terms, where=defined)
-        defined = _running_sums(0, defined).astype(int)
-        apes.append(_window_means(terms, lo, hi, defined[hi] - defined[lo]))
+        # A window lies inside one segment, whose demand is every record's v_theo.
+        apes.append(_window_means(terms, lo, hi, np.where(demand != 0.0, hi - lo, 0)))
     firsts = first[first < last]  # of the segments with records
     extremes = zip(np.minimum.reduceat(trace.v, firsts).tolist(),
                    np.maximum.reduceat(trace.v, firsts).tolist())

@@ -157,14 +157,18 @@ def solve_output_speeds(cfg: GearTrainConfig, omega_u: float, loads: LoadState) 
 
         omega_i = v_mean * (1 - (tau_i - tau_mean) / max|tau|)
 
-    Free outputs carry no deviation.  Aggregates use exactly rounded sums,
-    which makes the solution bit-identical under relabeling of the outputs.
+    Free outputs carry no deviation.  The deviation is formed as
+    ``tau_i / max|tau|`` minus the mean of those shares, so every term lies
+    in [-2, 2] however large the torques.  Aggregates use exactly rounded
+    sums, which makes the solution bit-identical under relabeling of the
+    outputs.
 
     Raises:
         InfeasibleConstraintError: the imposed speeds' exact sum leaves the
             float range, or all three are imposed and they miss the sum
             budget by more than ``FEASIBILITY_RTOL`` relative.
-        ValueError: the budget, a resolved speed or their sum leaves the float range.
+        ValueError: the budget, the budget left after the imposed speeds, a
+            resolved speed or their sum leaves the float range.
     """
     target = 3.0 * cfg.ratio * omega_u
     if not math.isfinite(target):
@@ -189,12 +193,12 @@ def solve_output_speeds(cfg: GearTrainConfig, omega_u: float, loads: LoadState) 
             result = [base, base, base]
         else:
             v_mean = (target - imposed) / len(open_idx)
-            tau_mean = _exact_sum(torque_vals) / len(torque_vals) if torque_vals else 0.0
+            shares = [t / scale for t in torque_vals] if scale > 0.0 else []
+            share_mean = math.fsum(shares) / len(shares) if shares else 0.0
             for i in open_idx:
                 load = entries[i]
                 if load.kind is LoadKind.TORQUE and scale > 0.0:
-                    deviation = (load.value - tau_mean) / scale
-                    result[i] = v_mean * (1.0 - deviation)
+                    result[i] = v_mean * (1.0 - (load.value / scale - share_mean))
                 else:
                     result[i] = v_mean
 

@@ -95,12 +95,12 @@ def reference_json_report(summary, options) -> str:
     return json.dumps(_json_payload(summary, options), indent=2, sort_keys=True) + "\n"
 
 
-def reference_json_sweep_report(results, options) -> str:
-    """The JSON report of an orientation sweep's ``(theta_deg, summary)`` pairs."""
+def reference_json_sweep_report(summaries, options) -> str:
+    """The JSON report of an orientation sweep's summaries."""
     payload = {
         "orientations": [
-            {"theta_deg": theta, **_json_payload(summary, options)}
-            for theta, summary in results
+            {"theta_deg": summary.theta_deg, **_json_payload(summary, options)}
+            for summary in summaries
         ]
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -276,6 +276,13 @@ BAD_INPUTS = {
         lambda tmp, text: ["run", _fast(tmp, text, "5e305", length="1e308"), "--format", "json"],
         {}, 2, STEP_RANGE_ERROR.format(dt="0.01", v="8.75e+306"),
     ),
+    "run: imposed speeds that miss the differential's budget": (
+        lambda tmp, text: ["run", write_scenario(tmp, text.replace(
+            "sprocket_radius = 17.5", "sprocket_radius = 1e-320").replace(
+            "omega_u = 2.0", "omega_u = 2.1"))],
+        {}, 2, "error: imposed speeds sum to 6.29941 rad/s but the train requires 6.3 rad/s "
+               "(3 * ratio * omega_u)\n",
+    ),
     "run: a mean track speed that rounds to zero": (
         lambda tmp, text: ["run", write_scenario(tmp, STALLING_SCENARIO), "--trace",
                            str(tmp / "t.csv")],

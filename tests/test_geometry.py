@@ -10,7 +10,6 @@ from pipediff import (
     PipeNetwork,
     PipeSpec,
     Straight,
-    validate_network,
 )
 
 from pipediff.kinematics import demanded_speeds
@@ -125,20 +124,20 @@ class TestPathRadii:
 class TestValidateNetwork:
     def test_well_formed_network(self):
         net = make_net(Straight(350.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Y))
-        assert validate_network(net) == []
+        assert net.violations == ()
 
     def test_bend_radius_below_pipe_radius(self):
         net = make_net(Bend(radius=SPEC.inner_radius / 2.0, sweep_deg=90.0, normal=Y))
-        violations = validate_network(net)
+        violations = net.violations
         assert [v.rule for v in violations] == ["bend-radius"]
         assert violations[0].segment_index == 0
 
     def test_bend_radius_must_exceed_pipe_radius(self):
         # demanded_speeds needs the contact radius (the pipe's) below R.
         at = make_net(Bend(radius=SPEC.inner_radius, sweep_deg=90.0, normal=Y))
-        assert [v.rule for v in validate_network(at)] == ["bend-radius"]
+        assert [v.rule for v in at.violations] == ["bend-radius"]
         above = make_net(Bend(radius=math.nextafter(SPEC.inner_radius, math.inf), sweep_deg=90.0, normal=Y))
-        assert validate_network(above) == []
+        assert above.violations == ()
 
     def test_discontinuous_joint(self):
         # after the 90 deg bend the tangent is +x; declaring +z breaks G1
@@ -147,56 +146,56 @@ class TestValidateNetwork:
             Bend(radius=100.0, sweep_deg=90.0, normal=Y),
             Straight(50.0, Z),
         )
-        violations = validate_network(net)
+        violations = net.violations
         assert [(v.rule, v.segment_index) for v in violations] == [("continuity", 2)]
 
     def test_total_length_must_be_finite(self):
         net = make_net(Straight(1.7e308, Z), Straight(1.7e308, Z))
-        violations = validate_network(net)
+        violations = net.violations
         assert [(v.rule, v.segment_index) for v in violations] == [("total-length", None)]
         assert "inf" in violations[0].message
 
     def test_sweep_angle_limit(self):
         net = make_net(Bend(radius=100.0, sweep_deg=270.0, normal=Y))
-        assert any(v.rule == "sweep-angle" for v in validate_network(net))
+        assert any(v.rule == "sweep-angle" for v in net.violations)
 
     def test_non_unit_axis(self):
         net = make_net(Straight(100.0, (0.0, 0.0, 2.0)))
-        assert any(v.rule == "unit-axis" for v in validate_network(net))
+        assert any(v.rule == "unit-axis" for v in net.violations)
 
     def test_normal_must_be_orthogonal_to_tangent(self):
         net = make_net(Straight(100.0, Z), Bend(radius=100.0, sweep_deg=90.0, normal=Z))
-        assert any(v.rule == "normal-orthogonality" for v in validate_network(net))
+        assert any(v.rule == "normal-orthogonality" for v in net.violations)
 
     def test_empty_network(self):
         net = PipeNetwork(SPEC, ())
-        assert any(v.rule == "empty-network" for v in validate_network(net))
+        assert any(v.rule == "empty-network" for v in net.violations)
 
     def test_nonpositive_length(self):
         net = make_net(Straight(0.0, Z))
-        assert any(v.rule == "segment-length" for v in validate_network(net))
+        assert any(v.rule == "segment-length" for v in net.violations)
 
     def test_nonpositive_pipe_radius(self):
         net = PipeNetwork(PipeSpec(inner_radius=0.0), (Straight(10.0, Z),))
-        assert any(v.rule == "pipe-radius" for v in validate_network(net))
+        assert any(v.rule == "pipe-radius" for v in net.violations)
 
     def test_bend_exit_tangent(self):
         # a 90 deg turn about +y takes +z to +x
         elbow = Bend(radius=100.0, sweep_deg=90.0, normal=Y)
-        assert validate_network(make_net(elbow, Straight(50.0, X))) == []
-        violations = validate_network(make_net(elbow, Straight(50.0, Z)))
+        assert make_net(elbow, Straight(50.0, X)).violations == ()
+        violations = make_net(elbow, Straight(50.0, Z)).violations
         assert [(v.rule, v.segment_index) for v in violations] == [("continuity", 1)]
 
     def test_non_finite_vectors_are_not_unit(self):
         nan = float("nan")
         net = make_net(Straight(100.0, (nan, 0.0, 1.0)), Bend(100.0, 90.0, (0.0, nan, 0.0)))
-        assert [v.rule for v in validate_network(net)] == ["unit-axis", "unit-normal"]
+        assert [v.rule for v in net.violations] == ["unit-axis", "unit-normal"]
 
 
 class TestDefaultAxis:
     def test_missing_axis_continues_the_incoming_tangent(self):
         net = make_net(Straight(100.0), Bend(radius=100.0, sweep_deg=90.0, normal=Y), Straight(50.0))
-        assert validate_network(net) == []
+        assert net.violations == ()
         assert net.start_tangent == Z
         assert net.segments[0].axis == Z
         assert net.segments[2].axis == pytest.approx(X, abs=1e-15)

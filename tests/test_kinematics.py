@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from pipediff import (
     Bend,
     Straight,
-    apply_disturbance,
+    run,
+    simulator,
 )
 from pipediff.geometry import module_cosines
 from pipediff.kinematics import demanded_speeds
@@ -113,27 +116,35 @@ def test_demanded_speeds_rows_match_the_reference(case, theta, v_nominal):
 
 
 class TestDisturbance:
-    def test_zero_amplitude_is_identity_and_draws_nothing(self):
-        demanded = speeds(BEND, 0.3, 50.0, 40.0)
-        draws = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, 3))
-        before = draws.copy()
-        assert (apply_disturbance(demanded, 0.0, draws) == demanded).all()
-        assert (draws == before).all()
+    """The disturbance ``run`` layers on the resolved speeds: ``v * (1 + a * u)``,
+    with one row of ``u ~ U(-1, 1)`` per record, in the seed's stream order."""
 
-    def test_seeded_draws_are_reproducible(self):
-        # One (n, 3) block of draws is the same stream as n draws of three,
-        # and each row is the one-tick formula v * (1 + a * u).
-        demanded = speeds(BEND, 0.3, 50.0, 40.0)
-        draws = np.random.default_rng(42).uniform(-1.0, 1.0, size=(50, 3))
-        block = apply_disturbance(demanded, 0.025, draws)
+    @staticmethod
+    def disturbed(scenario, amplitude, seed):
+        """The reference run's trace, and the plan's resolved speeds of each record."""
+        sc = scenario
+        params = replace(sc.sim, disturbance_amplitude=amplitude, disturbance_seed=seed)
+        trace, summary = run(sc.network, sc.robot, sc.gear, params)
+        assert summary.completed
+        v_nominal = sc.gear.ratio * params.omega_u * sc.robot.sprocket_radius
+        plan = simulator._plan(sc.network, sc.robot, sc.gear, params, v_nominal)
+        return trace, plan.resolved[trace.segment]
+
+    def test_zero_amplitude_is_identity_and_draws_nothing(self, reference_scenario):
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+            trace, resolved = self.disturbed(reference_scenario, 0.0, 7)
+        assert np.array_equal(trace.v, resolved)
+
+    def test_seeded_draws_are_reproducible(self, reference_scenario):
+        # The run's blocks of draws are the same stream as three draws per
+        # record, and each record is the one-tick formula v * (1 + a * u).
+        trace, resolved = self.disturbed(reference_scenario, 0.025, 42)
         rng = np.random.default_rng(42)
-        for row in block.tolist():
-            u = rng.uniform(-1.0, 1.0, size=3)
-            assert row == [v * (1.0 + 0.025 * float(f)) for v, f in zip(demanded, u)]
+        u = np.array([rng.uniform(-1.0, 1.0, size=3) for _ in range(len(trace))])
+        assert np.array_equal(trace.v, resolved * (1.0 + 0.025 * u))
+        assert trace == self.disturbed(reference_scenario, 0.025, 42)[0]
 
-    def test_amplitude_bounds_the_deviation(self):
-        demanded = speeds(STRAIGHT, 0.0, 50.0, 40.0)
-        draws = np.random.default_rng(3).uniform(-1.0, 1.0, size=(100, 3))
-        disturbed = apply_disturbance(demanded, 0.025, draws)
-        assert disturbed.shape == (100, 3)
-        assert (np.abs(disturbed - demanded) <= 0.025 * np.abs(demanded)).all()
+    def test_amplitude_bounds_the_deviation(self, reference_scenario):
+        trace, resolved = self.disturbed(reference_scenario, 0.025, 3)
+        assert not np.array_equal(trace.v, resolved)
+        assert (np.abs(trace.v - resolved) <= 0.025 * np.abs(resolved)).all()

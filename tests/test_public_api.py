@@ -25,7 +25,6 @@ EXPORTS = {
     "TRACE_HEADER",
     "Trace",
     "TrackTotals",
-    "apply_disturbance",
     "free",
     "imposed_speed",
     "imposed_torque",
@@ -39,7 +38,6 @@ EXPORTS = {
     "run_orientation_sweep",
     "serialize_scenario",
     "solve_output_speeds",
-    "validate_network",
     "write_trace",
 }
 
@@ -50,4 +48,4 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == EXPORTS
-    assert len(EXPORTS) == 37
+    assert len(EXPORTS) == 35

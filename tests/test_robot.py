@@ -244,6 +244,8 @@ class TestAlongANetwork:
 def test_config_validation():
     with pytest.raises(ValueError):
         make_robot(preload_compression=17.0)  # above the 16 mm default limit
+    with pytest.raises(ValueError, match="preload_compression must be >= 0"):
+        make_robot(preload_compression=-1.0)
     with pytest.raises(ValueError):
         make_robot(sprocket_radius=0.0)
     with pytest.raises(ValueError):

@@ -596,8 +596,8 @@ class TestReports:
         # base seed 7: every orientation's disturbed summary, byte for byte.
         sc = reference_scenario
         sim = replace(sc.sim, disturbance_amplitude=0.025, disturbance_seed=7)
-        results = run_orientation_sweep(sc.network, sc.robot, sc.gear, sim, 8)
-        text = render_sweep_report(results, sc.report, fmt="json")
+        summaries = run_orientation_sweep(sc.network, sc.robot, sc.gear, sim, 8)
+        text = render_sweep_report(summaries, sc.report, fmt="json")
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == "7639f70f8376c232e4c98bd3120ed4759eb7bcd23f591468a5b9f4d57c2a3828"
 
@@ -605,8 +605,8 @@ class TestReports:
         # The same sweep as the JSON pin above, as the text table.
         sc = reference_scenario
         sim = replace(sc.sim, disturbance_amplitude=0.025, disturbance_seed=7)
-        results = run_orientation_sweep(sc.network, sc.robot, sc.gear, sim, 8)
-        text = render_sweep_report(results, sc.report, fmt="text")
+        summaries = run_orientation_sweep(sc.network, sc.robot, sc.gear, sim, 8)
+        text = render_sweep_report(summaries, sc.report, fmt="text")
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == "9e16a1d8db8b847508ea875aee0db1b8af2acabcbf5885d1867cd40f7fc9db0c"
 
@@ -693,7 +693,7 @@ class TestReports:
     def test_unknown_sweep_format_is_rejected(self, reference_run):
         _, summary = reference_run
         with pytest.raises(ValueError, match="unknown report format 'xml'"):
-            render_sweep_report([(0.0, summary)], fmt="xml")
+            render_sweep_report([summary], fmt="xml")
 
     def test_text_report_names_a_t_max_stop(self, reference_scenario):
         sc = reference_scenario
@@ -780,11 +780,10 @@ class TestJsonReportAgainstJsonDumps:
             summary, options)
 
     @settings(max_examples=100, deadline=None)
-    @given(results=st.lists(st.tuples(report_floats, report_summaries()), max_size=3),
-           options=report_options())
-    def test_sweep_report_bytes(self, results, options):
-        assert render_sweep_report(results, options, fmt="json") == (
-            reference_json_sweep_report(results, options))
+    @given(summaries=st.lists(report_summaries(), max_size=3), options=report_options())
+    def test_sweep_report_bytes(self, summaries, options):
+        assert render_sweep_report(summaries, options, fmt="json") == (
+            reference_json_sweep_report(summaries, options))
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.025])
     def test_many_segment_run_and_sweep(self, amplitude):
@@ -794,6 +793,6 @@ class TestJsonReportAgainstJsonDumps:
         for opts in (sc.report, options):
             assert render_report(summary, opts, fmt="json").split("\n") == (
                 reference_json_report(summary, opts).split("\n"))
-        results = [(0.0, summary), (-0.0, summary)]
-        assert render_sweep_report(results, sc.report, fmt="json").split("\n") == (
-            reference_json_sweep_report(results, sc.report).split("\n"))
+        summaries = [summary, replace(summary, theta_deg=-0.0)]
+        assert render_sweep_report(summaries, sc.report, fmt="json").split("\n") == (
+            reference_json_sweep_report(summaries, sc.report).split("\n"))

@@ -20,13 +20,11 @@ from pipediff import (
     RobotConfig,
     SimParams,
     Straight,
-    apply_disturbance,
     parse_scenario,
     render_trace,
     run,
     run_orientation_sweep,
     simulator,
-    validate_network,
 )
 from pipediff.geometry import module_cosines
 
@@ -133,6 +131,7 @@ class TestRun:
         first, _ = run(net, robot, gear, params)
         second, _ = run(net, robot, gear, params)
         assert first == second
+        assert first.__eq__(object()) is NotImplemented
 
     def test_distance_closure_over_the_bend(self):
         net, robot, gear, params = small_setup()
@@ -520,15 +519,30 @@ class TestPlanAgainstTheReference:
                          disturbance_amplitude=amplitude, disturbance_seed=0)
         v_nominal = ratio * omega_u * sprocket_radius
         # ``run`` refuses these before it plans.
-        assume(math.isfinite(v_nominal) and v_nominal > 0.0 and not validate_network(net))
+        assume(math.isfinite(v_nominal) and v_nominal > 0.0 and not net.violations)
+        event(f"cut: {self.check(net, robot, gear, params)[1]}")
+
+    def check(self, net, robot, gear, params):
+        """``_plan`` and the rule that cut ``reference_plan``, having matched them."""
+        v_nominal = gear.ratio * params.omega_u * robot.sprocket_radius
         plan = simulator._plan(net, robot, gear, params, v_nominal)
         expected, rule = reference_plan(net, robot, gear, params)
-        event(f"cut: {rule}")
         assert plan.error == expected.error
         for name in self.PLAN_COLUMNS:
             column, reference = getattr(plan, name), getattr(expected, name)
             assert column.shape == reference.shape, name
             assert column.tobytes() == reference.tobytes(), name
+        return plan, rule
+
+    def test_the_budget_cut_keeps_no_segment(self, reference_scenario):
+        # A nominal speed of 2.1e-320 mm/s keeps too few bits for the demands
+        # over a 1e-320 mm sprocket to meet the differential's budget.
+        sc = reference_scenario
+        robot = replace(sc.robot, sprocket_radius=1e-320)
+        plan, rule = self.check(sc.network, robot, sc.gear, replace(sc.sim, omega_u=2.1))
+        assert rule == "budget" and len(plan.resolved) == 0
+        assert plan.error == ("imposed speeds sum to 6.29941 rad/s but the train requires "
+                              "6.3 rad/s (3 * ratio * omega_u)")
 
 
 class TestSummaryEdges:
@@ -631,7 +645,7 @@ class TestStepBlock:
         assert located.tolist() == [0] * 4 + [1] * 16
         # Every record steps at its own segment's speeds, those past the joint too.
         resolved = self.PLAN.resolved[located]
-        expected = resolved if draws is None else apply_disturbance(resolved, amplitude, draws)
+        expected = resolved if draws is None else resolved * (1.0 + amplitude * draws)
         assert np.array_equal(v, expected)
         assert np.array_equal(positions[1:] - positions[:-1] > 1.5, located == 1)
 
@@ -833,10 +847,10 @@ class TestOrientationSweep:
     def test_mean_speed_is_orientation_independent(self):
         net, robot, gear, params = small_setup()
         nominal = gear.ratio * params.omega_u * robot.sprocket_radius
-        results = run_orientation_sweep(net, robot, gear, params, steps=4)
-        assert [theta for theta, _ in results] == [0.0, 90.0, 180.0, 270.0]
-        for theta, summary in results:
-            assert summary.completed and summary.theta_deg == theta
+        summaries = run_orientation_sweep(net, robot, gear, params, steps=4)
+        assert [summary.theta_deg for summary in summaries] == [0.0, 90.0, 180.0, 270.0]
+        for summary in summaries:
+            assert summary.completed
             for segment in summary.segments:
                 assert math.fsum(segment.mean_speeds) / 3.0 == pytest.approx(nominal, rel=1e-9)
 
@@ -844,8 +858,8 @@ class TestOrientationSweep:
         net, robot, gear, params = small_setup(
             disturbance_amplitude=0.02, disturbance_seed=5
         )
-        results = run_orientation_sweep(net, robot, gear, params, steps=2)
-        seeds = [summary.disturbance_seed for _, summary in results]
+        summaries = run_orientation_sweep(net, robot, gear, params, steps=2)
+        seeds = [summary.disturbance_seed for summary in summaries]
         assert seeds == [5, 6]
 
     def test_rejects_zero_steps(self):
@@ -859,6 +873,8 @@ def test_sim_params_validation():
         SimParams(omega_u=1.0, dt=0.0)
     with pytest.raises(ValueError):
         SimParams(omega_u=1.0, t_max=-1.0)
+    with pytest.raises(ValueError, match="omega_u must be finite"):
+        SimParams(omega_u=math.inf)
     with pytest.raises(ValueError, match="disturbance amplitude must be in"):
         SimParams(omega_u=1.0, disturbance_amplitude=1.5)
     with pytest.raises(ValueError, match="disturbance seed must be non-negative"):

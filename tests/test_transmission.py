@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +210,41 @@ class TestFloatRange:
             solve_output_speeds(GearTrainConfig(ratio=1.0), 1e308 / 3.0, loads)
 
 
+    @pytest.mark.parametrize("raw_loads", [
+        # The torques' exact sum, 2.5e308, rounds to inf.
+        [("torque", 1e308), ("torque", 1.5e308), ("free", 0.0)],
+        # tau_i - tau_mean, 3.4e308 - 1.7e308 / 3, overflows.
+        [("torque", 1.7e308), ("torque", -1.7e308), ("torque", -1.7e308)],
+    ])
+    def test_torques_at_the_edge_of_the_float_range_resolve(self, raw_loads):
+        loads = LoadState(tuple(build_load(kind, value) for kind, value in raw_loads))
+        sol = solve_output_speeds(GearTrainConfig(ratio=1.0), 1.0, loads)
+        for speed, exact in zip(sol.as_tuple(), exact_speeds(3.0, raw_loads)):
+            assert math.isclose(speed, exact, rel_tol=1e-15)
+        assert sol.residual <= 1e-15 * 3.0
+
+
+def exact_speeds(target, raw_loads) -> list[Fraction]:
+    """The speeds the model resolves for the finite budget ``target``, as exact
+    fractions: imposed speeds verbatim, and the open outputs sharing the rest
+    by ``v_mean * (1 - (tau_i - tau_mean) / max|tau|)`` for a torque load."""
+    imposed = sum((Fraction(v) for kind, v in raw_loads if kind == "speed"), Fraction(0))
+    n_open = sum(kind != "speed" for kind, _ in raw_loads)
+    v_mean = (Fraction(target) - imposed) / n_open if n_open else Fraction(0)
+    torques = [Fraction(v) for kind, v in raw_loads if kind == "torque"]
+    scale = max(map(abs, torques), default=Fraction(0))
+    tau_mean = sum(torques, Fraction(0)) / len(torques) if torques else Fraction(0)
+    speeds = []
+    for kind, value in raw_loads:
+        if kind == "speed":
+            speeds.append(Fraction(value))
+        elif kind == "torque" and scale:
+            speeds.append(v_mean * (1 - (Fraction(value) - tau_mean) / scale))
+        else:
+            speeds.append(v_mean)
+    return speeds
+
+
 # Finite floats up to 1.7e308 in magnitude, two draws in three from the top decade.
 top = st.floats(min_value=1.7e307, max_value=1.7e308)
 huge = st.floats(min_value=-1.7e308, max_value=1.7e308) | top | top.map(lambda x: -x)
@@ -236,7 +272,13 @@ def test_speeds_and_residual_stay_finite_to_the_edge_of_the_float_range(
         assert math.isfinite(target) and (not in_range or len(imposed) == 3 and missed)
         return
     except ValueError:
-        assert not math.isfinite(target) or (in_range and len(imposed) < 3)
+        # Only the budget, the budget left after the imposed speeds (as
+        # ``target - imposed`` rounds it) or an exact speed may leave the
+        # float range; within 1e-12 of its edge, rounding may take a speed
+        # either way.
+        edge = (1 - Fraction(1, 10**12)) * Fraction(sys.float_info.max)
+        assert (not math.isfinite(target) or not math.isfinite(target - float(exact))
+                or any(abs(speed) > edge for speed in exact_speeds(target, raw_loads)))
         return
     assert math.isfinite(target) and in_range
     assert all(map(math.isfinite, (*sol.as_tuple(), sol.residual)))
@@ -311,6 +353,17 @@ def test_two_equal_loads_share_speed_exactly(ratio, omega_u, imposed, tau):
         sol = solve_output_speeds(cfg, omega_u, loads)
         assert sol.omega_b == sol.omega_c
         assert sol.omega_a == imposed
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: imposed_speed(math.nan), "load value must be finite"),
+    (lambda: imposed_torque(math.inf), "load value must be finite"),
+    (lambda: LoadState((free(), free())), "exactly three output loads"),
+    (lambda: LoadState((free(), free(), 0.0)), "not an OutputLoad"),
+])
+def test_loads_reject_bad_values(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_gear_config_rejects_bad_ratio():

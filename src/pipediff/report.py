@@ -22,15 +22,23 @@ TRACE_HEADER = (
 _TRACK_INDEX = {name: i for i, name in enumerate(TRACK_NAMES)}
 
 
-# Rows formatted per pass: converting one chunk of the columns to Python
-# floats and text at a time keeps the peak memory close to that of the CSV
-# text.  A chunk is split into runs of one segment, and each run's rows
-# share one row template, so a run that crosses a chunk boundary gets a
-# template on each side.
+# Rows formatted per pass: converting one chunk of the columns to text at a
+# time keeps the peak memory close to that of the CSV text.  A chunk is split
+# into runs of one segment, and each run's rows share one row template, so a
+# run that crosses a chunk boundary gets a template on each side.  Its rows
+# are joined into bytes ``_JOIN_ROWS`` at a time, which bounds the transients.
 _CHUNK_ROWS = 512
+_JOIN_ROWS = 128
 
 # The columns that a run's row template may hold as text.
 _BAKEABLE = ("v", "v_theo", "compression", "slip")
+
+# Two ASCII bytes as one little-endian 16-bit cell: ``_CELLS[k]`` spells
+# k < 100 as two digits, ``_CELLS[100 + k]`` as the leading digits of a
+# number and ``_CELLS[200 + k]`` as digit k < 10 and the decimal point.
+_CELLS = np.frombuffer(b"".join([b"%02d" % k for k in range(100)]
+                                + [b"%2d" % k if k else b"  " for k in range(100)]
+                                + [b"%d." % k for k in range(10)]), "<u2")
 
 
 def _changes(values: np.ndarray) -> np.ndarray:
@@ -44,9 +52,79 @@ def _changes(values: np.ndarray) -> np.ndarray:
     return changed.any(axis=1) if changed.ndim > 1 else changed
 
 
+def _fields(values: np.ndarray):
+    """Each value of the (rows, w) ``values`` as ``'%.6f' %`` spells it, then
+    ``,`` (``\\n`` in the last column), as a (rows, w) ``S`` array; None when
+    a value is not finite, reaches 2**52 micro-units or lies within about
+    four ulps of a rounding tie.
+
+    The micro-units ``rint(|x| * 1e6)`` round the exact product twice, both
+    times monotonically, so they are what ``%`` rounds it to (half to even,
+    as in Gay's correctly rounded conversion) unless the float product is a
+    half-integer.  The digits go right-aligned into space-padded cells that
+    ``np.strings.lstrip`` left-aligns; a sign goes in front after that.
+    """
+    micro = np.abs(values.ravel())
+    with np.errstate(over="ignore"):
+        micro *= 1e6
+    if not (micro < 2.0 ** 52).all():
+        return None
+    units = np.rint(micro)
+    if (abs(micro - units) + units * 2.0 ** -50 >= 0.5).any():
+        return None
+    units = units.astype(np.int64)
+    # From the right: three pairs of decimals, the units digit and the point,
+    # then the integer digits above it in pairs, as many as the largest has.
+    cells = 4 + max(1, len(str(int(units.max()))) - 6) // 2
+    text = np.empty((len(units), cells + 1), "<u2")
+    text[:, cells] = ord(",")  # and a NUL, which the ``S`` dtype drops
+    text.reshape(*values.shape, -1)[:, -1, -1] = ord("\n")
+    for j in reversed(range(cells)):
+        place = 10 if j == cells - 4 else 100
+        rest = units // place
+        units -= place * rest  # this cell's digits
+        if j == cells - 4:
+            units += 200  # with the decimal point
+        elif j < cells - 4:
+            units += 100 * (rest == 0)  # leading digits, space-padded
+        text[:, j] = _CELLS[units]
+        units = rest
+    fields = np.strings.lstrip(text.view(f"S{2 * cells + 2}").reshape(values.shape))
+    negative = np.signbit(values)
+    return np.where(negative, np.add(b"-", fields), fields) if negative.any() else fields
+
+
+def _percent_rows(templates, bounds, values) -> bytes:
+    """The rows of each run ``bounds[i]:bounds[i + 1]`` through its template,
+    one ``%`` per run: the path of a chunk that ``_fields`` declines."""
+    w = values.shape[1]
+    flat = values.ravel().tolist()
+    return "".join([(template * (hi - lo)) % tuple(flat[w * lo:w * hi])
+                    for template, lo, hi in zip(templates, bounds, bounds[1:])]).encode()
+
+
+def _joined_rows(templates, bounds, fields):
+    """The rows from the ``_fields`` texts and, between them, the baked text
+    of each run's template, joined ``_JOIN_ROWS`` rows at a time."""
+    runs = np.repeat(np.arange(len(templates)), np.diff(bounds))
+    # Split at its slots, a template's k-th piece is field k - 1's separator,
+    # which the field already ends with, and then the baked text before slot k.
+    pieces = [template.split("%.6f") for template in templates]
+    texts = {k: np.array([piece[k][1:] for piece in pieces], dtype="S")
+             for k in range(1, fields.shape[1]) if len(pieces[0][k]) > 1}
+    for lo in range(0, len(fields), _JOIN_ROWS):
+        rows = fields[lo:lo + _JOIN_ROWS]
+        line = rows[:, 0]
+        for k in range(1, rows.shape[1]):
+            if k in texts:
+                line = np.add(line, texts[k][runs[lo:lo + _JOIN_ROWS]])
+            line = np.add(line, rows[:, k])
+        yield b"".join(line.tolist())
+
+
 def _trace_chunks(trace):
-    """The trace CSV in pieces: the header line, then each chunk's lines."""
-    yield TRACE_HEADER + "\n"
+    """The trace CSV as bytes in pieces: the header line, then the rows."""
+    yield TRACE_HEADER.encode() + b"\n"
     for a in range(0, len(trace), _CHUNK_ROWS):
         chunk = trace[a:a + _CHUNK_ROWS]
         moved = _changes(chunk.segment)
@@ -63,13 +141,17 @@ def _trace_chunks(trace):
         ]) + ",%%.6f,%%.6f,%%.6f\n"
         heads = np.concatenate([np.empty((len(firsts), 0))]
                                + [getattr(chunk, name)[firsts] for name in baked], axis=1)
-        values = tuple(np.concatenate([chunk.t[:, None], chunk.s[:, None], *moving,
-                                       chunk.distance], axis=1).ravel().tolist())
-        w = len(values) // len(chunk)  # slots per row
+        templates = [run_format % (segment, *head)
+                     for segment, head in zip(chunk.segment[firsts].tolist(), heads.tolist())]
         bounds = firsts.tolist() + [len(chunk)]
-        yield "".join([((run_format % (segment, *head)) * (hi - lo)) % values[w * lo:w * hi]
-                       for segment, head, lo, hi in zip(chunk.segment[firsts].tolist(),
-                                                         heads.tolist(), bounds, bounds[1:])])
+        # The slots' values, in row order.
+        values = np.concatenate([chunk.t[:, None], chunk.s[:, None], *moving, chunk.distance],
+                                axis=1)
+        fields = _fields(values)
+        if fields is None:
+            yield _percent_rows(templates, bounds, values)
+        else:
+            yield from _joined_rows(templates, bounds, fields)
 
 
 def render_trace(trace) -> str:
@@ -81,17 +163,19 @@ def render_trace(trace) -> str:
     The model is piecewise constant, so within a segment most columns repeat
     from row to row.  Each chunk is formed one segment run at a time: the
     columns whose bits change only where the segment does are baked into
-    the run's row template as text, and one ``%`` fills its ``%.6f`` slots
-    for all the run's rows.  The output is that of formatting each value alone.
+    the run's row template as text, one ``%`` per run.  The values of its
+    ``%.6f`` slots are spelled by integer arithmetic on numpy columns, or,
+    in a chunk where that cannot be exact, by one ``%`` for all the run's
+    rows.  The output is that of formatting each value alone.
     """
-    return "".join(_trace_chunks(trace))
+    return "".join([piece.decode() for piece in _trace_chunks(trace)])
 
 
 def write_trace(trace, path) -> None:
     """Write the trace CSV, one chunk of rows at a time, so that the text is
     never held whole; I/O failures surface with the path."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with open(path, "wb") as handle:
             handle.writelines(_trace_chunks(trace))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
@@ -121,20 +205,24 @@ def _spell(value) -> str:
     return json.dumps(value)
 
 
+def _mark(value, leaves: list):
+    """``value`` with ``"%s"`` for each value in it that is not a dict or
+    list; those go to ``leaves``, in the order ``sort_keys`` writes them."""
+    if isinstance(value, dict):
+        return {key: _mark(value[key], leaves) for key in sorted(value)}
+    if isinstance(value, list):
+        return [_mark(item, leaves) for item in value]
+    leaves.append(value)
+    return "%s"
+
+
 def _layout(skeleton, depth: int) -> tuple[str, list]:
     """``(template, leaves)``: ``skeleton`` as ``json.dumps(..., indent=2,
     sort_keys=True)`` lays it out ``depth`` levels deep, with a ``%s`` for
-    each value that is not a dict or list, in the order of ``leaves``."""
+    each value that is not a dict or list, in the order of ``leaves``.  The
+    template fits every skeleton of the same shape, in ``_mark``'s order."""
     leaves = []
-
-    def mark(value):
-        if isinstance(value, dict):
-            return {key: mark(value[key]) for key in sorted(value)}
-        if isinstance(value, list):
-            return list(map(mark, value))
-        leaves.append(value)
-        return "%s"
-    text = json.dumps(mark(skeleton), indent=2, sort_keys=True).replace("%", "%%")
+    text = json.dumps(_mark(skeleton, leaves), indent=2, sort_keys=True).replace("%", "%%")
     return text.replace('"%%s"', "%s").replace("\n", "\n" + "  " * depth), leaves
 
 
@@ -295,8 +383,15 @@ def render_sweep_report(summaries, options: ReportOptions | None = None,
     options = options or ReportOptions()
     if fmt == "json":
         rows = _row_layouts(options, 2)
-        orientations = [_fill({"theta_deg": _spell(summary.theta_deg),
-                               **_payload(summary, options, 2, rows)}, 2) for summary in summaries]
+        payloads = [{"theta_deg": _spell(summary.theta_deg), **_payload(summary, options, 2, rows)}
+                    for summary in summaries]
+        # Every orientation's object has the same keys: lay it out once.
+        template = _layout(payloads[0], 2)[0] if payloads else ""
+        orientations = []
+        for payload in payloads:
+            leaves = []
+            _mark(payload, leaves)
+            orientations.append(template % tuple(leaves))
         return _fill({"orientations": orientations}) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")

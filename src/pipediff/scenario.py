@@ -187,6 +187,7 @@ def _raise_if_any(issues: list):
 def _tokenize(text: str, issues: list):
     """Split into sections: [(name, header_line, {key: (line, raw_value)})]."""
     sections = []
+    seen = set()  # names of the sections opened, to find a repeated one
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -199,11 +200,12 @@ def _tokenize(text: str, issues: list):
                 issues.append((lineno, f"malformed section header {line!r}"))
             elif name not in _SECTIONS:
                 issues.append((lineno, f"unknown section [{name}]"))
-            elif name != "segment" and any(sec[0] == name for sec in sections):
+            elif name != "segment" and name in seen:
                 issues.append((lineno, f"duplicate section [{name}]"))
             else:
                 current = (name, lineno, {})
                 sections.append(current)
+                seen.add(name)
             continue
         key, sep, value = line.partition("=")
         key = key.strip().lower()

@@ -167,8 +167,9 @@ def solve_output_speeds(cfg: GearTrainConfig, omega_u: float, loads: LoadState) 
         InfeasibleConstraintError: the imposed speeds' exact sum leaves the
             float range, or all three are imposed and they miss the sum
             budget by more than ``FEASIBILITY_RTOL`` relative.
-        ValueError: the budget, the budget left after the imposed speeds, a
-            resolved speed or their sum leaves the float range.
+        ValueError: the budget, a free output's share of the budget left
+            after the imposed speeds, a resolved speed or their sum leaves the
+            float range.
     """
     target = 3.0 * cfg.ratio * omega_u
     if not math.isfinite(target):
@@ -193,6 +194,8 @@ def solve_output_speeds(cfg: GearTrainConfig, omega_u: float, loads: LoadState) 
             result = [base, base, base]
         else:
             v_mean = (target - imposed) / len(open_idx)
+            if math.isinf(v_mean):  # the leftover overflows, but each share may not
+                v_mean = target / len(open_idx) - imposed / len(open_idx)
             shares = [t / scale for t in torque_vals] if scale > 0.0 else []
             share_mean = math.fsum(shares) / len(shares) if shares else 0.0
             for i in open_idx:

@@ -444,6 +444,12 @@ def test_out_of_memory_exits_two_with_an_error_line(target, argv, message, capsy
     assert captured.err == "error: out of memory" + (f": {message}" if message else "") + "\n"
 
 
+def _child_env() -> dict:
+    """The environment of a child Python that imports this checkout's sources."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 # Runs the command line in a child whose address space is capped at 1 GiB:
 # a run that the plan let through would fail there, not fill the host's memory.
 CAPPED_MAIN = """
@@ -464,10 +470,18 @@ def test_a_run_no_memory_can_hold_exits_two_at_the_plan(tmp_path, reference_text
                                                         message):
     scenario = _fast(tmp_path, reference_text, omega_u, dt=dt)
     trace = tmp_path / "t.csv"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, "run", str(scenario), "--trace",
-                           str(trace)], capture_output=True, text=True, env=env, timeout=300)
+                           str(trace)], capture_output=True, text=True, env=_child_env(),
+                          timeout=300)
     assert done.returncode == 2
     assert done.stderr == f"error: {message} records, more than memory can hold\n"
     assert trace.read_text(encoding="utf-8") == TRACE_HEADER + "\n"
+
+
+def test_importing_the_cli_leaves_numpy_strings_unloaded():
+    # The trace writer reaches numpy's string functions when it first writes,
+    # so starting the command line does not pay for importing them.
+    probe = "import sys, pipediff.cli; print('numpy' in sys.modules, 'numpy.strings' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert done.stdout == "True False\n", done.stderr

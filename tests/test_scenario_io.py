@@ -6,6 +6,7 @@ import math
 import random
 import re
 from dataclasses import fields, replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -120,6 +121,15 @@ class TestParse:
         text = MINIMAL.replace("omega_u = 2.0", "omega_u = 2.0\nomega_u = 3.0")
         issues = issues_of(text)
         assert any("duplicate key" in msg for _line, msg in issues)
+
+    def test_duplicate_sections_are_reported_at_their_headers(self):
+        # [segment] repeats by design; a second [sim] or [robot] is reported
+        # at its header, and its keys belong to no section.
+        extra = "[sim]\ndt = 0.1\n[segment]\ntype = straight\nlength = 5.0\n[robot]\n"
+        sim = len(MINIMAL.splitlines()) + 1  # the second [sim]'s line
+        assert list(issues_of(MINIMAL + extra)) == [(sim, "duplicate section [sim]"),
+                                                    (sim + 1, "key outside of any section"),
+                                                    (sim + 5, "duplicate section [robot]")]
 
     def test_non_unit_axis(self):
         # 1 + 1e-7 is off by more than the one unit-vector tolerance
@@ -528,6 +538,83 @@ class TestTraceCsvRuns:
 
     def test_an_empty_sequence_gives_the_header_alone(self):
         assert render_trace([]) == TRACE_HEADER + "\n"
+
+
+def ulps_away(x: float, k: int) -> float:
+    """``x`` moved ``k`` units in the last place, up for ``k > 0``."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def is_tie(x: float) -> bool:
+    """Whether the exact ``|x| * 10**6`` is a half-integer, which ``%``
+    rounds to even: ``x`` is an odd multiple of 2**-7."""
+    twice = Fraction(abs(x)) * 2 * 10**6
+    return twice.denominator == 1 and twice.numerator % 2 == 1
+
+
+def must_fall_back(x: float) -> bool:
+    """Whether the trace writer must leave ``x`` to ``%``: it is not finite,
+    reaches 2**52 micro-units or lies within two ulps of an exact tie."""
+    if not math.isfinite(x) or Fraction(abs(x)) * 10**6 >= 2**52:
+        return True
+    return any(is_tie(ulps_away(x, k)) for k in range(-2, 3))
+
+
+def may_fall_back(x: float) -> bool:
+    """A wide margin around ``must_fall_back``: a finite ``x`` off it has at
+    most 2**48 micro-units, at least 2**-46 of their count from a tie."""
+    if not math.isfinite(x):
+        return True
+    micro = Fraction(abs(x)) * 10**6
+    return micro >= 2**48 or abs(micro - math.floor(micro) - Fraction(1, 2)) <= micro / 2**46
+
+
+# Values where reading '%.6f' off rint(|x| * 1e6) is hardest: exact ties and
+# their neighbours, signed zeros and values that round to -0.000000,
+# subnormals, powers of ten, the 2**52 micro-unit limit, and non-finite ones.
+EDGE_VALUES = st.builds(
+    lambda centre, k, sign: sign * ulps_away(centre, k),
+    st.integers(0, 2**30).map(lambda k: (2 * k + 1) * 2.0 ** -7)
+    | st.integers(-8, 16).map(lambda k: 10.0 ** k)
+    | st.just(2.0 ** 52 / 1e6)
+    | st.floats(0.0, 5e-7)
+    | st.floats(0.0, 2.0 ** -1022)
+    | st.floats(0.0, 1e4),
+    st.integers(-2, 2),
+    st.sampled_from((1.0, -1.0)),
+) | st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf)) | st.floats()
+
+
+class TestFieldFormatter:
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(EDGE_VALUES, min_size=1, max_size=4))
+    def test_fields_spell_what_percent_spells_or_decline(self, values):
+        fields = report._fields(np.array([values]))
+        if fields is None:
+            assert any(map(may_fall_back, values))
+        else:
+            assert not any(map(must_fall_back, values))
+            seps = [","] * (len(values) - 1) + ["\n"]
+            assert fields.tolist() == [[("%.6f" % x + sep).encode() for x, sep in zip(values, seps)]]
+        # In a trace, the chunk the formatter declines is written by ``%``.
+        with mock.patch.object(report, "_percent_rows", wraps=report._percent_rows) as percent:
+            assert_matches_the_oracle(hand_trace(len(values), t=np.array(values)))
+        assert percent.called == (fields is None)
+
+    @pytest.mark.parametrize("value", [0.0078125, -0.0078125, ulps_away(0.0078125, 1),
+                                       ulps_away(1.0234375, -2), 2.0 ** 52 / 1e6, math.nan])
+    def test_one_unsafe_value_sends_only_its_chunk_to_percent(self, value):
+        n = 3 * report._CHUNK_ROWS
+        t = np.arange(n) * 0.01
+        t[report._CHUNK_ROWS + 5] = value
+        distance = np.cumsum(np.full((n, 3), 0.35), axis=0)
+        with mock.patch.object(report, "_percent_rows", wraps=report._percent_rows) as percent:
+            assert_matches_the_oracle(hand_trace(n, t=t, v=np.full((n, 3), 35.0), distance=distance))
+        assert percent.call_count == 1
+        (_, _, values), _ = percent.call_args
+        np.testing.assert_array_equal(values[:, 0], t[report._CHUNK_ROWS:2 * report._CHUNK_ROWS])
 
 
 def many_segment_scenario(seed: int, amplitude: float) -> str:

@@ -203,11 +203,15 @@ class TestFloatRange:
         with pytest.raises(ValueError, match="speed budget"):
             solve_output_speeds(GearTrainConfig(ratio=1e308), 10.0, LoadState.all_free())
 
-    def test_a_leftover_budget_past_the_float_range_is_rejected(self):
-        # 1e308 minus an imposed -1e308 leaves 2e308 for the two free outputs.
-        loads = LoadState((imposed_speed(-1e308), free(), free()))
-        with pytest.raises(ValueError, match="leave the float range"):
-            solve_output_speeds(GearTrainConfig(ratio=1.0), 1e308 / 3.0, loads)
+    def test_a_leftover_budget_past_the_float_range_is_shared_exactly(self):
+        # 1e308 minus an imposed -1e308 leaves 2e308, past the float range,
+        # for the two free outputs; each one's share, 1e308, is not.
+        raw_loads = [("speed", -1e308), ("free", 0.0), ("free", 0.0)]
+        loads = LoadState(tuple(build_load(kind, value) for kind, value in raw_loads))
+        target = 3.0 * (1e308 / 3.0)
+        sol = solve_output_speeds(GearTrainConfig(ratio=1.0), 1e308 / 3.0, loads)
+        assert list(map(Fraction, sol.as_tuple())) == exact_speeds(target, raw_loads)
+        assert sol.residual == 0.0
 
 
     @pytest.mark.parametrize("raw_loads", [
@@ -272,12 +276,10 @@ def test_speeds_and_residual_stay_finite_to_the_edge_of_the_float_range(
         assert math.isfinite(target) and (not in_range or len(imposed) == 3 and missed)
         return
     except ValueError:
-        # Only the budget, the budget left after the imposed speeds (as
-        # ``target - imposed`` rounds it) or an exact speed may leave the
-        # float range; within 1e-12 of its edge, rounding may take a speed
-        # either way.
+        # Only the budget or an exact speed may leave the float range; within
+        # 1e-12 of its edge, rounding may take a speed either way.
         edge = (1 - Fraction(1, 10**12)) * Fraction(sys.float_info.max)
-        assert (not math.isfinite(target) or not math.isfinite(target - float(exact))
+        assert (not math.isfinite(target)
                 or any(abs(speed) > edge for speed in exact_speeds(target, raw_loads)))
         return
     assert math.isfinite(target) and in_range

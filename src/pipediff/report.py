@@ -2,11 +2,14 @@
 
 The JSON report reads as ``json.dumps(payload, indent=2, sort_keys=True)``
 would write it, but each kind of object is laid out once, as a ``%``-template.
+Both reports read a run's segments as the columns of ``RunSummary.segments``
+and spell each column, not each segment, at a time.
 """
 
 import json
+import math
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 import numpy as np
 
@@ -55,14 +58,17 @@ def _changes(values: np.ndarray) -> np.ndarray:
 def _fields(values: np.ndarray):
     """Each value of the (rows, w) ``values`` as ``'%.6f' %`` spells it, then
     ``,`` (``\\n`` in the last column), as a (rows, w) ``S`` array; None when
-    a value is not finite, reaches 2**52 micro-units or lies within about
-    four ulps of a rounding tie.
+    a value is not finite, reaches 2**52 micro-units or its float product
+    ``|x| * 1e6`` is a half-integer.
 
     The micro-units ``rint(|x| * 1e6)`` round the exact product twice, both
     times monotonically, so they are what ``%`` rounds it to (half to even,
     as in Gay's correctly rounded conversion) unless the float product is a
-    half-integer.  The digits go right-aligned into space-padded cells that
-    ``np.strings.lstrip`` left-aligns; a sign goes in front after that.
+    half-integer: below 2**52 the half-integers are floats, so a product
+    strictly between two of them rounds to a float between them too, and
+    ``micro - units`` is exact.  The digits go right-aligned into
+    space-padded cells that ``np.strings.lstrip`` left-aligns; a sign goes in
+    front after that.
     """
     micro = np.abs(values.ravel())
     with np.errstate(over="ignore"):
@@ -70,7 +76,7 @@ def _fields(values: np.ndarray):
     if not (micro < 2.0 ** 52).all():
         return None
     units = np.rint(micro)
-    if (abs(micro - units) + units * 2.0 ** -50 >= 0.5).any():
+    if (abs(micro - units) == 0.5).any():
         return None
     units = units.astype(np.int64)
     # From the right: three pairs of decimals, the units digit and the point,
@@ -181,17 +187,13 @@ def write_trace(trace, path) -> None:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
 
-def _selected_segments(summary: RunSummary, options: ReportOptions):
+def _taker(summary: RunSummary, options: ReportOptions):
+    """A function from a segment column to its values for the segments listed."""
     if options.segments is None:
-        return summary.segments
+        return lambda column: column
     wanted = set(options.segments)
-    return tuple(s for s in summary.segments if s.index in wanted)
-
-
-def _min_headroom(summary: RunSummary) -> tuple[float | None, float | None]:
-    """Smallest compression (mm) and tilt (deg) headroom over the segments entered."""
-    return (min((s.compression_headroom_mm for s in summary.segments), default=None),
-            min((s.tilt_headroom_deg for s in summary.segments), default=None))
+    picks = [k for k, index in enumerate(summary.segments.columns["index"]) if index in wanted]
+    return lambda column: [column[k] for k in picks]
 
 
 def _spell(value) -> str:
@@ -232,15 +234,30 @@ def _fill(skeleton, depth: int = 0) -> str:
     return template % tuple(texts)
 
 
-def _rows(layout, items, depth: int) -> str:
-    """An array of one object per item; ``layout`` is one of ``_row_layouts``."""
-    template, getters = layout
-    return _fill([template % tuple([_spell(get(item)) for get in getters]) for item in items],
-                 depth)
+def _texts(column: list):
+    """``column``'s values as ``_spell`` spells them, by ``repr`` when all are
+    finite floats (a non-finite one makes the sum inf or NaN)."""
+    if set(map(type, column)) <= {float} and math.isfinite(sum(column)):
+        return map(float.__repr__, column)
+    return map(_spell, column)
+
+
+def _rows(layout, columns: dict, take, depth: int) -> str:
+    """An array of one object per row that ``take`` keeps of ``columns``, as
+    one leaf.  ``layout`` is one of ``_row_layouts``, each leaf naming a column
+    ``(field, None)`` or ``(field, track)``.  Columns are spelled
+    ``_JOIN_ROWS`` rows at a time, which bounds the texts held."""
+    template, leaves = layout
+    picked = [take(columns[name] if track is None else columns[name][track])
+              for name, track in leaves]
+    text = (",\n" + "  " * (depth + 1)).join([
+        template % row for lo in range(0, len(picked[0]), _JOIN_ROWS)
+        for row in zip(*[_texts(column[lo:lo + _JOIN_ROWS]) for column in picked])])
+    return _fill([text], depth) if text else "[]"
 
 
 # JSON key -> attribute of the RunSummary, a SegmentSummary, its per-track
-# tuples, and a TrackTotals.
+# tuples, and a TrackTotals, whose columns the reports read.
 _RUN_KEYS = {"completed": "completed", "stop_reason": "stop_reason", "error": "error",
              "total_time_s": "total_time", "total_length_mm": "total_length",
              "effective_path_mm": "effective_path", "nominal_speed_mm_s": "nominal_speed",
@@ -258,39 +275,37 @@ _TOTALS_KEYS = {"name": "name", "distance_mm": "distance", "mean_speed_mm_s": "m
 
 
 def _row_layouts(options: ReportOptions, depth: int) -> tuple:
-    """``_layout``s of the segment and the track rows, whose leaves are getters,
-    for ``_payload`` at ``depth``: a sweep report lays them out once."""
+    """``_layout``s of the segment and the track rows, whose leaves name
+    columns, for ``_payload`` at ``depth``: a sweep report lays them out once."""
     per_track = _SEGMENT_TRACK_KEYS | ({"ape_pct": "ape"} if options.ape else {})
-    segment = {key: attrgetter(attr) for key, attr in _SEGMENT_KEYS.items()}
-    segment["tracks"] = {
-        name: {key: lambda seg, attr=attr, i=_TRACK_INDEX[name]: getattr(seg, attr)[i]
-               for key, attr in per_track.items()}
-        for name in options.tracks
-    }
-    totals = {key: attrgetter(attr) for key, attr in _TOTALS_KEYS.items()}
+    segment = {key: (attr, None) for key, attr in _SEGMENT_KEYS.items()}
+    segment["tracks"] = {name: {key: (attr, _TRACK_INDEX[name]) for key, attr in per_track.items()}
+                         for name in options.tracks}
+    totals = {key: (attr, None) for key, attr in _TOTALS_KEYS.items()}
     if options.ape:
-        totals["max_ape_pct"] = attrgetter("max_ape")
+        totals["max_ape_pct"] = ("max_ape", None)
     return _layout(segment, depth + 2), _layout(totals, depth + 2)
 
 
 def _payload(summary: RunSummary, options: ReportOptions, depth: int, rows: tuple) -> dict:
     """One run's JSON object ``depth`` levels deep, its leaves as JSON texts."""
     segment, totals = rows
-    compression_headroom, tilt_headroom = _min_headroom(summary)
+    columns = summary.segments.columns
+    tracks = [summary.tracks[_TRACK_INDEX[name]] for name in options.tracks]
     limits = {
         "max_compression_mm": summary.max_compression,
-        "min_compression_headroom_mm": compression_headroom,
-        "max_tilt_deg": max((s.max_tilt_deg for s in summary.segments), default=0.0),
-        "min_tilt_headroom_deg": tilt_headroom,
+        "min_compression_headroom_mm": min(columns["compression_headroom_mm"], default=None),
+        "max_tilt_deg": max(columns["max_tilt_deg"], default=0.0),
+        "min_tilt_headroom_deg": min(columns["tilt_headroom_deg"], default=None),
         "max_slip_mm_s": summary.max_slip,
         "completed": summary.completed,
         "error": summary.error,
     }
     return {
         "run": {key: _spell(getattr(summary, attr)) for key, attr in _RUN_KEYS.items()},
-        "segments": _rows(segment, _selected_segments(summary, options), depth + 1),
-        "tracks": _rows(totals, [summary.tracks[_TRACK_INDEX[name]] for name in options.tracks],
-                        depth + 1),
+        "segments": _rows(segment, columns, _taker(summary, options), depth + 1),
+        "tracks": _rows(totals, {attr: [getattr(t, attr) for t in tracks]
+                                 for attr in (*_TOTALS_KEYS.values(), "max_ape")}, list, depth + 1),
         "limits": {key: _spell(value) for key, value in limits.items()},
     }
 
@@ -330,19 +345,21 @@ def _render_text(summary: RunSummary, options: ReportOptions) -> str:
         header += f" {'ape_pct':>7}"
     header += f" {'d_max':>7} {'d_room':>7} {'tilt_room':>9}"
     lines.append(header)
-    for seg in _selected_segments(summary, options):
-        for name in options.tracks:
-            i = _TRACK_INDEX[name]
-            row = (
-                f"{seg.index:>3} {seg.kind:<12} {seg.entry_time:>9.3f} {seg.exit_time:>9.3f} "
-                f"{name:>3} {seg.mean_speeds[i]:>8.3f} {seg.min_speeds[i]:>8.3f} "
-                f"{seg.max_speeds[i]:>8.3f}"
-            )
-            if options.ape:
-                row += f" {_fmt_ape(seg.ape[i]):>7}"
-            row += (f" {seg.max_compression:>7.3f} {seg.compression_headroom_mm:>7.3f}"
-                    f" {seg.tilt_headroom_deg:>9.3f}")
-            lines.append(row)
+    # One row per segment and track, through one ``%`` format: ``%8.3f`` is
+    # ``{:>8.3f}`` and ``%-12s`` is ``{:<12}``.
+    row_format = ("%3d %-12s %9.3f %9.3f %3s %8.3f %8.3f %8.3f" + " %7s" * options.ape
+                  + " %7.3f %7.3f %9.3f")
+    columns, take = summary.segments.columns, _taker(summary, options)
+    head = [take(columns[name]) for name in ("index", "kind", "entry_time", "exit_time")]
+    tail = [take(columns[name])
+            for name in ("max_compression", "compression_headroom_mm", "tilt_headroom_deg")]
+    per_track = []
+    for name in options.tracks:
+        i = _TRACK_INDEX[name]
+        speeds = [take(columns[attr][i]) for attr in _SEGMENT_TRACK_KEYS.values()]
+        apes = [map(_fmt_ape, take(columns["ape"][i]))] * options.ape
+        per_track.append(zip(*head, repeat(name), *speeds, *apes, *tail))
+    lines += [row_format % row for rows in zip(*per_track) for row in rows]
     lines.append("")
     for name in options.tracks:
         totals = summary.tracks[_TRACK_INDEX[name]]
@@ -353,7 +370,8 @@ def _render_text(summary: RunSummary, options: ReportOptions) -> str:
         if options.ape and totals.max_ape is not None:
             row += f", max ape {totals.max_ape:.3f}%"
         lines.append(row)
-    compression_headroom, tilt_headroom = _min_headroom(summary)
+    compression_headroom = min(columns["compression_headroom_mm"], default=None)
+    tilt_headroom = min(columns["tilt_headroom_deg"], default=None)
     headroom = (
         "n/a" if compression_headroom is None
         else f"{compression_headroom:.3f} mm compression, {tilt_headroom:.3f} deg tilt"

@@ -33,12 +33,13 @@ the generator's stream order.  Independent runs share nothing and may
 execute in parallel.
 
 The summary's window means and APE are correctly rounded too:
-``_window_sums`` sums fixed-exponent integer limbs exactly, then rounds once,
-which gives what ``math.fsum`` gives of each window.
+``_window_sums`` sums fixed-exponent integer limbs exactly and ``_sum3``
+rounds them once, which gives what ``math.fsum`` gives of each window.
 """
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -190,6 +191,42 @@ class SegmentSummary:
     tilt_headroom_deg: float  # robot limit minus max_tilt_deg
 
 
+# The ``SegmentSummary`` fields that hold one value per track.
+_PER_TRACK = ("mean_speeds", "min_speeds", "max_speeds", "ape")
+
+
+class _SegmentTable(Sequence):
+    """A run's ``SegmentSummary`` rows as read-only columns: ``columns`` maps
+    each field to its values in row order, a per-track field to three such
+    lists, one per track.  It reads as the tuple of rows, which it builds on
+    first read; the reports read the columns."""
+
+    def __init__(self, columns: dict, rows: tuple | None = None):
+        self.columns, self._rows = columns, rows
+
+    def rows(self) -> tuple:
+        if self._rows is None:
+            values = [zip(*self.columns[f.name]) if f.name in _PER_TRACK else self.columns[f.name]
+                      for f in fields(SegmentSummary)]
+            self._rows = tuple(SegmentSummary(*row) for row in zip(*values))
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.columns["index"])
+
+    def __getitem__(self, key):
+        return self.rows()[key]
+
+    def __eq__(self, other):
+        return self.rows() == (other.rows() if isinstance(other, _SegmentTable) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.rows())
+
+    def __repr__(self) -> str:
+        return repr(self.rows())
+
+
 @dataclass(frozen=True)
 class TrackTotals:
     """Whole-run aggregates for one track."""
@@ -216,8 +253,16 @@ class RunSummary:
     disturbance_seed: int
     max_slip: float  # mm/s over all records and tracks
     max_compression: float  # mm over every segment entered and its modules
-    segments: tuple[SegmentSummary, ...]
+    segments: Sequence[SegmentSummary]  # read-only, built on first read
     tracks: tuple[TrackTotals, TrackTotals, TrackTotals]
+
+    def __post_init__(self):
+        if not isinstance(self.segments, _SegmentTable):  # rows given by hand
+            rows = tuple(self.segments)
+            columns = {f.name: tuple([getattr(row, f.name)[i] for row in rows] for i in range(3))
+                       if f.name in _PER_TRACK else [getattr(row, f.name) for row in rows]
+                       for f in fields(SegmentSummary)}
+            object.__setattr__(self, "segments", _SegmentTable(columns, rows))
 
 
 @dataclass(frozen=True)
@@ -361,13 +406,14 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
 
 
 def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``math.fsum(column[a:b])`` for each window ``a, b`` of ``lo`` and ``hi``,
-    bit for bit.  From the top down, each value is cut exactly into three
-    limbs ``q * 2**b``, ``q`` an integer below ``2**width`` and ``b`` dropping by
-    ``width`` per limb (after Demmel and Hida, "Accurate and efficient floating
-    point summation", SIAM J. Sci. Comput. 25(4), 2003).  Any sum of n such
-    ``q`` is an integer below ``2**53``, so ``np.add.reduceat`` forms each
-    window's limb sums exactly, and ``_sum3`` rounds their sum once."""
+    """A (windows, 3) block whose ``_sum3`` is ``math.fsum(column[a:b])`` for
+    each window ``a, b`` of ``lo`` and ``hi``, bit for bit.  From the top down,
+    each value is cut exactly into three limbs ``q * 2**b``, ``q`` an integer
+    below ``2**width`` and ``b`` dropping by ``width`` per limb (after Demmel
+    and Hida, "Accurate and efficient floating point summation", SIAM J. Sci.
+    Comput. 25(4), 2003).  Any sum of n such ``q`` is an integer below
+    ``2**53``, so ``np.add.reduceat`` forms each window's limb sums exactly.
+    The guard's rows are ``(fsum, -0.0, -0.0)``, exact when finite."""
     n = len(column)
     width = 53 - (n + 1).bit_length()
     magnitudes = np.abs(column)
@@ -382,8 +428,9 @@ def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     # Inside it every scaling is exact and no sum here or in ``_sum3`` reaches 2**1024.
     if not (top < math.inf and limbs <= 3 and e_hi - limbs * width >= -1022
             and e_hi - width <= 969):
-        values = column.tolist()
-        return np.array([math.fsum(values[a:b]) for a, b in zip(lo.tolist(), hi.tolist())])
+        values = column.tolist()  # x + -0.0 is x, for x = -0.0 too
+        return np.array([(math.fsum(values[a:b]), -0.0, -0.0)
+                         for a, b in zip(lo.tolist(), hi.tolist())]).reshape(-1, 3)
     # Even bounds open the windows; the 0 past the last value lets a bound be n.
     bounds = np.array((lo, hi)).T.ravel()
     limb = np.zeros(n + 1)
@@ -395,13 +442,7 @@ def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
         rest -= limb[:n]
         rest *= 2.0 ** width
     # ``reduceat`` gives an empty window its first value: scale it by 0.
-    return _sum3(terms * np.multiply.outer(lo < hi, scales))
-
-
-def _window_means(column: np.ndarray, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> list:
-    """Per window, its ``_window_sums`` entry over its count, or None for a count of 0."""
-    means = (_window_sums(column, lo, hi) / np.maximum(counts, 1)).tolist()
-    return [mean if count else None for mean, count in zip(means, counts.tolist())]
+    return terms * np.multiply.outer(lo < hi, scales)
 
 
 def run(
@@ -552,10 +593,10 @@ def _summarize(
     error: str | None,
     v_nominal: float,
 ) -> RunSummary:
-    """Summarise the ``entered`` segments and the run.  The per-record work is
-    numpy over whole trace columns, one track at a time.  ``_window_sums``
-    sums every segment's window of a column at once, bit for bit as
-    ``math.fsum`` would, which keeps means and APE correctly rounded."""
+    """Summarise the run and, as columns, the ``entered`` segments, with numpy
+    over whole trace columns.  ``_window_sums`` cuts every window of a column
+    into limb terms and one ``_sum3`` rounds the windows of all six columns,
+    bit for bit as ``math.fsum`` would: means and APE are correctly rounded."""
     # Segment indices and positions never decrease along a trace, so each
     # segment's records are one contiguous slice, empty for a segment that a
     # single step crossed whole, and so are the records in its window.
@@ -571,54 +612,48 @@ def _summarize(
     lo, hi = np.clip(lo, first, last), np.clip(hi, first, last)
     # A window that holds no record falls back to the whole segment.
     lo, hi = np.where(lo < hi, lo, first), np.where(lo < hi, hi, last)
-    means, apes = [], []
-    demands = plan.demanded[:entered].T
-    for v, slip, v_theo, demand in zip(trace.v.T, trace.slip.T, trace.v_theo.T, demands):
-        means.append(_window_means(v, lo, hi, hi - lo))
+    # One track at a time: APE terms over the whole (n, 3) block raised the
+    # tracemalloc peak of a reference-run op from 1.30 to 1.46 MB.
+    windows = [_window_sums(v, lo, hi) for v in trace.v.T]
+    for slip, v_theo in zip(trace.slip.T, trace.v_theo.T):
         defined = v_theo != 0.0
         terms = np.multiply(100.0, slip, out=np.zeros_like(slip), where=defined)
         np.divide(terms, np.abs(v_theo), out=terms, where=defined)
-        # A window lies inside one segment, whose demand is every record's v_theo.
-        apes.append(_window_means(terms, lo, hi, np.where(demand != 0.0, hi - lo, 0)))
-    firsts = first[first < last]  # of the segments with records
-    extremes = zip(np.minimum.reduceat(trace.v, firsts).tolist(),
-                   np.maximum.reduceat(trace.v, firsts).tolist())
-    rows = zip(net.segments, spans.tolist(), first.tolist(), last.tolist(), zip(*means),
-               zip(*apes), plan.resolved.tolist(), plan.compressions.max(axis=1).tolist(),
-               plan.max_tilt_deg.tolist())
-    summaries = []
-    for index, (seg, length, a, b, mean, ape, resolved, compression, tilt) in enumerate(rows):
-        if a == b:  # no records: the plan's speeds, and no APE
-            mean_speeds = min_speeds = max_speeds = tuple(resolved)
-        else:
-            mean_speeds, (min_speeds, max_speeds) = mean, map(tuple, next(extremes))
-        summaries.append(
-            SegmentSummary(
-                index=index,
-                kind=f"bend {seg.sweep_deg:g}deg" if isinstance(seg, Bend) else "straight",
-                length=length,
-                entry_time=times[index],
-                exit_time=times[index + 1],
-                mean_speeds=mean_speeds,
-                min_speeds=min_speeds,
-                max_speeds=max_speeds,
-                ape=ape,
-                max_compression=compression,
-                max_tilt_deg=tilt,
-                compression_headroom_mm=robot.max_compression - compression,
-                tilt_headroom_deg=robot.max_tilt_deg - tilt,
-            )
-        )
+        windows.append(_window_sums(terms, lo, hi))
+    sums = _sum3(np.concatenate(windows)).reshape(6, entered).T  # speed sums, then APE sums
+    counts = (hi - lo)[:, None]  # 0 only for a segment without records
+    # A window lies inside one segment, whose demand is every record's v_theo.
+    ape_counts = np.where(plan.demanded[:entered] != 0.0, counts, 0)
+    # A segment without records has the plan's speeds and no APE.
+    resolved = plan.resolved[:entered]
+    means = np.where(counts > 0, sums[:, :3] / np.maximum(counts, 1), resolved)
+    apes = np.where(ape_counts > 0, sums[:, 3:] / np.maximum(ape_counts, 1), None)
+    lows, highs, entries = resolved.copy(), resolved.copy(), first[first < last]
+    lows[first < last] = np.minimum.reduceat(trace.v, entries)
+    highs[first < last] = np.maximum.reduceat(trace.v, entries)
+    compressions, tilts = plan.compressions[:entered].max(axis=1), plan.max_tilt_deg[:entered]
+    table = _SegmentTable({
+        "index": list(range(entered)),
+        "kind": [f"bend {seg.sweep_deg:g}deg" if isinstance(seg, Bend) else "straight"
+                 for seg in net.segments[:entered]],
+        "length": spans.tolist(), "entry_time": times[:-1], "exit_time": times[1:],
+        "mean_speeds": tuple(means.T.tolist()), "min_speeds": tuple(lows.T.tolist()),
+        "max_speeds": tuple(highs.T.tolist()), "ape": tuple(apes.T.tolist()),
+        "max_compression": compressions.tolist(), "max_tilt_deg": tilts.tolist(),
+        "compression_headroom_mm": (robot.max_compression - compressions).tolist(),
+        "tilt_headroom_deg": (robot.max_tilt_deg - tilts).tolist(),
+    })
 
     total_time = float(trace.t[-1]) if n else 0.0
     distances = trace.distance[-1].tolist() if n else [0.0, 0.0, 0.0]
     # Per column: an axis-0 reduce over the (n, 3) block takes several times as long.
     max_slips = [float(slip.max()) for slip in trace.slip.T] if n else [0.0, 0.0, 0.0]
     tracks = []
-    for i, name in enumerate(TRACK_NAMES):
-        mean_speed = distances[i] / total_time if total_time > 0.0 else 0.0
-        worst_ape = max((s.ape[i] for s in summaries if s.ape[i] is not None), default=None)
-        tracks.append(TrackTotals(name, distances[i], mean_speed, max_slips[i], worst_ape))
+    for name, distance, max_slip, ape in zip(TRACK_NAMES, distances, max_slips,
+                                             table.columns["ape"]):
+        mean_speed = distance / total_time if total_time > 0.0 else 0.0
+        worst_ape = max([value for value in ape if value is not None], default=None)
+        tracks.append(TrackTotals(name, distance, mean_speed, max_slip, worst_ape))
 
     total = net.total_length
     effective = total - robot.length if total >= robot.length else None
@@ -635,7 +670,7 @@ def _summarize(
         disturbance_amplitude=params.disturbance_amplitude,
         disturbance_seed=params.disturbance_seed,
         max_slip=max(max_slips),
-        max_compression=max((s.max_compression for s in summaries), default=0.0),
-        segments=tuple(summaries),
+        max_compression=max(table.columns["max_compression"], default=0.0),
+        segments=table,
         tracks=tuple(tracks),
     )

@@ -1,9 +1,11 @@
-"""The JSON report as ``json.dumps`` lays it out, kept as the reference for
-the report's template emitter.
+"""The run reports as one object per segment lays them out, kept as the
+reference for the reports' column emitters.
 
 ``reference_json_report`` and ``reference_json_sweep_report`` build the
 report's payload as plain dicts and lists and dump it with
-``json.dumps(payload, indent=2, sort_keys=True)``.  They are independent
+``json.dumps(payload, indent=2, sort_keys=True)``.  ``reference_text_report``
+formats each segment's row per track with f-strings.  They read
+``summary.segments`` one ``SegmentSummary`` at a time and are independent
 of ``pipediff.report``.
 """
 
@@ -104,3 +106,74 @@ def reference_json_sweep_report(summaries, options) -> str:
         ]
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _fmt_ape(value) -> str:
+    return "  n/a" if value is None else f"{value:5.3f}"
+
+
+def reference_text_report(summary, options) -> str:
+    """The text report of one run."""
+    lines = []
+    status = "completed" if summary.completed else "stopped"
+    if summary.error:
+        status = "ABORTED"
+    lines.append(
+        f"run {status}: t = {summary.total_time:.3f} s over "
+        f"{summary.total_length:.3f} mm of pipe"
+    )
+    if summary.error:
+        lines.append(f"abort cause: {summary.error}")
+    if summary.stop_reason:
+        lines.append(f"stop reason: {summary.stop_reason}")
+    effective = (
+        f"{summary.effective_path:.3f} mm" if summary.effective_path is not None else "n/a"
+    )
+    lines.append(
+        f"nominal speed {summary.nominal_speed:.3f} mm/s, theta {summary.theta_deg:g} deg, "
+        f"effective robot path {effective}"
+    )
+    lines.append(
+        f"disturbance amplitude {summary.disturbance_amplitude:g} "
+        f"(seed {summary.disturbance_seed}), dt {summary.dt:g} s"
+    )
+    lines.append("")
+    header = f"{'seg':>3} {'kind':<12} {'entry_s':>9} {'exit_s':>9} {'trk':>3} "
+    header += f"{'v_mean':>8} {'v_min':>8} {'v_max':>8}"
+    if options.ape:
+        header += f" {'ape_pct':>7}"
+    header += f" {'d_max':>7} {'d_room':>7} {'tilt_room':>9}"
+    lines.append(header)
+    for seg in _selected_segments(summary, options):
+        for name in options.tracks:
+            i = _TRACK_INDEX[name]
+            row = (
+                f"{seg.index:>3} {seg.kind:<12} {seg.entry_time:>9.3f} {seg.exit_time:>9.3f} "
+                f"{name:>3} {seg.mean_speeds[i]:>8.3f} {seg.min_speeds[i]:>8.3f} "
+                f"{seg.max_speeds[i]:>8.3f}"
+            )
+            if options.ape:
+                row += f" {_fmt_ape(seg.ape[i]):>7}"
+            row += (f" {seg.max_compression:>7.3f} {seg.compression_headroom_mm:>7.3f}"
+                    f" {seg.tilt_headroom_deg:>9.3f}")
+            lines.append(row)
+    lines.append("")
+    for name in options.tracks:
+        totals = summary.tracks[_TRACK_INDEX[name]]
+        row = (
+            f"track {name}: distance {totals.distance:.3f} mm, "
+            f"mean speed {totals.mean_speed:.3f} mm/s, max slip {totals.max_slip:.3g} mm/s"
+        )
+        if options.ape and totals.max_ape is not None:
+            row += f", max ape {totals.max_ape:.3f}%"
+        lines.append(row)
+    compression_headroom, tilt_headroom = _min_headroom(summary)
+    headroom = (
+        "n/a" if compression_headroom is None
+        else f"{compression_headroom:.3f} mm compression, {tilt_headroom:.3f} deg tilt"
+    )
+    lines.append(
+        f"limits: max compression {summary.max_compression:.3f} mm, "
+        f"max slip {summary.max_slip:.3g} mm/s, min headroom {headroom}"
+    )
+    return "\n".join(lines) + "\n"

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipediff import TRACE_HEADER, PipeNetwork, cli
+from pipediff import TRACE_HEADER, PipeNetwork, SegmentSummary, cli, run
 from pipediff.cli import main
 
 from conftest import REFERENCE_SCN, REPO_ROOT
+from reference_stepper import reference_run
 
 
 def _refuse(constant):
@@ -423,6 +424,33 @@ def test_each_command_builds_the_network_once(argv, capsys, monkeypatch):
     monkeypatch.setattr(PipeNetwork, "__post_init__", counted)
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", str(REFERENCE_SCN), "--format", "json"],
+    ["run", str(REFERENCE_SCN), "--format", "text"],
+    ["sweep", str(REFERENCE_SCN), "--theta-steps", "2", "--format", "json"],
+    ["sweep", str(REFERENCE_SCN), "--theta-steps", "2", "--format", "text"],
+], ids=["run-json", "run-text", "sweep-json", "sweep-text"])
+def test_the_reports_build_no_segment_summary(argv, reference_scenario, capsys, monkeypatch):
+    # The reports read a run's segment columns; the rows are built on first
+    # read of ``summary.segments``, once, and equal the tick stepper's tuple.
+    built = []
+    build = SegmentSummary.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(SegmentSummary, "__init__", counted)
+    assert main(argv) == 0
+    assert built == []
+    sc = reference_scenario
+    _, summary = run(sc.network, sc.robot, sc.gear, sc.sim)
+    _, expected = reference_run(sc.network, sc.robot, sc.gear, sc.sim)
+    assert len(built) == len(expected.segments) == 4  # the oracle's own rows
+    assert summary.segments == tuple(expected.segments)
+    assert len(built) == 8 and list(summary.segments) == built[4:]
 
 
 @pytest.mark.parametrize("target, argv", [

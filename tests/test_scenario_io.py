@@ -39,7 +39,11 @@ from pipediff.cli import main
 from pipediff.scenario import KEYS
 
 from conftest import REFERENCE_SCN, REPO_ROOT
-from reference_report import reference_json_report, reference_json_sweep_report
+from reference_report import (
+    reference_json_report,
+    reference_json_sweep_report,
+    reference_text_report,
+)
 from reference_stepper import reference_csv
 
 MINIMAL = """\
@@ -556,10 +560,11 @@ def is_tie(x: float) -> bool:
 
 def must_fall_back(x: float) -> bool:
     """Whether the trace writer must leave ``x`` to ``%``: it is not finite,
-    reaches 2**52 micro-units or lies within two ulps of an exact tie."""
+    reaches 2**52 micro-units or is an exact tie, whose float product
+    ``|x| * 1e6`` is the half-integer itself."""
     if not math.isfinite(x) or Fraction(abs(x)) * 10**6 >= 2**52:
         return True
-    return any(is_tie(ulps_away(x, k)) for k in range(-2, 3))
+    return is_tie(x)
 
 
 def may_fall_back(x: float) -> bool:
@@ -603,18 +608,33 @@ class TestFieldFormatter:
             assert_matches_the_oracle(hand_trace(len(values), t=np.array(values)))
         assert percent.called == (fields is None)
 
-    @pytest.mark.parametrize("value", [0.0078125, -0.0078125, ulps_away(0.0078125, 1),
-                                       ulps_away(1.0234375, -2), 2.0 ** 52 / 1e6, math.nan])
-    def test_one_unsafe_value_sends_only_its_chunk_to_percent(self, value):
+    @staticmethod
+    def three_chunks_with(value):
+        """A three-chunk trace with ``value`` at one ``t`` of the middle chunk."""
         n = 3 * report._CHUNK_ROWS
         t = np.arange(n) * 0.01
         t[report._CHUNK_ROWS + 5] = value
         distance = np.cumsum(np.full((n, 3), 0.35), axis=0)
+        return hand_trace(n, t=t, v=np.full((n, 3), 35.0), distance=distance)
+
+    @pytest.mark.parametrize("value", [0.0078125, -0.0078125, 2.0 ** 52 / 1e6, math.nan])
+    def test_one_unsafe_value_sends_only_its_chunk_to_percent(self, value):
+        trace = self.three_chunks_with(value)
         with mock.patch.object(report, "_percent_rows", wraps=report._percent_rows) as percent:
-            assert_matches_the_oracle(hand_trace(n, t=t, v=np.full((n, 3), 35.0), distance=distance))
+            assert_matches_the_oracle(trace)
         assert percent.call_count == 1
         (_, _, values), _ = percent.call_args
-        np.testing.assert_array_equal(values[:, 0], t[report._CHUNK_ROWS:2 * report._CHUNK_ROWS])
+        np.testing.assert_array_equal(values[:, 0],
+                                      trace.t[report._CHUNK_ROWS:2 * report._CHUNK_ROWS])
+
+    @pytest.mark.parametrize("value", [ulps_away(0.0078125, 1), ulps_away(1.0234375, -2)])
+    def test_a_value_ulps_from_a_tie_is_spelled_by_fields(self, value):
+        # Its float product |x| * 1e6 is not a half-integer, so ``rint``
+        # rounds it as ``%`` rounds the exact product.
+        assert report._fields(np.array([[value]])).tolist() == [[("%.6f\n" % value).encode()]]
+        with mock.patch.object(report, "_percent_rows", wraps=report._percent_rows) as percent:
+            assert_matches_the_oracle(self.three_chunks_with(value))
+        assert not percent.called
 
 
 def many_segment_scenario(seed: int, amplitude: float) -> str:
@@ -883,3 +903,22 @@ class TestJsonReportAgainstJsonDumps:
         summaries = [summary, replace(summary, theta_deg=-0.0)]
         assert render_sweep_report(summaries, sc.report, fmt="json").split("\n") == (
             reference_json_sweep_report(summaries, sc.report).split("\n"))
+
+
+class TestTextReportAgainstFStrings:
+    """The text report's row format against the per-segment f-strings in
+    reference_report."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(summary=report_summaries(), options=report_options())
+    def test_run_report_bytes(self, summary, options):
+        assert render_report(summary, options) == reference_text_report(summary, options)
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.025])
+    def test_many_segment_run(self, amplitude):
+        sc = parse_scenario(many_segment_scenario(5, amplitude))
+        _, summary = run(sc.network, sc.robot, sc.gear, sc.sim)
+        options = ReportOptions(tracks=("C", "A"), segments=(0, 7, 199), ape=True)
+        for opts in (sc.report, options, replace(options, ape=False)):
+            assert render_report(summary, opts).split("\n") == (
+                reference_text_report(summary, opts).split("\n"))

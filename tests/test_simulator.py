@@ -765,12 +765,19 @@ class TestWindowSums:
 
     @staticmethod
     def sums(column, windows):
-        """``(sums, exact)``: ``_window_sums`` over ``windows``, and whether
-        they took the exact numpy path, which ends in ``_sum3``, or the guard."""
+        """``(sums, exact)``: ``_sum3`` of the terms ``_window_sums`` gives
+        over ``windows``, as ``_summarize`` rounds them, and whether the terms
+        took the exact numpy path or the guard's ``math.fsum``.  The guard's
+        rows must be ``(fsum, -0.0, -0.0)``; a non-finite sum, which breaks
+        ``_sum3``'s TwoSums, is returned as the row holds it."""
         lo, hi = np.array(windows, dtype=np.intp).T
-        with mock.patch.object(simulator, "_sum3", wraps=simulator._sum3) as spy:
-            sums = simulator._window_sums(column, lo, hi)
-        return sums, spy.called
+        with mock.patch.object(math, "fsum", wraps=math.fsum) as spy:
+            terms = simulator._window_sums(column, lo, hi)
+        if spy.called:
+            assert terms[:, 1:].view(np.int64).tolist() == [[-2**63, -2**63]] * len(terms)
+            if not np.isfinite(terms[:, 0]).all():
+                return terms[:, 0], False
+        return simulator._sum3(terms), not spy.called
 
     @staticmethod
     def fsum_bits(column, windows):

@@ -8,6 +8,7 @@ and spell each column, not each segment, at a time.
 
 import json
 import math
+from dataclasses import replace
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
@@ -27,14 +28,15 @@ _TRACK_INDEX = {name: i for i, name in enumerate(TRACK_NAMES)}
 
 # Rows formatted per pass: converting one chunk of the columns to text at a
 # time keeps the peak memory close to that of the CSV text.  A chunk is split
-# into runs of one segment, and each run's rows share one row template, so a
-# run that crosses a chunk boundary gets a template on each side.  Its rows
-# are joined into bytes ``_JOIN_ROWS`` at a time, which bounds the transients.
+# into runs of one segment, and each run's rows share their segment's row
+# template.  Its rows are joined into bytes ``_JOIN_ROWS`` at a time, which
+# bounds the transients.
 _CHUNK_ROWS = 512
 _JOIN_ROWS = 128
 
-# The columns that a run's row template may hold as text.
-_BAKEABLE = ("v", "v_theo", "compression", "slip")
+# The trace columns that hold over a segment, in CSV order, unless the
+# trace's speeds move: then ``v`` and ``slip`` move with them.
+_PER_SEGMENT = ("v", "v_theo", "compression", "slip")
 
 # Two ASCII bytes as one little-endian 16-bit cell: ``_CELLS[k]`` spells
 # k < 100 as two digits, ``_CELLS[100 + k]`` as the leading digits of a
@@ -42,17 +44,6 @@ _BAKEABLE = ("v", "v_theo", "compression", "slip")
 _CELLS = np.frombuffer(b"".join([b"%02d" % k for k in range(100)]
                                 + [b"%2d" % k if k else b"  " for k in range(100)]
                                 + [b"%d." % k for k in range(10)]), "<u2")
-
-
-def _changes(values: np.ndarray) -> np.ndarray:
-    """Whether each row's bits differ from the row before's.
-
-    Comparing bits rather than values keeps ``-0.0`` apart from ``0.0`` and
-    never merges NaNs of different payloads.
-    """
-    bits = values.view(f"i{values.itemsize}")
-    changed = bits[1:] != bits[:-1]
-    return changed.any(axis=1) if changed.ndim > 1 else changed
 
 
 def _fields(values: np.ndarray):
@@ -128,30 +119,44 @@ def _joined_rows(templates, bounds, fields):
         yield b"".join(line.tolist())
 
 
+def _segment_templates(trace, moving: tuple, lo: int, hi: int) -> list[str]:
+    """The row template of each segment ``lo`` to ``hi - 1``: the segment,
+    theta and its values of ``v``, ``v_theo``, ``compression`` and ``slip``
+    as text, but a ``%.6f`` slot for each value of a column in ``moving`` and
+    of ``t``, ``s`` and the distances."""
+    # The trace's rows read with one record in each segment, by its own rules.
+    segments = replace(trace, segment=np.arange(lo, hi))
+    held = [name for name in _PER_SEGMENT if name not in moving]
+    values = np.concatenate([getattr(segments, name) for name in held], axis=1)
+    # The format turns the segment, theta and the held values into text, and
+    # each ``%%.6f`` into a ``%.6f`` slot.  Held texts hold no ``%``, so the
+    # template's slots are its only ones.
+    slots = "%%.6f,%%.6f,%%.6f"
+    row_format = ",".join(["%%.6f,%%.6f,%d", f"{trace.theta_deg:.6f}"]
+                          + [slots if name in moving else "%.6f,%.6f,%.6f" for name in _PER_SEGMENT]
+                          + [slots]) + "\n"
+    return [row_format % (segment, *row) for a in range(0, hi - lo, _JOIN_ROWS)
+            for segment, row in zip(range(lo + a, hi), values[a:a + _JOIN_ROWS].tolist())]
+
+
 def _trace_chunks(trace):
     """The trace CSV as bytes in pieces: the header line, then the rows."""
     yield TRACE_HEADER.encode() + b"\n"
+    if not len(trace):
+        return
+    moving = () if trace.v_disturbed is None else ("v", "slip")
+    # One template per segment that the trace visits, formed once.
+    lo = int(trace.segment.min())
+    table = _segment_templates(trace, moving, lo, int(trace.segment.max()) + 1)
     for a in range(0, len(trace), _CHUNK_ROWS):
         chunk = trace[a:a + _CHUNK_ROWS]
-        moved = _changes(chunk.segment)
-        firsts = np.flatnonzero(np.concatenate(([True], moved)))
-        # A column is baked when it changes only where the segment does, so
-        # each run's first row holds its value for the whole run.
-        baked = [name for name in _BAKEABLE if not (_changes(getattr(chunk, name)) & ~moved).any()]
-        moving = [getattr(chunk, name) for name in _BAKEABLE if name not in baked]
-        # The run format turns the segment, theta and the baked values into
-        # text, and each ``%%.6f`` into a ``%.6f`` slot of the row template.
-        # Baked texts hold no ``%``, so the template's slots are its only ones.
-        run_format = ",".join(["%%.6f,%%.6f,%d", f"{chunk.theta_deg:.6f}"] + [
-            "%.6f,%.6f,%.6f" if name in baked else "%%.6f,%%.6f,%%.6f" for name in _BAKEABLE
-        ]) + ",%%.6f,%%.6f,%%.6f\n"
-        heads = np.concatenate([np.empty((len(firsts), 0))]
-                               + [getattr(chunk, name)[firsts] for name in baked], axis=1)
-        templates = [run_format % (segment, *head)
-                     for segment, head in zip(chunk.segment[firsts].tolist(), heads.tolist())]
+        segment = chunk.segment
+        firsts = np.flatnonzero(np.concatenate(([True], segment[1:] != segment[:-1])))
+        templates = [table[index - lo] for index in segment[firsts].tolist()]
         bounds = firsts.tolist() + [len(chunk)]
         # The slots' values, in row order.
-        values = np.concatenate([chunk.t[:, None], chunk.s[:, None], *moving, chunk.distance],
+        values = np.concatenate([chunk.t[:, None], chunk.s[:, None],
+                                 *[getattr(chunk, name) for name in moving], chunk.distance],
                                 axis=1)
         fields = _fields(values)
         if fields is None:
@@ -166,13 +171,15 @@ def render_trace(trace) -> str:
     Floats are fixed to 6 decimals, theta in degrees.  ``trace`` is a
     ``Trace``; an empty sequence gives the header alone.
 
-    The model is piecewise constant, so within a segment most columns repeat
-    from row to row.  Each chunk is formed one segment run at a time: the
-    columns whose bits change only where the segment does are baked into
-    the run's row template as text, one ``%`` per run.  The values of its
-    ``%.6f`` slots are spelled by integer arithmetic on numpy columns, or,
-    in a chunk where that cannot be exact, by one ``%`` for all the run's
-    rows.  The output is that of formatting each value alone.
+    A ``Trace`` stores per record only ``t``, ``s``, ``segment``, the
+    distances and, when disturbed, ``v``; the rest is per-segment rows.  The
+    writer bakes those rows into one row template per segment, as text:
+    ``v_theo`` and ``compression`` always, and ``v`` and ``slip`` too when
+    ``v`` is per segment.  Each chunk is split into runs of one segment,
+    and the values of a run's ``%.6f`` slots, the columns that move, are
+    spelled by integer arithmetic on numpy columns, or, in a chunk where
+    that cannot be exact, by one ``%`` for all the run's rows.  The output
+    is that of formatting each value alone.
     """
     return "".join([piece.decode() for piece in _trace_chunks(trace)])
 

@@ -6,9 +6,10 @@ nominal speed, in straights and bends alike).  Roll orientation is a
 scenario constant, measured from each bend's inward direction; no roll
 dynamics are modeled.
 
-The model is piecewise constant: compressions, tilts, demanded and resolved
-speeds depend only on the segment.  ``run`` plans them once, as numpy
-columns over the whole network, a straight being a bend of infinite radius.
+The model is piecewise constant: compressions, tilts and speeds depend only
+on the segment, and the differential delivers the demanded speeds as they
+are.  ``run`` plans them once, as numpy columns over the whole network, a
+straight being a bend of infinite radius.
 Each check cuts the columns at its first failing row, so the plan keeps the
 segments the robot can enter: in order, up to the first that fails.  It
 then steps in blocks of numpy columns that span as many segments as their
@@ -64,8 +65,10 @@ BLOCK_ROWS = 4096
 # record, so the cap bounds the work per block, never the result.
 GUESS_REFINEMENTS = 3
 
-# Most records a trace can hold: 144 bytes each (t, s, segment and five
-# columns of three float64s) fill a 47-bit address space at this count.
+# Most records a run may form: a 47-bit address space over 144 bytes, the
+# size of one record's t, s, segment and five columns of three float64s as
+# ``TraceRecord`` spells them out.  The limit is kept at that size though a
+# ``Trace`` stores less per record.
 MAX_RECORDS = 2**47 // 144
 
 
@@ -123,33 +126,63 @@ class TraceRecord:
 TRACE_COLUMNS = ("t", "s", "segment", "v", "v_theo", "compression", "slip", "distance")
 
 
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A run's time samples as numpy columns, one row per record.
 
-    ``t``, ``s`` and ``segment`` have shape (n,); ``v``, ``v_theo``,
-    ``compression``, ``slip`` and ``distance`` have shape (n, 3), one column
-    per track.  Units are those of ``TraceRecord``.  An integer index gives
-    one ``TraceRecord``, a slice a shorter ``Trace``, and iteration yields
-    the records in time order.
+    Each record stores only what moves: ``t``, ``s`` and ``segment`` of
+    shape (n,), ``distance`` of shape (n, 3), one column per track, and, in
+    a disturbed run, its speeds ``v_disturbed`` (n, 3); None otherwise.  What
+    holds over a segment is stored once per segment, as (m, 3) rows indexed
+    by ``segment``: ``speeds``, the demanded speeds that an undisturbed run
+    moves at, and ``compressions``.  ``v``, ``v_theo``, ``compression`` and
+    ``slip`` (``|v - v_theo|``) are read-only (n, 3) columns gathered from
+    them on each access.  Units are those of ``TraceRecord``.  An integer
+    index gives one ``TraceRecord``, a slice a shorter ``Trace`` with the
+    same rows, and iteration yields the records in time order.
     """
 
     t: np.ndarray
     s: np.ndarray
     segment: np.ndarray
     theta_deg: float
-    v: np.ndarray
-    v_theo: np.ndarray
-    compression: np.ndarray
-    slip: np.ndarray
     distance: np.ndarray
+    speeds: np.ndarray
+    compressions: np.ndarray
+    v_disturbed: np.ndarray | None = None
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.v_theo if self.v_disturbed is None else _read_only(self.v_disturbed.view())
+
+    @property
+    def v_theo(self) -> np.ndarray:
+        return _read_only(self.speeds[self.segment])
+
+    @property
+    def compression(self) -> np.ndarray:
+        return _read_only(self.compressions[self.segment])
+
+    @property
+    def slip(self) -> np.ndarray:
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
+            if self.v_disturbed is None:  # gathering commutes with the elementwise rule
+                return _read_only(np.abs(self.speeds - self.speeds)[self.segment])
+            return _read_only(np.abs(self.v_disturbed - self.v_theo))
 
     def __len__(self) -> int:
         return len(self.t)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return replace(self, **{name: getattr(self, name)[key] for name in TRACE_COLUMNS})
+            moving = ("t", "s", "segment", "distance", "v_disturbed")
+            return replace(self, **{name: getattr(self, name)[key] for name in moving
+                                    if getattr(self, name) is not None})
         j = range(len(self))[key]
         return next(iter(self[j:j + 1]))
 
@@ -172,7 +205,7 @@ class SegmentSummary:
     """Aggregates over the records that fell inside one segment.
 
     A segment that one step crossed whole holds no records: its speeds are
-    the plan's resolved speeds, its APE is None, and its entry and exit
+    the plan's speeds, its APE is None, and its entry and exit
     times are both that of the first record past it (or the run's last).
     """
 
@@ -269,9 +302,8 @@ class RunSummary:
 class _Plan:
     """Per-segment columns over the m segments a run can enter."""
 
-    resolved: np.ndarray  # (m, 3) mm/s
-    means: np.ndarray  # (m,) mm/s, correctly rounded sum of the resolved speeds over 3
-    demanded: np.ndarray  # (m, 3) mm/s
+    speeds: np.ndarray  # (m, 3) mm/s, demanded, which the differential delivers as they are
+    means: np.ndarray  # (m,) mm/s, correctly rounded sum of the speeds over 3
     compressions: np.ndarray  # (m, 3) mm
     max_tilt_deg: np.ndarray  # (m,)
     error: str | None  # why segment m cannot be entered; None when m covers the network
@@ -299,21 +331,21 @@ def _plan(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: S
                                          + _row_sums(demanded[:m])))
         if cut < m:
             m, error = cut, speed_range
+        # The budget is in rad/s; the speeds it admits are the demands themselves.
         imposed = demanded / robot.sprocket_radius
         cut, miss = first_budget_miss(gear, params.omega_u, imposed[:m].tolist())
         if miss is not None:
             m, error = cut, str(miss)
-        resolved = imposed * robot.sprocket_radius
         # A disturbed record slips by at most ``amplitude`` times its speeds,
         # and its percent error scales that slip by 100.
-        speeds = np.maximum.accumulate(_row_sums(resolved) * (1.0 + amplitude))
+        speeds = np.maximum.accumulate(_row_sums(demanded) * (1.0 + amplitude))
         cut = first_failure(~np.isfinite(100.0 * amplitude * speeds[:m]))
         if cut < m:
             m, error = cut, speed_range
         # With the stepper's shortest step in each segment, these bound every
         # record time, position and distance it forms and any speed summed
         # over a segment's records.  ``np.cumsum`` adds in sequence.
-        step = _row_sums(resolved) / 3.0 * dt * (1.0 - amplitude)
+        step = _row_sums(demanded) / 3.0 * dt * (1.0 - amplitude)
         count = np.cumsum(np.where(step > 0.0, net.lengths / step + 2.0, math.inf))
         formed = np.minimum(count, limit)[:m]
         cut = first_failure(~(np.isfinite(formed * dt) & np.isfinite(formed * speeds[:m] * dt)
@@ -325,9 +357,8 @@ def _plan(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: S
         if cut < m:
             m, error = cut, (f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s form up "
                              f"to {formed[cut]:.3g} records, more than memory can hold")
-    resolved = resolved[:m]
-    return _Plan(resolved, _sum3(resolved) / 3.0, demanded[:m], compressions[:m],
-                 tilts[:m].max(axis=1), error)
+    demanded = demanded[:m]
+    return _Plan(demanded, _sum3(demanded) / 3.0, compressions[:m], tilts[:m].max(axis=1), error)
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
@@ -392,16 +423,16 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
         if draws is None:
             means = plan.means[segment]
         else:
-            v = plan.resolved[segment] * (1.0 + amplitude * draws)
+            v = plan.speeds[segment] * (1.0 + amplitude * draws)
             means = _sum3(v) / 3.0
         positions = _running_sums(s, means * dt)
         # No finite start exceeds the network's end: ``run``'s clamp moves no record here.
         located = np.searchsorted(starts, positions[:-1], side="right") - 1
-        guess, segment = segment, np.minimum(located, len(plan.resolved) - 1)
+        guess, segment = segment, np.minimum(located, len(plan.speeds) - 1)
         if np.array_equal(segment, guess):
             break
     if draws is None:
-        v = plan.resolved[guess]
+        v = plan.speeds[guess]
     return guess, located, means, v, positions, _running_sums(distance, v * dt)
 
 
@@ -477,7 +508,7 @@ def run(
     amplitude = params.disturbance_amplitude
     rng = np.random.default_rng(params.disturbance_seed) if amplitude > 0.0 else None
     plan = _plan(net, robot, gear, params, v_nominal)
-    passable = len(plan.resolved)
+    passable = len(plan.speeds)
     starts = np.append(net.starts, math.inf)
     # Blocks form records up to the end of the planned prefix, the span that
     # the plan's float-range rule covers; the sentinel start ends a prefix
@@ -486,8 +517,11 @@ def run(
 
     # Each column's parts start with an empty array, so that a run without records
     # still joins to columns of the right shape; they are dropped as they are joined.
+    # An undisturbed record's speeds are its segment's, which the trace gathers.
     parts = {"t": [np.empty(0)], "s": [np.empty(0)], "segment": [np.empty(0, dtype=int)],
-             "v": [np.empty((0, 3))], "distance": [np.empty((0, 3))]}
+             "distance": [np.empty((0, 3))]}
+    if rng is not None:
+        parts["v_disturbed"] = [np.empty((0, 3))]
     draws = np.empty((0, 3))  # disturbance draws not used yet, in stream order
     s, k, distance = 0.0, 0, np.zeros(3)
     completed, stop_reason, error = False, None, None
@@ -519,9 +553,10 @@ def run(
         stopped = hits.size > 0 and hits[0] < n
         if stopped:
             n = int(hits[0]) + 1
-        for name, column in (("t", t), ("s", positions), ("segment", segment), ("v", v),
-                             ("distance", distances)):
-            parts[name].append(column[:n])
+        for name, column in (("t", t), ("s", positions), ("segment", segment),
+                             ("distance", distances), ("v_disturbed", v)):
+            if name in parts:
+                parts[name].append(column[:n])
         draws = draws[n:]
         if stopped:
             index = int(segment[n - 1])
@@ -542,14 +577,8 @@ def run(
     # Segments up to the last one entered are summarised, never an impassable one.
     entered = min(index + 1, passable)
     columns = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
-    v_theo = plan.demanded[columns["segment"]]
-    trace = Trace(
-        **columns,
-        theta_deg=params.theta_deg,
-        v_theo=v_theo,
-        compression=plan.compressions[columns["segment"]],
-        slip=np.abs(columns["v"] - v_theo),
-    )
+    trace = Trace(**columns, theta_deg=params.theta_deg, speeds=plan.speeds,
+                  compressions=plan.compressions)
     summary = _summarize(
         net, robot, params, plan, entered, trace, completed, stop_reason, error, v_nominal
     )
@@ -612,25 +641,27 @@ def _summarize(
     lo, hi = np.clip(lo, first, last), np.clip(hi, first, last)
     # A window that holds no record falls back to the whole segment.
     lo, hi = np.where(lo < hi, lo, first), np.where(lo < hi, hi, last)
-    # One track at a time: APE terms over the whole (n, 3) block raised the
-    # tracemalloc peak of a reference-run op from 1.30 to 1.46 MB.
-    windows = [_window_sums(v, lo, hi) for v in trace.v.T]
-    for slip, v_theo in zip(trace.slip.T, trace.v_theo.T):
-        defined = v_theo != 0.0
+    # Each gathered column is read once.  One track at a time: APE terms over
+    # the whole (n, 3) block raised the tracemalloc peak of a reference-run op
+    # from 1.30 to 1.46 MB.
+    v, v_theo, slips = trace.v, trace.v_theo, trace.slip
+    windows = [_window_sums(column, lo, hi) for column in v.T]
+    for slip, demand in zip(slips.T, v_theo.T):
+        defined = demand != 0.0
         terms = np.multiply(100.0, slip, out=np.zeros_like(slip), where=defined)
-        np.divide(terms, np.abs(v_theo), out=terms, where=defined)
+        np.divide(terms, np.abs(demand), out=terms, where=defined)
         windows.append(_window_sums(terms, lo, hi))
     sums = _sum3(np.concatenate(windows)).reshape(6, entered).T  # speed sums, then APE sums
     counts = (hi - lo)[:, None]  # 0 only for a segment without records
     # A window lies inside one segment, whose demand is every record's v_theo.
-    ape_counts = np.where(plan.demanded[:entered] != 0.0, counts, 0)
+    speeds = plan.speeds[:entered]
+    ape_counts = np.where(speeds != 0.0, counts, 0)
     # A segment without records has the plan's speeds and no APE.
-    resolved = plan.resolved[:entered]
-    means = np.where(counts > 0, sums[:, :3] / np.maximum(counts, 1), resolved)
+    means = np.where(counts > 0, sums[:, :3] / np.maximum(counts, 1), speeds)
     apes = np.where(ape_counts > 0, sums[:, 3:] / np.maximum(ape_counts, 1), None)
-    lows, highs, entries = resolved.copy(), resolved.copy(), first[first < last]
-    lows[first < last] = np.minimum.reduceat(trace.v, entries)
-    highs[first < last] = np.maximum.reduceat(trace.v, entries)
+    lows, highs, entries = speeds.copy(), speeds.copy(), first[first < last]
+    lows[first < last] = np.minimum.reduceat(v, entries)
+    highs[first < last] = np.maximum.reduceat(v, entries)
     compressions, tilts = plan.compressions[:entered].max(axis=1), plan.max_tilt_deg[:entered]
     table = _SegmentTable({
         "index": list(range(entered)),
@@ -647,7 +678,7 @@ def _summarize(
     total_time = float(trace.t[-1]) if n else 0.0
     distances = trace.distance[-1].tolist() if n else [0.0, 0.0, 0.0]
     # Per column: an axis-0 reduce over the (n, 3) block takes several times as long.
-    max_slips = [float(slip.max()) for slip in trace.slip.T] if n else [0.0, 0.0, 0.0]
+    max_slips = [float(slip.max()) for slip in slips.T] if n else [0.0, 0.0, 0.0]
     tracks = []
     for name, distance, max_slip, ape in zip(TRACK_NAMES, distances, max_slips,
                                              table.columns["ape"]):

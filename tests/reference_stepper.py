@@ -7,7 +7,8 @@ exactly.
 floats; ``reference_plan`` walks the segments in order through it, the
 geometric demands and the general differential solver; ``reference_run``
 steps one record per tick and summarises record by record;
-``reference_csv`` formats each value with ``f"{x:.6f}"``.  Segment lengths
+``reference_csv`` formats each value with ``f"{x:.6f}"``.  The differential
+delivers the demanded speeds as they are.  Segment lengths
 and starts are their own running sum, and the module angles come from
 ``MODULE_OFFSETS`` here.  The one rule they share with the code under test
 is the differential's budget check, ``first_budget_miss``, which
@@ -133,31 +134,29 @@ def reference_plan(net, robot, gear, params):
             break
         loads = LoadState(tuple(imposed_speed(v / r) for v in demanded))
         try:
-            solution = solve_output_speeds(gear, params.omega_u, loads)
+            solve_output_speeds(gear, params.omega_u, loads)
         except InfeasibleConstraintError as exc:
             error, rule = str(exc), "budget"
             break
-        resolved = tuple(w * r for w in solution.as_tuple())
-        speeds = max(speeds, sum(resolved) * (1.0 + amplitude))
+        speeds = max(speeds, sum(demanded) * (1.0 + amplitude))
         if not math.isfinite(100.0 * amplitude * speeds):
             error, rule = speed_range, "APE range"
             break
-        step = sum(resolved) / 3.0 * dt * (1.0 - amplitude)
+        step = sum(demanded) / 3.0 * dt * (1.0 - amplitude)
         count += length / step + 2.0 if step > 0.0 else math.inf
         formed = min(count, limit)
         if not all(map(math.isfinite, (formed * dt, formed * speeds * dt, formed * speeds))):
             error = f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s leave the float range"
             rule = "record range"
             break
-        if formed > 2**47 // 144:  # 144-byte records filling a 47-bit address space
+        if formed > 2**47 // 144:  # a 47-bit address space over a record's 144 bytes of values
             error = (f"steps of {dt:g} s at nominal speed {v_nominal:g} mm/s form up to "
                      f"{formed:.3g} records, more than memory can hold")
             rule = "record count"
             break
-        rows.append(resolved + (math.fsum(resolved) / 3.0,) + demanded
-                    + compressions + (max(tilts),))
-    table = np.reshape(rows, (-1, 11))
-    plan = _Plan(table[:, 0:3], table[:, 3], table[:, 4:7], table[:, 7:10], table[:, 10], error)
+        rows.append(demanded + (math.fsum(demanded) / 3.0,) + compressions + (max(tilts),))
+    table = np.reshape(rows, (-1, 8))
+    plan = _Plan(table[:, 0:3], table[:, 3], table[:, 4:7], table[:, 7], error)
     return plan, rule
 
 
@@ -165,7 +164,7 @@ def reference_run(net, robot, gear, params):
     """``(records, summary)`` for one run, one ``TraceRecord`` per tick."""
     v_nominal = gear.ratio * params.omega_u * robot.sprocket_radius
     plan, _ = reference_plan(net, robot, gear, params)
-    passable = len(plan.resolved)
+    passable = len(plan.speeds)
     lengths, starts, total = reference_lengths(net)
     dt, amplitude = params.dt, params.disturbance_amplitude
     rng = np.random.default_rng(params.disturbance_seed) if amplitude > 0.0 else None
@@ -173,8 +172,7 @@ def reference_run(net, robot, gear, params):
     completed, stop_reason = False, None
     error = plan.error if passable == 0 else None
     while error is None:
-        v = tuple(plan.resolved[index].tolist())
-        demanded = tuple(plan.demanded[index].tolist())
+        v = demanded = tuple(plan.speeds[index].tolist())
         t = k * dt
         if rng is not None:
             u = rng.uniform(-1.0, 1.0, size=3)
@@ -211,7 +209,7 @@ def _reference_summary(net, robot, params, plan, entered, records, v_nominal,
                        lengths, starts, total):
     summaries = []
     for index in entered:
-        resolved = tuple(plan.resolved[index].tolist())
+        speeds = tuple(plan.speeds[index].tolist())
         recs = [r for r in records if r.segment == index]
         later = [r for r in records if r.segment > index]
         exit_time = later[0].t if later else records[-1].t
@@ -228,7 +226,7 @@ def _reference_summary(net, robot, params, plan, entered, records, v_nominal,
             lowest = tuple(min(r.v[i] for r in recs) for i in range(3))
             highest = tuple(max(r.v[i] for r in recs) for i in range(3))
         else:  # crossed within one step
-            mean = lowest = highest = resolved
+            mean = lowest = highest = speeds
         compression = max(plan.compressions[index].tolist())
         tilt = float(plan.max_tilt_deg[index])
         summaries.append(SegmentSummary(

@@ -121,14 +121,14 @@ class TestDisturbance:
 
     @staticmethod
     def disturbed(scenario, amplitude, seed):
-        """The reference run's trace, and the plan's resolved speeds of each record."""
+        """The reference run's trace, and the plan's speeds of each record."""
         sc = scenario
         params = replace(sc.sim, disturbance_amplitude=amplitude, disturbance_seed=seed)
         trace, summary = run(sc.network, sc.robot, sc.gear, params)
         assert summary.completed
         v_nominal = sc.gear.ratio * params.omega_u * sc.robot.sprocket_radius
         plan = simulator._plan(sc.network, sc.robot, sc.gear, params, v_nominal)
-        return trace, plan.resolved[trace.segment]
+        return trace, plan.speeds[trace.segment]
 
     def test_zero_amplitude_is_identity_and_draws_nothing(self, reference_scenario):
         with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):

@@ -419,16 +419,19 @@ class TestTraceCsv:
 
 
 def hand_trace(n, theta_deg=0.0, **columns):
-    """An n-row ``Trace``: the given columns, zeros in the others."""
-    zeros = {"t": np.zeros(n), "s": np.zeros(n), "segment": np.zeros(n, dtype=int)}
-    for name in ("v", "v_theo", "compression", "slip", "distance"):
-        zeros[name] = np.zeros((n, 3))
-    return Trace(theta_deg=theta_deg, **(zeros | columns))
+    """An n-row ``Trace``: the given columns, zeros in the others.  Per
+    segment it holds the rows ``speeds`` and ``compressions``, one for each
+    segment up to the last indexed; ``v_disturbed`` makes its speeds move."""
+    columns = {"t": np.zeros(n), "s": np.zeros(n), "segment": np.zeros(n, dtype=int),
+               "distance": np.zeros((n, 3))} | columns
+    m = int(columns["segment"].max(initial=0)) + 1
+    rows = {"speeds": np.zeros((m, 3)), "compressions": np.zeros((m, 3))}
+    return Trace(theta_deg=theta_deg, **(rows | columns))
 
 
 def assert_matches_the_oracle(trace):
-    """``render_trace`` writes the values that hold over a segment run once
-    per run; the oracle formats every value on its own.  Lines are compared
+    """``render_trace`` writes the values that hold over a segment once per
+    segment; the oracle formats every value on its own.  Lines are compared
     so that a mismatch reports its first differing row."""
     assert render_trace(trace).split("\n") == reference_csv(trace).split("\n")
 
@@ -436,37 +439,51 @@ def assert_matches_the_oracle(trace):
 class TestTraceCsvRuns:
     @pytest.mark.parametrize("n", [0, 1])
     def test_empty_and_one_row_traces(self, n):
-        trace = hand_trace(n, theta_deg=120.0, t=np.full(n, 0.5), v=np.full((n, 3), 35.0))
+        trace = hand_trace(n, theta_deg=120.0, t=np.full(n, 0.5), speeds=np.full((1, 3), 35.0))
         assert_matches_the_oracle(trace)
 
-    def test_signed_zeros_in_a_constant_column_stay_apart(self):
+    def test_signed_zeros_stay_apart_in_held_rows_and_in_moving_columns(self):
         signs = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
-        trace = hand_trace(6, t=signs, slip=np.column_stack((signs, -signs, np.zeros(6))))
-        assert_matches_the_oracle(trace)
-        assert "-0.000000" in render_trace(trace)
+        rows = np.column_stack((signs, -signs, np.zeros(6)))
+        # One segment per record: ``v``, ``v_theo`` and ``compression`` held.
+        held = hand_trace(6, segment=np.arange(6), speeds=rows, compressions=-rows)
+        # One segment: ``t`` and ``v`` move.
+        moving = hand_trace(6, t=signs, v_disturbed=rows)
+        for trace in (held, moving):
+            assert_matches_the_oracle(trace)
+            assert "-0.000000" in render_trace(trace)
 
-    def test_nan_and_infinities_format_as_the_oracle(self):
+    @pytest.mark.parametrize("case", ["held", "moving", "moving speeds"])
+    def test_nan_and_infinities_format_as_the_oracle(self, case):
         values = np.array([np.nan, np.nan, np.inf, -np.inf, -np.inf, np.nan])
-        trace = hand_trace(6, s=values, compression=np.column_stack((values,) * 3))
-        assert_matches_the_oracle(trace)
+        rows = np.column_stack((values,) * 3)
+        if case == "held":  # baked into the templates; the moving values are finite
+            trace = hand_trace(6, segment=np.arange(6), speeds=rows, compressions=rows)
+        elif case == "moving":  # a chunk that ``%`` writes
+            trace = hand_trace(6, s=values, compressions=rows[:1])
+        else:
+            trace = hand_trace(6, v_disturbed=rows, speeds=np.full((1, 3), 35.0))
+        with mock.patch.object(report, "_percent_rows", wraps=report._percent_rows) as percent:
+            assert_matches_the_oracle(trace)
+        assert percent.called == (case != "held")
 
     def test_runs_crossing_a_chunk_boundary(self):
         n = 2 * report._CHUNK_ROWS + 7
         segment = np.repeat([0, 1, 2], [report._CHUNK_ROWS - 3, report._CHUNK_ROWS + 6, 4])
-        v_theo = np.where(segment[:, None] == 1, [33.6211, 35.0, 36.3789], 35.0)
+        speeds = np.array([[35.0] * 3, [33.6211, 35.0, 36.3789], [35.0] * 3])
         # Only track C's compression changes between segments 0 and 1.
-        compression = np.where(segment[:, None] == 1, [5.25, 5.25, 6.75], 5.25)
-        trace = hand_trace(n, t=np.arange(n) * 0.01, segment=segment, v=v_theo,
-                           v_theo=v_theo, compression=compression,
-                           distance=np.cumsum(v_theo * 0.01, axis=0))
+        compressions = np.array([[5.25] * 3, [5.25, 5.25, 6.75], [5.25] * 3])
+        trace = hand_trace(n, t=np.arange(n) * 0.01, segment=segment, speeds=speeds,
+                           compressions=compressions,
+                           distance=np.cumsum(speeds[segment] * 0.01, axis=0))
         assert_matches_the_oracle(trace)
 
     def test_a_column_where_every_value_differs(self):
         rng = np.random.default_rng(5)
         n = report._CHUNK_ROWS + 40
         v = 35.0 * (1.0 + 0.025 * rng.uniform(-1.0, 1.0, size=(n, 3)))
-        trace = hand_trace(n, t=np.arange(n) * 0.01, v=v, v_theo=np.full((n, 3), 35.0),
-                           slip=np.abs(v - 35.0), distance=np.cumsum(v * 0.01, axis=0))
+        trace = hand_trace(n, t=np.arange(n) * 0.01, v_disturbed=v,
+                           speeds=np.full((1, 3), 35.0), distance=np.cumsum(v * 0.01, axis=0))
         assert_matches_the_oracle(trace)
 
     @settings(max_examples=150, deadline=None)
@@ -477,23 +494,25 @@ class TestTraceCsvRuns:
         theta_deg=st.sampled_from((0.0, -0.0, 120.0, 359.9999995)),
     )
     def test_small_traces_with_few_distinct_values(self, data, n, chunk_rows, theta_deg):
-        # Each column repeats one to three rows drawn from a small pool, so
-        # it has long runs, runs across the small chunks, and neighbours that
-        # differ only in sign or in the last formatted digit.
+        # Each moving column repeats one to three rows drawn from a small
+        # pool, so it has long runs, runs across the small chunks, and
+        # neighbours that differ only in sign or in the last formatted digit.
+        # The four segments' rows come from the same pool.
         pool = st.sampled_from(
             (0.0, -0.0, 1.0, 35.0, 33.6211, 2.5e-7, 5e-7, 1e300, -1e-300, math.nan, math.inf))
 
-        def column(width):
+        def column(width, size=n):
             rows = data.draw(st.lists(st.lists(pool, min_size=width, max_size=width),
                                       min_size=1, max_size=3))
-            picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
-            return np.array([rows[i] for i in picks], dtype=float).reshape(n, width)
+            picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=size,
+                                       max_size=size))
+            return np.array([rows[i] for i in picks], dtype=float).reshape(size, width)
 
         segments = sorted(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        moving = {"v_disturbed": column(3)} if data.draw(st.booleans()) else {}
         trace = hand_trace(n, theta_deg, t=column(1)[:, 0], s=column(1)[:, 0],
-                           segment=np.array(segments, dtype=int),
-                           **{name: column(3) for name in
-                              ("v", "v_theo", "compression", "slip", "distance")})
+                           segment=np.array(segments, dtype=int), distance=column(3),
+                           speeds=column(3, 4), compressions=column(3, 4), **moving)
         with mock.patch.object(report, "_CHUNK_ROWS", chunk_rows):
             assert_matches_the_oracle(trace)
 
@@ -505,15 +524,20 @@ class TestTraceCsvRuns:
     )
     def test_columns_that_change_with_the_segment_or_apart_from_it(self, data, runs,
                                                                     chunk_rows):
-        # Segment runs in any order, repeating after a gap.  Each column
-        # changes where the segment does, at chunk boundaries, at rows of its
-        # own, or at any mix of these, so one column may hold over each
-        # segment run in one chunk and move inside a run in the next.
+        # Segment runs in any order, repeating after a gap, each with its
+        # segment's rows.  Each moving column changes where the segment
+        # does, at chunk boundaries, at rows of its own, or at any mix of
+        # these, so it may hold over each segment run in one chunk and move
+        # inside a run in the next.
         segment = np.repeat([index for index, _ in runs], [rows for _, rows in runs]).astype(int)
         n = len(segment)
         rows = np.arange(n)
         segment_changes = np.concatenate(([True], segment[1:] != segment[:-1]))[:n]
         pool = st.sampled_from((0.0, -0.0, 35.0, 33.6211, 5e-7, math.nan, -math.inf))
+
+        def values(size):
+            return np.array(data.draw(st.lists(st.lists(pool, min_size=3, max_size=3),
+                                               min_size=size, max_size=size)), dtype=float)
 
         def column():
             changes = np.isin(rows, data.draw(st.lists(st.integers(0, 40), max_size=3)))
@@ -522,14 +546,11 @@ class TestTraceCsvRuns:
             if data.draw(st.booleans()):
                 changes |= rows % chunk_rows == 0
             pieces = np.cumsum(changes)
-            size = int(pieces[-1]) + 1 if n else 1
-            values = data.draw(st.lists(st.lists(pool, min_size=3, max_size=3),
-                                        min_size=size, max_size=size))
-            return np.array(values, dtype=float)[pieces]
+            return values(int(pieces[-1]) + 1 if n else 1)[pieces]
 
+        moving = {"v_disturbed": column()} if data.draw(st.booleans()) else {}
         trace = hand_trace(n, 120.0, t=rows * 0.25, s=rows * -1e-7, segment=segment,
-                           **{name: column() for name in
-                              ("v", "v_theo", "compression", "slip", "distance")})
+                           distance=column(), speeds=values(4), compressions=values(4), **moving)
         with mock.patch.object(report, "_CHUNK_ROWS", chunk_rows):
             assert_matches_the_oracle(trace)
 
@@ -615,7 +636,7 @@ class TestFieldFormatter:
         t = np.arange(n) * 0.01
         t[report._CHUNK_ROWS + 5] = value
         distance = np.cumsum(np.full((n, 3), 0.35), axis=0)
-        return hand_trace(n, t=t, v=np.full((n, 3), 35.0), distance=distance)
+        return hand_trace(n, t=t, speeds=np.full((1, 3), 35.0), distance=distance)
 
     @pytest.mark.parametrize("value", [0.0078125, -0.0078125, 2.0 ** 52 / 1e6, math.nan])
     def test_one_unsafe_value_sends_only_its_chunk_to_percent(self, value):
@@ -667,10 +688,19 @@ class TestManySegmentPins:
     # undisturbed and with a 2.5 % disturbance.
     PINS = {
         0.0: ("b286b95b24c00ebcdd2ca49681874303969b66949adbfe34a2480bedc59e0d91",
-              "7a4b885d552fceb84116483cc64cbf7d68575a2bae511f8e1169d1f3ea2c5e98"),
+              "ba936dd710eae0656783082f0c81c8c28eba366cefab3dd2b36cb8673adebb5b"),
         0.025: ("35735b6fdcf042380f5fbf90aba541b3439b92551260a60d5d0ed1dfbad0284a",
-                "feb5cec6444d2d28af9d42dc82358d5085c5214a35a90581dff8a23a8d1ac525"),
+                "cb205fa71494aee0269941479e14b6689a62bf17b732a816ba6e07442e193e78"),
     }
+
+    def test_undisturbed_speeds_are_the_demands_bit_for_bit(self):
+        # The differential delivers the demanded speeds as they are: a
+        # round trip through rad/s, (v / r) * r, moves some of them an ulp.
+        sc = parse_scenario(many_segment_scenario(11, 0.0))
+        trace, summary = run(sc.network, sc.robot, sc.gear, sc.sim)
+        assert np.array_equal(trace.v, trace.v_theo) and not trace.slip.any()
+        assert summary.max_slip == 0.0
+        assert all(ape == 0.0 for column in summary.segments.columns["ape"] for ape in column)
 
     @pytest.mark.parametrize("amplitude", sorted(PINS))
     def test_trace_and_json_report_bytes_are_pinned(self, amplitude):

@@ -2,7 +2,7 @@ import itertools
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -195,6 +195,49 @@ class TestRun:
         assert last.exit_time == summary.total_time
 
 
+class TestTraceStorage:
+    """A trace stores per record only what moves and gathers the columns
+    that hold over a segment from its per-segment rows on each access."""
+
+    @pytest.fixture(params=[0.0, 0.025])
+    def trace(self, request, reference_scenario):
+        sc = reference_scenario
+        params = replace(sc.sim, theta_deg=120.0, disturbance_amplitude=request.param,
+                         disturbance_seed=5)
+        return run(sc.network, sc.robot, sc.gear, params)[0]
+
+    def test_per_record_arrays_are_t_s_segment_distance_and_disturbed_speeds(self, trace):
+        n = len(trace)
+        stored = {f.name: getattr(trace, f.name) for f in fields(trace)}
+        per_record = {name: value.nbytes for name, value in stored.items()
+                      if isinstance(value, np.ndarray) and len(value) == n}
+        disturbed = trace.v_disturbed is not None
+        moving = {"t", "s", "segment", "distance"} | ({"v_disturbed"} if disturbed else set())
+        assert set(per_record) == moving
+        assert sum(per_record.values()) == n * (72 if disturbed else 48)
+        assert trace.speeds.shape == trace.compressions.shape == (4, 3)
+
+    def test_slip_is_the_gathered_difference_bit_for_bit(self, trace):
+        expected = np.abs(trace.v - trace.v_theo)
+        assert trace.slip.tobytes() == expected.tobytes()
+        assert trace.slip.any() == (trace.v_disturbed is not None)
+
+    def test_a_slice_gathers_the_rows_of_its_records(self, trace):
+        joint = int(np.flatnonzero(np.diff(trace.segment))[0]) + 1
+        piece = trace[joint - 3:joint + 4]
+        assert piece.segment.tolist() == [0] * 3 + [1] * 4
+        assert piece.speeds is trace.speeds and piece.compressions is trace.compressions
+        for name in ("v", "v_theo", "compression", "slip", "distance"):
+            np.testing.assert_array_equal(getattr(piece, name),
+                                          getattr(trace, name)[joint - 3:joint + 4])
+        assert list(piece) == list(trace)[joint - 3:joint + 4]
+
+    @pytest.mark.parametrize("name", ["v", "v_theo", "compression", "slip"])
+    def test_gathered_columns_are_read_only(self, trace, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(trace, name)[0, 0] = 1.0
+
+
 def planar_network(spec, pieces):
     """Chain ``pieces`` in the x-z plane: ("straight", length) or
     ("bend", radius, sweep_deg, turn) with turn +1 or -1 about +y."""
@@ -291,7 +334,7 @@ class TestSegmentAdmissibility:
         params = replace(sc.sim, **{key: value})
         v_nominal = sc.gear.ratio * params.omega_u * sc.robot.sprocket_radius
         plan = simulator._plan(sc.network, sc.robot, sc.gear, params, v_nominal)
-        assert len(plan.resolved) == 0
+        assert len(plan.speeds) == 0
         assert plan.error == (f"steps of {params.dt:g} s at nominal speed {v_nominal:g} mm/s "
                               f"form up to {records} records, more than memory can hold")
 
@@ -301,7 +344,7 @@ class TestSegmentAdmissibility:
         net = planar_network(sc.network.spec,
                              [("straight", 100.0), ("bend", 335.0, 90.0, 1), ("straight", 1e300)])
         plan = simulator._plan(net, sc.robot, sc.gear, sc.sim, 35.0)
-        assert len(plan.resolved) == 2
+        assert len(plan.speeds) == 2
         assert plan.error == ("steps of 0.01 s at nominal speed 35 mm/s form up to 2.86e+300 "
                               "records, more than memory can hold")
 
@@ -313,7 +356,7 @@ class TestSegmentAdmissibility:
         net = planar_network(sc.network.spec, [("straight", 1e300)])
         params = replace(sc.sim, dt=1.0, t_max=float(simulator.MAX_RECORDS - 2 + over))
         plan = simulator._plan(net, sc.robot, sc.gear, params, 35.0)
-        assert len(plan.resolved) == 1 - over
+        assert len(plan.speeds) == 1 - over
         assert (plan.error is None) == (over == 0)
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.025])
@@ -471,7 +514,7 @@ class TestPlanAgainstTheReference:
     plans one segment at a time: bit for bit, over inputs that make each of
     its cuts fire."""
 
-    PLAN_COLUMNS = ("resolved", "means", "demanded", "compressions", "max_tilt_deg")
+    PLAN_COLUMNS = ("speeds", "means", "compressions", "max_tilt_deg")
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -540,7 +583,7 @@ class TestPlanAgainstTheReference:
         sc = reference_scenario
         robot = replace(sc.robot, sprocket_radius=1e-320)
         plan, rule = self.check(sc.network, robot, sc.gear, replace(sc.sim, omega_u=2.1))
-        assert rule == "budget" and len(plan.resolved) == 0
+        assert rule == "budget" and len(plan.speeds) == 0
         assert plan.error == ("imposed speeds sum to 6.29941 rad/s but the train requires "
                               "6.3 rad/s (3 * ratio * omega_u)")
 
@@ -628,9 +671,8 @@ class TestStepBlock:
     # Two planned segments whose mean speeds differ, 10 and 20 mm/s, joined
     # at 100 mm; a block of 20 records of 0.1 s starts 3.5 steps before the joint.
     PLAN = simulator._Plan(
-        resolved=np.array([[9.0, 10.0, 11.0], [18.0, 20.0, 22.0]]), means=np.array([10.0, 20.0]),
-        demanded=np.zeros((2, 3)), compressions=np.zeros((2, 3)), max_tilt_deg=np.zeros(2),
-        error=None,
+        speeds=np.array([[9.0, 10.0, 11.0], [18.0, 20.0, 22.0]]), means=np.array([10.0, 20.0]),
+        compressions=np.zeros((2, 3)), max_tilt_deg=np.zeros(2), error=None,
     )
     STARTS = np.array([0.0, 100.0, math.inf])
 
@@ -644,8 +686,8 @@ class TestStepBlock:
         assert np.array_equal(located, np.searchsorted(self.STARTS, positions[:-1], "right") - 1)
         assert located.tolist() == [0] * 4 + [1] * 16
         # Every record steps at its own segment's speeds, those past the joint too.
-        resolved = self.PLAN.resolved[located]
-        expected = resolved if draws is None else resolved * (1.0 + amplitude * draws)
+        speeds = self.PLAN.speeds[located]
+        expected = speeds if draws is None else speeds * (1.0 + amplitude * draws)
         assert np.array_equal(v, expected)
         assert np.array_equal(positions[1:] - positions[:-1] > 1.5, located == 1)
 

@@ -26,11 +26,9 @@ TRACE_HEADER = (
 _TRACK_INDEX = {name: i for i, name in enumerate(TRACK_NAMES)}
 
 
-# Rows formatted per pass: converting one chunk of the columns to text at a
-# time keeps the peak memory close to that of the CSV text.  A chunk is split
-# into runs of one segment, and each run's rows share their segment's row
-# template.  Its rows are joined into bytes ``_JOIN_ROWS`` at a time, which
-# bounds the transients.
+# Rows spelled per pass: converting one chunk of the columns to text at a
+# time keeps the peak memory close to that of the CSV text.  A chunk's rows
+# are joined into bytes ``_JOIN_ROWS`` at a time, which bounds the transients.
 _CHUNK_ROWS = 512
 _JOIN_ROWS = 128
 
@@ -46,11 +44,12 @@ _CELLS = np.frombuffer(b"".join([b"%02d" % k for k in range(100)]
                                 + [b"%d." % k for k in range(10)]), "<u2")
 
 
-def _fields(values: np.ndarray):
-    """Each value of the (rows, w) ``values`` as ``'%.6f' %`` spells it, then
-    ``,`` (``\\n`` in the last column), as a (rows, w) ``S`` array; None when
-    a value is not finite, reaches 2**52 micro-units or its float product
-    ``|x| * 1e6`` is a half-integer.
+def _fields(values: np.ndarray, end: bytes):
+    """``(fields, declined)``: each value of the (rows, w) ``values`` as
+    ``'%.6f' %`` spells it, then ``,`` (``end`` in the last column), as a
+    (rows, w) ``S`` array, and the (rows, w) mask of the values whose field
+    is not that: those that are not finite, reach 2**52 micro-units or whose
+    float product ``|x| * 1e6`` is a half-integer.
 
     The micro-units ``rint(|x| * 1e6)`` round the exact product twice, both
     times monotonically, so they are what ``%`` rounds it to (half to even,
@@ -62,20 +61,18 @@ def _fields(values: np.ndarray):
     front after that.
     """
     micro = np.abs(values.ravel())
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         micro *= 1e6
-    if not (micro < 2.0 ** 52).all():
-        return None
-    units = np.rint(micro)
-    if (abs(micro - units) == 0.5).any():
-        return None
+        units = np.rint(micro)
+        declined = ~(micro < 2.0 ** 52) | (abs(micro - units) == 0.5)
+    units[declined] = 0.0
     units = units.astype(np.int64)
     # From the right: three pairs of decimals, the units digit and the point,
     # then the integer digits above it in pairs, as many as the largest has.
     cells = 4 + max(1, len(str(int(units.max()))) - 6) // 2
     text = np.empty((len(units), cells + 1), "<u2")
     text[:, cells] = ord(",")  # and a NUL, which the ``S`` dtype drops
-    text.reshape(*values.shape, -1)[:, -1, -1] = ord("\n")
+    text.reshape(*values.shape, -1)[:, -1, -1] = ord(end)
     for j in reversed(range(cells)):
         place = 10 if j == cells - 4 else 100
         rest = units // place
@@ -88,55 +85,46 @@ def _fields(values: np.ndarray):
         units = rest
     fields = np.strings.lstrip(text.view(f"S{2 * cells + 2}").reshape(values.shape))
     negative = np.signbit(values)
-    return np.where(negative, np.add(b"-", fields), fields) if negative.any() else fields
+    if negative.any():
+        fields = np.where(negative, np.add(b"-", fields), fields)
+    return fields, declined.reshape(values.shape)
 
 
-def _percent_rows(templates, bounds, values) -> bytes:
-    """The rows of each run ``bounds[i]:bounds[i + 1]`` through its template,
-    one ``%`` per run: the path of a chunk that ``_fields`` declines."""
-    w = values.shape[1]
-    flat = values.ravel().tolist()
-    return "".join([(template * (hi - lo)) % tuple(flat[w * lo:w * hi])
-                    for template, lo, hi in zip(templates, bounds, bounds[1:])]).encode()
+def _spelled(values: np.ndarray, end: bytes) -> np.ndarray:
+    """The fields of ``_fields``, but each value that it declines spelled by
+    ``'%.6f' %`` alone."""
+    fields, declined = _fields(values, end)
+    if declined.any():
+        last = np.nonzero(declined)[1] == values.shape[1] - 1
+        texts = np.array([b"%.6f%s" % (x, end if at_end else b",")
+                          for x, at_end in zip(values[declined].tolist(), last.tolist())])
+        fields = fields.astype(np.promote_types(fields.dtype, texts.dtype))
+        fields[declined] = texts
+    return fields
 
 
-def _joined_rows(templates, bounds, fields):
-    """The rows from the ``_fields`` texts and, between them, the baked text
-    of each run's template, joined ``_JOIN_ROWS`` rows at a time."""
-    runs = np.repeat(np.arange(len(templates)), np.diff(bounds))
-    # Split at its slots, a template's k-th piece is field k - 1's separator,
-    # which the field already ends with, and then the baked text before slot k.
-    pieces = [template.split("%.6f") for template in templates]
-    texts = {k: np.array([piece[k][1:] for piece in pieces], dtype="S")
-             for k in range(1, fields.shape[1]) if len(pieces[0][k]) > 1}
-    for lo in range(0, len(fields), _JOIN_ROWS):
-        rows = fields[lo:lo + _JOIN_ROWS]
-        line = rows[:, 0]
-        for k in range(1, rows.shape[1]):
-            if k in texts:
-                line = np.add(line, texts[k][runs[lo:lo + _JOIN_ROWS]])
-            line = np.add(line, rows[:, k])
-        yield b"".join(line.tolist())
-
-
-def _segment_templates(trace, moving: tuple, lo: int, hi: int) -> list[str]:
-    """The row template of each segment ``lo`` to ``hi - 1``: the segment,
-    theta and its values of ``v``, ``v_theo``, ``compression`` and ``slip``
-    as text, but a ``%.6f`` slot for each value of a column in ``moving`` and
-    of ``t``, ``s`` and the distances."""
+def _held_texts(trace, moving: tuple, lo: int, hi: int) -> dict:
+    """The text that holds over each segment ``lo`` to ``hi - 1``, keyed by
+    the field of the moving columns ``t``, ``s`` and ``moving`` that it comes
+    before: the segment, theta and the values of each column of
+    ``_PER_SEGMENT`` not in ``moving``, one row per segment."""
     # The trace's rows read with one record in each segment, by its own rules.
     segments = replace(trace, segment=np.arange(lo, hi))
-    held = [name for name in _PER_SEGMENT if name not in moving]
-    values = np.concatenate([getattr(segments, name) for name in held], axis=1)
-    # The format turns the segment, theta and the held values into text, and
-    # each ``%%.6f`` into a ``%.6f`` slot.  Held texts hold no ``%``, so the
-    # template's slots are its only ones.
-    slots = "%%.6f,%%.6f,%%.6f"
-    row_format = ",".join(["%%.6f,%%.6f,%d", f"{trace.theta_deg:.6f}"]
-                          + [slots if name in moving else "%.6f,%.6f,%.6f" for name in _PER_SEGMENT]
-                          + [slots]) + "\n"
-    return [row_format % (segment, *row) for a in range(0, hi - lo, _JOIN_ROWS)
-            for segment, row in zip(range(lo + a, hi), values[a:a + _JOIN_ROWS].tolist())]
+    theta = _spelled(np.array([[trace.theta_deg]], dtype=float), b",")[0, 0]
+    held = [np.array([[b"%d,%s" % (index, theta)] for index in range(lo, hi)])]
+    texts, k = {}, 2
+    for name in (*_PER_SEGMENT, "distance"):
+        if name not in moving:
+            held.append(_spelled(getattr(segments, name), b","))
+            continue
+        if held:
+            # Joined through ``tolist``, which drops each field's padding, so
+            # each text is as wide as the widest row, not the widest fields.
+            held = np.concatenate(held, axis=1)
+            texts[k] = np.array([b"".join(row) for a in range(0, hi - lo, _JOIN_ROWS)
+                                 for row in held[a:a + _JOIN_ROWS].tolist()])
+        held, k = [], k + 3
+    return texts
 
 
 def _trace_chunks(trace):
@@ -144,25 +132,23 @@ def _trace_chunks(trace):
     yield TRACE_HEADER.encode() + b"\n"
     if not len(trace):
         return
-    moving = () if trace.v_disturbed is None else ("v", "slip")
-    # One template per segment that the trace visits, formed once.
+    moving = ("distance",) if trace.v_disturbed is None else ("v", "slip", "distance")
+    # The held text of each segment that the trace visits, spelled once.
     lo = int(trace.segment.min())
-    table = _segment_templates(trace, moving, lo, int(trace.segment.max()) + 1)
+    texts = _held_texts(trace, moving, lo, int(trace.segment.max()) + 1)
     for a in range(0, len(trace), _CHUNK_ROWS):
         chunk = trace[a:a + _CHUNK_ROWS]
-        segment = chunk.segment
-        firsts = np.flatnonzero(np.concatenate(([True], segment[1:] != segment[:-1])))
-        templates = [table[index - lo] for index in segment[firsts].tolist()]
-        bounds = firsts.tolist() + [len(chunk)]
-        # The slots' values, in row order.
         values = np.concatenate([chunk.t[:, None], chunk.s[:, None],
-                                 *[getattr(chunk, name) for name in moving], chunk.distance],
-                                axis=1)
-        fields = _fields(values)
-        if fields is None:
-            yield _percent_rows(templates, bounds, values)
-        else:
-            yield from _joined_rows(templates, bounds, fields)
+                                 *[getattr(chunk, name) for name in moving]], axis=1)
+        fields, runs = _spelled(values, b"\n"), chunk.segment - lo
+        for b in range(0, len(chunk), _JOIN_ROWS):
+            rows, at = fields[b:b + _JOIN_ROWS], runs[b:b + _JOIN_ROWS]
+            line = rows[:, 0]
+            for k in range(1, rows.shape[1]):
+                if k in texts:
+                    line = np.add(line, texts[k][at])
+                line = np.add(line, rows[:, k])
+            yield b"".join(line.tolist())
 
 
 def render_trace(trace) -> str:
@@ -173,13 +159,13 @@ def render_trace(trace) -> str:
 
     A ``Trace`` stores per record only ``t``, ``s``, ``segment``, the
     distances and, when disturbed, ``v``; the rest is per-segment rows.  The
-    writer bakes those rows into one row template per segment, as text:
-    ``v_theo`` and ``compression`` always, and ``v`` and ``slip`` too when
-    ``v`` is per segment.  Each chunk is split into runs of one segment,
-    and the values of a run's ``%.6f`` slots, the columns that move, are
-    spelled by integer arithmetic on numpy columns, or, in a chunk where
-    that cannot be exact, by one ``%`` for all the run's rows.  The output
-    is that of formatting each value alone.
+    writer spells what holds over a segment once per trace: the segment,
+    theta, ``v_theo`` and ``compression``, and ``v`` and ``slip`` too when
+    ``v`` is per segment.  Each row joins the fields of the columns that
+    move with the held text of its segment, gathered by ``segment``.  Every
+    float goes through one speller, ``_spelled``: integer arithmetic on
+    numpy columns, or ``'%.6f' %`` for each value where that cannot be
+    exact.  The output is that of formatting each value alone.
     """
     return "".join([piece.decode() for piece in _trace_chunks(trace)])
 

@@ -641,10 +641,11 @@ def _summarize(
     lo, hi = np.clip(lo, first, last), np.clip(hi, first, last)
     # A window that holds no record falls back to the whole segment.
     lo, hi = np.where(lo < hi, lo, first), np.where(lo < hi, hi, last)
-    # Each gathered column is read once.  One track at a time: APE terms over
-    # the whole (n, 3) block raised the tracemalloc peak of a reference-run op
-    # from 1.30 to 1.46 MB.
-    v, v_theo, slips = trace.v, trace.v_theo, trace.slip
+    # Each gathered column is read once; undisturbed speeds are the demands.
+    # One track at a time: APE terms over the whole (n, 3) block raised the
+    # tracemalloc peak of a reference-run op from 1.30 to 1.46 MB.
+    v_theo, slips = trace.v_theo, trace.slip
+    v = v_theo if trace.v_disturbed is None else trace.v
     windows = [_window_sums(column, lo, hi) for column in v.T]
     for slip, demand in zip(slips.T, v_theo.T):
         defined = demand != 0.0

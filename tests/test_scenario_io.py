@@ -436,6 +436,23 @@ def assert_matches_the_oracle(trace):
     assert render_trace(trace).split("\n") == reference_csv(trace).split("\n")
 
 
+def declined_blocks(trace) -> list:
+    """``(values, declined)`` for each block that ``_fields`` declines values
+    of while ``trace`` is checked against the oracle: those values, and only
+    those, ``_spelled`` leaves to ``%``."""
+    blocks, fields_of = [], report._fields
+
+    def spy(values, end):
+        fields, declined = fields_of(values, end)
+        if declined.any():
+            blocks.append((values, declined))
+        return fields, declined
+
+    with mock.patch.object(report, "_fields", spy):
+        assert_matches_the_oracle(trace)
+    return blocks
+
+
 class TestTraceCsvRuns:
     @pytest.mark.parametrize("n", [0, 1])
     def test_empty_and_one_row_traces(self, n):
@@ -457,15 +474,18 @@ class TestTraceCsvRuns:
     def test_nan_and_infinities_format_as_the_oracle(self, case):
         values = np.array([np.nan, np.nan, np.inf, -np.inf, -np.inf, np.nan])
         rows = np.column_stack((values,) * 3)
-        if case == "held":  # baked into the templates; the moving values are finite
+        if case == "held":  # spelled once per segment; the moving values are finite
             trace = hand_trace(6, segment=np.arange(6), speeds=rows, compressions=rows)
-        elif case == "moving":  # a chunk that ``%`` writes
+        elif case == "moving":
             trace = hand_trace(6, s=values, compressions=rows[:1])
         else:
             trace = hand_trace(6, v_disturbed=rows, speeds=np.full((1, 3), 35.0))
-        with mock.patch.object(report, "_percent_rows", wraps=report._percent_rows) as percent:
-            assert_matches_the_oracle(trace)
-        assert percent.called == (case != "held")
+        # Held or moving, the values that ``_fields`` declines are the
+        # non-finite ones, which ``%`` spells.
+        blocks = declined_blocks(trace)
+        assert blocks
+        for values, declined in blocks:
+            np.testing.assert_array_equal(declined, ~np.isfinite(values))
 
     def test_runs_crossing_a_chunk_boundary(self):
         n = 2 * report._CHUNK_ROWS + 7
@@ -491,9 +511,11 @@ class TestTraceCsvRuns:
         data=st.data(),
         n=st.integers(0, 40),
         chunk_rows=st.integers(1, 9),
+        join_rows=st.integers(1, 9),
         theta_deg=st.sampled_from((0.0, -0.0, 120.0, 359.9999995)),
     )
-    def test_small_traces_with_few_distinct_values(self, data, n, chunk_rows, theta_deg):
+    def test_small_traces_with_few_distinct_values(self, data, n, chunk_rows, join_rows,
+                                                   theta_deg):
         # Each moving column repeats one to three rows drawn from a small
         # pool, so it has long runs, runs across the small chunks, and
         # neighbours that differ only in sign or in the last formatted digit.
@@ -513,7 +535,7 @@ class TestTraceCsvRuns:
         trace = hand_trace(n, theta_deg, t=column(1)[:, 0], s=column(1)[:, 0],
                            segment=np.array(segments, dtype=int), distance=column(3),
                            speeds=column(3, 4), compressions=column(3, 4), **moving)
-        with mock.patch.object(report, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch.multiple(report, _CHUNK_ROWS=chunk_rows, _JOIN_ROWS=join_rows):
             assert_matches_the_oracle(trace)
 
     @settings(max_examples=150, deadline=None)
@@ -521,9 +543,10 @@ class TestTraceCsvRuns:
         data=st.data(),
         runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 8)), max_size=8),
         chunk_rows=st.integers(1, 9),
+        join_rows=st.integers(1, 9),
     )
     def test_columns_that_change_with_the_segment_or_apart_from_it(self, data, runs,
-                                                                    chunk_rows):
+                                                                    chunk_rows, join_rows):
         # Segment runs in any order, repeating after a gap, each with its
         # segment's rows.  Each moving column changes where the segment
         # does, at chunk boundaries, at rows of its own, or at any mix of
@@ -551,7 +574,7 @@ class TestTraceCsvRuns:
         moving = {"v_disturbed": column()} if data.draw(st.booleans()) else {}
         trace = hand_trace(n, 120.0, t=rows * 0.25, s=rows * -1e-7, segment=segment,
                            distance=column(), speeds=values(4), compressions=values(4), **moving)
-        with mock.patch.object(report, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch.multiple(report, _CHUNK_ROWS=chunk_rows, _JOIN_ROWS=join_rows):
             assert_matches_the_oracle(trace)
 
     def test_a_disturbed_reference_run(self, reference_scenario):
@@ -615,19 +638,26 @@ EDGE_VALUES = st.builds(
 
 class TestFieldFormatter:
     @settings(max_examples=400, deadline=None)
-    @given(values=st.lists(EDGE_VALUES, min_size=1, max_size=4))
-    def test_fields_spell_what_percent_spells_or_decline(self, values):
-        fields = report._fields(np.array([values]))
-        if fields is None:
-            assert any(map(may_fall_back, values))
-        else:
-            assert not any(map(must_fall_back, values))
-            seps = [","] * (len(values) - 1) + ["\n"]
-            assert fields.tolist() == [[("%.6f" % x + sep).encode() for x, sep in zip(values, seps)]]
-        # In a trace, the chunk the formatter declines is written by ``%``.
-        with mock.patch.object(report, "_percent_rows", wraps=report._percent_rows) as percent:
-            assert_matches_the_oracle(hand_trace(len(values), t=np.array(values)))
-        assert percent.called == (fields is None)
+    @given(values=st.lists(EDGE_VALUES, min_size=1, max_size=4),
+           end=st.sampled_from((b",", b"\n")))
+    def test_fields_spell_what_percent_spells_or_decline(self, values, end):
+        row = np.array([values])
+        seps = [b","] * (len(values) - 1) + [end]
+        percent = [b"%.6f%s" % (x, sep) for x, sep in zip(values, seps)]
+        fields, declined = report._fields(row, end)
+        for x, field, text, out in zip(values, fields[0].tolist(), percent, declined[0].tolist()):
+            if out:
+                assert may_fall_back(x)
+            else:
+                assert not must_fall_back(x)
+                assert field == text
+        # One speller: every value as ``%`` spells it, declined or not.
+        assert report._spelled(row, end).tolist() == [percent]
+        # In a trace, the values that the formatter declines are the ones
+        # that ``%`` spells.
+        blocks = declined_blocks(hand_trace(len(values), t=row[0]))
+        assert [repr(x) for values, out in blocks for x in values[out].tolist()] == \
+            [repr(x) for x, out in zip(values, declined[0].tolist()) if out]
 
     @staticmethod
     def three_chunks_with(value):
@@ -640,22 +670,21 @@ class TestFieldFormatter:
 
     @pytest.mark.parametrize("value", [0.0078125, -0.0078125, 2.0 ** 52 / 1e6, math.nan])
     def test_one_unsafe_value_sends_only_its_chunk_to_percent(self, value):
+        # Only the value itself, in the middle chunk, is declined.
         trace = self.three_chunks_with(value)
-        with mock.patch.object(report, "_percent_rows", wraps=report._percent_rows) as percent:
-            assert_matches_the_oracle(trace)
-        assert percent.call_count == 1
-        (_, _, values), _ = percent.call_args
+        [(values, declined)] = declined_blocks(trace)
         np.testing.assert_array_equal(values[:, 0],
                                       trace.t[report._CHUNK_ROWS:2 * report._CHUNK_ROWS])
+        assert declined.sum() == 1 and declined[5, 0]
 
     @pytest.mark.parametrize("value", [ulps_away(0.0078125, 1), ulps_away(1.0234375, -2)])
     def test_a_value_ulps_from_a_tie_is_spelled_by_fields(self, value):
         # Its float product |x| * 1e6 is not a half-integer, so ``rint``
         # rounds it as ``%`` rounds the exact product.
-        assert report._fields(np.array([[value]])).tolist() == [[("%.6f\n" % value).encode()]]
-        with mock.patch.object(report, "_percent_rows", wraps=report._percent_rows) as percent:
-            assert_matches_the_oracle(self.three_chunks_with(value))
-        assert not percent.called
+        fields, declined = report._fields(np.array([[value]]), b"\n")
+        assert fields.tolist() == [[("%.6f\n" % value).encode()]]
+        assert not declined.any()
+        assert declined_blocks(self.three_chunks_with(value)) == []
 
 
 def many_segment_scenario(seed: int, amplitude: float) -> str:

@@ -41,7 +41,7 @@ from .scenario import (
 )
 from .simulator import (
     RunSummary,
-    SegmentSummary,
+    SegmentColumns,
     SimParams,
     Trace,
     TrackTotals,

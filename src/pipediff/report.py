@@ -185,7 +185,7 @@ def _taker(summary: RunSummary, options: ReportOptions):
     if options.segments is None:
         return lambda column: column
     wanted = set(options.segments)
-    picks = [k for k, index in enumerate(summary.segments.columns["index"]) if index in wanted]
+    picks = [k for k, index in enumerate(summary.segments.index) if index in wanted]
     return lambda column: [column[k] for k in picks]
 
 
@@ -249,8 +249,8 @@ def _rows(layout, columns: dict, take, depth: int) -> str:
     return _fill([text], depth) if text else "[]"
 
 
-# JSON key -> attribute of the RunSummary, a SegmentSummary, its per-track
-# tuples, and a TrackTotals, whose columns the reports read.
+# JSON key -> attribute of the RunSummary, its SegmentColumns, their per-track
+# columns, and a TrackTotals, whose columns the reports read.
 _RUN_KEYS = {"completed": "completed", "stop_reason": "stop_reason", "error": "error",
              "total_time_s": "total_time", "total_length_mm": "total_length",
              "effective_path_mm": "effective_path", "nominal_speed_mm_s": "nominal_speed",
@@ -283,7 +283,7 @@ def _row_layouts(options: ReportOptions, depth: int) -> tuple:
 def _payload(summary: RunSummary, options: ReportOptions, depth: int, rows: tuple) -> dict:
     """One run's JSON object ``depth`` levels deep, its leaves as JSON texts."""
     segment, totals = rows
-    columns = summary.segments.columns
+    columns = vars(summary.segments)
     tracks = [summary.tracks[_TRACK_INDEX[name]] for name in options.tracks]
     limits = {
         "max_compression_mm": summary.max_compression,
@@ -342,7 +342,7 @@ def _render_text(summary: RunSummary, options: ReportOptions) -> str:
     # ``{:>8.3f}`` and ``%-12s`` is ``{:<12}``.
     row_format = ("%3d %-12s %9.3f %9.3f %3s %8.3f %8.3f %8.3f" + " %7s" * options.ape
                   + " %7.3f %7.3f %9.3f")
-    columns, take = summary.segments.columns, _taker(summary, options)
+    columns, take = vars(summary.segments), _taker(summary, options)
     head = [take(columns[name]) for name in ("index", "kind", "entry_time", "exit_time")]
     tail = [take(columns[name])
             for name in ("max_compression", "compression_headroom_mm", "tilt_headroom_deg")]

@@ -39,8 +39,7 @@ rounds them once, which gives what ``math.fsum`` gives of each window.
 """
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -201,63 +200,30 @@ class Trace:
 
 
 @dataclass(frozen=True)
-class SegmentSummary:
-    """Aggregates over the records that fell inside one segment.
+class SegmentColumns:
+    """Aggregates over the records that fell inside each segment entered, as
+    columns: each field is a tuple with one value per segment, in index
+    order, and a per-track field is three such tuples, in ``TRACK_NAMES``
+    order.
 
     A segment that one step crossed whole holds no records: its speeds are
     the plan's speeds, its APE is None, and its entry and exit
     times are both that of the first record past it (or the run's last).
     """
 
-    index: int
-    kind: str  # "straight" or "bend <sweep>deg"
-    length: float  # mm
-    entry_time: float  # s
-    exit_time: float  # s
-    mean_speeds: tuple[float, float, float]  # mm/s, midpoint-window average
-    min_speeds: tuple[float, float, float]  # mm/s, over the whole segment
-    max_speeds: tuple[float, float, float]
-    ape: tuple[float | None, float | None, float | None]  # percent, window average
-    max_compression: float  # mm
-    max_tilt_deg: float
-    compression_headroom_mm: float  # robot limit minus max_compression
-    tilt_headroom_deg: float  # robot limit minus max_tilt_deg
-
-
-# The ``SegmentSummary`` fields that hold one value per track.
-_PER_TRACK = ("mean_speeds", "min_speeds", "max_speeds", "ape")
-
-
-class _SegmentTable(Sequence):
-    """A run's ``SegmentSummary`` rows as read-only columns: ``columns`` maps
-    each field to its values in row order, a per-track field to three such
-    lists, one per track.  It reads as the tuple of rows, which it builds on
-    first read; the reports read the columns."""
-
-    def __init__(self, columns: dict, rows: tuple | None = None):
-        self.columns, self._rows = columns, rows
-
-    def rows(self) -> tuple:
-        if self._rows is None:
-            values = [zip(*self.columns[f.name]) if f.name in _PER_TRACK else self.columns[f.name]
-                      for f in fields(SegmentSummary)]
-            self._rows = tuple(SegmentSummary(*row) for row in zip(*values))
-        return self._rows
-
-    def __len__(self) -> int:
-        return len(self.columns["index"])
-
-    def __getitem__(self, key):
-        return self.rows()[key]
-
-    def __eq__(self, other):
-        return self.rows() == (other.rows() if isinstance(other, _SegmentTable) else other)
-
-    def __hash__(self) -> int:
-        return hash(self.rows())
-
-    def __repr__(self) -> str:
-        return repr(self.rows())
+    index: tuple[int, ...]
+    kind: tuple[str, ...]  # "straight" or "bend <sweep>deg"
+    length: tuple[float, ...]  # mm
+    entry_time: tuple[float, ...]  # s
+    exit_time: tuple[float, ...]  # s
+    mean_speeds: tuple[tuple[float, ...], ...]  # mm/s, midpoint-window average
+    min_speeds: tuple[tuple[float, ...], ...]  # mm/s, over the whole segment
+    max_speeds: tuple[tuple[float, ...], ...]
+    ape: tuple[tuple[float | None, ...], ...]  # percent, window average
+    max_compression: tuple[float, ...]  # mm
+    max_tilt_deg: tuple[float, ...]
+    compression_headroom_mm: tuple[float, ...]  # robot limit minus max_compression
+    tilt_headroom_deg: tuple[float, ...]  # robot limit minus max_tilt_deg
 
 
 @dataclass(frozen=True)
@@ -286,16 +252,8 @@ class RunSummary:
     disturbance_seed: int
     max_slip: float  # mm/s over all records and tracks
     max_compression: float  # mm over every segment entered and its modules
-    segments: Sequence[SegmentSummary]  # read-only, built on first read
+    segments: SegmentColumns
     tracks: tuple[TrackTotals, TrackTotals, TrackTotals]
-
-    def __post_init__(self):
-        if not isinstance(self.segments, _SegmentTable):  # rows given by hand
-            rows = tuple(self.segments)
-            columns = {f.name: tuple([getattr(row, f.name)[i] for row in rows] for i in range(3))
-                       if f.name in _PER_TRACK else [getattr(row, f.name) for row in rows]
-                       for f in fields(SegmentSummary)}
-            object.__setattr__(self, "segments", _SegmentTable(columns, rows))
 
 
 @dataclass(frozen=True)
@@ -647,7 +605,12 @@ def _summarize(
     v_theo, slips = trace.v_theo, trace.slip
     v = v_theo if trace.v_disturbed is None else trace.v
     windows = [_window_sums(column, lo, hi) for column in v.T]
-    for slip, demand in zip(slips.T, v_theo.T):
+    # Per column: an axis-0 reduce over the (n, 3) block takes several times as long.
+    max_slips = [float(slip.max()) for slip in slips.T] if n else [0.0, 0.0, 0.0]
+    for slip, demand, max_slip in zip(slips.T, v_theo.T, max_slips):
+        if max_slip == 0.0:  # a track that never slips: every APE term is 0
+            windows.append(np.zeros((entered, 3)))
+            continue
         defined = demand != 0.0
         terms = np.multiply(100.0, slip, out=np.zeros_like(slip), where=defined)
         np.divide(terms, np.abs(demand), out=terms, where=defined)
@@ -664,25 +627,24 @@ def _summarize(
     lows[first < last] = np.minimum.reduceat(v, entries)
     highs[first < last] = np.maximum.reduceat(v, entries)
     compressions, tilts = plan.compressions[:entered].max(axis=1), plan.max_tilt_deg[:entered]
-    table = _SegmentTable({
-        "index": list(range(entered)),
-        "kind": [f"bend {seg.sweep_deg:g}deg" if isinstance(seg, Bend) else "straight"
-                 for seg in net.segments[:entered]],
-        "length": spans.tolist(), "entry_time": times[:-1], "exit_time": times[1:],
-        "mean_speeds": tuple(means.T.tolist()), "min_speeds": tuple(lows.T.tolist()),
-        "max_speeds": tuple(highs.T.tolist()), "ape": tuple(apes.T.tolist()),
-        "max_compression": compressions.tolist(), "max_tilt_deg": tilts.tolist(),
-        "compression_headroom_mm": (robot.max_compression - compressions).tolist(),
-        "tilt_headroom_deg": (robot.max_tilt_deg - tilts).tolist(),
-    })
+    segments = SegmentColumns(
+        index=tuple(range(entered)),
+        kind=tuple(f"bend {seg.sweep_deg:g}deg" if isinstance(seg, Bend) else "straight"
+                   for seg in net.segments[:entered]),
+        length=tuple(spans.tolist()), entry_time=tuple(times[:-1]), exit_time=tuple(times[1:]),
+        # Per track: each (m, 3) block as three tuples of m values.
+        mean_speeds=tuple(map(tuple, means.T.tolist())),
+        min_speeds=tuple(map(tuple, lows.T.tolist())),
+        max_speeds=tuple(map(tuple, highs.T.tolist())), ape=tuple(map(tuple, apes.T.tolist())),
+        max_compression=tuple(compressions.tolist()), max_tilt_deg=tuple(tilts.tolist()),
+        compression_headroom_mm=tuple((robot.max_compression - compressions).tolist()),
+        tilt_headroom_deg=tuple((robot.max_tilt_deg - tilts).tolist()),
+    )
 
     total_time = float(trace.t[-1]) if n else 0.0
     distances = trace.distance[-1].tolist() if n else [0.0, 0.0, 0.0]
-    # Per column: an axis-0 reduce over the (n, 3) block takes several times as long.
-    max_slips = [float(slip.max()) for slip in slips.T] if n else [0.0, 0.0, 0.0]
     tracks = []
-    for name, distance, max_slip, ape in zip(TRACK_NAMES, distances, max_slips,
-                                             table.columns["ape"]):
+    for name, distance, max_slip, ape in zip(TRACK_NAMES, distances, max_slips, segments.ape):
         mean_speed = distance / total_time if total_time > 0.0 else 0.0
         worst_ape = max([value for value in ape if value is not None], default=None)
         tracks.append(TrackTotals(name, distance, mean_speed, max_slip, worst_ape))
@@ -702,7 +664,7 @@ def _summarize(
         disturbance_amplitude=params.disturbance_amplitude,
         disturbance_seed=params.disturbance_seed,
         max_slip=max(max_slips),
-        max_compression=max(table.columns["max_compression"], default=0.0),
-        segments=table,
+        max_compression=max(segments.max_compression, default=0.0),
+        segments=segments,
         tracks=tuple(tracks),
     )

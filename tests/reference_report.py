@@ -4,26 +4,36 @@ reference for the reports' column emitters.
 ``reference_json_report`` and ``reference_json_sweep_report`` build the
 report's payload as plain dicts and lists and dump it with
 ``json.dumps(payload, indent=2, sort_keys=True)``.  ``reference_text_report``
-formats each segment's row per track with f-strings.  They read
-``summary.segments`` one ``SegmentSummary`` at a time and are independent
-of ``pipediff.report``.
+formats each segment's row per track with f-strings.  They zip the
+columns of ``summary.segments`` back into one record per segment, read
+those one at a time and are independent of ``pipediff.report``.
 """
 
 import json
+from types import SimpleNamespace
 
 _TRACK_INDEX = {"A": 0, "B": 1, "C": 2}
 
 
+def _records(summary):
+    """One record per segment, with a per-track field's three values as a tuple."""
+    columns = dict(vars(summary.segments))
+    for name in ("mean_speeds", "min_speeds", "max_speeds", "ape"):
+        columns[name] = list(zip(*columns[name]))
+    return [SimpleNamespace(**dict(zip(columns, row))) for row in zip(*columns.values())]
+
+
 def _selected_segments(summary, options):
     if options.segments is None:
-        return summary.segments
+        return _records(summary)
     wanted = set(options.segments)
-    return tuple(s for s in summary.segments if s.index in wanted)
+    return tuple(s for s in _records(summary) if s.index in wanted)
 
 
 def _min_headroom(summary):
-    return (min((s.compression_headroom_mm for s in summary.segments), default=None),
-            min((s.tilt_headroom_deg for s in summary.segments), default=None))
+    records = _records(summary)
+    return (min((s.compression_headroom_mm for s in records), default=None),
+            min((s.tilt_headroom_deg for s in records), default=None))
 
 
 def _json_payload(summary, options) -> dict:
@@ -70,7 +80,7 @@ def _json_payload(summary, options) -> dict:
     limits = {
         "max_compression_mm": summary.max_compression,
         "min_compression_headroom_mm": compression_headroom,
-        "max_tilt_deg": max((s.max_tilt_deg for s in summary.segments), default=0.0),
+        "max_tilt_deg": max((s.max_tilt_deg for s in _records(summary)), default=0.0),
         "min_tilt_headroom_deg": tilt_headroom,
         "max_slip_mm_s": summary.max_slip,
         "completed": summary.completed,

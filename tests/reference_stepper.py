@@ -16,6 +16,7 @@ is the differential's budget check, ``first_budget_miss``, which
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from pipediff import (
     LoadState,
     NoFitError,
     RunSummary,
-    SegmentSummary,
+    SegmentColumns,
     Straight,
     TRACE_HEADER,
     TrackTotals,
@@ -229,7 +230,7 @@ def _reference_summary(net, robot, params, plan, entered, records, v_nominal,
             mean = lowest = highest = speeds
         compression = max(plan.compressions[index].tolist())
         tilt = float(plan.max_tilt_deg[index])
-        summaries.append(SegmentSummary(
+        summaries.append(dict(
             index=index,
             kind=f"bend {segment.sweep_deg:g}deg" if isinstance(segment, Bend) else "straight",
             length=length,
@@ -248,7 +249,7 @@ def _reference_summary(net, robot, params, plan, entered, records, v_nominal,
     tracks = []
     for i, name in enumerate("ABC"):
         distance = records[-1].distance[i] if records else 0.0
-        apes = [seg.ape[i] for seg in summaries if seg.ape[i] is not None]
+        apes = [seg["ape"][i] for seg in summaries if seg["ape"][i] is not None]
         tracks.append(TrackTotals(
             name, distance, distance / total_time if total_time > 0.0 else 0.0,
             max((r.slip[i] for r in records), default=0.0), max(apes) if apes else None,
@@ -257,9 +258,18 @@ def _reference_summary(net, robot, params, plan, entered, records, v_nominal,
         total_time, total, total - robot.length if total >= robot.length else None, v_nominal,
         params.theta_deg, params.dt, params.disturbance_amplitude, params.disturbance_seed,
         max((max(r.slip) for r in records), default=0.0),
-        max((seg.max_compression for seg in summaries), default=0.0),
-        tuple(summaries), tuple(tracks),
+        max((seg["max_compression"] for seg in summaries), default=0.0),
+        _columns(summaries), tuple(tracks),
     )
+
+
+def _columns(rows) -> SegmentColumns:
+    """The per-segment rows transposed into columns, a per-track field into
+    three, one per track."""
+    columns = {f.name: tuple(row[f.name] for row in rows) for f in fields(SegmentColumns)}
+    for name in ("mean_speeds", "min_speeds", "max_speeds", "ape"):
+        columns[name] = tuple(tuple(values[i] for values in columns[name]) for i in range(3))
+    return SegmentColumns(**columns)
 
 
 def reference_csv(records) -> str:

@@ -108,7 +108,7 @@ def test_criterion_2_bend_geometry_identity():
 def test_criterion_3_no_slip_everywhere(reference_scenario):
     sc = reference_scenario
     net = sc.network
-    kinds = [seg.kind for seg in (run(net, sc.robot, sc.gear, sc.sim)[1]).segments]
+    kinds = run(net, sc.robot, sc.gear, sc.sim)[1].segments.kind
     ok = "straight" in kinds and "bend 90deg" in kinds and "bend 180deg" in kinds
     for theta in (0.0, 120.0, 240.0):
         records, summary = run(
@@ -129,22 +129,23 @@ def test_criterion_4_published_number_calibration(reference_scenario):
     elapsed = time.monotonic() - started
 
     ok = summary.completed
-    segments = {seg.index: seg for seg in summary.segments}
-    straight_delta = segments[0].max_compression
+    segments = summary.segments
+    ok &= segments.index == (0, 1, 2, 3)
+    straight_delta = segments.max_compression[0]
 
     # inner track (A at theta = 0) elbow mean speed: 33.62 mm/s within 2 %
-    inner = segments[1].mean_speeds[0]
+    inner = segments.mean_speeds[0][1]
     ok &= abs(inner - 33.62) <= 0.02 * 33.62
 
     # timings within 10 %
-    ok &= abs(segments[0].exit_time - 9.0) <= 0.9
-    ok &= abs(segments[1].exit_time - 24.0) <= 2.4
+    ok &= abs(segments.exit_time[0] - 9.0) <= 0.9
+    ok &= abs(segments.exit_time[1] - 24.0) <= 2.4
     ok &= abs(summary.total_time - 60.0) <= 6.0
 
     # bend compression sits 1.5 +- 0.2 mm above the straight value on the
     # fully in-plane (affected) module
     for index in (1, 3):
-        increment = segments[index].max_compression - straight_delta
+        increment = segments.max_compression[index] - straight_delta
         ok &= abs(increment - 1.5) <= 0.2
 
     ok &= elapsed < 10.0
@@ -162,13 +163,13 @@ def test_criterion_5_ape_pipeline(reference_scenario):
     noisy = replace(sc.sim, disturbance_amplitude=0.025, disturbance_seed=42)
     _, summary = run(net, sc.robot, sc.gear, noisy)
     ok = summary.completed
-    for segment in summary.segments:
-        for ape in segment.ape:
+    for track in summary.segments.ape:
+        for ape in track:
             ok &= ape is not None and 0.0 < ape <= 2.6
 
     _, clean = run(net, sc.robot, sc.gear, sc.sim)
-    for segment in clean.segments:
-        ok &= segment.ape == (0.0, 0.0, 0.0)
+    for track in clean.segments.ape:
+        ok &= track == (0.0,) * len(clean.segments.index)
     assert _criterion(
         "criterion 5: windowed APE in (0, 2.6] with 2.5 % disturbance, exactly 0 without",
         ok,

@@ -19,7 +19,7 @@ EXPORTS = {
     "Scenario",
     "ScenarioParseError",
     "Segment",
-    "SegmentSummary",
+    "SegmentColumns",
     "SimParams",
     "Straight",
     "TRACE_HEADER",

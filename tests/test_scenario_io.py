@@ -18,7 +18,7 @@ from pipediff import (
     ReportOptions,
     RunSummary,
     ScenarioParseError,
-    SegmentSummary,
+    SegmentColumns,
     SimParams,
     Straight,
     TRACE_HEADER,
@@ -729,13 +729,13 @@ class TestManySegmentPins:
         trace, summary = run(sc.network, sc.robot, sc.gear, sc.sim)
         assert np.array_equal(trace.v, trace.v_theo) and not trace.slip.any()
         assert summary.max_slip == 0.0
-        assert all(ape == 0.0 for column in summary.segments.columns["ape"] for ape in column)
+        assert all(ape == 0.0 for column in summary.segments.ape for ape in column)
 
     @pytest.mark.parametrize("amplitude", sorted(PINS))
     def test_trace_and_json_report_bytes_are_pinned(self, amplitude):
         sc = parse_scenario(many_segment_scenario(11, amplitude))
         records, summary = run(sc.network, sc.robot, sc.gear, sc.sim)
-        assert summary.completed and len(summary.segments) == 200
+        assert summary.completed and len(summary.segments.index) == 200
         assert len(records) > 3 * 512
         digests = tuple(
             hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -879,29 +879,33 @@ report_floats = st.one_of(
 report_texts = st.text(alphabet=st.sampled_from('ab%s "\\\n\t\x00\x7f\u00e9\u2028\U0001f600'),
                        max_size=8)
 maybe_floats = st.one_of(st.none(), report_floats)
-triples = st.tuples(report_floats, report_floats, report_floats)
 
 
 @st.composite
 def report_summaries(draw):
     """A ``RunSummary`` of arbitrary values, within the types a run gives."""
-    segments = tuple(
-        SegmentSummary(
-            index=draw(st.integers(0, 5)),
-            kind=draw(st.one_of(st.sampled_from(("straight", "bend 90deg")), report_texts)),
-            length=draw(report_floats),
-            entry_time=draw(report_floats),
-            exit_time=draw(report_floats),
-            mean_speeds=draw(triples),
-            min_speeds=draw(triples),
-            max_speeds=draw(triples),
-            ape=draw(st.tuples(maybe_floats, maybe_floats, maybe_floats)),
-            max_compression=draw(report_floats),
-            max_tilt_deg=draw(report_floats),
-            compression_headroom_mm=draw(report_floats),
-            tilt_headroom_deg=draw(report_floats),
-        )
-        for _ in range(draw(st.integers(0, 4)))
+    m = draw(st.integers(0, 4))  # segments
+
+    def column(values):
+        return tuple(draw(values) for _ in range(m))
+
+    def per_track(values):
+        return tuple(column(values) for _ in range(3))
+
+    segments = SegmentColumns(
+        index=column(st.integers(0, 5)),
+        kind=column(st.one_of(st.sampled_from(("straight", "bend 90deg")), report_texts)),
+        length=column(report_floats),
+        entry_time=column(report_floats),
+        exit_time=column(report_floats),
+        mean_speeds=per_track(report_floats),
+        min_speeds=per_track(report_floats),
+        max_speeds=per_track(report_floats),
+        ape=per_track(maybe_floats),
+        max_compression=column(report_floats),
+        max_tilt_deg=column(report_floats),
+        compression_headroom_mm=column(report_floats),
+        tilt_headroom_deg=column(report_floats),
     )
     tracks = tuple(
         TrackTotals(name, draw(report_floats), draw(report_floats), draw(report_floats),

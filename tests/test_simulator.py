@@ -185,14 +185,14 @@ class TestRun:
     def test_segment_summaries_cover_entry_and_exit(self):
         net, robot, gear, params = small_setup()
         _, summary = run(net, robot, gear, params)
-        assert [s.index for s in summary.segments] == [0, 1, 2]
-        first, elbow, last = summary.segments
-        assert first.entry_time == 0.0
-        assert elbow.entry_time == pytest.approx(100.0 / 50.0, abs=2 * params.dt)
-        assert elbow.exit_time == pytest.approx(
+        segments = summary.segments
+        assert segments.index == (0, 1, 2)
+        assert segments.entry_time[0] == 0.0
+        assert segments.entry_time[1] == pytest.approx(100.0 / 50.0, abs=2 * params.dt)
+        assert segments.exit_time[1] == pytest.approx(
             (100.0 + 100.0 * math.pi) / 50.0, abs=2 * params.dt
         )
-        assert last.exit_time == summary.total_time
+        assert segments.exit_time[2] == summary.total_time
 
 
 class TestTraceStorage:
@@ -366,16 +366,16 @@ class TestSegmentAdmissibility:
         sim = replace(sc.sim, dt=0.5, disturbance_amplitude=amplitude, disturbance_seed=7)
         trace, summary = run(sc.network, sc.robot, sc.gear, sim)
         assert summary.completed and 2 not in trace.segment
-        assert [seg.index for seg in summary.segments] == [0, 1, 2, 3]
-        first, elbow, short, last = summary.segments
-        assert first.exit_time == elbow.entry_time
-        assert (elbow.exit_time, short.entry_time, short.exit_time, last.entry_time) == (
-            24.5, 24.5, 24.5, 24.5
-        )
-        assert short.ape == (None, None, None)
-        assert short.mean_speeds == short.min_speeds == short.max_speeds == (35.0, 35.0, 35.0)
-        assert short.max_compression == 5.0
-        assert summary.max_compression == max(seg.max_compression for seg in summary.segments)
+        segments = summary.segments
+        assert segments.index == (0, 1, 2, 3)
+        assert segments.exit_time[0] == segments.entry_time[1]
+        assert (segments.exit_time[1], segments.entry_time[2], segments.exit_time[2],
+                segments.entry_time[3]) == (24.5, 24.5, 24.5, 24.5)
+        assert [ape[2] for ape in segments.ape] == [None, None, None]
+        for speeds in (segments.mean_speeds, segments.min_speeds, segments.max_speeds):
+            assert [track[2] for track in speeds] == [35.0, 35.0, 35.0]
+        assert segments.max_compression[2] == 5.0
+        assert summary.max_compression == max(segments.max_compression)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -456,6 +456,15 @@ class TestAgainstTheTickStepper:
         # Lines, so that a mismatch reports its first differing row at once.
         assert render_trace(trace).split("\n") == reference_csv(records).split("\n")
 
+    @pytest.mark.parametrize("amplitude", [0.0, 0.025])
+    def test_the_summary_hashes_as_the_tick_stepper_s(self, reference_scenario, amplitude):
+        # A summary is frozen and built of tuples: equal summaries hash alike.
+        sc = reference_scenario
+        params = replace(sc.sim, disturbance_amplitude=amplitude, disturbance_seed=7)
+        _, summary = run(sc.network, sc.robot, sc.gear, params)
+        _, expected = reference_run(sc.network, sc.robot, sc.gear, params)
+        assert summary == expected and hash(summary) == hash(expected)
+
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -496,8 +505,8 @@ class TestAgainstTheTickStepper:
                          disturbance_amplitude=amplitude, disturbance_seed=seed)
         with mock.patch.object(simulator, "BLOCK_ROWS", block_rows):
             trace, summary = run(net, robot, sc.gear, params)
-        event(f"segments entered: {len(summary.segments)}")
-        assert summary.completed and len(summary.segments) == len(pieces)
+        event(f"segments entered: {len(summary.segments.index)}")
+        assert summary.completed and len(summary.segments.index) == len(pieces)
         records, expected = reference_run(net, robot, sc.gear, params)
         assert list(trace) == records
         assert summary == expected
@@ -606,7 +615,7 @@ class TestSummaryEdges:
         sc = reference_scenario
         net = planar_network(sc.network.spec, [("bend", 20.0, 90.0, 1), ("straight", 50.0)])
         trace, summary = self.check(net, sc.robot, sc.gear, sc.sim)
-        assert len(trace) == 0 and summary.segments == ()
+        assert len(trace) == 0 and summary.segments.index == ()
         assert summary.error == "robot length 61 mm cannot chord a bend of radius 20 mm"
         assert summary.total_time == 0.0 and summary.max_compression == 0.0
         assert all(track.max_ape is None for track in summary.tracks)
@@ -616,9 +625,9 @@ class TestSummaryEdges:
         sc = reference_scenario
         params = replace(sc.sim, t_max=5.0, disturbance_amplitude=0.025, disturbance_seed=7)
         trace, summary = self.check(sc.network, sc.robot, sc.gear, params)
-        assert summary.stop_reason == "t_max" and len(summary.segments) == 1
+        assert summary.stop_reason == "t_max" and summary.segments.index == (0,)
         assert 31.5 < trace.s[-1] < 283.5
-        assert summary.segments[0].exit_time == trace.t[-1] == 5.0
+        assert summary.segments.exit_time[0] == trace.t[-1] == 5.0
 
     @pytest.mark.parametrize("t_max, records", [(5e-12, 501), (1e-12, 101)])
     def test_t_max_tolerance_is_relative(self, t_max, records):
@@ -655,8 +664,9 @@ class TestSummaryEdges:
         assert len(offsets) == 2
         assert not ((0.04 <= offsets) & (offsets <= 0.36)).any()
         v = trace.v[trace.segment == 1]
-        assert summary.segments[1].mean_speeds == tuple((v[0] + v[1]) / 2.0)
-        assert all(ape is not None for ape in summary.segments[1].ape)
+        means = [track[1] for track in summary.segments.mean_speeds]
+        assert means == ((v[0] + v[1]) / 2.0).tolist()
+        assert all(ape[1] is not None for ape in summary.segments.ape)
 
     @pytest.mark.parametrize("block_rows", [3, 7])
     def test_disturbed_run_in_small_blocks(self, reference_scenario, block_rows):
@@ -664,7 +674,7 @@ class TestSummaryEdges:
         params = replace(sc.sim, dt=0.05, disturbance_amplitude=0.025, disturbance_seed=7)
         with mock.patch.object(simulator, "BLOCK_ROWS", block_rows):
             _, summary = self.check(sc.network, sc.robot, sc.gear, params)
-        assert summary.completed and len(summary.segments) == 4
+        assert summary.completed and len(summary.segments.index) == 4
 
 
 class TestStepBlock:
@@ -900,8 +910,8 @@ class TestOrientationSweep:
         assert [summary.theta_deg for summary in summaries] == [0.0, 90.0, 180.0, 270.0]
         for summary in summaries:
             assert summary.completed
-            for segment in summary.segments:
-                assert math.fsum(segment.mean_speeds) / 3.0 == pytest.approx(nominal, rel=1e-9)
+            for speeds in zip(*summary.segments.mean_speeds):
+                assert math.fsum(speeds) / 3.0 == pytest.approx(nominal, rel=1e-9)
 
     def test_per_orientation_seeds_differ(self):
         net, robot, gear, params = small_setup(

@@ -213,6 +213,14 @@ class TestFloatRange:
         assert list(map(Fraction, sol.as_tuple())) == exact_speeds(target, raw_loads)
         assert sol.residual == 0.0
 
+    def test_a_resolved_speed_past_the_float_range_is_rejected(self):
+        # Each free output's share of the leftover 2e308 is 1e308; the torque
+        # deviations send twice that, past the float range, to the first.
+        loads = LoadState((imposed_speed(-1e308), imposed_torque(-1.0), imposed_torque(1.0)))
+        with pytest.raises(ValueError, match="^speeds resolved for budget 1e[+]308 rad/s leave "
+                                             "the float range$"):
+            solve_output_speeds(GearTrainConfig(ratio=1.0), 1e308 / 3.0, loads)
+
 
     @pytest.mark.parametrize("raw_loads", [
         # The torques' exact sum, 2.5e308, rounds to inf.

@@ -6,15 +6,22 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipediff import TRACE_HEADER, PipeNetwork, cli
+from pipediff import TRACE_HEADER, PipeNetwork, cli, render_sweep_report
 from pipediff.cli import main
 
 from conftest import REFERENCE_SCN, REPO_ROOT
+from reference_report import (
+    reference_json_report,
+    reference_json_sweep_report,
+    reference_text_report,
+)
+from reference_stepper import reference_run
 
 
 def _refuse(constant):
@@ -423,6 +430,34 @@ def test_each_command_builds_the_network_once(argv, capsys, monkeypatch):
     monkeypatch.setattr(PipeNetwork, "__post_init__", counted)
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, oracle", [
+    (["run", str(REFERENCE_SCN), "--format", "json"],
+     lambda summaries, options: reference_json_report(summaries[0], options)),
+    (["run", str(REFERENCE_SCN), "--format", "text"],
+     lambda summaries, options: reference_text_report(summaries[0], options)),
+    (["sweep", str(REFERENCE_SCN), "--theta-steps", "2", "--format", "json"],
+     reference_json_sweep_report),
+    (["sweep", str(REFERENCE_SCN), "--theta-steps", "2", "--format", "text"],
+     render_sweep_report),
+], ids=["run-json", "run-text", "sweep-json", "sweep-text"])
+def test_the_reports_are_the_tick_stepper_s(argv, oracle, reference_scenario, capsys,
+                                            monkeypatch):
+    # The reports read a run's segment columns; what they print is the
+    # per-segment oracle's report of the tick stepper's summaries.
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    sc = reference_scenario
+    if argv[0] == "run":
+        orientations = [sc.sim]
+    else:
+        orientations = [replace(sc.sim, theta_deg=k * 180.0,
+                                disturbance_seed=sc.sim.disturbance_seed + k) for k in range(2)]
+    expected = [reference_run(sc.network, sc.robot, sc.gear, params)[1]
+                for params in orientations]
+    assert all(len(summary.segments.index) == 4 for summary in expected)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == oracle(expected, sc.report)
 
 
 @pytest.mark.parametrize("target, argv", [

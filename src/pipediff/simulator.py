@@ -33,9 +33,12 @@ kept position), and the disturbance takes one row of draws per record in
 the generator's stream order.  Independent runs share nothing and may
 execute in parallel.
 
-The summary's window means and APE are correctly rounded too:
-``_window_sums`` sums fixed-exponent integer limbs exactly and ``_sum3``
-rounds them once, which gives what ``math.fsum`` gives of each window.
+The summary's window means and APE are correctly rounded too.  An
+undisturbed window holds ``count`` records at its segment's demands, so its
+sum is the one product ``count * demand``, and no record slips.  A disturbed
+run's ``_window_sums`` sums fixed-exponent integer limbs exactly and
+``_sum3`` rounds them once, which gives what ``math.fsum`` gives of each
+window.  Per-segment rows are gathered to the records once, with ``np.take``.
 """
 
 import math
@@ -161,17 +164,17 @@ class Trace:
 
     @property
     def v_theo(self) -> np.ndarray:
-        return _read_only(self.speeds[self.segment])
+        return _read_only(np.take(self.speeds, self.segment, axis=0))
 
     @property
     def compression(self) -> np.ndarray:
-        return _read_only(self.compressions[self.segment])
+        return _read_only(np.take(self.compressions, self.segment, axis=0))
 
     @property
     def slip(self) -> np.ndarray:
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
             if self.v_disturbed is None:  # gathering commutes with the elementwise rule
-                return _read_only(np.abs(self.speeds - self.speeds)[self.segment])
+                return _read_only(np.take(np.abs(self.speeds - self.speeds), self.segment, axis=0))
             return _read_only(np.abs(self.v_disturbed - self.v_theo))
 
     def __len__(self) -> int:
@@ -377,11 +380,14 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
     guess, where its records located, their mean and track speeds, and
     ``rows + 1`` positions and distances: the records' and the next start."""
     segment = np.full(rows, index)
+    factors = None if draws is None else 1.0 + amplitude * draws
     for _ in range(GUESS_REFINEMENTS + 1):
         if draws is None:
             means = plan.means[segment]
         else:
-            v = plan.speeds[segment] * (1.0 + amplitude * draws)
+            # ``np.take`` copies the same rows as fancy indexing, several times faster.
+            v = np.take(plan.speeds, segment, axis=0)
+            v *= factors
             means = _sum3(v) / 3.0
         positions = _running_sums(s, means * dt)
         # No finite start exceeds the network's end: ``run``'s clamp moves no record here.
@@ -390,7 +396,7 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
         if np.array_equal(segment, guess):
             break
     if draws is None:
-        v = plan.speeds[guess]
+        v = np.take(plan.speeds, guess, axis=0)
     return guess, located, means, v, positions, _running_sums(distance, v * dt)
 
 
@@ -580,10 +586,14 @@ def _summarize(
     error: str | None,
     v_nominal: float,
 ) -> RunSummary:
-    """Summarise the run and, as columns, the ``entered`` segments, with numpy
-    over whole trace columns.  ``_window_sums`` cuts every window of a column
-    into limb terms and one ``_sum3`` rounds the windows of all six columns,
-    bit for bit as ``math.fsum`` would: means and APE are correctly rounded."""
+    """Summarise the run and, as columns, the ``entered`` segments, with numpy.
+    Means and APE are correctly rounded, bit for bit what ``math.fsum`` gives
+    of each window.  An undisturbed run is summarised per segment, with no
+    per-record work: a window's sum is ``count * demand``, one rounding of
+    the exact sum of ``count`` equal values (``count < 2**53`` by
+    ``MAX_RECORDS``), and every slip and APE term is 0.  A disturbed run's
+    ``_window_sums`` cuts every window of a column into limb terms and one
+    ``_sum3`` rounds the windows of all six columns."""
     # Segment indices and positions never decrease along a trace, so each
     # segment's records are one contiguous slice, empty for a segment that a
     # single step crossed whole, and so are the records in its window.
@@ -599,33 +609,37 @@ def _summarize(
     lo, hi = np.clip(lo, first, last), np.clip(hi, first, last)
     # A window that holds no record falls back to the whole segment.
     lo, hi = np.where(lo < hi, lo, first), np.where(lo < hi, hi, last)
-    # Each gathered column is read once; undisturbed speeds are the demands.
-    # One track at a time: APE terms over the whole (n, 3) block raised the
-    # tracemalloc peak of a reference-run op from 1.30 to 1.46 MB.
-    v_theo, slips = trace.v_theo, trace.slip
-    v = v_theo if trace.v_disturbed is None else trace.v
-    windows = [_window_sums(column, lo, hi) for column in v.T]
-    # Per column: an axis-0 reduce over the (n, 3) block takes several times as long.
-    max_slips = [float(slip.max()) for slip in slips.T] if n else [0.0, 0.0, 0.0]
-    for slip, demand, max_slip in zip(slips.T, v_theo.T, max_slips):
-        if max_slip == 0.0:  # a track that never slips: every APE term is 0
-            windows.append(np.zeros((entered, 3)))
-            continue
-        defined = demand != 0.0
-        terms = np.multiply(100.0, slip, out=np.zeros_like(slip), where=defined)
-        np.divide(terms, np.abs(demand), out=terms, where=defined)
-        windows.append(_window_sums(terms, lo, hi))
-    sums = _sum3(np.concatenate(windows)).reshape(6, entered).T  # speed sums, then APE sums
     counts = (hi - lo)[:, None]  # 0 only for a segment without records
     # A window lies inside one segment, whose demand is every record's v_theo.
     speeds = plan.speeds[:entered]
+    if trace.v_disturbed is None:  # every record moves at its segment's demands
+        sums = np.hstack((counts * speeds, np.zeros((entered, 3))))  # speed, then APE sums
+        lows = highs = speeds
+        max_slips = [0.0, 0.0, 0.0]
+    else:
+        # Each gathered column is read once.  One track at a time: APE terms over
+        # the whole (n, 3) block raised the tracemalloc peak of a reference-run op
+        # from 1.30 to 1.46 MB.
+        v, v_theo = trace.v_disturbed, trace.v_theo
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in ``Trace.slip``
+            slips = np.subtract(v, v_theo)
+        np.abs(slips, out=slips)
+        windows = [_window_sums(column, lo, hi) for column in v.T]
+        # Per column: an axis-0 reduce over the (n, 3) block takes several times as long.
+        max_slips = [float(slip.max()) for slip in slips.T] if n else [0.0, 0.0, 0.0]
+        for slip, demand in zip(slips.T, v_theo.T):
+            defined = demand != 0.0
+            terms = np.multiply(100.0, slip, out=np.zeros_like(slip), where=defined)
+            np.divide(terms, np.abs(demand), out=terms, where=defined)
+            windows.append(_window_sums(terms, lo, hi))
+        sums = _sum3(np.concatenate(windows)).reshape(6, entered).T  # speed, then APE sums
+        lows, highs, entries = speeds.copy(), speeds.copy(), first[first < last]
+        lows[first < last] = np.minimum.reduceat(v, entries)
+        highs[first < last] = np.maximum.reduceat(v, entries)
     ape_counts = np.where(speeds != 0.0, counts, 0)
     # A segment without records has the plan's speeds and no APE.
     means = np.where(counts > 0, sums[:, :3] / np.maximum(counts, 1), speeds)
     apes = np.where(ape_counts > 0, sums[:, 3:] / np.maximum(ape_counts, 1), None)
-    lows, highs, entries = speeds.copy(), speeds.copy(), first[first < last]
-    lows[first < last] = np.minimum.reduceat(v, entries)
-    highs[first < last] = np.maximum.reduceat(v, entries)
     compressions, tilts = plan.compressions[:entered].max(axis=1), plan.max_tilt_deg[:entered]
     segments = SegmentColumns(
         index=tuple(range(entered)),

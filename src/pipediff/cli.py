@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from .errors import PipeClimbError, ScenarioParseError
-from .report import render_report, render_sweep_report, write_trace
+from .report import report_pieces, sweep_report_pieces, write_trace
 from .scenario import Scenario, load_scenario
 from .simulator import run, run_orientation_sweep
 
@@ -93,13 +93,14 @@ def _apply_overrides(scenario: Scenario, seed, theta) -> Scenario:
     return replace(scenario, sim=sim)
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(pieces, path: str | None) -> None:
+    """Write the report's pieces as they are spelled, to ``path`` or stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
@@ -137,12 +138,13 @@ def main(argv=None) -> int:
             trace, summary = run(*inputs)
             if args.trace:
                 write_trace(trace, args.trace)
+            del trace  # written or not asked for: the report does not read it
             summaries = [summary]
-            text = render_report(summary, scenario.report, fmt=args.format)
+            pieces = report_pieces(summary, scenario.report, fmt=args.format)
         else:
             summaries = run_orientation_sweep(*inputs, args.theta_steps)
-            text = render_sweep_report(summaries, scenario.report, fmt=args.format)
-        _emit(text, args.report)
+            pieces = sweep_report_pieces(summaries, scenario.report, fmt=args.format)
+        _emit(pieces, args.report)
     except (PipeClimbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,15 +1,22 @@
 """Trace CSV serialization and run reports (text and JSON), both byte contracts.
 
 The JSON report reads as ``json.dumps(payload, indent=2, sort_keys=True)``
-would write it, but each kind of object is laid out once, as a ``%``-template.
+would write it, but each kind of object is laid out once: a segment or track
+row as a ``%``-template, the document as its literal parts, cut at each leaf.
 Both reports read a run's segments as the columns of ``RunSummary.segments``
 and spell each column, not each segment, at a time.
+
+Each report is an iterator of text pieces, spelled as they are taken, so a
+writer never holds a whole report: the JSON report's literal parts
+interleaved with its leaf texts, and its segment rows ``_JOIN_ROWS`` at a
+time; the text report's lines ``_JOIN_ROWS`` at a time.  ``render_report``
+and ``render_sweep_report`` join those same pieces.
 """
 
 import json
 import math
 from dataclasses import replace
-from itertools import repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -189,6 +196,10 @@ def _taker(summary: RunSummary, options: ReportOptions):
     return lambda column: [column[k] for k in picks]
 
 
+# The JSON spellings of the values that are neither numbers nor strings.
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _spell(value) -> str:
     """One JSON value as ``json.dumps`` spells it."""
     if type(value) is float and value - value == 0.0:  # finite: the common case
@@ -197,6 +208,8 @@ def _spell(value) -> str:
         return encode_basestring_ascii(value)
     if type(value) is int:
         return int.__repr__(value)
+    if value is None or type(value) is bool:
+        return _CONSTANTS[value]
     return json.dumps(value)
 
 
@@ -211,20 +224,27 @@ def _mark(value, leaves: list):
     return "%s"
 
 
-def _layout(skeleton, depth: int) -> tuple[str, list]:
-    """``(template, leaves)``: ``skeleton`` as ``json.dumps(..., indent=2,
-    sort_keys=True)`` lays it out ``depth`` levels deep, with a ``%s`` for
-    each value that is not a dict or list, in the order of ``leaves``.  The
-    template fits every skeleton of the same shape, in ``_mark``'s order."""
+def _layout(skeleton, depth: int) -> tuple[list, list]:
+    """``(parts, leaves)``: ``skeleton`` as ``json.dumps(..., indent=2,
+    sort_keys=True)`` lays it out ``depth`` levels deep, cut at each value
+    that is not a dict or list: part k comes before ``leaves[k]`` and the
+    last part ends the text.  The parts fit every skeleton of the same
+    shape, in ``_mark``'s order."""
     leaves = []
-    text = json.dumps(_mark(skeleton, leaves), indent=2, sort_keys=True).replace("%", "%%")
-    return text.replace('"%%s"', "%s").replace("\n", "\n" + "  " * depth), leaves
+    text = json.dumps(_mark(skeleton, leaves), indent=2, sort_keys=True)
+    return text.replace("\n", "\n" + "  " * depth).split('"%s"'), leaves
 
 
-def _fill(skeleton, depth: int = 0) -> str:
-    """``skeleton``, whose leaves are JSON texts, laid out ``depth`` levels deep."""
-    template, texts = _layout(skeleton, depth)
-    return template % tuple(texts)
+def _pieces(parts: list, leaves: list):
+    """A ``_layout``'s text in pieces: its parts, and between them each leaf,
+    a JSON text or an iterable of JSON texts."""
+    for part, leaf in zip(parts, leaves):
+        yield part
+        if type(leaf) is str:
+            yield leaf
+        else:
+            yield from leaf
+    yield parts[-1]
 
 
 def _texts(column: list):
@@ -235,18 +255,25 @@ def _texts(column: list):
     return map(_spell, column)
 
 
-def _rows(layout, columns: dict, take, depth: int) -> str:
-    """An array of one object per row that ``take`` keeps of ``columns``, as
-    one leaf.  ``layout`` is one of ``_row_layouts``, each leaf naming a column
-    ``(field, None)`` or ``(field, track)``.  Columns are spelled
-    ``_JOIN_ROWS`` rows at a time, which bounds the texts held."""
+def _rows(layout, columns: dict, take, depth: int):
+    """An array of one object per row that ``take`` keeps of ``columns``, in
+    pieces of ``_JOIN_ROWS`` rows, which bounds the texts held.  ``layout``
+    is one of ``_row_layouts``, each leaf naming a column ``(field, None)``
+    or ``(field, track)``."""
     template, leaves = layout
     picked = [take(columns[name] if track is None else columns[name][track])
               for name, track in leaves]
-    text = (",\n" + "  " * (depth + 1)).join([
-        template % row for lo in range(0, len(picked[0]), _JOIN_ROWS)
-        for row in zip(*[_texts(column[lo:lo + _JOIN_ROWS]) for column in picked])])
-    return _fill([text], depth) if text else "[]"
+    if not picked[0]:
+        yield "[]"
+        return
+    between = ",\n" + "  " * (depth + 1)
+    yield "[\n" + "  " * (depth + 1)
+    for lo in range(0, len(picked[0]), _JOIN_ROWS):
+        rows = zip(*[_texts(column[lo:lo + _JOIN_ROWS]) for column in picked])
+        if lo:
+            yield between
+        yield between.join([template % row for row in rows])
+    yield "\n" + "  " * depth + "]"
 
 
 # JSON key -> attribute of the RunSummary, its SegmentColumns, their per-track
@@ -268,8 +295,9 @@ _TOTALS_KEYS = {"name": "name", "distance_mm": "distance", "mean_speed_mm_s": "m
 
 
 def _row_layouts(options: ReportOptions, depth: int) -> tuple:
-    """``_layout``s of the segment and the track rows, whose leaves name
-    columns, for ``_payload`` at ``depth``: a sweep report lays them out once."""
+    """``(template, leaves)`` of the segment and the track rows, for
+    ``_payload`` at ``depth``: each ``_layout`` as one ``%``-template, whose
+    leaves name columns.  A sweep report lays them out once."""
     per_track = _SEGMENT_TRACK_KEYS | ({"ape_pct": "ape"} if options.ape else {})
     segment = {key: (attr, None) for key, attr in _SEGMENT_KEYS.items()}
     segment["tracks"] = {name: {key: (attr, _TRACK_INDEX[name]) for key, attr in per_track.items()}
@@ -277,11 +305,16 @@ def _row_layouts(options: ReportOptions, depth: int) -> tuple:
     totals = {key: (attr, None) for key, attr in _TOTALS_KEYS.items()}
     if options.ape:
         totals["max_ape_pct"] = ("max_ape", None)
-    return _layout(segment, depth + 2), _layout(totals, depth + 2)
+    layouts = []
+    for skeleton in (segment, totals):
+        parts, leaves = _layout(skeleton, depth + 2)
+        layouts.append(("%s".join([part.replace("%", "%%") for part in parts]), leaves))
+    return tuple(layouts)
 
 
 def _payload(summary: RunSummary, options: ReportOptions, depth: int, rows: tuple) -> dict:
-    """One run's JSON object ``depth`` levels deep, its leaves as JSON texts."""
+    """One run's JSON object ``depth`` levels deep: its leaves as JSON
+    texts, its arrays as ``_rows`` pieces."""
     segment, totals = rows
     columns = vars(summary.segments)
     tracks = [summary.tracks[_TRACK_INDEX[name]] for name in options.tracks]
@@ -307,37 +340,37 @@ def _fmt_ape(value) -> str:
     return "  n/a" if value is None else f"{value:5.3f}"
 
 
-def _render_text(summary: RunSummary, options: ReportOptions) -> str:
-    lines = []
+def _text_lines(summary: RunSummary, options: ReportOptions):
+    """The text report's lines, without their newlines."""
     status = "completed" if summary.completed else "stopped"
     if summary.error:
         status = "ABORTED"
-    lines.append(
+    yield (
         f"run {status}: t = {summary.total_time:.3f} s over "
         f"{summary.total_length:.3f} mm of pipe"
     )
     if summary.error:
-        lines.append(f"abort cause: {summary.error}")
+        yield f"abort cause: {summary.error}"
     if summary.stop_reason:
-        lines.append(f"stop reason: {summary.stop_reason}")
+        yield f"stop reason: {summary.stop_reason}"
     effective = (
         f"{summary.effective_path:.3f} mm" if summary.effective_path is not None else "n/a"
     )
-    lines.append(
+    yield (
         f"nominal speed {summary.nominal_speed:.3f} mm/s, theta {summary.theta_deg:g} deg, "
         f"effective robot path {effective}"
     )
-    lines.append(
+    yield (
         f"disturbance amplitude {summary.disturbance_amplitude:g} "
         f"(seed {summary.disturbance_seed}), dt {summary.dt:g} s"
     )
-    lines.append("")
+    yield ""
     header = f"{'seg':>3} {'kind':<12} {'entry_s':>9} {'exit_s':>9} {'trk':>3} "
     header += f"{'v_mean':>8} {'v_min':>8} {'v_max':>8}"
     if options.ape:
         header += f" {'ape_pct':>7}"
     header += f" {'d_max':>7} {'d_room':>7} {'tilt_room':>9}"
-    lines.append(header)
+    yield header
     # One row per segment and track, through one ``%`` format: ``%8.3f`` is
     # ``{:>8.3f}`` and ``%-12s`` is ``{:<12}``.
     row_format = ("%3d %-12s %9.3f %9.3f %3s %8.3f %8.3f %8.3f" + " %7s" * options.ape
@@ -352,8 +385,8 @@ def _render_text(summary: RunSummary, options: ReportOptions) -> str:
         speeds = [take(columns[attr][i]) for attr in _SEGMENT_TRACK_KEYS.values()]
         apes = [map(_fmt_ape, take(columns["ape"][i]))] * options.ape
         per_track.append(zip(*head, repeat(name), *speeds, *apes, *tail))
-    lines += [row_format % row for rows in zip(*per_track) for row in rows]
-    lines.append("")
+    yield from (row_format % row for rows in zip(*per_track) for row in rows)
+    yield ""
     for name in options.tracks:
         totals = summary.tracks[_TRACK_INDEX[name]]
         row = (
@@ -362,61 +395,91 @@ def _render_text(summary: RunSummary, options: ReportOptions) -> str:
         )
         if options.ape and totals.max_ape is not None:
             row += f", max ape {totals.max_ape:.3f}%"
-        lines.append(row)
+        yield row
     compression_headroom = min(columns["compression_headroom_mm"], default=None)
     tilt_headroom = min(columns["tilt_headroom_deg"], default=None)
     headroom = (
         "n/a" if compression_headroom is None
         else f"{compression_headroom:.3f} mm compression, {tilt_headroom:.3f} deg tilt"
     )
-    lines.append(
+    yield (
         f"limits: max compression {summary.max_compression:.3f} mm, "
         f"max slip {summary.max_slip:.3g} mm/s, min headroom {headroom}"
     )
-    return "\n".join(lines) + "\n"
 
 
-def render_report(summary: RunSummary, options: ReportOptions | None = None,
-                  fmt: str = "text") -> str:
-    """Render one run summary as text or JSON."""
-    options = options or ReportOptions()
-    if fmt == "json":
-        return _fill(_payload(summary, options, 0, _row_layouts(options, 0))) + "\n"
-    if fmt == "text":
-        return _render_text(summary, options)
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
-def render_sweep_report(summaries, options: ReportOptions | None = None,
-                        fmt: str = "text") -> str:
-    """Aggregate report over the summaries of ``run_orientation_sweep``, one
-    row per orientation, each labelled with its ``theta_deg``."""
-    options = options or ReportOptions()
-    if fmt == "json":
-        rows = _row_layouts(options, 2)
-        payloads = [{"theta_deg": _spell(summary.theta_deg), **_payload(summary, options, 2, rows)}
-                    for summary in summaries]
-        # Every orientation's object has the same keys: lay it out once.
-        template = _layout(payloads[0], 2)[0] if payloads else ""
-        orientations = []
-        for payload in payloads:
-            leaves = []
-            _mark(payload, leaves)
-            orientations.append(template % tuple(leaves))
-        return _fill({"orientations": orientations}) + "\n"
-    if fmt != "text":
-        raise ValueError(f"unknown report format {fmt!r}")
-    lines = [f"orientation sweep: {len(summaries)} runs"]
-    header = (
+def _sweep_lines(summaries, options: ReportOptions):
+    """The text sweep report's lines, without their newlines."""
+    yield f"orientation sweep: {len(summaries)} runs"
+    yield (
         f"{'theta':>7} {'status':<9} {'t_total':>8} {'max_slip':>9} "
         + " ".join(f"{'v_' + t:>8}" for t in options.tracks)
     )
-    lines.append(header)
     for summary in summaries:
         status = "ok" if summary.completed else ("abort" if summary.error else "stop")
         row = (f"{summary.theta_deg:>7.1f} {status:<9} {summary.total_time:>8.3f} "
                f"{summary.max_slip:>9.3g}")
         for name in options.tracks:
             row += f" {summary.tracks[_TRACK_INDEX[name]].mean_speed:>8.3f}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+        yield row
+
+
+def _batched(lines):
+    """``lines``, each ended by a newline, in pieces of ``_JOIN_ROWS`` lines."""
+    lines = iter(lines)
+    while batch := list(islice(lines, _JOIN_ROWS)):
+        yield "\n".join(batch) + "\n"
+
+
+def _json(skeleton):
+    """``skeleton`` laid out whole, in pieces, with the final newline."""
+    parts, leaves = _layout(skeleton, 0)
+    parts[-1] += "\n"
+    return _pieces(parts, leaves)
+
+
+def report_pieces(summary: RunSummary, options: ReportOptions | None = None,
+                  fmt: str = "text"):
+    """The text of ``render_report`` as an iterator of pieces, spelled as
+    they are taken; an unknown ``fmt`` is rejected before any is."""
+    options = options or ReportOptions()
+    if fmt == "json":
+        return _json(_payload(summary, options, 0, _row_layouts(options, 0)))
+    if fmt == "text":
+        return _batched(_text_lines(summary, options))
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
+def sweep_report_pieces(summaries, options: ReportOptions | None = None,
+                        fmt: str = "text"):
+    """The text of ``render_sweep_report`` as an iterator of pieces, as
+    ``report_pieces`` gives a run's."""
+    options = options or ReportOptions()
+    if fmt == "json":
+        rows = _row_layouts(options, 2)
+        payloads = [{"theta_deg": _spell(summary.theta_deg), **_payload(summary, options, 2, rows)}
+                    for summary in summaries]
+        # Every orientation's object has the same keys: lay it out once.
+        parts = _layout(payloads[0], 2)[0] if payloads else []
+        orientations = []
+        for payload in payloads:
+            leaves = []
+            _mark(payload, leaves)
+            orientations.append(_pieces(parts, leaves))
+        return _json({"orientations": orientations})
+    if fmt == "text":
+        return _batched(_sweep_lines(summaries, options))
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
+def render_report(summary: RunSummary, options: ReportOptions | None = None,
+                  fmt: str = "text") -> str:
+    """Render one run summary as text or JSON."""
+    return "".join(report_pieces(summary, options, fmt))
+
+
+def render_sweep_report(summaries, options: ReportOptions | None = None,
+                        fmt: str = "text") -> str:
+    """Aggregate report over the summaries of ``run_orientation_sweep``, one
+    row per orientation, each labelled with its ``theta_deg``."""
+    return "".join(sweep_report_pieces(summaries, options, fmt))

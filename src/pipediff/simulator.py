@@ -617,21 +617,21 @@ def _summarize(
         lows = highs = speeds
         max_slips = [0.0, 0.0, 0.0]
     else:
-        # Each gathered column is read once.  One track at a time: APE terms over
-        # the whole (n, 3) block raised the tracemalloc peak of a reference-run op
-        # from 1.30 to 1.46 MB.
-        v, v_theo = trace.v_disturbed, trace.v_theo
+        # Each gathered column is read once; the demands are gathered writable,
+        # to take their magnitudes in place.
+        v, demands = trace.v_disturbed, np.take(trace.speeds, trace.segment, axis=0)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in ``Trace.slip``
-            slips = np.subtract(v, v_theo)
+            slips = np.subtract(v, demands)
         np.abs(slips, out=slips)
         windows = [_window_sums(column, lo, hi) for column in v.T]
         # Per column: an axis-0 reduce over the (n, 3) block takes several times as long.
         max_slips = [float(slip.max()) for slip in slips.T] if n else [0.0, 0.0, 0.0]
-        for slip, demand in zip(slips.T, v_theo.T):
-            defined = demand != 0.0
-            terms = np.multiply(100.0, slip, out=np.zeros_like(slip), where=defined)
-            np.divide(terms, np.abs(demand), out=terms, where=defined)
-            windows.append(_window_sums(terms, lo, hi))
+        np.abs(demands, out=demands)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero demand: fixed up below
+            terms = np.divide(np.multiply(slips, 100.0, out=slips), demands, out=slips)
+        if not speeds.all():  # no APE for a zero demand; finite terms keep the limb sums
+            terms[demands == 0.0] = 0.0
+        windows += [_window_sums(column, lo, hi) for column in terms.T]
         sums = _sum3(np.concatenate(windows)).reshape(6, entered).T  # speed, then APE sums
         lows, highs, entries = speeds.copy(), speeds.copy(), first[first < last]
         lows[first < last] = np.minimum.reduceat(v, entries)

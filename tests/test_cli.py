@@ -6,13 +6,15 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipediff import TRACE_HEADER, PipeNetwork, cli, render_sweep_report
+from pipediff import TRACE_HEADER, PipeNetwork, cli, render_report, render_sweep_report, report
+from pipediff import run as simulate
 from pipediff.cli import main
 
 from conftest import REFERENCE_SCN, REPO_ROOT
@@ -464,7 +466,7 @@ def test_the_reports_are_the_tick_stepper_s(argv, oracle, reference_scenario, ca
     ("run", ["run", str(REFERENCE_SCN)]),
     ("run_orientation_sweep", ["sweep", str(REFERENCE_SCN), "--theta-steps", "2"]),
     ("write_trace", ["run", str(REFERENCE_SCN), "--trace", "trace.csv"]),
-    ("render_report", ["run", str(REFERENCE_SCN), "--format", "json"]),
+    ("report_pieces", ["run", str(REFERENCE_SCN), "--format", "json"]),
 ], ids=["run", "sweep", "trace", "report"])
 @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 EiB for an array"])
 def test_out_of_memory_exits_two_with_an_error_line(target, argv, message, capsys, monkeypatch):
@@ -477,6 +479,35 @@ def test_out_of_memory_exits_two_with_an_error_line(target, argv, message, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory" + (f": {message}" if message else "") + "\n"
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_the_trace_is_released_before_the_report_is_spelled(traced, reference_scenario, tmp_path,
+                                                            capsys, monkeypatch):
+    # The report reads the summary alone: the trace, written or not asked
+    # for, is gone before the first report piece is spelled.
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    traces, alive = [], []
+
+    def run(*args):
+        trace, summary = simulate(*args)
+        traces.append(weakref.ref(trace))
+        return trace, summary
+
+    def report_pieces(*args, **kwargs):
+        def pieces():
+            alive.append(traces[0]() is not None)
+            yield from report.report_pieces(*args, **kwargs)
+        return pieces()
+
+    monkeypatch.setattr(cli, "run", run)
+    monkeypatch.setattr(cli, "report_pieces", report_pieces)
+    trace = ["--trace", str(tmp_path / "trace.csv")] if traced else []
+    assert main(["run", str(REFERENCE_SCN), "--format", "json", *trace]) == 0
+    assert alive == [False]
+    sc = reference_scenario
+    _, summary = simulate(sc.network, sc.robot, sc.gear, sc.sim)
+    assert capsys.readouterr().out == render_report(summary, sc.report, fmt="json")
 
 
 def _child_env() -> dict:

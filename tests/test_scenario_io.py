@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -5,6 +6,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 from unittest import mock
@@ -687,8 +689,9 @@ class TestFieldFormatter:
         assert declined_blocks(self.three_chunks_with(value)) == []
 
 
-def many_segment_scenario(seed: int, amplitude: float) -> str:
-    """A seeded planar network of 200 short alternating straights and bends.
+def many_segment_scenario(seed: int, amplitude: float, segments: int = 200) -> str:
+    """A seeded planar network of ``segments`` short alternating straights
+    and bends.
 
     At dt = 0.2 s and 35 mm/s each segment holds 6 to 39 records, so
     one 512-row chunk of the trace CSV crosses dozens of segment boundaries.
@@ -697,7 +700,7 @@ def many_segment_scenario(seed: int, amplitude: float) -> str:
     """
     rng = random.Random(seed)
     lines = ["[pipe]", "inner_radius = 13.2", "start_tangent = 0 0 1", "default_normal = 0 1 0"]
-    for k in range(200):
+    for k in range(segments):
         lines.append("[segment]")
         if k % 2 == 0:
             lines += ["type = straight", f"length = {rng.uniform(40.0, 120.0):.3f}"]
@@ -860,6 +863,36 @@ class TestReports:
         _, summary = reference_run
         with pytest.raises(ValueError, match="unknown report format 'xml'"):
             render_sweep_report([summary], fmt="xml")
+
+    def test_an_unknown_format_is_rejected_before_a_piece_is_spelled(self, reference_run):
+        # So a writer never opens its output for a format that fails.
+        _, summary = reference_run
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            report.report_pieces(summary, fmt="xml")
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            report.sweep_report_pieces([summary], fmt="xml")
+
+    def test_the_json_pieces_of_a_long_run_hold_under_half_its_report(self):
+        # 1,000 segments: the rows are spelled 128 at a time, so taking the
+        # pieces one by one holds a fraction of the report, where the joined
+        # text holds every piece and the whole text at once.
+        sc = parse_scenario(many_segment_scenario(5, 0.0, segments=1000))
+        _, summary = run(sc.network, sc.robot, sc.gear, sc.sim)
+        assert summary.completed and len(summary.segments.index) == 1000
+        length = len(render_report(summary, sc.report, fmt="json"))
+
+        def peak(spell):
+            tracemalloc.start()
+            try:
+                spell()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        streamed = peak(lambda: collections.deque(
+            report.report_pieces(summary, sc.report, "json"), maxlen=0))
+        joined = peak(lambda: render_report(summary, sc.report, fmt="json"))
+        assert streamed < length / 2 < 2 * length < joined
 
     def test_text_report_names_a_t_max_stop(self, reference_scenario):
         sc = reference_scenario

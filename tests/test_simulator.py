@@ -651,6 +651,21 @@ class TestSummaryEdges:
         assert len(trace) == 21 and not summary.completed and summary.stop_reason is None
         assert summary.error == "stalled: mean track speed 0 mm/s is not positive"
 
+    def test_a_disturbed_track_whose_demand_is_zero_has_no_ape(self):
+        # The smallest subnormal nominal speed: in a 14 mm bend of a 13.2 mm
+        # pipe track A's path radius is 0.8 mm, and its demand rounds to 0.
+        net = PipeNetwork(PipeSpec(inner_radius=13.2), (Bend(14.0, 90.0, Y),))
+        robot = RobotConfig(sprocket_radius=1.0, length=10.0, nominal_body_radius=13.2,
+                            preload_compression=1.0, max_tilt_deg=45.0)
+        params = SimParams(omega_u=5e-324, dt=1e300, t_max=1e303,
+                           disturbance_amplitude=0.5, disturbance_seed=0)
+        trace, summary = self.check(net, robot, GearTrainConfig(), params)
+        assert len(trace) == 1001 and summary.stop_reason == "t_max"
+        assert trace.speeds[0, 0] == 0.0 and trace.speeds[0, 1:].all()
+        assert summary.segments.ape[0] == (None,)
+        assert summary.tracks[0].max_ape is None
+        assert all(track.max_ape > 0.0 for track in summary.tracks[1:])
+
     def test_a_segment_whose_window_holds_no_record_averages_all_of_them(
         self, reference_scenario
     ):

@@ -11,12 +11,13 @@ import argparse
 import functools
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .errors import PipeClimbError, ScenarioParseError
-from .report import report_pieces, sweep_report_pieces, write_trace
+from .report import report_pieces, sweep_report_pieces, trace_writer
 from .scenario import Scenario, load_scenario
-from .simulator import run, run_orientation_sweep
+from .simulator import fold_run, run_orientation_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -135,12 +136,9 @@ def main(argv=None) -> int:
     inputs = (scenario.network, scenario.robot, scenario.gear, scenario.sim)
     try:
         if args.command == "run":
-            trace, summary = run(*inputs)
-            if args.trace:
-                write_trace(trace, args.trace)
-            del trace  # written or not asked for: the report does not read it
-            summaries = [summary]
-            pieces = report_pieces(summary, scenario.report, fmt=args.format)
+            with trace_writer(args.trace) if args.trace else nullcontext() as keep:
+                summaries = [fold_run(*inputs, keep)]
+            pieces = report_pieces(summaries[0], scenario.report, fmt=args.format)
         else:
             summaries = run_orientation_sweep(*inputs, args.theta_steps)
             pieces = sweep_report_pieces(summaries, scenario.report, fmt=args.format)

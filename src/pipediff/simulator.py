@@ -33,12 +33,14 @@ kept position), and the disturbance takes one row of draws per record in
 the generator's stream order.  Independent runs share nothing and may
 execute in parallel.
 
-The summary's window means and APE are correctly rounded too.  An
-undisturbed window holds ``count`` records at its segment's demands, so its
-sum is the one product ``count * demand``, and no record slips.  A disturbed
-run's ``_window_sums`` sums fixed-exponent integer limbs exactly and
-``_sum3`` rounds them once, which gives what ``math.fsum`` gives of each
-window.  Per-segment rows are gathered to the records once, with ``np.take``.
+Each block is folded into the summary (``_Fold``), whose window means and
+APE are correctly rounded too.  An undisturbed window holds ``count``
+records at its segment's demands, so its sum is the one product ``count *
+demand``, and no record slips.  A disturbed block's ``_window_sums`` sums
+fixed-exponent integer limbs exactly and ``_sum3`` rounds those of a window
+it holds whole once, as ``math.fsum`` does; a window that goes on carries its
+exact pieces (``_compact``), or under the guard its values, to the next block.
+Per-segment rows are gathered to the records once, with ``np.take``.
 """
 
 import math
@@ -126,6 +128,8 @@ class TraceRecord:
 
 # The per-record columns of a ``Trace``, in trace CSV order.
 TRACE_COLUMNS = ("t", "s", "segment", "v", "v_theo", "compression", "slip", "distance")
+# The columns that a ``Trace`` stores per record, ``v_disturbed`` when disturbed.
+_MOVING = ("t", "s", "segment", "distance", "v_disturbed")
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
@@ -182,8 +186,7 @@ class Trace:
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            moving = ("t", "s", "segment", "distance", "v_disturbed")
-            return replace(self, **{name: getattr(self, name)[key] for name in moving
+            return replace(self, **{name: getattr(self, name)[key] for name in _MOVING
                                     if getattr(self, name) is not None})
         j = range(len(self))[key]
         return next(iter(self[j:j + 1]))
@@ -400,7 +403,7 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
     return guess, located, means, v, positions, _running_sums(distance, v * dt)
 
 
-def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
     """A (windows, 3) block whose ``_sum3`` is ``math.fsum(column[a:b])`` for
     each window ``a, b`` of ``lo`` and ``hi``, bit for bit.  From the top down,
     each value is cut exactly into three limbs ``q * 2**b``, ``q`` an integer
@@ -408,7 +411,7 @@ def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     and Hida, "Accurate and efficient floating point summation", SIAM J. Sci.
     Comput. 25(4), 2003).  Any sum of n such ``q`` is an integer below
     ``2**53``, so ``np.add.reduceat`` forms each window's limb sums exactly.
-    The guard's rows are ``(fsum, -0.0, -0.0)``, exact when finite."""
+    None where the guard finds that the limbs cannot hold the column."""
     n = len(column)
     width = 53 - (n + 1).bit_length()
     magnitudes = np.abs(column)
@@ -423,9 +426,7 @@ def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     # Inside it every scaling is exact and no sum here or in ``_sum3`` reaches 2**1024.
     if not (top < math.inf and limbs <= 3 and e_hi - limbs * width >= -1022
             and e_hi - width <= 969):
-        values = column.tolist()  # x + -0.0 is x, for x = -0.0 too
-        return np.array([(math.fsum(values[a:b]), -0.0, -0.0)
-                         for a, b in zip(lo.tolist(), hi.tolist())]).reshape(-1, 3)
+        return None
     # Even bounds open the windows; the 0 past the last value lets a bound be n.
     bounds = np.array((lo, hi)).T.ravel()
     limb = np.zeros(n + 1)
@@ -440,23 +441,162 @@ def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return terms * np.multiply.outer(lo < hi, scales)
 
 
-def run(
-    net: PipeNetwork,
-    robot: RobotConfig,
-    gear: GearTrainConfig,
-    params: SimParams,
-) -> tuple[Trace, RunSummary]:
+def _compact(pieces: list) -> list:
+    """A few floats whose sum is exactly that of the finite floats ``pieces``:
+    their ``math.fsum``, then the ``math.fsum`` of what that leaves, and so on
+    until nothing is left.  Each is below the last's rounding error."""
+    parts = []
+    while rest := math.fsum(pieces + [-part for part in parts]):
+        parts.append(rest)
+    return parts
+
+
+class _Fold:
+    """A run's summary, folded from its blocks in time order.  Per segment it
+    counts the records and those in the window (``a <= s <= b``), and in a
+    disturbed run keeps the min and max speeds and the exact terms of the
+    sums of the speeds and APE terms over the window and the whole segment
+    (the fallback for an empty window), which ``summary`` rounds."""
+
+    def __init__(self, net: PipeNetwork, robot: RobotConfig, params: SimParams, plan: _Plan):
+        self.net, self.robot, self.params, self.plan = net, robot, params, plan
+        m = len(plan.speeds)
+        starts, spans = net.starts[:m], net.lengths[:m]
+        self.edges = starts + WINDOW_MARGIN * spans, starts + (1.0 - WINDOW_MARGIN) * spans
+        self.counts, self.windows, self.distances = np.zeros(m, int), np.zeros(m, int), [0.0] * 3
+        self.max_slips, self.open, self.carry = np.zeros(3), -1, None
+        if params.disturbance_amplitude > 0.0:
+            self.terms, self.lows, self.highs = (np.zeros((m, 2, 6, 3)), np.full((m, 3), math.inf),
+                                                 np.full((m, 3), -math.inf))
+
+    def add(self, block: Trace) -> None:
+        """Fold in the records, at least one, after those of the blocks before."""
+        segment, lo, hi = block.segment, int(block.segment[0]), int(block.segment[-1]) + 1
+        ends = np.searchsorted(segment, np.arange(lo, hi + 1))  # each segment's first record
+        first, last = ends[:-1], ends[1:]
+        wlo = np.maximum(first, np.minimum(np.searchsorted(block.s, self.edges[0][lo:hi]), last))
+        whi = np.maximum(first, np.minimum(np.searchsorted(block.s, self.edges[1][lo:hi],
+                                                           side="right"), last))
+        self.counts[lo:hi] += last - first
+        self.windows[lo:hi] += whi - wlo
+        self.distances = block.distance[-1].tolist()
+        if block.v_disturbed is None:  # undisturbed, the counts are all the summary needs
+            return
+        # The tracks as rows, each contiguous.  Each gathered column is read once;
+        # the demands are gathered writable, to take their magnitudes in place.
+        v = np.ascontiguousarray(block.v_disturbed.T)
+        demands = np.take(block.speeds.T, segment, axis=1)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in ``Trace.slip``
+            slips = np.subtract(v, demands)
+        np.abs(slips, out=slips)
+        self.max_slips = np.maximum(self.max_slips, slips.max(axis=1))
+        np.abs(demands, out=demands)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero demand: fixed up below
+            terms = np.divide(np.multiply(slips, 100.0, out=slips), demands, out=slips)
+        if not block.speeds.all():  # no APE for a zero demand; finite terms keep the limb sums
+            terms[demands == 0.0] = 0.0
+        # Only the first and last segments here surely hold records; the others'
+        # extremes are a later record's, and the summary takes the plan's.
+        lows, highs = self.lows[lo:hi], self.highs[lo:hi]
+        np.minimum(lows, np.minimum.reduceat(v, first, axis=1).T, out=lows)
+        np.maximum(highs, np.maximum.reduceat(v, first, axis=1).T, out=highs)
+        # One ``_window_sums`` for the speeds and one for the APE terms, each
+        # over its tracks end to end: per track every window, then every segment.
+        n, k = len(block), hi - lo
+        bounds = (np.array(((wlo, first), (whi, last)))[:, None] + n * np.arange(3)[:, None, None])
+        rows, parts = [], []
+        for column in (v.ravel(), terms.ravel()):
+            limbs = _window_sums(column, *bounds.reshape(2, -1))
+            if limbs is None:  # the guard: each window's values, which are exact
+                values = column.tolist()  # x + -0.0 is x, for x = -0.0 too
+                parts.append([values[i:j] for i, j in bounds.reshape(2, -1).T.tolist()])
+                limbs = np.array([(math.fsum(p), -0.0, -0.0) for p in parts[-1]]).reshape(-1, 3)
+            else:
+                parts.append(limbs.tolist())
+            rows.append(limbs)
+        # Exact terms, which the summary rounds: (segment, window or whole, column, 3).
+        self.terms[lo:hi] = np.concatenate(rows).reshape(6, 2, k, 3).transpose(2, 1, 0, 3)
+        # The exact pieces of the first and last segments' sums, by column and window.
+        head, tail = ([[parts[c // 3][2 * k * (c % 3) + w * k + j] for w in (0, 1)]
+                       for c in range(6)] for j in (0, k - 1))
+        if self.open == lo:  # the last segment of the block before goes on here
+            head = [[_compact(p + q) for p, q in zip(*pair)] for pair in zip(self.carry, head)]
+            self.terms[lo] = 0.0
+            self.terms[lo, :, :, 0] = np.array([[math.fsum(p) for p in row] for row in head]).T
+        self.open, self.carry = hi - 1, head if k == 1 else tail
+
+    def summary(self, entered: int, v_nominal: float, completed: bool, stop_reason: str | None,
+                error: str | None) -> RunSummary:
+        """Summarise the run and, as columns, the ``entered`` segments.  An
+        undisturbed window's sum ``count * demand`` rounds the exact sum once
+        (``count < 2**53`` by ``MAX_RECORDS``)."""
+        net, robot, params, plan = self.net, self.robot, self.params, self.plan
+        # A segment is entered at its first record and left at the first record
+        # of any later segment, or at the run's last record.  Record k is at k * dt.
+        bounds = np.concatenate(([0], np.cumsum(self.counts[:entered])))
+        times = (np.maximum(np.minimum(bounds, bounds[-1] - 1), 0) * params.dt).tolist()
+        # A window that holds no record falls back to the whole segment.
+        whole = self.windows[:entered] == 0
+        counts = np.where(whole, self.counts[:entered], self.windows[:entered])[:, None]
+        speeds = plan.speeds[:entered]
+        if params.disturbance_amplitude == 0.0:  # every record moves at its segment's demands
+            sums = np.hstack((counts * speeds, np.zeros((entered, 3))))  # speed, then APE sums
+            lows = highs = speeds
+        else:
+            sums = _sum3(self.terms[:entered].reshape(-1, 3)).reshape(entered, 2, 6)
+            sums = np.where(whole[:, None], sums[:, 1], sums[:, 0])
+            lows = np.where(counts > 0, self.lows[:entered], speeds)
+            highs = np.where(counts > 0, self.highs[:entered], speeds)
+        ape_counts = np.where(speeds != 0.0, counts, 0)
+        # A segment without records has the plan's speeds and no APE.
+        means = np.where(counts > 0, sums[:, :3] / np.maximum(counts, 1), speeds)
+        apes = np.where(ape_counts > 0, sums[:, 3:] / np.maximum(ape_counts, 1), None)
+        compressions, tilts = plan.compressions[:entered].max(axis=1), plan.max_tilt_deg[:entered]
+        segments = SegmentColumns(
+            index=tuple(range(entered)),
+            kind=tuple(f"bend {seg.sweep_deg:g}deg" if isinstance(seg, Bend) else "straight"
+                       for seg in net.segments[:entered]),
+            length=tuple(net.lengths[:entered].tolist()), entry_time=tuple(times[:-1]),
+            exit_time=tuple(times[1:]),
+            # Per track: each (m, 3) block as three tuples of m values.
+            **{name: tuple(map(tuple, rows.T.tolist())) for name, rows in zip(
+                ("mean_speeds", "min_speeds", "max_speeds", "ape"), (means, lows, highs, apes))},
+            max_compression=tuple(compressions.tolist()), max_tilt_deg=tuple(tilts.tolist()),
+            compression_headroom_mm=tuple((robot.max_compression - compressions).tolist()),
+            tilt_headroom_deg=tuple((robot.max_tilt_deg - tilts).tolist()),
+        )
+
+        total_time, max_slips, tracks = times[-1], self.max_slips.tolist(), []
+        for name, distance, max_slip, ape in zip(TRACK_NAMES, self.distances, max_slips,
+                                                 segments.ape):
+            mean_speed = distance / total_time if total_time > 0.0 else 0.0
+            worst_ape = max([value for value in ape if value is not None], default=None)
+            tracks.append(TrackTotals(name, distance, mean_speed, max_slip, worst_ape))
+
+        total = net.total_length
+        effective = total - robot.length if total >= robot.length else None
+        return RunSummary(
+            completed=completed, stop_reason=stop_reason, error=error, total_time=total_time,
+            total_length=total, effective_path=effective, nominal_speed=v_nominal,
+            theta_deg=params.theta_deg, dt=params.dt,
+            disturbance_amplitude=params.disturbance_amplitude,
+            disturbance_seed=params.disturbance_seed, max_slip=max(max_slips),
+            max_compression=max(segments.max_compression, default=0.0),
+            segments=segments, tracks=tuple(tracks),
+        )
+
+
+def fold_run(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: SimParams,
+             keep=None) -> RunSummary:
     """Simulate until the network end, ``t_max``, or an abort; return the
-    ``Trace`` and its ``RunSummary``.
-
-    A no-fit, infeasible-constraint or float-range abort keeps the partial
-    trace and records the cause in the summary instead of raising.  It falls
-    on the step that enters the first impassable segment, before its record.
-
-    Raises:
-        InvalidScenarioError: the network recorded violations when it was
-            built, or the nominal track speed is not finite and positive.
+    ``RunSummary``.  Each block of records is folded into it, then handed to
+    ``keep`` as a ``Trace`` (an empty one first, once the run is planned) or
+    dropped.  A no-fit, infeasible-constraint or float-range abort falls on
+    the step that enters the first impassable segment, before its record,
+    and is recorded in the summary.  Raises ``InvalidScenarioError`` if the
+    network recorded violations or the nominal speed is not finite and positive.
     """
+    keep = keep or (lambda block: None)
     if net.violations:
         raise InvalidScenarioError(
             "network invalid: " + "; ".join(str(v) for v in net.violations)
@@ -479,13 +619,12 @@ def run(
     # that holds every segment.
     end = min(total, float(starts[passable]))
 
-    # Each column's parts start with an empty array, so that a run without records
-    # still joins to columns of the right shape; they are dropped as they are joined.
     # An undisturbed record's speeds are its segment's, which the trace gathers.
-    parts = {"t": [np.empty(0)], "s": [np.empty(0)], "segment": [np.empty(0, dtype=int)],
-             "distance": [np.empty((0, 3))]}
-    if rng is not None:
-        parts["v_disturbed"] = [np.empty((0, 3))]
+    empty = Trace(np.empty(0), np.empty(0), np.empty(0, dtype=int), params.theta_deg,
+                  np.empty((0, 3)), plan.speeds, plan.compressions,
+                  None if rng is None else np.empty((0, 3)))
+    keep(empty)
+    fold = _Fold(net, robot, params, plan)
     draws = np.empty((0, 3))  # disturbance draws not used yet, in stream order
     s, k, distance = 0.0, 0, np.zeros(3)
     completed, stop_reason, error = False, None, None
@@ -517,10 +656,10 @@ def run(
         stopped = hits.size > 0 and hits[0] < n
         if stopped:
             n = int(hits[0]) + 1
-        for name, column in (("t", t), ("s", positions), ("segment", segment),
-                             ("distance", distances), ("v_disturbed", v)):
-            if name in parts:
-                parts[name].append(column[:n])
+        block = replace(empty, t=t[:n], s=positions[:n], segment=segment[:n],
+                        distance=distances[:n], v_disturbed=None if rng is None else v[:n])
+        fold.add(block)
+        keep(block)
         draws = draws[n:]
         if stopped:
             index = int(segment[n - 1])
@@ -539,30 +678,31 @@ def run(
         k += n
 
     # Segments up to the last one entered are summarised, never an impassable one.
-    entered = min(index + 1, passable)
-    columns = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
-    trace = Trace(**columns, theta_deg=params.theta_deg, speeds=plan.speeds,
-                  compressions=plan.compressions)
-    summary = _summarize(
-        net, robot, params, plan, entered, trace, completed, stop_reason, error, v_nominal
-    )
-    return trace, summary
+    return fold.summary(min(index + 1, passable), v_nominal, completed, stop_reason, error)
 
 
-def run_orientation_sweep(
-    net: PipeNetwork,
-    robot: RobotConfig,
-    gear: GearTrainConfig,
-    params: SimParams,
-    steps: int,
-) -> list[RunSummary]:
+def run(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig,
+        params: SimParams) -> tuple[Trace, RunSummary]:
+    """``fold_run``'s ``RunSummary`` and its records, joined into a ``Trace``:
+    the partial trace of a run that aborts; raises as ``fold_run``."""
+    blocks = []
+    summary = fold_run(net, robot, gear, params, blocks.append)
+    empty, parts = blocks[0], {name: [getattr(block, name) for block in blocks]
+                               for name in _MOVING if getattr(blocks[0], name) is not None}
+    del blocks  # each column's parts are dropped as they are joined
+    return replace(empty, **{name: np.concatenate(parts.pop(name)) for name in list(parts)}), summary
+
+
+def run_orientation_sweep(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig,
+                          params: SimParams, steps: int) -> list[RunSummary]:
     """Run ``steps`` evenly spaced roll orientations over a full turn and
     return one summary per orientation, whose ``theta_deg`` is its roll.
 
     Summaries come back in orientation order.  Orientation k uses seed
     ``base_seed + k``, whether or not a disturbance is active, so disturbed
-    runs stay independent yet reproducible.  Each run's trace is dropped as
-    soon as it is summarised, so the sweep holds one trace at a time.
+    runs stay independent yet reproducible.  Each run is ``fold_run``'s: its
+    blocks are folded into its summary and dropped, so the sweep holds one
+    block at a time, however many records its runs form.
     """
     if steps < 1:
         raise ValueError("at least one orientation required")
@@ -570,115 +710,5 @@ def run_orientation_sweep(
     for k in range(steps):
         oriented = replace(params, theta_deg=k * 360.0 / steps,
                            disturbance_seed=params.disturbance_seed + k)
-        summaries.append(run(net, robot, gear, oriented)[1])
+        summaries.append(fold_run(net, robot, gear, oriented))
     return summaries
-
-
-def _summarize(
-    net: PipeNetwork,
-    robot: RobotConfig,
-    params: SimParams,
-    plan: _Plan,
-    entered: int,
-    trace: Trace,
-    completed: bool,
-    stop_reason: str | None,
-    error: str | None,
-    v_nominal: float,
-) -> RunSummary:
-    """Summarise the run and, as columns, the ``entered`` segments, with numpy.
-    Means and APE are correctly rounded, bit for bit what ``math.fsum`` gives
-    of each window.  An undisturbed run is summarised per segment, with no
-    per-record work: a window's sum is ``count * demand``, one rounding of
-    the exact sum of ``count`` equal values (``count < 2**53`` by
-    ``MAX_RECORDS``), and every slip and APE term is 0.  A disturbed run's
-    ``_window_sums`` cuts every window of a column into limb terms and one
-    ``_sum3`` rounds the windows of all six columns."""
-    # Segment indices and positions never decrease along a trace, so each
-    # segment's records are one contiguous slice, empty for a segment that a
-    # single step crossed whole, and so are the records in its window.
-    n = len(trace)
-    bounds = np.searchsorted(trace.segment, np.arange(entered + 1))
-    first, last = bounds[:-1], bounds[1:]
-    # A segment is entered at its first record and left at the first record
-    # of any later segment, or at the run's last record.
-    times = trace.t[np.minimum(bounds, n - 1)].tolist() if n else [0.0] * (entered + 1)
-    starts, spans = net.starts[:entered], net.lengths[:entered]
-    lo = np.searchsorted(trace.s, starts + WINDOW_MARGIN * spans)
-    hi = np.searchsorted(trace.s, starts + (1.0 - WINDOW_MARGIN) * spans, side="right")
-    lo, hi = np.clip(lo, first, last), np.clip(hi, first, last)
-    # A window that holds no record falls back to the whole segment.
-    lo, hi = np.where(lo < hi, lo, first), np.where(lo < hi, hi, last)
-    counts = (hi - lo)[:, None]  # 0 only for a segment without records
-    # A window lies inside one segment, whose demand is every record's v_theo.
-    speeds = plan.speeds[:entered]
-    if trace.v_disturbed is None:  # every record moves at its segment's demands
-        sums = np.hstack((counts * speeds, np.zeros((entered, 3))))  # speed, then APE sums
-        lows = highs = speeds
-        max_slips = [0.0, 0.0, 0.0]
-    else:
-        # Each gathered column is read once; the demands are gathered writable,
-        # to take their magnitudes in place.
-        v, demands = trace.v_disturbed, np.take(trace.speeds, trace.segment, axis=0)
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in ``Trace.slip``
-            slips = np.subtract(v, demands)
-        np.abs(slips, out=slips)
-        windows = [_window_sums(column, lo, hi) for column in v.T]
-        # Per column: an axis-0 reduce over the (n, 3) block takes several times as long.
-        max_slips = [float(slip.max()) for slip in slips.T] if n else [0.0, 0.0, 0.0]
-        np.abs(demands, out=demands)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero demand: fixed up below
-            terms = np.divide(np.multiply(slips, 100.0, out=slips), demands, out=slips)
-        if not speeds.all():  # no APE for a zero demand; finite terms keep the limb sums
-            terms[demands == 0.0] = 0.0
-        windows += [_window_sums(column, lo, hi) for column in terms.T]
-        sums = _sum3(np.concatenate(windows)).reshape(6, entered).T  # speed, then APE sums
-        lows, highs, entries = speeds.copy(), speeds.copy(), first[first < last]
-        lows[first < last] = np.minimum.reduceat(v, entries)
-        highs[first < last] = np.maximum.reduceat(v, entries)
-    ape_counts = np.where(speeds != 0.0, counts, 0)
-    # A segment without records has the plan's speeds and no APE.
-    means = np.where(counts > 0, sums[:, :3] / np.maximum(counts, 1), speeds)
-    apes = np.where(ape_counts > 0, sums[:, 3:] / np.maximum(ape_counts, 1), None)
-    compressions, tilts = plan.compressions[:entered].max(axis=1), plan.max_tilt_deg[:entered]
-    segments = SegmentColumns(
-        index=tuple(range(entered)),
-        kind=tuple(f"bend {seg.sweep_deg:g}deg" if isinstance(seg, Bend) else "straight"
-                   for seg in net.segments[:entered]),
-        length=tuple(spans.tolist()), entry_time=tuple(times[:-1]), exit_time=tuple(times[1:]),
-        # Per track: each (m, 3) block as three tuples of m values.
-        mean_speeds=tuple(map(tuple, means.T.tolist())),
-        min_speeds=tuple(map(tuple, lows.T.tolist())),
-        max_speeds=tuple(map(tuple, highs.T.tolist())), ape=tuple(map(tuple, apes.T.tolist())),
-        max_compression=tuple(compressions.tolist()), max_tilt_deg=tuple(tilts.tolist()),
-        compression_headroom_mm=tuple((robot.max_compression - compressions).tolist()),
-        tilt_headroom_deg=tuple((robot.max_tilt_deg - tilts).tolist()),
-    )
-
-    total_time = float(trace.t[-1]) if n else 0.0
-    distances = trace.distance[-1].tolist() if n else [0.0, 0.0, 0.0]
-    tracks = []
-    for name, distance, max_slip, ape in zip(TRACK_NAMES, distances, max_slips, segments.ape):
-        mean_speed = distance / total_time if total_time > 0.0 else 0.0
-        worst_ape = max([value for value in ape if value is not None], default=None)
-        tracks.append(TrackTotals(name, distance, mean_speed, max_slip, worst_ape))
-
-    total = net.total_length
-    effective = total - robot.length if total >= robot.length else None
-    return RunSummary(
-        completed=completed,
-        stop_reason=stop_reason,
-        error=error,
-        total_time=total_time,
-        total_length=total,
-        effective_path=effective,
-        nominal_speed=v_nominal,
-        theta_deg=params.theta_deg,
-        dt=params.dt,
-        disturbance_amplitude=params.disturbance_amplitude,
-        disturbance_seed=params.disturbance_seed,
-        max_slip=max(max_slips),
-        max_compression=max(segments.max_compression, default=0.0),
-        segments=segments,
-        tracks=tuple(tracks),
-    )

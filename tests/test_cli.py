@@ -1,10 +1,13 @@
 import contextlib
+import hashlib
+import importlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipediff import TRACE_HEADER, PipeNetwork, cli, render_report, render_sweep_report, report
+from pipediff import (TRACE_HEADER, PipeNetwork, cli, load_scenario, render_report,
+                      render_sweep_report, render_trace, report, simulator)
 from pipediff import run as simulate
 from pipediff.cli import main
 
@@ -463,9 +467,9 @@ def test_the_reports_are_the_tick_stepper_s(argv, oracle, reference_scenario, ca
 
 
 @pytest.mark.parametrize("target, argv", [
-    ("run", ["run", str(REFERENCE_SCN)]),
+    ("fold_run", ["run", str(REFERENCE_SCN)]),
     ("run_orientation_sweep", ["sweep", str(REFERENCE_SCN), "--theta-steps", "2"]),
-    ("write_trace", ["run", str(REFERENCE_SCN), "--trace", "trace.csv"]),
+    ("trace_writer", ["run", str(REFERENCE_SCN), "--trace", "trace.csv"]),
     ("report_pieces", ["run", str(REFERENCE_SCN), "--format", "json"]),
 ], ids=["run", "sweep", "trace", "report"])
 @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 EiB for an array"])
@@ -484,30 +488,129 @@ def test_out_of_memory_exits_two_with_an_error_line(target, argv, message, capsy
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 def test_the_trace_is_released_before_the_report_is_spelled(traced, reference_scenario, tmp_path,
                                                             capsys, monkeypatch):
-    # The report reads the summary alone: the trace, written or not asked
-    # for, is gone before the first report piece is spelled.
+    # The command line holds one block of records at a time: each is
+    # written or dropped, and all are gone before the first report piece is
+    # spelled.  Without ``--trace`` no block leaves the run.
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-    traces, alive = [], []
+    blocks, alive = [], []
 
-    def run(*args):
-        trace, summary = simulate(*args)
-        traces.append(weakref.ref(trace))
-        return trace, summary
+    def fold_run(*args):
+        *inputs, keep = args
+        assert (keep is not None) == traced
+
+        def watched(block):
+            blocks.append(weakref.ref(block))
+            if keep is not None:
+                keep(block)
+        return simulator.fold_run(*inputs, watched)
 
     def report_pieces(*args, **kwargs):
         def pieces():
-            alive.append(traces[0]() is not None)
+            alive.append(any(block() is not None for block in blocks))
             yield from report.report_pieces(*args, **kwargs)
         return pieces()
 
-    monkeypatch.setattr(cli, "run", run)
+    monkeypatch.setattr(cli, "fold_run", fold_run)
     monkeypatch.setattr(cli, "report_pieces", report_pieces)
     trace = ["--trace", str(tmp_path / "trace.csv")] if traced else []
     assert main(["run", str(REFERENCE_SCN), "--format", "json", *trace]) == 0
-    assert alive == [False]
+    assert alive == [False] and len(blocks) == 3  # the empty block, then two of records
     sc = reference_scenario
-    _, summary = simulate(sc.network, sc.robot, sc.gear, sc.sim)
+    whole, summary = simulate(sc.network, sc.robot, sc.gear, sc.sim)
     assert capsys.readouterr().out == render_report(summary, sc.report, fmt="json")
+    if traced:
+        assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == render_trace(whole)
+
+
+class TestTraceFile:
+    """``run --trace`` writes each block as it is stepped, so the file is
+    open before the run ends; these pin what a failed run leaves of it."""
+
+    def test_a_run_that_raises_before_its_first_record_makes_no_file(self, tmp_path,
+                                                                     reference_text, capsys):
+        trace = tmp_path / "t.csv"
+        scenario = _fast(tmp_path, reference_text, "1e308", "1e10")
+        assert main(["run", scenario, "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == (
+            "error: nominal track speed must be finite and positive, got inf mm/s\n")
+        assert not trace.exists()
+
+    def test_a_plan_abort_writes_the_header_alone(self, tmp_path, reference_text, capsys):
+        # The three straight speeds sum past the float range: the plan keeps no segment.
+        trace = tmp_path / "t.csv"
+        assert main(["run", _fast(tmp_path, reference_text, "1e307"), "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == (
+            "error: track speeds exceed the float range at nominal speed 1.75e+308 mm/s\n")
+        assert trace.read_text(encoding="utf-8") == TRACE_HEADER + "\n"
+
+    def test_a_later_abort_leaves_the_partial_trace(self, no_fit_scenario, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert main(["run", no_fit_scenario, "--trace", str(trace)]) == 2
+        sc = load_scenario(no_fit_scenario)
+        records, summary = simulate(sc.network, sc.robot, sc.gear, sc.sim)
+        assert len(records) > 0 and summary.error
+        assert capsys.readouterr().err == f"error: {summary.error}\n"
+        assert trace.read_text(encoding="utf-8") == render_trace(records)
+
+
+def _pinned_digests(monkeypatch) -> dict:
+    """The benchmark's SHA-256 of the reference ``run --trace`` CSV, by roll."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    return importlib.import_module("workloads").REF_TRACE_SHA256
+
+
+@pytest.mark.parametrize("block_rows", [3, 50, simulator.BLOCK_ROWS])
+class TestStreamedTrace:
+    """The trace written block by block, in blocks of any size, is the one
+    ``render_trace`` spells of the whole run's ``Trace``."""
+
+    @pytest.mark.parametrize("amplitude", ["0.0", "0.025"])
+    @pytest.mark.parametrize("theta", ["0", "37.5"])
+    def test_it_is_render_trace_s(self, block_rows, amplitude, theta, tmp_path, reference_text,
+                                  monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        scenario = write_scenario(tmp_path, reference_text.replace(
+            "disturbance_amplitude = 0.0", f"disturbance_amplitude = {amplitude}"))
+        sc = load_scenario(scenario)
+        whole, _ = simulate(sc.network, sc.robot, sc.gear, replace(sc.sim, theta_deg=float(theta)))
+        expected = render_trace(whole).encode()
+        monkeypatch.setattr(simulator, "BLOCK_ROWS", block_rows)
+        trace = tmp_path / "t.csv"
+        assert main(["run", scenario, "--theta", theta, "--trace", str(trace),
+                     "--report", str(tmp_path / "r.txt")]) == 0
+        assert trace.read_bytes() == expected
+
+    def test_the_pinned_reference_traces_are_unchanged(self, block_rows, tmp_path, monkeypatch):
+        digests = _pinned_digests(monkeypatch)
+        monkeypatch.setattr(simulator, "BLOCK_ROWS", block_rows)
+        trace = tmp_path / "t.csv"
+        for theta, digest in digests.items():
+            assert main(["run", str(REFERENCE_SCN), "--trace", str(trace), "--report",
+                         str(tmp_path / "r.json"), "--format", "json", "--seed", "0",
+                         "--theta", f"{theta:g}"]) == 0
+            assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--report", os.devnull],
+    ["run", "--trace", os.devnull, "--report", os.devnull],
+    ["sweep", "--theta-steps", "2", "--report", os.devnull],
+], ids=["run", "traced-run", "disturbed-sweep"])
+def test_a_long_run_holds_one_block_at_a_time(argv, tmp_path, reference_text, monkeypatch):
+    # At dt = 1e-4 the reference forms about 600,000 records a run: 27.5 MB
+    # as one ``Trace``.  The command line holds one block of them at a time.
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    text = reference_text.replace("dt = 0.01", "dt = 1e-4")
+    if argv[0] == "sweep":
+        text = text.replace("disturbance_amplitude = 0.0", "disturbance_amplitude = 0.025")
+    scenario = write_scenario(tmp_path, text)
+    tracemalloc.start()
+    try:
+        assert main([argv[0], scenario, *argv[1:]]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def _child_env() -> dict:
@@ -542,6 +645,21 @@ def test_a_run_no_memory_can_hold_exits_two_at_the_plan(tmp_path, reference_text
     assert done.returncode == 2
     assert done.stderr == f"error: {message} records, more than memory can hold\n"
     assert trace.read_text(encoding="utf-8") == TRACE_HEADER + "\n"
+
+
+def test_a_sweep_of_ten_million_records_fits_a_capped_address_space(tmp_path):
+    # One 350 mm straight at dt 1e-6: 10,000,001 records, about 1.1 GB at
+    # the 113 bytes a record that a held trace needs, past the 1 GiB cap.
+    scenario = write_scenario(tmp_path, STALLING_SCENARIO.replace(
+        "length = 100.0", "length = 350.0").replace("omega_u = 5e-324", "omega_u = 35.0")
+        .replace("dt = 1e300\nt_max = 1e303", "dt = 1e-6").replace(
+        "disturbance_amplitude = 0.9", "disturbance_amplitude = 0.0"))
+    done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, "sweep", scenario,
+                           "--theta-steps", "1", "--format", "json"], capture_output=True,
+                          text=True, env=_child_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(done.stdout)["orientations"][0]["run"]
+    assert run["completed"] and round(run["total_time_s"] / run["dt_s"]) == 10_000_000
 
 
 def test_importing_the_cli_leaves_numpy_strings_unloaded():

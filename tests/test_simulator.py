@@ -599,8 +599,8 @@ class TestPlanAgainstTheReference:
 
 
 class TestSummaryEdges:
-    """``_summarize`` works on whole-trace columns; these runs reach the
-    edges of that layout, each against the tick-by-tick reference."""
+    """The fold works on per-segment columns; these runs reach the edges of
+    that layout, each against the tick-by-tick reference."""
 
     def check(self, net, robot, gear, params):
         trace, summary = run(net, robot, gear, params)
@@ -834,18 +834,15 @@ class TestWindowSums:
     @staticmethod
     def sums(column, windows):
         """``(sums, exact)``: ``_sum3`` of the terms ``_window_sums`` gives
-        over ``windows``, as ``_summarize`` rounds them, and whether the terms
-        took the exact numpy path or the guard's ``math.fsum``.  The guard's
-        rows must be ``(fsum, -0.0, -0.0)``; a non-finite sum, which breaks
-        ``_sum3``'s TwoSums, is returned as the row holds it."""
+        over ``windows``, as the fold rounds them, and True; or ``(None,
+        False)`` when the guard declines the column, whose windows the fold
+        then sums from their values (``TestFoldedSums``)."""
         lo, hi = np.array(windows, dtype=np.intp).T
-        with mock.patch.object(math, "fsum", wraps=math.fsum) as spy:
-            terms = simulator._window_sums(column, lo, hi)
-        if spy.called:
-            assert terms[:, 1:].view(np.int64).tolist() == [[-2**63, -2**63]] * len(terms)
-            if not np.isfinite(terms[:, 0]).all():
-                return terms[:, 0], False
-        return simulator._sum3(terms), not spy.called
+        terms = simulator._window_sums(column, lo, hi)
+        if terms is None:
+            return None, False
+        assert terms.shape == (len(windows), 3)
+        return simulator._sum3(terms), True
 
     @staticmethod
     def fsum_bits(column, windows):
@@ -867,7 +864,8 @@ class TestWindowSums:
             assert exact
         if kind == "four limbs" and n >= 2:
             assert not exact
-        assert sums.view(np.int64).tolist() == self.fsum_bits(column, windows)
+        if exact:
+            assert sums.view(np.int64).tolist() == self.fsum_bits(column, windows)
 
     @pytest.mark.parametrize("column, exact", [
         (np.full(5, 35.0), True),
@@ -882,7 +880,8 @@ class TestWindowSums:
         windows = [(0, len(column)), (1, 1), (0, 1)]
         sums, took_limbs = self.sums(column, windows)
         assert took_limbs == exact
-        assert sums.view(np.int64).tolist() == self.fsum_bits(column, windows)
+        if exact:
+            assert sums.view(np.int64).tolist() == self.fsum_bits(column, windows)
 
     @pytest.mark.parametrize("amplitude", [0.025, 0.9])
     def test_disturbed_reference_summary_matches_the_tick_stepper(self, reference_scenario,
@@ -898,10 +897,92 @@ class TestWindowSums:
         assert repr(summary) == repr(expected)
 
 
+def _fold_blocks(column, segment, offsets, cuts):
+    """A ``_Fold`` of three tracks' speeds, ``column`` and two rearrangements
+    of it, at records of ``segment`` placed ``offsets`` into 10 mm straights,
+    cut into blocks at the rows ``cuts``; and the disturbed speeds."""
+    m = int(segment.max()) + 1
+    net = PipeNetwork(PipeSpec(inner_radius=13.2), (Straight(10.0, Z),) * m)
+    speeds = np.full((m, 3), 35.0)
+    plan = simulator._Plan(speeds, np.full(m, 35.0), np.zeros((m, 3)), np.zeros(m), None)
+    fold = simulator._Fold(net, None, SimParams(omega_u=1.0, disturbance_amplitude=0.5), plan)
+    v = np.stack((column, column[::-1], np.roll(column, 1)), axis=1)
+    n = len(column)
+    for a, b in itertools.pairwise((0, *cuts, n)):
+        fold.add(simulator.Trace(np.arange(a, b) * 0.1, (net.starts[segment] + offsets)[a:b],
+                                 segment[a:b], 0.0, np.zeros((b - a, 3)), speeds,
+                                 np.zeros((m, 3)), v[a:b]))
+    return fold, v
+
+
+@st.composite
+def _cut_columns(draw):
+    """``(column, segment, offsets, cuts)`` for ``_fold_blocks``: a column of
+    runs of speeds, which ``_window_sums`` takes in limbs, and of values that
+    its guard takes, subnormals or more than three limbs apart."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(("speeds", "subnormals", "four limbs")),
+                              min_size=1, max_size=4)):
+        size = draw(st.integers(1, 12))
+        if kind == "speeds":
+            parts.append(35.0 * (1.0 + 0.025 * rng.uniform(-1.0, 1.0, size)))
+        elif kind == "subnormals":
+            parts.append(np.where(rng.uniform(size=size) < 0.5, rng.integers(1, 99, size) * 5e-324,
+                                  rng.uniform(30.0, 40.0, size)))
+        else:
+            parts.append(np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(-200, 8, size)))
+    column = np.concatenate(parts)
+    n = len(column)
+    segment = np.sort(rng.integers(0, draw(st.integers(1, 4)), n))
+    # Window edges (1 and 9 mm) among the offsets: a record on an edge is in.
+    offsets = rng.choice([0.0, 0.5, 1.0, 5.0, 9.0, 9.5], n)
+    for index in range(segment[-1] + 1):
+        offsets[segment == index] = np.sort(offsets[segment == index])
+    cuts = sorted(set(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=6))) - {n})
+    return column, segment, offsets, cuts
+
+
+class TestFoldedSums:
+    """A column cut into blocks anywhere and folded gives each window's and
+    each whole segment's sum bit for bit as ``math.fsum`` of its records,
+    the blocks that the limbs hold and those that the guard takes alike."""
+
+    def check(self, column, segment, offsets, cuts):
+        fold, v = _fold_blocks(column, segment, offsets, cuts)
+        terms = np.abs(v - 35.0) * 100.0 / 35.0
+        sums = simulator._sum3(fold.terms.reshape(-1, 3)).reshape(-1, 2, 6)
+        expected = np.zeros_like(sums)
+        for index in range(len(sums)):
+            mine = segment == index
+            window = mine & (1.0 <= offsets) & (offsets <= 9.0)
+            for k, rows in enumerate((window, mine)):
+                expected[index, k] = [math.fsum(c[rows].tolist()) for c in (*v.T, *terms.T)]
+            assert fold.counts[index] == mine.sum() and fold.windows[index] == window.sum()
+        assert sums.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=_cut_columns())
+    def test_each_sum_is_math_fsum_bit_for_bit(self, drawn):
+        guarded = [simulator._window_sums(part, np.zeros(1, int), np.ones(1, int)) is None
+                   for part in np.split(drawn[0], drawn[3])]
+        event(f"blocks: {'guarded and limbs' if len(set(guarded)) > 1 else guarded[0]}")
+        self.check(*drawn)
+
+    def test_a_window_split_across_a_guarded_and_an_unguarded_block(self):
+        # One segment's 8 records, all in its window: the first block's
+        # values take the limbs, the second holds a subnormal.
+        column = np.array([35.0, 35.5, 34.25, 36.0, 5e-324, 35.0, 1e-300, 34.0])
+        guards = [simulator._window_sums(part, np.zeros(1, int), np.ones(1, int)) is None
+                  for part in np.split(column, [3])]
+        assert guards == [False, True]
+        self.check(column, np.zeros(8, int), np.full(8, 5.0), [3])
+
+
 class TestUndisturbedSummary:
-    """An undisturbed window holds ``count`` records at one demand, so
-    ``_summarize`` takes its ``math.fsum`` as the product ``count * demand``
-    and forms no per-record column."""
+    """An undisturbed window holds ``count`` records at one demand, so the
+    fold takes its ``math.fsum`` as the product ``count * demand`` and forms
+    no per-record column."""
 
     @settings(max_examples=300, deadline=None)
     @given(drawn=st.integers(1, 10**5).flatmap(lambda count: st.tuples(st.just(count), st.one_of(
@@ -926,20 +1007,28 @@ class TestUndisturbedSummary:
         assert summary.completed and spy.called == called
 
     def test_an_undisturbed_summary_allocates_nothing_per_record(self, reference_scenario):
-        # At dt = 1e-4 the reference forms 600,653 records, and gathering one
-        # (n, 3) column of them takes 14.4 MB.
+        # At dt = 1e-4 the reference forms 600,653 records in blocks of up to
+        # 4,094, and gathering one (n, 3) column of a block takes 98 KB.
+        # Folding a block allocates a few arrays of one entry per segment.
         sc = reference_scenario
-        with mock.patch.object(simulator, "_summarize", wraps=simulator._summarize) as spy:
-            trace, summary = run(sc.network, sc.robot, sc.gear, replace(sc.sim, dt=1e-4))
-        assert len(trace) == 600_653 and summary.completed
+        add, peaks = simulator._Fold.add, []
+
+        def measured(fold, block):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            add(fold, block)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+        params = replace(sc.sim, dt=1e-4)
         tracemalloc.start()
         try:
-            again = simulator._summarize(*spy.call_args.args)
-            peak = tracemalloc.get_traced_memory()[1]
+            with mock.patch.object(simulator._Fold, "add", measured):
+                summary = simulator.fold_run(sc.network, sc.robot, sc.gear, params)
         finally:
             tracemalloc.stop()
-        assert again == summary
-        assert peak < 64 * 1024
+        assert summary.completed and len(peaks) > 100
+        assert max(peaks) < 4 * 1024
+        assert summary == run(sc.network, sc.robot, sc.gear, params)[1]
 
 
 class TestEffectiveRobotPath:

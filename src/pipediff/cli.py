@@ -17,7 +17,7 @@ from dataclasses import replace
 from .errors import PipeClimbError, ScenarioParseError
 from .report import report_pieces, sweep_report_pieces, trace_writer
 from .scenario import Scenario, load_scenario
-from .simulator import fold_run, run_orientation_sweep
+from .simulator import run, run_orientation_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -136,9 +136,11 @@ def main(argv=None) -> int:
     inputs = (scenario.network, scenario.robot, scenario.gear, scenario.sim)
     try:
         if args.command == "run":
+            # The trace is written as it is stepped; the report does not read it.
             with trace_writer(args.trace) if args.trace else nullcontext() as keep:
-                summaries = [fold_run(*inputs, keep)]
-            pieces = report_pieces(summaries[0], scenario.report, fmt=args.format)
+                summary = run(*inputs, keep)[1]
+            summaries = [summary]
+            pieces = report_pieces(summary, scenario.report, fmt=args.format)
         else:
             summaries = run_orientation_sweep(*inputs, args.theta_steps)
             pieces = sweep_report_pieces(summaries, scenario.report, fmt=args.format)

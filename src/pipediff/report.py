@@ -116,18 +116,14 @@ def _held_texts(trace, moving: tuple, lo: int, hi: int) -> dict:
     the field of the moving columns ``t``, ``s`` and ``moving`` that it comes
     before: the segment, theta and the values of each column of
     ``_PER_SEGMENT`` not in ``moving``, one row per segment."""
-    # The trace's rows read with one record in each segment, by its own rules,
-    # spelled in one pass: theta, then each held column.
+    # The trace's rows read with one record in each segment, by its own rules.
     segments = replace(trace, segment=np.arange(lo, hi))
-    names = [name for name in _PER_SEGMENT if name not in moving]
-    fields = _spelled(np.concatenate([np.full((hi - lo, 1), float(trace.theta_deg)),
-                                      *[getattr(segments, name) for name in names]], axis=1), b",")
-    held = [np.array([[b"%d," % index] for index in range(lo, hi)]), fields[:, :1]]
+    theta = _spelled(np.array([[trace.theta_deg]], dtype=float), b",")[0, 0]
+    held = [np.array([[b"%d,%s" % (index, theta)] for index in range(lo, hi)])]
     texts, k = {}, 2
     for name in (*_PER_SEGMENT, "distance"):
         if name not in moving:
-            j = 1 + 3 * names.index(name)
-            held.append(fields[:, j:j + 3])
+            held.append(_spelled(getattr(segments, name), b","))
             continue
         if held:
             # Joined through ``tolist``, which drops each field's padding, so
@@ -139,37 +135,39 @@ def _held_texts(trace, moving: tuple, lo: int, hi: int) -> dict:
     return texts
 
 
-class _TraceRows:
-    """The CSV of one trace, handed its blocks in order, as bytes in pieces:
-    the header, then each block's rows.  The held texts are spelled at the
-    first block, for its first segment and every later one: a run's blocks
-    visit segments in order, so each segment's is spelled once a run."""
+def _trace_chunks(trace):
+    """The trace CSV as bytes in pieces: the header line, then the rows."""
+    yield TRACE_HEADER.encode() + b"\n"
+    if not len(trace):
+        return
+    # The held text of each segment that the trace visits, spelled once.
+    lo = int(trace.segment.min())
+    yield from _trace_rows(trace, lo, _held_texts(trace, _moving(trace), lo,
+                                                  int(trace.segment.max()) + 1))
 
-    lo, texts = 0, None  # the held texts of segments lo to the last
 
-    def __call__(self, block):
-        if self.texts is None:
-            self.texts = {}
-            yield TRACE_HEADER.encode() + b"\n"
-        if not len(block):
-            return
-        moving = ("distance",) if block.v_disturbed is None else ("v", "slip", "distance")
-        first = int(block.segment.min())
-        if first < self.lo or not self.texts:  # this segment's text and every later one's
-            self.lo, self.texts = first, _held_texts(block, moving, first, len(block.speeds))
-        for a in range(0, len(block), _CHUNK_ROWS):
-            chunk = block[a:a + _CHUNK_ROWS]
-            values = np.concatenate([chunk.t[:, None], chunk.s[:, None],
-                                     *[getattr(chunk, name) for name in moving]], axis=1)
-            fields, runs = _spelled(values, b"\n"), chunk.segment - self.lo
-            for b in range(0, len(chunk), _JOIN_ROWS):
-                rows, at = fields[b:b + _JOIN_ROWS], runs[b:b + _JOIN_ROWS]
-                line = rows[:, 0]
-                for k in range(1, rows.shape[1]):
-                    if k in self.texts:
-                        line = np.add(line, self.texts[k][at])
-                    line = np.add(line, rows[:, k])
-                yield b"".join(line.tolist())
+def _moving(trace) -> tuple:
+    """The columns after ``t`` and ``s`` that the trace stores per record."""
+    return ("distance",) if trace.v_disturbed is None else ("v", "slip", "distance")
+
+
+def _trace_rows(trace, lo: int, texts: dict):
+    """The trace's rows as bytes in pieces, with the held texts ``texts`` of
+    the segments from ``lo`` on."""
+    moving = _moving(trace)
+    for a in range(0, len(trace), _CHUNK_ROWS):
+        chunk = trace[a:a + _CHUNK_ROWS]
+        values = np.concatenate([chunk.t[:, None], chunk.s[:, None],
+                                 *[getattr(chunk, name) for name in moving]], axis=1)
+        fields, runs = _spelled(values, b"\n"), chunk.segment - lo
+        for b in range(0, len(chunk), _JOIN_ROWS):
+            rows, at = fields[b:b + _JOIN_ROWS], runs[b:b + _JOIN_ROWS]
+            line = rows[:, 0]
+            for k in range(1, rows.shape[1]):
+                if k in texts:
+                    line = np.add(line, texts[k][at])
+                line = np.add(line, rows[:, k])
+            yield b"".join(line.tolist())
 
 
 def render_trace(trace) -> str:
@@ -188,32 +186,42 @@ def render_trace(trace) -> str:
     numpy columns, or ``'%.6f' %`` for each value where that cannot be
     exact.  The output is that of formatting each value alone.
     """
-    return "".join([piece.decode() for piece in _TraceRows()(trace)])
+    return "".join([piece.decode() for piece in _trace_chunks(trace)])
+
+
+def write_trace(trace, path) -> None:
+    """Write the trace CSV, one chunk of rows at a time, so that the text is
+    never held whole; I/O failures surface with the path."""
+    try:
+        with open(path, "wb") as handle:
+            handle.writelines(_trace_chunks(trace))
+    except OSError as exc:
+        raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
 
 @contextmanager
 def trace_writer(path):
-    """A function that writes the blocks of one trace, handed in order, as its
-    CSV at ``path``, which the first block makes; I/O failures surface with the path."""
-    rows, handle = _TraceRows(), None
+    """A function that writes a run's blocks, handed in order as ``run``
+    steps them, as the trace CSV at ``path``, which the first block makes.
+    A run's first record is in segment 0, and its later blocks may reach any
+    planned segment, so the first block with records spells the held texts
+    of every planned segment, once a run.  I/O failures surface with the path."""
+    handle = texts = None
 
     def write(block):
-        nonlocal handle
-        handle = handle or files.enter_context(open(path, "wb"))
-        handle.writelines(rows(block))
+        nonlocal handle, texts
+        if handle is None:
+            handle = files.enter_context(open(path, "wb"))
+            handle.write(TRACE_HEADER.encode() + b"\n")
+        if len(block):
+            texts = texts or _held_texts(block, _moving(block), 0, len(block.speeds))
+            handle.writelines(_trace_rows(block, 0, texts))
 
     try:
         with ExitStack() as files:
             yield write
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
-
-
-def write_trace(trace, path) -> None:
-    """Write the trace CSV, one chunk of rows at a time, so that the text is
-    never held whole; I/O failures surface with the path."""
-    with trace_writer(path) as write:
-        write(trace)
 
 
 def _taker(summary: RunSummary, options: ReportOptions):

@@ -33,13 +33,14 @@ kept position), and the disturbance takes one row of draws per record in
 the generator's stream order.  Independent runs share nothing and may
 execute in parallel.
 
-Each block is folded into the summary (``_Fold``), whose window means and
-APE are correctly rounded too.  An undisturbed window holds ``count``
-records at its segment's demands, so its sum is the one product ``count *
-demand``, and no record slips.  A disturbed block's ``_window_sums`` sums
-fixed-exponent integer limbs exactly and ``_sum3`` rounds those of a window
-it holds whole once, as ``math.fsum`` does; a window that goes on carries its
-exact pieces (``_compact``), or under the guard its values, to the next block.
+Each block is folded into the summary (``_Fold``) and handed to ``run``'s
+``keep`` as it is stepped; the summary's window means and APE are correctly
+rounded too.  An undisturbed window holds ``count`` records at its segment's
+demands, so its sum is the one product ``count * demand``, and no record
+slips.  A disturbed block's ``_window_sums`` sums fixed-exponent integer
+limbs exactly and ``_sum3`` rounds those of a window it holds whole once, as
+``math.fsum`` does; a window that goes on carries its exact pieces
+(``_compact``), or under the guard its values, to the next block.
 Per-segment rows are gathered to the records once, with ``np.take``.
 """
 
@@ -504,21 +505,25 @@ class _Fold:
         # over its tracks end to end: per track every window, then every segment.
         n, k = len(block), hi - lo
         bounds = (np.array(((wlo, first), (whi, last)))[:, None] + n * np.arange(3)[:, None, None])
-        rows, parts = [], []
+        # The exact pieces of the first and last segments' sums are picked out,
+        # by segment, track and window: limb terms, or under the guard values.
+        spans, rows, picked = bounds.reshape(2, -1), [], []
         for column in (v.ravel(), terms.ravel()):
-            limbs = _window_sums(column, *bounds.reshape(2, -1))
+            limbs = _window_sums(column, *spans)
             if limbs is None:  # the guard: each window's values, which are exact
                 values = column.tolist()  # x + -0.0 is x, for x = -0.0 too
-                parts.append([values[i:j] for i, j in bounds.reshape(2, -1).T.tolist()])
-                limbs = np.array([(math.fsum(p), -0.0, -0.0) for p in parts[-1]]).reshape(-1, 3)
+                limbs = np.array([(math.fsum(values[i:j]), -0.0, -0.0)
+                                  for i, j in spans.T.tolist()]).reshape(-1, 3)
+                ends = bounds[..., (0, -1)].transpose(3, 1, 2, 0).tolist()
+                picked.append([[[values[i:j] for i, j in by_window] for by_window in by_track]
+                               for by_track in ends])
             else:
-                parts.append(limbs.tolist())
+                ends = limbs.reshape(3, 2, k, 3)[:, :, (0, -1)]
+                picked.append(ends.transpose(2, 0, 1, 3).tolist())
             rows.append(limbs)
         # Exact terms, which the summary rounds: (segment, window or whole, column, 3).
         self.terms[lo:hi] = np.concatenate(rows).reshape(6, 2, k, 3).transpose(2, 1, 0, 3)
-        # The exact pieces of the first and last segments' sums, by column and window.
-        head, tail = ([[parts[c // 3][2 * k * (c % 3) + w * k + j] for w in (0, 1)]
-                       for c in range(6)] for j in (0, k - 1))
+        head, tail = ([picked[c // 3][j][c % 3] for c in range(6)] for j in (0, 1))
         if self.open == lo:  # the last segment of the block before goes on here
             head = [[_compact(p + q) for p, q in zip(*pair)] for pair in zip(self.carry, head)]
             self.terms[lo] = 0.0
@@ -586,17 +591,26 @@ class _Fold:
         )
 
 
-def fold_run(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params: SimParams,
-             keep=None) -> RunSummary:
+def run(
+    net: PipeNetwork,
+    robot: RobotConfig,
+    gear: GearTrainConfig,
+    params: SimParams,
+    keep=None,
+) -> tuple[Trace, RunSummary]:
     """Simulate until the network end, ``t_max``, or an abort; return the
-    ``RunSummary``.  Each block of records is folded into it, then handed to
-    ``keep`` as a ``Trace`` (an empty one first, once the run is planned) or
-    dropped.  A no-fit, infeasible-constraint or float-range abort falls on
-    the step that enters the first impassable segment, before its record,
-    and is recorded in the summary.  Raises ``InvalidScenarioError`` if the
-    network recorded violations or the nominal speed is not finite and positive.
+    ``Trace`` and its ``RunSummary``, which is folded from the records as
+    they are stepped.  ``keep``, when given, is handed each block of records
+    as a ``Trace`` as it is stepped, an empty one first once the run is planned.
+
+    A no-fit, infeasible-constraint or float-range abort keeps the partial
+    trace and records the cause in the summary instead of raising.  It falls
+    on the step that enters the first impassable segment, before its record.
+
+    Raises:
+        InvalidScenarioError: the network recorded violations when it was
+            built, or the nominal track speed is not finite and positive.
     """
-    keep = keep or (lambda block: None)
     if net.violations:
         raise InvalidScenarioError(
             "network invalid: " + "; ".join(str(v) for v in net.violations)
@@ -623,8 +637,9 @@ def fold_run(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params
     empty = Trace(np.empty(0), np.empty(0), np.empty(0, dtype=int), params.theta_deg,
                   np.empty((0, 3)), plan.speeds, plan.compressions,
                   None if rng is None else np.empty((0, 3)))
-    keep(empty)
-    fold = _Fold(net, robot, params, plan)
+    blocks, fold = [empty], _Fold(net, robot, params, plan)
+    if keep is not None:
+        keep(empty)
     draws = np.empty((0, 3))  # disturbance draws not used yet, in stream order
     s, k, distance = 0.0, 0, np.zeros(3)
     completed, stop_reason, error = False, None, None
@@ -659,7 +674,9 @@ def fold_run(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params
         block = replace(empty, t=t[:n], s=positions[:n], segment=segment[:n],
                         distance=distances[:n], v_disturbed=None if rng is None else v[:n])
         fold.add(block)
-        keep(block)
+        blocks.append(block)
+        if keep is not None:
+            keep(block)
         draws = draws[n:]
         if stopped:
             index = int(segment[n - 1])
@@ -677,32 +694,29 @@ def fold_run(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig, params
         distance = distances[n]
         k += n
 
+    # Each column's parts are dropped as they are joined, before the summary is made.
+    parts = {name: [getattr(block, name) for block in blocks] for name in _MOVING
+             if getattr(empty, name) is not None}
+    del blocks
+    trace = replace(empty, **{name: np.concatenate(parts.pop(name)) for name in list(parts)})
     # Segments up to the last one entered are summarised, never an impassable one.
-    return fold.summary(min(index + 1, passable), v_nominal, completed, stop_reason, error)
+    return trace, fold.summary(min(index + 1, passable), v_nominal, completed, stop_reason, error)
 
 
-def run(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig,
-        params: SimParams) -> tuple[Trace, RunSummary]:
-    """``fold_run``'s ``RunSummary`` and its records, joined into a ``Trace``:
-    the partial trace of a run that aborts; raises as ``fold_run``."""
-    blocks = []
-    summary = fold_run(net, robot, gear, params, blocks.append)
-    empty, parts = blocks[0], {name: [getattr(block, name) for block in blocks]
-                               for name in _MOVING if getattr(blocks[0], name) is not None}
-    del blocks  # each column's parts are dropped as they are joined
-    return replace(empty, **{name: np.concatenate(parts.pop(name)) for name in list(parts)}), summary
-
-
-def run_orientation_sweep(net: PipeNetwork, robot: RobotConfig, gear: GearTrainConfig,
-                          params: SimParams, steps: int) -> list[RunSummary]:
+def run_orientation_sweep(
+    net: PipeNetwork,
+    robot: RobotConfig,
+    gear: GearTrainConfig,
+    params: SimParams,
+    steps: int,
+) -> list[RunSummary]:
     """Run ``steps`` evenly spaced roll orientations over a full turn and
     return one summary per orientation, whose ``theta_deg`` is its roll.
 
     Summaries come back in orientation order.  Orientation k uses seed
     ``base_seed + k``, whether or not a disturbance is active, so disturbed
-    runs stay independent yet reproducible.  Each run is ``fold_run``'s: its
-    blocks are folded into its summary and dropped, so the sweep holds one
-    block at a time, however many records its runs form.
+    runs stay independent yet reproducible.  Each run's trace is dropped as
+    soon as it is summarised, so the sweep holds one trace at a time.
     """
     if steps < 1:
         raise ValueError("at least one orientation required")
@@ -710,5 +724,5 @@ def run_orientation_sweep(net: PipeNetwork, robot: RobotConfig, gear: GearTrainC
     for k in range(steps):
         oriented = replace(params, theta_deg=k * 360.0 / steps,
                            disturbance_seed=params.disturbance_seed + k)
-        summaries.append(fold_run(net, robot, gear, oriented))
+        summaries.append(run(net, robot, gear, oriented)[1])
     return summaries

@@ -11,7 +11,6 @@ import importlib.util
 
 import pytest
 
-from pipediff import simulator
 from pipediff.cli import main
 
 from conftest import REFERENCE_SCN, REPO_ROOT
@@ -52,21 +51,4 @@ def test_a_traced_op_gives_the_harness_its_counts(bench, argv, tmp_path, capsys)
         spans.uninstall()
     counts = harness._op_counts(spans.observed)
     assert counts["scenario.segments"] == 4
-    # The harness takes the visited share from ``simulator.run``'s trace.  The
-    # command line folds each run's blocks (``simulator.fold_run``) and holds
-    # no trace, so no op calls ``run``, and the share reads 0 until the
-    # harness reads the segments that a run's summary holds.
-    assert counts["simulator.segments_visited"] == 0.0
-
-
-def test_a_traced_library_run_gives_the_harness_its_visited_share(bench, reference_scenario):
-    tracer, harness = bench
-    spans = tracer.Tracer()
-    spans.install()
-    try:
-        with spans.op(0):
-            sc = reference_scenario
-            simulator.run(sc.network, sc.robot, sc.gear, sc.sim)
-    finally:
-        spans.uninstall()
-    assert harness._op_counts(spans.observed)["simulator.segments_visited"] == 1.0
+    assert counts["simulator.segments_visited"] == 1.0

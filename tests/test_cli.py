@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -467,7 +466,7 @@ def test_the_reports_are_the_tick_stepper_s(argv, oracle, reference_scenario, ca
 
 
 @pytest.mark.parametrize("target, argv", [
-    ("fold_run", ["run", str(REFERENCE_SCN)]),
+    ("run", ["run", str(REFERENCE_SCN)]),
     ("run_orientation_sweep", ["sweep", str(REFERENCE_SCN), "--theta-steps", "2"]),
     ("trace_writer", ["run", str(REFERENCE_SCN), "--trace", "trace.csv"]),
     ("report_pieces", ["run", str(REFERENCE_SCN), "--format", "json"]),
@@ -488,38 +487,30 @@ def test_out_of_memory_exits_two_with_an_error_line(target, argv, message, capsy
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 def test_the_trace_is_released_before_the_report_is_spelled(traced, reference_scenario, tmp_path,
                                                             capsys, monkeypatch):
-    # The command line holds one block of records at a time: each is
-    # written or dropped, and all are gone before the first report piece is
-    # spelled.  Without ``--trace`` no block leaves the run.
+    # The report reads the summary alone: the trace, written or not asked
+    # for, is gone before the first report piece is spelled.
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-    blocks, alive = [], []
+    traces, alive = [], []
 
-    def fold_run(*args):
-        *inputs, keep = args
-        assert (keep is not None) == traced
-
-        def watched(block):
-            blocks.append(weakref.ref(block))
-            if keep is not None:
-                keep(block)
-        return simulator.fold_run(*inputs, watched)
+    def run(*args):
+        trace, summary = simulate(*args)
+        traces.append(weakref.ref(trace))
+        return trace, summary
 
     def report_pieces(*args, **kwargs):
         def pieces():
-            alive.append(any(block() is not None for block in blocks))
+            alive.append(traces[0]() is not None)
             yield from report.report_pieces(*args, **kwargs)
         return pieces()
 
-    monkeypatch.setattr(cli, "fold_run", fold_run)
+    monkeypatch.setattr(cli, "run", run)
     monkeypatch.setattr(cli, "report_pieces", report_pieces)
     trace = ["--trace", str(tmp_path / "trace.csv")] if traced else []
     assert main(["run", str(REFERENCE_SCN), "--format", "json", *trace]) == 0
-    assert alive == [False] and len(blocks) == 3  # the empty block, then two of records
+    assert alive == [False]
     sc = reference_scenario
-    whole, summary = simulate(sc.network, sc.robot, sc.gear, sc.sim)
+    _, summary = simulate(sc.network, sc.robot, sc.gear, sc.sim)
     assert capsys.readouterr().out == render_report(summary, sc.report, fmt="json")
-    if traced:
-        assert (tmp_path / "trace.csv").read_text(encoding="utf-8") == render_trace(whole)
 
 
 class TestTraceFile:
@@ -591,28 +582,6 @@ class TestStreamedTrace:
             assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--report", os.devnull],
-    ["run", "--trace", os.devnull, "--report", os.devnull],
-    ["sweep", "--theta-steps", "2", "--report", os.devnull],
-], ids=["run", "traced-run", "disturbed-sweep"])
-def test_a_long_run_holds_one_block_at_a_time(argv, tmp_path, reference_text, monkeypatch):
-    # At dt = 1e-4 the reference forms about 600,000 records a run: 27.5 MB
-    # as one ``Trace``.  The command line holds one block of them at a time.
-    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-    text = reference_text.replace("dt = 0.01", "dt = 1e-4")
-    if argv[0] == "sweep":
-        text = text.replace("disturbance_amplitude = 0.0", "disturbance_amplitude = 0.025")
-    scenario = write_scenario(tmp_path, text)
-    tracemalloc.start()
-    try:
-        assert main([argv[0], scenario, *argv[1:]]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5e6
-
-
 def _child_env() -> dict:
     """The environment of a child Python that imports this checkout's sources."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -645,21 +614,6 @@ def test_a_run_no_memory_can_hold_exits_two_at_the_plan(tmp_path, reference_text
     assert done.returncode == 2
     assert done.stderr == f"error: {message} records, more than memory can hold\n"
     assert trace.read_text(encoding="utf-8") == TRACE_HEADER + "\n"
-
-
-def test_a_sweep_of_ten_million_records_fits_a_capped_address_space(tmp_path):
-    # One 350 mm straight at dt 1e-6: 10,000,001 records, about 1.1 GB at
-    # the 113 bytes a record that a held trace needs, past the 1 GiB cap.
-    scenario = write_scenario(tmp_path, STALLING_SCENARIO.replace(
-        "length = 100.0", "length = 350.0").replace("omega_u = 5e-324", "omega_u = 35.0")
-        .replace("dt = 1e300\nt_max = 1e303", "dt = 1e-6").replace(
-        "disturbance_amplitude = 0.9", "disturbance_amplitude = 0.0"))
-    done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, "sweep", scenario,
-                           "--theta-steps", "1", "--format", "json"], capture_output=True,
-                          text=True, env=_child_env(), timeout=300)
-    assert done.returncode == 0, done.stderr
-    run = json.loads(done.stdout)["orientations"][0]["run"]
-    assert run["completed"] and round(run["total_time_s"] / run["dt_s"]) == 10_000_000
 
 
 def test_importing_the_cli_leaves_numpy_strings_unloaded():

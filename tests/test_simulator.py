@@ -866,7 +866,12 @@ class TestWindowSums:
             assert not exact
         if exact:
             assert sums.view(np.int64).tolist() == self.fsum_bits(column, windows)
+        else:  # the fold sums a declined column from its values
+            TestFoldedSums().check_whole_and_cut(column)
 
+    # The fold never meets a non-finite value: the plan cuts the run before
+    # the first segment whose speeds, percent errors or sums over its records
+    # would leave the float range (``_plan``), so those cases check the guard alone.
     @pytest.mark.parametrize("column, exact", [
         (np.full(5, 35.0), True),
         (np.array([1e300, 1e-300, 2.0]), False),  # about 2,000 bits apart
@@ -882,6 +887,10 @@ class TestWindowSums:
         assert took_limbs == exact
         if exact:
             assert sums.view(np.int64).tolist() == self.fsum_bits(column, windows)
+        elif np.isfinite(column).all():
+            # The demand is the column's top, which keeps the percent errors
+            # of 8e307 in the float range.
+            TestFoldedSums().check_whole_and_cut(column, float(np.abs(column).max()))
 
     @pytest.mark.parametrize("amplitude", [0.025, 0.9])
     def test_disturbed_reference_summary_matches_the_tick_stepper(self, reference_scenario,
@@ -897,14 +906,15 @@ class TestWindowSums:
         assert repr(summary) == repr(expected)
 
 
-def _fold_blocks(column, segment, offsets, cuts):
+def _fold_blocks(column, segment, offsets, cuts, demand=35.0):
     """A ``_Fold`` of three tracks' speeds, ``column`` and two rearrangements
-    of it, at records of ``segment`` placed ``offsets`` into 10 mm straights,
-    cut into blocks at the rows ``cuts``; and the disturbed speeds."""
+    of it, at records of ``segment`` placed ``offsets`` into 10 mm straights
+    that demand ``demand``, cut into blocks at the rows ``cuts``; and the
+    disturbed speeds."""
     m = int(segment.max()) + 1
     net = PipeNetwork(PipeSpec(inner_radius=13.2), (Straight(10.0, Z),) * m)
-    speeds = np.full((m, 3), 35.0)
-    plan = simulator._Plan(speeds, np.full(m, 35.0), np.zeros((m, 3)), np.zeros(m), None)
+    speeds = np.full((m, 3), demand)
+    plan = simulator._Plan(speeds, np.full(m, demand), np.zeros((m, 3)), np.zeros(m), None)
     fold = simulator._Fold(net, None, SimParams(omega_u=1.0, disturbance_amplitude=0.5), plan)
     v = np.stack((column, column[::-1], np.roll(column, 1)), axis=1)
     n = len(column)
@@ -948,9 +958,9 @@ class TestFoldedSums:
     each whole segment's sum bit for bit as ``math.fsum`` of its records,
     the blocks that the limbs hold and those that the guard takes alike."""
 
-    def check(self, column, segment, offsets, cuts):
-        fold, v = _fold_blocks(column, segment, offsets, cuts)
-        terms = np.abs(v - 35.0) * 100.0 / 35.0
+    def check(self, column, segment, offsets, cuts, demand=35.0):
+        fold, v = _fold_blocks(column, segment, offsets, cuts, demand)
+        terms = np.abs(v - demand) * 100.0 / demand
         sums = simulator._sum3(fold.terms.reshape(-1, 3)).reshape(-1, 2, 6)
         expected = np.zeros_like(sums)
         for index in range(len(sums)):
@@ -960,6 +970,14 @@ class TestFoldedSums:
                 expected[index, k] = [math.fsum(c[rows].tolist()) for c in (*v.T, *terms.T)]
             assert fold.counts[index] == mine.sum() and fold.windows[index] == window.sum()
         assert sums.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def check_whole_and_cut(self, column, demand=35.0):
+        """``check`` of one segment's records, a third of them before its
+        window and a third after, in one block and cut into two."""
+        n = len(column)
+        offsets = np.sort(np.resize([0.5, 5.0, 9.5], n))
+        for cuts in ([], [n // 2])[:n]:
+            self.check(column, np.zeros(n, int), offsets, cuts, demand)
 
     @settings(max_examples=300, deadline=None)
     @given(drawn=_cut_columns())
@@ -1019,16 +1037,14 @@ class TestUndisturbedSummary:
             add(fold, block)
             peaks.append(tracemalloc.get_traced_memory()[1] - held)
 
-        params = replace(sc.sim, dt=1e-4)
         tracemalloc.start()
         try:
             with mock.patch.object(simulator._Fold, "add", measured):
-                summary = simulator.fold_run(sc.network, sc.robot, sc.gear, params)
+                trace, summary = run(sc.network, sc.robot, sc.gear, replace(sc.sim, dt=1e-4))
         finally:
             tracemalloc.stop()
-        assert summary.completed and len(peaks) > 100
+        assert len(trace) == 600_653 and summary.completed and len(peaks) > 100
         assert max(peaks) < 4 * 1024
-        assert summary == run(sc.network, sc.robot, sc.gear, params)[1]
 
 
 class TestEffectiveRobotPath:

@@ -111,15 +111,16 @@ def _spelled(values: np.ndarray, end: bytes) -> np.ndarray:
     return fields
 
 
-def _held_texts(trace, moving: tuple, lo: int, hi: int) -> dict:
-    """The text that holds over each segment ``lo`` to ``hi - 1``, keyed by
-    the field of the moving columns ``t``, ``s`` and ``moving`` that it comes
+def _held_texts(trace) -> dict:
+    """The text that holds over each planned segment, keyed by the field of
+    the moving columns ``t``, ``s`` and ``_moving(trace)`` that it comes
     before: the segment, theta and the values of each column of
-    ``_PER_SEGMENT`` not in ``moving``, one row per segment."""
+    ``_PER_SEGMENT`` not moving, one row per segment."""
     # The trace's rows read with one record in each segment, by its own rules.
-    segments = replace(trace, segment=np.arange(lo, hi))
+    moving, m = _moving(trace), len(trace.speeds)
+    segments = replace(trace, segment=np.arange(m))
     theta = _spelled(np.array([[trace.theta_deg]], dtype=float), b",")[0, 0]
-    held = [np.array([[b"%d,%s" % (index, theta)] for index in range(lo, hi)])]
+    held = [np.array([[b"%d,%s" % (index, theta)] for index in range(m)])]
     texts, k = {}, 2
     for name in (*_PER_SEGMENT, "distance"):
         if name not in moving:
@@ -129,21 +130,10 @@ def _held_texts(trace, moving: tuple, lo: int, hi: int) -> dict:
             # Joined through ``tolist``, which drops each field's padding, so
             # each text is as wide as the widest row, not the widest fields.
             held = np.concatenate(held, axis=1)
-            texts[k] = np.array([b"".join(row) for a in range(0, hi - lo, _JOIN_ROWS)
+            texts[k] = np.array([b"".join(row) for a in range(0, m, _JOIN_ROWS)
                                  for row in held[a:a + _JOIN_ROWS].tolist()])
         held, k = [], k + 3
     return texts
-
-
-def _trace_chunks(trace):
-    """The trace CSV as bytes in pieces: the header line, then the rows."""
-    yield TRACE_HEADER.encode() + b"\n"
-    if not len(trace):
-        return
-    # The held text of each segment that the trace visits, spelled once.
-    lo = int(trace.segment.min())
-    yield from _trace_rows(trace, lo, _held_texts(trace, _moving(trace), lo,
-                                                  int(trace.segment.max()) + 1))
 
 
 def _moving(trace) -> tuple:
@@ -151,17 +141,17 @@ def _moving(trace) -> tuple:
     return ("distance",) if trace.v_disturbed is None else ("v", "slip", "distance")
 
 
-def _trace_rows(trace, lo: int, texts: dict):
+def _trace_rows(trace, texts: dict):
     """The trace's rows as bytes in pieces, with the held texts ``texts`` of
-    the segments from ``lo`` on."""
+    every planned segment."""
     moving = _moving(trace)
     for a in range(0, len(trace), _CHUNK_ROWS):
         chunk = trace[a:a + _CHUNK_ROWS]
         values = np.concatenate([chunk.t[:, None], chunk.s[:, None],
                                  *[getattr(chunk, name) for name in moving]], axis=1)
-        fields, runs = _spelled(values, b"\n"), chunk.segment - lo
+        fields = _spelled(values, b"\n")
         for b in range(0, len(chunk), _JOIN_ROWS):
-            rows, at = fields[b:b + _JOIN_ROWS], runs[b:b + _JOIN_ROWS]
+            rows, at = fields[b:b + _JOIN_ROWS], chunk.segment[b:b + _JOIN_ROWS]
             line = rows[:, 0]
             for k in range(1, rows.shape[1]):
                 if k in texts:
@@ -186,17 +176,15 @@ def render_trace(trace) -> str:
     numpy columns, or ``'%.6f' %`` for each value where that cannot be
     exact.  The output is that of formatting each value alone.
     """
-    return "".join([piece.decode() for piece in _trace_chunks(trace)])
+    rows = _trace_rows(trace, _held_texts(trace)) if len(trace) else ()
+    return TRACE_HEADER + "\n" + "".join([piece.decode() for piece in rows])
 
 
 def write_trace(trace, path) -> None:
     """Write the trace CSV, one chunk of rows at a time, so that the text is
     never held whole; I/O failures surface with the path."""
-    try:
-        with open(path, "wb") as handle:
-            handle.writelines(_trace_chunks(trace))
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
+    with trace_writer(path) as write:
+        write(trace)
 
 
 @contextmanager
@@ -214,8 +202,8 @@ def trace_writer(path):
             handle = files.enter_context(open(path, "wb"))
             handle.write(TRACE_HEADER.encode() + b"\n")
         if len(block):
-            texts = texts or _held_texts(block, _moving(block), 0, len(block.speeds))
-            handle.writelines(_trace_rows(block, 0, texts))
+            texts = texts or _held_texts(block)
+            handle.writelines(_trace_rows(block, texts))
 
     try:
         with ExitStack() as files:

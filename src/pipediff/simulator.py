@@ -37,15 +37,16 @@ Each block is folded into the summary (``_Fold``) and handed to ``run``'s
 ``keep`` as it is stepped; the summary's window means and APE are correctly
 rounded too.  An undisturbed window holds ``count`` records at its segment's
 demands, so its sum is the one product ``count * demand``, and no record
-slips.  A disturbed block's ``_window_sums`` sums fixed-exponent integer
-limbs exactly and ``_sum3`` rounds those of a window it holds whole once, as
-``math.fsum`` does; a window that goes on carries its exact pieces
-(``_compact``), or under the guard its values, to the next block.
+slips.  A disturbed block's ``_window_sums`` gives each window's exact sum
+as one Python integer, from fixed-exponent integer limbs or, under its
+guard, value by value; a window that spans blocks adds its blocks' integers,
+and the summary rounds each sum once, as ``math.fsum`` does.
 Per-segment rows are gathered to the records once, with ``np.take``.
 """
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -75,6 +76,11 @@ GUESS_REFINEMENTS = 3
 # ``TraceRecord`` spells them out.  The limit is kept at that size though a
 # ``Trace`` stores less per record.
 MAX_RECORDS = 2**47 // 144
+
+# The unit of ``_window_sums``' exact sums, 2**1126 of which make 1.0: every
+# finite float is a whole multiple of 2**-1126.  CPython rounds an integer
+# quotient once, so ``total / _UNIT`` is the correctly rounded sum.
+_UNIT = 1 << 1126
 
 
 @dataclass(frozen=True)
@@ -404,15 +410,16 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
     return guess, located, means, v, positions, _running_sums(distance, v * dt)
 
 
-def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """A (windows, 3) block whose ``_sum3`` is ``math.fsum(column[a:b])`` for
-    each window ``a, b`` of ``lo`` and ``hi``, bit for bit.  From the top down,
-    each value is cut exactly into three limbs ``q * 2**b``, ``q`` an integer
-    below ``2**width`` and ``b`` dropping by ``width`` per limb (after Demmel
-    and Hida, "Accurate and efficient floating point summation", SIAM J. Sci.
-    Comput. 25(4), 2003).  Any sum of n such ``q`` is an integer below
-    ``2**53``, so ``np.add.reduceat`` forms each window's limb sums exactly.
-    None where the guard finds that the limbs cannot hold the column."""
+def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list:
+    """The exact sum of ``column[a:b]`` for each window ``a, b`` of ``lo`` and
+    ``hi``, as an integer in units of ``2**-1126``, of which every finite
+    float is a whole multiple; ``sum / _UNIT`` rounds it once, as
+    ``math.fsum`` does.  From the top down, each value is cut exactly into
+    three limbs ``q * 2**b``, ``q`` an integer below ``2**width`` and ``b``
+    dropping by ``width`` per limb (after Demmel and Hida, "Accurate and
+    efficient floating point summation", SIAM J. Sci. Comput. 25(4), 2003).
+    Any sum of n such ``q`` is an integer below ``2**53``, so
+    ``np.add.reduceat`` forms each window's limb sums exactly."""
     n = len(column)
     width = 53 - (n + 1).bit_length()
     magnitudes = np.abs(column)
@@ -421,43 +428,38 @@ def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     # At or below every value's last bit.
     e_lo = math.frexp(magnitudes.min(where=magnitudes > 0.0, initial=top))[1] - 53
     limbs = -((e_lo - e_hi) // width)
-    scales = [math.ldexp(1.0, e_hi - j * width) for j in (1, 2, 3)]  # 2**b of each limb
-    # The guard: non-finite values, more than three limbs, or a scale 2**b out of
-    # [2**-1022, 2**969] (any subnormal, or magnitudes from 2**(969 + width) up).
-    # Inside it every scaling is exact and no sum here or in ``_sum3`` reaches 2**1024.
-    if not (top < math.inf and limbs <= 3 and e_hi - limbs * width >= -1022
-            and e_hi - width <= 969):
-        return None
+    # The guard: non-finite values, more than three limbs, or a limb scale 2**b
+    # below 2**-1022 (any subnormal).  There each value ``p / 2**k`` is taken
+    # whole, as the integer ``p * 2**(1126 - k)``.
+    if not (top < math.inf and limbs <= 3 and e_hi - limbs * width >= -1022):
+        sums = [0, *accumulate(p << (1127 - q.bit_length())
+                               for p, q in map(float.as_integer_ratio, column.tolist()))]
+        return [sums[b] - sums[a] for a, b in zip(lo.tolist(), hi.tolist())]
     # Even bounds open the windows; the 0 past the last value lets a bound be n.
     bounds = np.array((lo, hi)).T.ravel()
     limb = np.zeros(n + 1)
-    terms = np.zeros((len(lo), 3))
-    rest = np.divide(column, scales[0], out=magnitudes)  # each below 2**width
+    terms = np.zeros((3, len(lo)))
+    rest = np.divide(column, math.ldexp(1.0, e_hi - width), out=magnitudes)  # each below 2**width
     for j in range(limbs):
         np.trunc(rest, out=limb[:n])
-        terms[:, j] = np.add.reduceat(limb, bounds)[::2]
+        terms[j] = np.add.reduceat(limb, bounds)[::2]
         rest -= limb[:n]
         rest *= 2.0 ** width
-    # ``reduceat`` gives an empty window its first value: scale it by 0.
-    return terms * np.multiply.outer(lo < hi, scales)
-
-
-def _compact(pieces: list) -> list:
-    """A few floats whose sum is exactly that of the finite floats ``pieces``:
-    their ``math.fsum``, then the ``math.fsum`` of what that leaves, and so on
-    until nothing is left.  Each is below the last's rounding error."""
-    parts = []
-    while rest := math.fsum(pieces + [-part for part in parts]):
-        parts.append(rest)
-    return parts
+    terms *= lo < hi  # ``reduceat`` gives an empty window its first value
+    # Each limb's 2**b in units of 2**-1126.  The third limb's b is at least
+    # -1022 - 2 * 52 = -1126, so no shift is negative, an unused limb's included.
+    a, b, c = (e_hi - j * width + 1126 for j in (1, 2, 3))
+    return [(int(x) << a) + (int(y) << b) + (int(z) << c) for x, y, z in zip(*terms.tolist())]
 
 
 class _Fold:
     """A run's summary, folded from its blocks in time order.  Per segment it
     counts the records and those in the window (``a <= s <= b``), and in a
-    disturbed run keeps the min and max speeds and the exact terms of the
-    sums of the speeds and APE terms over the window and the whole segment
-    (the fallback for an empty window), which ``summary`` rounds."""
+    disturbed run keeps the min and max speeds and the exact sums
+    (``_window_sums``) of the speeds and of the APE terms over the window and
+    the whole segment (the fallback for an empty window), which ``summary``
+    rounds.  Integers add exactly in any order, so a sum that spans blocks
+    is the sum of its blocks' sums."""
 
     def __init__(self, net: PipeNetwork, robot: RobotConfig, params: SimParams, plan: _Plan):
         self.net, self.robot, self.params, self.plan = net, robot, params, plan
@@ -465,10 +467,11 @@ class _Fold:
         starts, spans = net.starts[:m], net.lengths[:m]
         self.edges = starts + WINDOW_MARGIN * spans, starts + (1.0 - WINDOW_MARGIN) * spans
         self.counts, self.windows, self.distances = np.zeros(m, int), np.zeros(m, int), [0.0] * 3
-        self.max_slips, self.open, self.carry = np.zeros(3), -1, None
+        self.max_slips = np.zeros(3)
         if params.disturbance_amplitude > 0.0:
-            self.terms, self.lows, self.highs = (np.zeros((m, 2, 6, 3)), np.full((m, 3), math.inf),
-                                                 np.full((m, 3), -math.inf))
+            # The speeds' sums and the APE terms', each by segment, window or whole, track.
+            self.sums = [0] * (6 * m), [0] * (6 * m)
+            self.lows, self.highs = np.full((m, 3), math.inf), np.full((m, 3), -math.inf)
 
     def add(self, block: Trace) -> None:
         """Fold in the records, at least one, after those of the blocks before."""
@@ -502,33 +505,17 @@ class _Fold:
         np.minimum(lows, np.minimum.reduceat(v, first, axis=1).T, out=lows)
         np.maximum(highs, np.maximum.reduceat(v, first, axis=1).T, out=highs)
         # One ``_window_sums`` for the speeds and one for the APE terms, each
-        # over its tracks end to end: per track every window, then every segment.
+        # over its tracks end to end: per track every window, then every
+        # segment, so that each window starts near the last one's end.
         n, k = len(block), hi - lo
-        bounds = (np.array(((wlo, first), (whi, last)))[:, None] + n * np.arange(3)[:, None, None])
-        # The exact pieces of the first and last segments' sums are picked out,
-        # by segment, track and window: limb terms, or under the guard values.
-        spans, rows, picked = bounds.reshape(2, -1), [], []
-        for column in (v.ravel(), terms.ravel()):
-            limbs = _window_sums(column, *spans)
-            if limbs is None:  # the guard: each window's values, which are exact
-                values = column.tolist()  # x + -0.0 is x, for x = -0.0 too
-                limbs = np.array([(math.fsum(values[i:j]), -0.0, -0.0)
-                                  for i, j in spans.T.tolist()]).reshape(-1, 3)
-                ends = bounds[..., (0, -1)].transpose(3, 1, 2, 0).tolist()
-                picked.append([[[values[i:j] for i, j in by_window] for by_window in by_track]
-                               for by_track in ends])
-            else:
-                ends = limbs.reshape(3, 2, k, 3)[:, :, (0, -1)]
-                picked.append(ends.transpose(2, 0, 1, 3).tolist())
-            rows.append(limbs)
-        # Exact terms, which the summary rounds: (segment, window or whole, column, 3).
-        self.terms[lo:hi] = np.concatenate(rows).reshape(6, 2, k, 3).transpose(2, 1, 0, 3)
-        head, tail = ([picked[c // 3][j][c % 3] for c in range(6)] for j in (0, 1))
-        if self.open == lo:  # the last segment of the block before goes on here
-            head = [[_compact(p + q) for p, q in zip(*pair)] for pair in zip(self.carry, head)]
-            self.terms[lo] = 0.0
-            self.terms[lo, :, :, 0] = np.array([[math.fsum(p) for p in row] for row in head]).T
-        self.open, self.carry = hi - 1, head if k == 1 else tail
+        bounds = np.array(((wlo, first), (whi, last)))[:, None] + n * np.arange(3)[:, None, None]
+        # The fold keeps the sums by segment, then window or whole, then track.
+        order = [(2 * track + whole) * k + index
+                 for index in range(k) for whole in (0, 1) for track in range(3)]
+        at = slice(6 * lo, 6 * hi)
+        for held, column in zip(self.sums, (v.ravel(), terms.ravel())):
+            sums = _window_sums(column, *bounds.reshape(2, -1))
+            held[at] = map(int.__add__, held[at], map(sums.__getitem__, order))
 
     def summary(self, entered: int, v_nominal: float, completed: bool, stop_reason: str | None,
                 error: str | None) -> RunSummary:
@@ -545,17 +532,18 @@ class _Fold:
         counts = np.where(whole, self.counts[:entered], self.windows[:entered])[:, None]
         speeds = plan.speeds[:entered]
         if params.disturbance_amplitude == 0.0:  # every record moves at its segment's demands
-            sums = np.hstack((counts * speeds, np.zeros((entered, 3))))  # speed, then APE sums
+            speed_sums, ape_sums = counts * speeds, np.zeros((entered, 3))
             lows = highs = speeds
         else:
-            sums = _sum3(self.terms[:entered].reshape(-1, 3)).reshape(entered, 2, 6)
-            sums = np.where(whole[:, None], sums[:, 1], sums[:, 0])
+            sums = np.array([[total / _UNIT for total in held[:6 * entered]]
+                             for held in self.sums]).reshape(2, entered, 2, 3)
+            speed_sums, ape_sums = np.where(whole[:, None], sums[:, :, 1], sums[:, :, 0])
             lows = np.where(counts > 0, self.lows[:entered], speeds)
             highs = np.where(counts > 0, self.highs[:entered], speeds)
         ape_counts = np.where(speeds != 0.0, counts, 0)
         # A segment without records has the plan's speeds and no APE.
-        means = np.where(counts > 0, sums[:, :3] / np.maximum(counts, 1), speeds)
-        apes = np.where(ape_counts > 0, sums[:, 3:] / np.maximum(ape_counts, 1), None)
+        means = np.where(counts > 0, speed_sums / np.maximum(counts, 1), speeds)
+        apes = np.where(ape_counts > 0, ape_sums / np.maximum(ape_counts, 1), None)
         compressions, tilts = plan.compressions[:entered].max(axis=1), plan.max_tilt_deg[:entered]
         segments = SegmentColumns(
             index=tuple(range(entered)),
@@ -691,10 +679,12 @@ def run(
         # The kept records stepped at their own segments' speeds, so the next
         # block starts from the same position the tick loop would reach.
         s = float(positions[n])
-        distance = distances[n]
+        distance = distances[n].copy()
         k += n
 
-    # Each column's parts are dropped as they are joined, before the summary is made.
+    # The last block's step arrays are dropped before the join, and each
+    # column's parts as they are joined, before the summary is made.
+    v = means = located = stops = draws = None
     parts = {name: [getattr(block, name) for block in blocks] for name in _MOVING
              if getattr(empty, name) is not None}
     del blocks

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -828,27 +829,45 @@ def _columns(draw):
     return column, kind
 
 
+def _guarded(column):
+    """Whether ``_window_sums``' guard takes ``column`` value by value, not in limbs."""
+    with mock.patch.object(simulator, "accumulate", wraps=itertools.accumulate) as guard:
+        simulator._window_sums(column, np.zeros(1, np.intp), np.full(1, len(column), np.intp))
+    return guard.called
+
+
+def _rounded_bits(sums):
+    """The bits of each exact sum of ``_window_sums`` rounded, as the summary rounds it."""
+    return np.array([total / simulator._UNIT for total in sums]).view(np.int64).tolist()
+
+
+def _fsum_bits(windows):
+    """The bits of ``math.fsum`` of each window.  An integer sum has no sign of
+    zero, so a window of only ``-0.0`` sums to ``+0.0``; ``+ 0.0`` does the
+    same to the ``math.fsum``.  The fold never meets ``-0.0``: its speeds are
+    ``demand * (1 + amplitude * u)``, a demand of at least +0 times a positive
+    factor, and its APE terms are at least +0."""
+    return np.array([math.fsum(window) + 0.0 for window in windows]).view(np.int64).tolist()
+
+
 class TestWindowSums:
-    """``_window_sums`` against ``math.fsum``, compared bit for bit."""
+    """``_window_sums`` is exact: each window's integer is the window's sum in
+    units of 2**-1126, and rounded it is ``math.fsum`` of the window, bit for bit."""
 
     @staticmethod
-    def sums(column, windows):
-        """``(sums, exact)``: ``_sum3`` of the terms ``_window_sums`` gives
-        over ``windows``, as the fold rounds them, and True; or ``(None,
-        False)`` when the guard declines the column, whose windows the fold
-        then sums from their values (``TestFoldedSums``)."""
+    def check(column, windows):
+        """Check the sums ``_window_sums`` gives over ``windows``; return
+        whether it took the column in limbs, not under its guard."""
         lo, hi = np.array(windows, dtype=np.intp).T
-        terms = simulator._window_sums(column, lo, hi)
-        if terms is None:
-            return None, False
-        assert terms.shape == (len(windows), 3)
-        return simulator._sum3(terms), True
-
-    @staticmethod
-    def fsum_bits(column, windows):
-        """The bits of ``math.fsum`` of each window."""
+        exact = not _guarded(column)
+        sums = simulator._window_sums(column, lo, hi)
+        assert len(sums) == len(windows) and all(type(total) is int for total in sums)
         values = column.tolist()
-        return np.array([math.fsum(values[a:b]) for a, b in windows]).view(np.int64).tolist()
+        prefix = [0, *itertools.accumulate(map(Fraction, values))]
+        for total, (a, b) in zip(sums, windows):
+            assert Fraction(total, 2**1126) == prefix[b] - prefix[a]
+        assert _rounded_bits(sums) == _fsum_bits(values[a:b] for a, b in windows)
+        return exact
 
     @settings(max_examples=600, deadline=None)
     @given(data=st.data(), drawn=_columns())
@@ -858,39 +877,40 @@ class TestWindowSums:
         bound = st.integers(0, n)
         windows = data.draw(st.lists(st.tuples(bound, bound).map(sorted).map(tuple), max_size=6)
                             .map(lambda w: w + [(0, n), (n, n), (0, 0)]))
-        sums, exact = self.sums(column, windows)
+        exact = self.check(column, windows)
         event(f"{kind}: {'numpy' if exact else 'guard'}")
         if kind == "three limbs":
             assert exact
         if kind == "four limbs" and n >= 2:
             assert not exact
-        if exact:
-            assert sums.view(np.int64).tolist() == self.fsum_bits(column, windows)
-        else:  # the fold sums a declined column from its values
+        if not exact:  # and the fold of a guarded column
             TestFoldedSums().check_whole_and_cut(column)
 
-    # The fold never meets a non-finite value: the plan cuts the run before
-    # the first segment whose speeds, percent errors or sums over its records
-    # would leave the float range (``_plan``), so those cases check the guard alone.
     @pytest.mark.parametrize("column, exact", [
         (np.full(5, 35.0), True),
         (np.array([1e300, 1e-300, 2.0]), False),  # about 2,000 bits apart
         (np.array([5e-324, 3e-310, 0.0]), False),  # subnormal
         (np.array([1e-300, 1e-300]), False),  # limbs below 2**-1022
-        (np.array([8e307, 8e307]), False),  # limb sums past the float range
-        (np.array([1.0, math.inf]), False),
-        (np.array([1.0, math.nan]), False),
+        # Limb sums past the float range: integers hold them, and the sum rounds in range.
+        (np.array([8e307, 8e307]), True),
     ])
     def test_the_guard_takes_what_the_limbs_cannot_hold(self, column, exact):
-        windows = [(0, len(column)), (1, 1), (0, 1)]
-        sums, took_limbs = self.sums(column, windows)
-        assert took_limbs == exact
-        if exact:
-            assert sums.view(np.int64).tolist() == self.fsum_bits(column, windows)
-        elif np.isfinite(column).all():
-            # The demand is the column's top, which keeps the percent errors
-            # of 8e307 in the float range.
-            TestFoldedSums().check_whole_and_cut(column, float(np.abs(column).max()))
+        assert self.check(column, [(0, len(column)), (1, 1), (0, 1)]) == exact
+        # The demand is the column's top, which keeps the percent errors
+        # of 8e307 in the float range.
+        TestFoldedSums().check_whole_and_cut(column, float(np.abs(column).max()))
+
+    # The fold never meets a non-finite value: the plan cuts the run before
+    # the first segment whose speeds, percent errors or sums over its records
+    # would leave the float range (``_plan``).  A non-finite float has no exact
+    # sum, and ``float.as_integer_ratio`` says so.
+    @pytest.mark.parametrize("column, error", [
+        (np.array([1.0, math.inf]), OverflowError),
+        (np.array([1.0, math.nan]), ValueError),
+    ])
+    def test_a_non_finite_value_has_no_exact_sum(self, column, error):
+        with pytest.raises(error):
+            simulator._window_sums(column, np.zeros(1, np.intp), np.full(1, 2, np.intp))
 
     @pytest.mark.parametrize("amplitude", [0.025, 0.9])
     def test_disturbed_reference_summary_matches_the_tick_stepper(self, reference_scenario,
@@ -961,15 +981,17 @@ class TestFoldedSums:
     def check(self, column, segment, offsets, cuts, demand=35.0):
         fold, v = _fold_blocks(column, segment, offsets, cuts, demand)
         terms = np.abs(v - demand) * 100.0 / demand
-        sums = simulator._sum3(fold.terms.reshape(-1, 3)).reshape(-1, 2, 6)
+        # By column (the speeds, then the APE terms), segment, window or whole, track.
+        sums = np.array([_rounded_bits(held) for held in fold.sums]).reshape(2, -1, 2, 3)
         expected = np.zeros_like(sums)
-        for index in range(len(sums)):
+        for index in range(sums.shape[1]):
             mine = segment == index
             window = mine & (1.0 <= offsets) & (offsets <= 9.0)
             for k, rows in enumerate((window, mine)):
-                expected[index, k] = [math.fsum(c[rows].tolist()) for c in (*v.T, *terms.T)]
+                expected[:, index, k] = np.reshape(
+                    _fsum_bits(c[rows].tolist() for c in (*v.T, *terms.T)), (2, 3))
             assert fold.counts[index] == mine.sum() and fold.windows[index] == window.sum()
-        assert sums.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert sums.tolist() == expected.tolist()
 
     def check_whole_and_cut(self, column, demand=35.0):
         """``check`` of one segment's records, a third of them before its
@@ -982,8 +1004,7 @@ class TestFoldedSums:
     @settings(max_examples=300, deadline=None)
     @given(drawn=_cut_columns())
     def test_each_sum_is_math_fsum_bit_for_bit(self, drawn):
-        guarded = [simulator._window_sums(part, np.zeros(1, int), np.ones(1, int)) is None
-                   for part in np.split(drawn[0], drawn[3])]
+        guarded = [_guarded(part) for part in np.split(drawn[0], drawn[3])]
         event(f"blocks: {'guarded and limbs' if len(set(guarded)) > 1 else guarded[0]}")
         self.check(*drawn)
 
@@ -991,8 +1012,7 @@ class TestFoldedSums:
         # One segment's 8 records, all in its window: the first block's
         # values take the limbs, the second holds a subnormal.
         column = np.array([35.0, 35.5, 34.25, 36.0, 5e-324, 35.0, 1e-300, 34.0])
-        guards = [simulator._window_sums(part, np.zeros(1, int), np.ones(1, int)) is None
-                  for part in np.split(column, [3])]
+        guards = [_guarded(part) for part in np.split(column, [3])]
         assert guards == [False, True]
         self.check(column, np.zeros(8, int), np.full(8, 5.0), [3])
 

@@ -484,14 +484,7 @@ def sweep_report_pieces(summaries, options: ReportOptions | None = None,
         rows = _row_layouts(options, 2)
         payloads = [{"theta_deg": _spell(summary.theta_deg), **_payload(summary, options, 2, rows)}
                     for summary in summaries]
-        # Every orientation's object has the same keys: lay it out once.
-        parts = _layout(payloads[0], 2)[0] if payloads else []
-        orientations = []
-        for payload in payloads:
-            leaves = []
-            _mark(payload, leaves)
-            orientations.append(_pieces(parts, leaves))
-        return _json({"orientations": orientations})
+        return _json({"orientations": payloads})
     if fmt == "text":
         return _batched(_sweep_lines(summaries, options))
     raise ValueError(f"unknown report format {fmt!r}")

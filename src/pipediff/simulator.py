@@ -39,8 +39,10 @@ rounded too.  An undisturbed window holds ``count`` records at its segment's
 demands, so its sum is the one product ``count * demand``, and no record
 slips.  A disturbed block's ``_window_sums`` gives each window's exact sum
 as one Python integer, from fixed-exponent integer limbs or, under its
-guard, value by value; a window that spans blocks adds its blocks' integers,
-and the summary rounds each sum once, as ``math.fsum`` does.
+guard, value by value.  The fold keeps one sum per segment and track, over
+the window or, while the window holds no record, over the whole segment; a
+window that spans blocks adds its blocks' integers, and the summary rounds
+each sum once, as ``math.fsum`` does.
 Per-segment rows are gathered to the records once, with ``np.take``.
 """
 
@@ -455,10 +457,11 @@ def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list:
 class _Fold:
     """A run's summary, folded from its blocks in time order.  Per segment it
     counts the records and those in the window (``a <= s <= b``), and in a
-    disturbed run keeps the min and max speeds and the exact sums
-    (``_window_sums``) of the speeds and of the APE terms over the window and
-    the whole segment (the fallback for an empty window), which ``summary``
-    rounds.  Integers add exactly in any order, so a sum that spans blocks
+    disturbed run keeps the min and max speeds and, per track, one exact sum
+    (``_window_sums``) of the speeds and one of the APE terms, which
+    ``summary`` rounds.  A sum covers the window's records or, while the
+    window holds none, all of the segment's (the fallback for an empty
+    window).  Integers add exactly in any order, so a sum that spans blocks
     is the sum of its blocks' sums."""
 
     def __init__(self, net: PipeNetwork, robot: RobotConfig, params: SimParams, plan: _Plan):
@@ -469,8 +472,8 @@ class _Fold:
         self.counts, self.windows, self.distances = np.zeros(m, int), np.zeros(m, int), [0.0] * 3
         self.max_slips = np.zeros(3)
         if params.disturbance_amplitude > 0.0:
-            # The speeds' sums and the APE terms', each by segment, window or whole, track.
-            self.sums = [0] * (6 * m), [0] * (6 * m)
+            # The speeds' sums and the APE terms', each by track and segment.
+            self.sums = np.zeros((2, 3, m), dtype=object)
             self.lows, self.highs = np.full((m, 3), math.inf), np.full((m, 3), -math.inf)
 
     def add(self, block: Trace) -> None:
@@ -481,6 +484,7 @@ class _Fold:
         wlo = np.maximum(first, np.minimum(np.searchsorted(block.s, self.edges[0][lo:hi]), last))
         whi = np.maximum(first, np.minimum(np.searchsorted(block.s, self.edges[1][lo:hi],
                                                            side="right"), last))
+        seen, inside = self.windows[lo:hi] > 0, whi > wlo
         self.counts[lo:hi] += last - first
         self.windows[lo:hi] += whi - wlo
         self.distances = block.distance[-1].tolist()
@@ -504,18 +508,18 @@ class _Fold:
         lows, highs = self.lows[lo:hi], self.highs[lo:hi]
         np.minimum(lows, np.minimum.reduceat(v, first, axis=1).T, out=lows)
         np.maximum(highs, np.maximum.reduceat(v, first, axis=1).T, out=highs)
+        # Each segment's sums cover its window's records or, while the window
+        # holds none, all of its records; the window's first records replace
+        # the whole segment's sums, and records after the window add nothing.
+        held = self.sums[:, :, lo:hi]
+        held[:, :, inside & ~seen] = 0
+        a = np.where(inside, wlo, first)
+        b = np.where(inside, whi, np.where(seen, first, last))
         # One ``_window_sums`` for the speeds and one for the APE terms, each
-        # over its tracks end to end: per track every window, then every
-        # segment, so that each window starts near the last one's end.
-        n, k = len(block), hi - lo
-        bounds = np.array(((wlo, first), (whi, last)))[:, None] + n * np.arange(3)[:, None, None]
-        # The fold keeps the sums by segment, then window or whole, then track.
-        order = [(2 * track + whole) * k + index
-                 for index in range(k) for whole in (0, 1) for track in range(3)]
-        at = slice(6 * lo, 6 * hi)
-        for held, column in zip(self.sums, (v.ravel(), terms.ravel())):
-            sums = _window_sums(column, *bounds.reshape(2, -1))
-            held[at] = map(int.__add__, held[at], map(sums.__getitem__, order))
+        # over its tracks end to end.
+        bounds = np.array((a, b))[:, None] + len(block) * np.arange(3)[:, None]
+        for sums, column in zip(held, (v.ravel(), terms.ravel())):
+            sums += np.array(_window_sums(column, *bounds.reshape(2, -1)), object).reshape(3, -1)
 
     def summary(self, entered: int, v_nominal: float, completed: bool, stop_reason: str | None,
                 error: str | None) -> RunSummary:
@@ -528,16 +532,15 @@ class _Fold:
         bounds = np.concatenate(([0], np.cumsum(self.counts[:entered])))
         times = (np.maximum(np.minimum(bounds, bounds[-1] - 1), 0) * params.dt).tolist()
         # A window that holds no record falls back to the whole segment.
-        whole = self.windows[:entered] == 0
-        counts = np.where(whole, self.counts[:entered], self.windows[:entered])[:, None]
+        counts = np.where(self.windows[:entered] == 0, self.counts[:entered],
+                          self.windows[:entered])[:, None]
         speeds = plan.speeds[:entered]
         if params.disturbance_amplitude == 0.0:  # every record moves at its segment's demands
             speed_sums, ape_sums = counts * speeds, np.zeros((entered, 3))
             lows = highs = speeds
         else:
-            sums = np.array([[total / _UNIT for total in held[:6 * entered]]
-                             for held in self.sums]).reshape(2, entered, 2, 3)
-            speed_sums, ape_sums = np.where(whole[:, None], sums[:, :, 1], sums[:, :, 0])
+            sums = (self.sums[:, :, :entered] / _UNIT).astype(float)
+            speed_sums, ape_sums = sums.transpose(0, 2, 1)
             lows = np.where(counts > 0, self.lows[:entered], speeds)
             highs = np.where(counts > 0, self.highs[:entered], speeds)
         ape_counts = np.where(speeds != 0.0, counts, 0)

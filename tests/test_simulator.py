@@ -945,6 +945,10 @@ def _fold_blocks(column, segment, offsets, cuts, demand=35.0):
     return fold, v
 
 
+# Six distinct speeds within 2.5 % of 35 mm/s, which the limbs hold.
+_SPEEDS = np.array([34.5, 35.25, 35.5, 34.75, 35.875, 34.125])
+
+
 @st.composite
 def _cut_columns(draw):
     """``(column, segment, offsets, cuts)`` for ``_fold_blocks``: a column of
@@ -974,22 +978,24 @@ def _cut_columns(draw):
 
 
 class TestFoldedSums:
-    """A column cut into blocks anywhere and folded gives each window's and
-    each whole segment's sum bit for bit as ``math.fsum`` of its records,
-    the blocks that the limbs hold and those that the guard takes alike."""
+    """A column cut into blocks anywhere and folded gives each segment's sum
+    per track bit for bit as ``math.fsum`` of its window's records, or of all
+    of its records when the window holds none, the blocks that the limbs hold
+    and those that the guard takes alike."""
 
     def check(self, column, segment, offsets, cuts, demand=35.0):
         fold, v = _fold_blocks(column, segment, offsets, cuts, demand)
         terms = np.abs(v - demand) * 100.0 / demand
-        # By column (the speeds, then the APE terms), segment, window or whole, track.
-        sums = np.array([_rounded_bits(held) for held in fold.sums]).reshape(2, -1, 2, 3)
+        # By column (the speeds, then the APE terms), track, segment.
+        assert fold.sums.shape == (2, 3, int(segment.max()) + 1)
+        sums = np.reshape(_rounded_bits(fold.sums.ravel()), fold.sums.shape)
         expected = np.zeros_like(sums)
-        for index in range(sums.shape[1]):
+        for index in range(sums.shape[2]):
             mine = segment == index
             window = mine & (1.0 <= offsets) & (offsets <= 9.0)
-            for k, rows in enumerate((window, mine)):
-                expected[:, index, k] = np.reshape(
-                    _fsum_bits(c[rows].tolist() for c in (*v.T, *terms.T)), (2, 3))
+            rows = window if window.any() else mine
+            expected[:, :, index] = np.reshape(
+                _fsum_bits(c[rows].tolist() for c in (*v.T, *terms.T)), (2, 3))
             assert fold.counts[index] == mine.sum() and fold.windows[index] == window.sum()
         assert sums.tolist() == expected.tolist()
 
@@ -1003,6 +1009,15 @@ class TestFoldedSums:
 
     @settings(max_examples=300, deadline=None)
     @given(drawn=_cut_columns())
+    # One segment's records before its window in one block, its window's
+    # first records in the next: those replace the whole segment's sum.
+    @example(drawn=(_SPEEDS, np.zeros(6, int), np.array([0.5, 0.5, 1.0, 5.0, 9.0, 9.5]), [2]))
+    # Its window's records, then records past the window in a later block.
+    @example(drawn=(_SPEEDS, np.zeros(6, int), np.array([1.0, 5.0, 5.0, 9.5, 9.5, 9.5]), [3]))
+    # A window that holds no record, its segment cut across three blocks,
+    # the last of which starts the next segment's window.
+    @example(drawn=(_SPEEDS, np.array([0, 0, 0, 0, 0, 1]), np.array([0.0, 0.5, 0.5, 9.5, 9.5, 5.0]),
+                    [2, 4]))
     def test_each_sum_is_math_fsum_bit_for_bit(self, drawn):
         guarded = [_guarded(part) for part in np.split(drawn[0], drawn[3])]
         event(f"blocks: {'guarded and limbs' if len(set(guarded)) > 1 else guarded[0]}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .kinematics import TRACK_NAMES
 from .scenario import ReportOptions
-from .simulator import RunSummary
+from .simulator import TRACE_COLUMNS, RunSummary
 
 TRACE_HEADER = (
     "t,s,segment,theta,vA,vB,vC,vA_theo,vB_theo,vC_theo,"
@@ -39,10 +39,6 @@ _TRACK_INDEX = {name: i for i, name in enumerate(TRACK_NAMES)}
 # are joined into bytes ``_JOIN_ROWS`` at a time, which bounds the transients.
 _CHUNK_ROWS = 512
 _JOIN_ROWS = 128
-
-# The trace columns that hold over a segment, in CSV order, unless the
-# trace's speeds move: then ``v`` and ``slip`` move with them.
-_PER_SEGMENT = ("v", "v_theo", "compression", "slip")
 
 # Two ASCII bytes as one little-endian 16-bit cell: ``_CELLS[k]`` spells
 # k < 100 as two digits, ``_CELLS[100 + k]`` as the leading digits of a
@@ -111,47 +107,41 @@ def _spelled(values: np.ndarray, end: bytes) -> np.ndarray:
     return fields
 
 
-def _held_texts(trace) -> dict:
-    """The text that holds over each planned segment, keyed by the field of
-    the moving columns ``t``, ``s`` and ``_moving(trace)`` that it comes
-    before: the segment, theta and the values of each column of
-    ``_PER_SEGMENT`` not moving, one row per segment."""
+def _held_texts(trace, lo: int, hi: int) -> dict:
+    """The text that holds over each segment ``lo`` to ``hi - 1``, keyed by
+    the field of the moving columns ``t``, ``s`` and ``trace.moving`` that it
+    comes before: the segment, theta and the values of each later column
+    that does not move, one row per segment."""
     # The trace's rows read with one record in each segment, by its own rules.
-    moving, m = _moving(trace), len(trace.speeds)
-    segments = replace(trace, segment=np.arange(m))
+    segments = replace(trace, segment=np.arange(lo, hi))
     theta = _spelled(np.array([[trace.theta_deg]], dtype=float), b",")[0, 0]
-    held = [np.array([[b"%d,%s" % (index, theta)] for index in range(m)])]
+    held = [np.array([[b"%d,%s" % (index, theta)] for index in range(lo, hi)])]
     texts, k = {}, 2
-    for name in (*_PER_SEGMENT, "distance"):
-        if name not in moving:
+    for name in TRACE_COLUMNS[3:]:
+        if name not in trace.moving:
             held.append(_spelled(getattr(segments, name), b","))
             continue
         if held:
             # Joined through ``tolist``, which drops each field's padding, so
             # each text is as wide as the widest row, not the widest fields.
             held = np.concatenate(held, axis=1)
-            texts[k] = np.array([b"".join(row) for a in range(0, m, _JOIN_ROWS)
+            texts[k] = np.array([b"".join(row) for a in range(0, hi - lo, _JOIN_ROWS)
                                  for row in held[a:a + _JOIN_ROWS].tolist()])
         held, k = [], k + 3
     return texts
 
 
-def _moving(trace) -> tuple:
-    """The columns after ``t`` and ``s`` that the trace stores per record."""
-    return ("distance",) if trace.v_disturbed is None else ("v", "slip", "distance")
-
-
-def _trace_rows(trace, texts: dict):
+def _trace_rows(trace, texts: dict, lo: int = 0):
     """The trace's rows as bytes in pieces, with the held texts ``texts`` of
-    every planned segment."""
-    moving = _moving(trace)
+    each segment from ``lo`` on that its records are in."""
     for a in range(0, len(trace), _CHUNK_ROWS):
         chunk = trace[a:a + _CHUNK_ROWS]
         values = np.concatenate([chunk.t[:, None], chunk.s[:, None],
-                                 *[getattr(chunk, name) for name in moving]], axis=1)
+                                 *[getattr(chunk, name) for name in trace.moving]], axis=1)
         fields = _spelled(values, b"\n")
+        segment = chunk.segment - lo if lo else chunk.segment
         for b in range(0, len(chunk), _JOIN_ROWS):
-            rows, at = fields[b:b + _JOIN_ROWS], chunk.segment[b:b + _JOIN_ROWS]
+            rows, at = fields[b:b + _JOIN_ROWS], segment[b:b + _JOIN_ROWS]
             line = rows[:, 0]
             for k in range(1, rows.shape[1]):
                 if k in texts:
@@ -176,7 +166,10 @@ def render_trace(trace) -> str:
     numpy columns, or ``'%.6f' %`` for each value where that cannot be
     exact.  The output is that of formatting each value alone.
     """
-    rows = _trace_rows(trace, _held_texts(trace)) if len(trace) else ()
+    rows = ()
+    if len(trace):  # a slice may run backwards or skip records: its segments span min..max
+        lo = int(trace.segment.min())
+        rows = _trace_rows(trace, _held_texts(trace, lo, int(trace.segment.max()) + 1), lo)
     return TRACE_HEADER + "\n" + "".join([piece.decode() for piece in rows])
 
 
@@ -202,7 +195,7 @@ def trace_writer(path):
             handle = files.enter_context(open(path, "wb"))
             handle.write(TRACE_HEADER.encode() + b"\n")
         if len(block):
-            texts = texts or _held_texts(block)
+            texts = texts or _held_texts(block, 0, len(block.speeds))
             handle.writelines(_trace_rows(block, texts))
 
     try:

@@ -29,9 +29,9 @@ produce bit-identical traces.  The kept records do the same floating-point
 operations in the same order as stepping one tick at a time (``np.cumsum``
 adds in sequence, the 3-term mean is the correctly rounded sum that
 ``math.fsum`` gives, formed in numpy by ``_sum3``, and a block starts from a
-kept position), and the disturbance takes one row of draws per record in
-the generator's stream order.  Independent runs share nothing and may
-execute in parallel.
+kept position), and record k's disturbance is rows ``3 * k`` to ``3 * k + 2``
+of the seed's stream (``_draws``), however the run is cut into blocks.
+Independent runs share nothing and may execute in parallel.
 
 Each block is folded into the summary (``_Fold``) and handed to ``run``'s
 ``keep`` as it is stepped; the summary's window means and APE are correctly
@@ -186,9 +186,13 @@ class Trace:
     @property
     def slip(self) -> np.ndarray:
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
-            if self.v_disturbed is None:  # gathering commutes with the elementwise rule
-                return _read_only(np.take(np.abs(self.speeds - self.speeds), self.segment, axis=0))
-            return _read_only(np.abs(self.v_disturbed - self.v_theo))
+            return _read_only(np.abs(self.v - self.v_theo))
+
+    @property
+    def moving(self) -> tuple:
+        """The columns after ``segment`` in ``TRACE_COLUMNS`` that change from
+        record to record: ``distance``, and ``v`` and ``slip`` when disturbed."""
+        return ("distance",) if self.v_disturbed is None else ("v", "slip", "distance")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -412,6 +416,13 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
     return guess, located, means, v, positions, _running_sums(distance, v * dt)
 
 
+def _draws(seed: int, k: int, rows: int) -> np.ndarray:
+    """The (rows, 3) draws ``np.random.default_rng(seed).uniform(-1.0, 1.0, ...)``
+    gives from draw ``3 * k`` on, one 64-bit output per draw: record k's row first."""
+    return np.random.Generator(np.random.PCG64(seed).advance(3 * k)).uniform(
+        -1.0, 1.0, size=(rows, 3))
+
+
 def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list:
     """The exact sum of ``column[a:b]`` for each window ``a, b`` of ``lo`` and
     ``hi``, as an integer in units of ``2**-1126``, of which every finite
@@ -615,7 +626,6 @@ def run(
     t_max = math.inf if params.t_max is None else params.t_max
     t_stop = t_max * (1.0 - 1e-12)  # records within 1e-12 of t_max, relative, stop the run
     amplitude = params.disturbance_amplitude
-    rng = np.random.default_rng(params.disturbance_seed) if amplitude > 0.0 else None
     plan = _plan(net, robot, gear, params, v_nominal)
     passable = len(plan.speeds)
     starts = np.append(net.starts, math.inf)
@@ -627,11 +637,10 @@ def run(
     # An undisturbed record's speeds are its segment's, which the trace gathers.
     empty = Trace(np.empty(0), np.empty(0), np.empty(0, dtype=int), params.theta_deg,
                   np.empty((0, 3)), plan.speeds, plan.compressions,
-                  None if rng is None else np.empty((0, 3)))
+                  None if amplitude == 0.0 else np.empty((0, 3)))
     blocks, fold = [empty], _Fold(net, robot, params, plan)
     if keep is not None:
         keep(empty)
-    draws = np.empty((0, 3))  # disturbance draws not used yet, in stream order
     s, k, distance = 0.0, 0, np.zeros(3)
     completed, stop_reason, error = False, None, None
     while True:
@@ -646,12 +655,9 @@ def run(
         step = float(plan.means[index]) * dt * (1.0 - amplitude)
         to_end = (end - s) / step if step > 0.0 else 0.0
         rows = int(min(to_end, t_max / dt - k, BLOCK_ROWS - 2)) + 2
-        if rng is not None and len(draws) < rows:
-            draws = np.concatenate((draws, rng.uniform(-1.0, 1.0, size=(BLOCK_ROWS, 3))))
+        draws = None if amplitude == 0.0 else _draws(params.disturbance_seed, k, rows)
         segment, located, means, v, positions, distances = _step_block(
-            plan, starts, index, s, distance, rows, dt,
-            amplitude, draws[:rows] if rng is not None else None,
-        )
+            plan, starts, index, s, distance, rows, dt, amplitude, draws)
         np.minimum(positions, total, out=positions)  # the run ends at the network's end
         t = np.arange(k, k + rows, dtype=float) * dt
         stops = (positions[:-1] >= total) | (t >= t_stop) | (means <= 0.0)
@@ -663,12 +669,11 @@ def run(
         if stopped:
             n = int(hits[0]) + 1
         block = replace(empty, t=t[:n], s=positions[:n], segment=segment[:n],
-                        distance=distances[:n], v_disturbed=None if rng is None else v[:n])
+                        distance=distances[:n], v_disturbed=None if draws is None else v[:n])
         fold.add(block)
         blocks.append(block)
         if keep is not None:
             keep(block)
-        draws = draws[n:]
         if stopped:
             index = int(segment[n - 1])
             if positions[n - 1] >= total:

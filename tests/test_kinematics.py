@@ -117,7 +117,8 @@ def test_demanded_speeds_rows_match_the_reference(case, theta, v_nominal):
 
 class TestDisturbance:
     """The disturbance ``run`` layers on the resolved speeds: ``v * (1 + a * u)``,
-    with one row of ``u ~ U(-1, 1)`` per record, in the seed's stream order."""
+    with one row of ``u ~ U(-1, 1)`` per record, record k's at draw ``3 * k``
+    of the seed's stream."""
 
     @staticmethod
     def disturbed(scenario, amplitude, seed):
@@ -131,9 +132,17 @@ class TestDisturbance:
         return trace, plan.speeds[trace.segment]
 
     def test_zero_amplitude_is_identity_and_draws_nothing(self, reference_scenario):
-        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+        drew = AssertionError("drew")
+        with mock.patch.object(simulator, "_draws", side_effect=drew), \
+                mock.patch.object(np.random, "PCG64", side_effect=drew):
             trace, resolved = self.disturbed(reference_scenario, 0.0, 7)
         assert np.array_equal(trace.v, resolved)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**70), k=st.integers(0, 3000), rows=st.integers(1, 50))
+    def test_draws_from_record_k_are_the_stream_from_draw_3k(self, seed, k, rows):
+        expected = np.random.default_rng(seed).uniform(-1.0, 1.0, (k + rows, 3))[k:]
+        assert simulator._draws(seed, k, rows).tobytes() == expected.tobytes()
 
     def test_seeded_draws_are_reproducible(self, reference_scenario):
         # The run's blocks of draws are the same stream as three draws per

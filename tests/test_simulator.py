@@ -233,6 +233,10 @@ class TestTraceStorage:
             np.testing.assert_array_equal(getattr(piece, name),
                                           getattr(trace, name)[joint - 3:joint + 4])
         assert list(piece) == list(trace)[joint - 3:joint + 4]
+        # Its CSV rows, and a reversed and a stepped slice's, are the whole trace's.
+        rows = render_trace(trace).splitlines()[1:]
+        for key in (slice(joint - 3, joint + 4), slice(None, None, -1), slice(joint, None, 7)):
+            assert render_trace(trace[key]).splitlines()[1:] == rows[key]
 
     @pytest.mark.parametrize("name", ["v", "v_theo", "compression", "slip"])
     def test_gathered_columns_are_read_only(self, trace, name):

@@ -26,7 +26,6 @@ from .report import (
     render_report,
     render_sweep_report,
     render_trace,
-    write_trace,
 )
 from .robot import (
     RobotConfig,

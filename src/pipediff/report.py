@@ -111,35 +111,42 @@ def _held_texts(trace, lo: int, hi: int) -> dict:
     """The text that holds over each segment ``lo`` to ``hi - 1``, keyed by
     the field of the moving columns ``t``, ``s`` and ``trace.moving`` that it
     comes before: the segment, theta and the values of each later column
-    that does not move, one row per segment."""
+    that does not move, one row per segment, all spelled in one pass."""
     # The trace's rows read with one record in each segment, by its own rules.
     segments = replace(trace, segment=np.arange(lo, hi))
-    theta = _spelled(np.array([[trace.theta_deg]], dtype=float), b",")[0, 0]
-    held = [np.array([[b"%d,%s" % (index, theta)] for index in range(lo, hi)])]
-    texts, k = {}, 2
-    for name in TRACE_COLUMNS[3:]:
-        if name not in trace.moving:
-            held.append(_spelled(getattr(segments, name), b","))
-            continue
-        if held:
+    held = [getattr(segments, name) for name in TRACE_COLUMNS[3:] if name not in trace.moving]
+    theta = np.full((hi - lo, 1), trace.theta_deg, dtype=float)
+    fields = np.concatenate([np.array([[b"%d," % index] for index in range(lo, hi)]),
+                             _spelled(np.concatenate([theta, *held], axis=1), b",")], axis=1)
+    texts, a = {}, 0
+    for k, name in enumerate(trace.moving):
+        # The segment, theta and each held column before ``name`` are the
+        # first b fields; those from a on follow the moving column before it.
+        b = 2 + 3 * (TRACE_COLUMNS.index(name) - 3 - k)
+        if b > a:
             # Joined through ``tolist``, which drops each field's padding, so
             # each text is as wide as the widest row, not the widest fields.
-            held = np.concatenate(held, axis=1)
-            texts[k] = np.array([b"".join(row) for a in range(0, hi - lo, _JOIN_ROWS)
-                                 for row in held[a:a + _JOIN_ROWS].tolist()])
-        held, k = [], k + 3
+            texts[2 + 3 * k] = np.array([b"".join(row) for c in range(0, hi - lo, _JOIN_ROWS)
+                                         for row in fields[c:c + _JOIN_ROWS, a:b].tolist()])
+        a = b
     return texts
 
 
-def _trace_rows(trace, texts: dict, lo: int = 0):
-    """The trace's rows as bytes in pieces, with the held texts ``texts`` of
-    each segment from ``lo`` on that its records are in."""
+def _trace_rows(trace):
+    """The trace's rows as bytes in pieces, each with the held text of its
+    segment, spelled for the segments from the lowest to the highest that
+    the trace's records are in (a slice may run backwards or skip records);
+    an empty trace has none."""
+    if not len(trace):
+        return
+    lo = int(trace.segment.min())
+    texts = _held_texts(trace, lo, int(trace.segment.max()) + 1)
     for a in range(0, len(trace), _CHUNK_ROWS):
         chunk = trace[a:a + _CHUNK_ROWS]
         values = np.concatenate([chunk.t[:, None], chunk.s[:, None],
                                  *[getattr(chunk, name) for name in trace.moving]], axis=1)
         fields = _spelled(values, b"\n")
-        segment = chunk.segment - lo if lo else chunk.segment
+        segment = chunk.segment - lo
         for b in range(0, len(chunk), _JOIN_ROWS):
             rows, at = fields[b:b + _JOIN_ROWS], segment[b:b + _JOIN_ROWS]
             line = rows[:, 0]
@@ -158,7 +165,8 @@ def render_trace(trace) -> str:
 
     A ``Trace`` stores per record only ``t``, ``s``, ``segment``, the
     distances and, when disturbed, ``v``; the rest is per-segment rows.  The
-    writer spells what holds over a segment once per trace: the segment,
+    writer spells what holds over a segment once, for the segments from the
+    lowest to the highest that the trace's records are in: the segment,
     theta, ``v_theo`` and ``compression``, and ``v`` and ``slip`` too when
     ``v`` is per segment.  Each row joins the fields of the columns that
     move with the held text of its segment, gathered by ``segment``.  Every
@@ -166,37 +174,25 @@ def render_trace(trace) -> str:
     numpy columns, or ``'%.6f' %`` for each value where that cannot be
     exact.  The output is that of formatting each value alone.
     """
-    rows = ()
-    if len(trace):  # a slice may run backwards or skip records: its segments span min..max
-        lo = int(trace.segment.min())
-        rows = _trace_rows(trace, _held_texts(trace, lo, int(trace.segment.max()) + 1), lo)
-    return TRACE_HEADER + "\n" + "".join([piece.decode() for piece in rows])
-
-
-def write_trace(trace, path) -> None:
-    """Write the trace CSV, one chunk of rows at a time, so that the text is
-    never held whole; I/O failures surface with the path."""
-    with trace_writer(path) as write:
-        write(trace)
+    return TRACE_HEADER + "\n" + "".join([piece.decode() for piece in _trace_rows(trace)])
 
 
 @contextmanager
 def trace_writer(path):
-    """A function that writes a run's blocks, handed in order as ``run``
-    steps them, as the trace CSV at ``path``, which the first block makes.
-    A run's first record is in segment 0, and its later blocks may reach any
-    planned segment, so the first block with records spells the held texts
-    of every planned segment, once a run.  I/O failures surface with the path."""
-    handle = texts = None
+    """A function that writes traces, handed in order, as one trace CSV at
+    ``path``, which the first call makes: a run's blocks as ``run`` steps
+    them (its ``keep``), or a whole ``Trace`` at once.  Each is spelled as
+    ``render_trace`` spells it, for the segments that it spans, one chunk of
+    rows at a time, so the text is never held whole.  I/O failures surface
+    with the path."""
+    handle = None
 
     def write(block):
-        nonlocal handle, texts
+        nonlocal handle
         if handle is None:
             handle = files.enter_context(open(path, "wb"))
             handle.write(TRACE_HEADER.encode() + b"\n")
-        if len(block):
-            texts = texts or _held_texts(block, 0, len(block.speeds))
-            handle.writelines(_trace_rows(block, texts))
+        handle.writelines(_trace_rows(block))
 
     try:
         with ExitStack() as files:

@@ -115,9 +115,11 @@ class SimParams:
 
     @property
     def theta_rad(self) -> float:
-        """The roll in radians, reduced mod 360 deg first (exactly, by ``fmod``),
-        so that a large roll does not swamp the modules' 120 deg offsets."""
-        return math.radians(math.fmod(self.theta_deg, 360.0))
+        """The roll in radians, reduced mod 360 deg first, so that a large roll
+        does not swamp the modules' 120 deg offsets.  Python's float ``%`` is
+        ``fmod``, exact, plus 360 deg when that is negative, so a roll and
+        the same roll plus 360 deg reduce alike."""
+        return math.radians(self.theta_deg % 360.0)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ EXPORTS = {
     "run_orientation_sweep",
     "serialize_scenario",
     "solve_output_speeds",
-    "write_trace",
 }
 
 
@@ -48,4 +47,4 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == EXPORTS
-    assert len(EXPORTS) == 35
+    assert len(EXPORTS) == 34

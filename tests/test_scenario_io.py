@@ -34,7 +34,6 @@ from pipediff import (
     run,
     run_orientation_sweep,
     serialize_scenario,
-    write_trace,
 )
 from pipediff import report, simulator
 from pipediff.cli import main
@@ -379,15 +378,17 @@ class TestTraceCsv:
         records, _ = reference_run
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_trace(records, a)
-        write_trace(records, b)
-        assert a.read_bytes() == b.read_bytes()
+        for path in (a, b):
+            with report.trace_writer(path) as write:
+                write(records)
+        assert a.read_bytes() == b.read_bytes() == render_trace(records).encode()
 
     def test_write_failure_names_the_path(self, reference_run, tmp_path):
         records, _ = reference_run
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(OSError, match="out.csv"):
-            write_trace(records, target)
+            with report.trace_writer(target) as write:
+                write(records)
 
     def test_fixed_six_decimal_formatting(self, reference_run):
         records, _ = reference_run
@@ -745,6 +746,24 @@ class TestManySegmentPins:
             for text in (render_trace(records), render_report(summary, sc.report, fmt="json"))
         )
         assert digests == self.PINS[amplitude]
+
+    @pytest.mark.parametrize("block_rows", [50, simulator.BLOCK_ROWS])
+    @pytest.mark.parametrize("amplitude", sorted(PINS))
+    def test_the_streamed_trace_is_pinned_and_each_block_spells_its_own_segments(
+            self, amplitude, block_rows, tmp_path, monkeypatch):
+        sc = parse_scenario(many_segment_scenario(11, amplitude))
+        monkeypatch.setattr(simulator, "BLOCK_ROWS", block_rows)
+        path, spans = tmp_path / "t.csv", []
+        with mock.patch.object(report, "_held_texts", wraps=report._held_texts) as held:
+            with report.trace_writer(path) as write:
+                def keep(block):
+                    if len(block):
+                        spans.append((int(block.segment.min()), int(block.segment.max()) + 1))
+                    write(block)
+
+                run(sc.network, sc.robot, sc.gear, sc.sim, keep=keep)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINS[amplitude][0]
+        assert [call.args[1:] for call in held.call_args_list] == spans
 
     @pytest.mark.parametrize("amplitude", sorted(PINS) + [0.1, 0.3, 0.9])
     def test_stepping_passes_follow_the_records_not_the_segments(self, amplitude):

@@ -126,6 +126,19 @@ class TestRun:
         assert summary.completed and summary.theta_deg == trace.theta_deg == theta_deg
         assert (replace(trace, theta_deg=reduced), replace(summary, theta_deg=reduced)) == expected
 
+    @pytest.mark.parametrize("amplitude", [0.0, 0.025])
+    @pytest.mark.parametrize("theta_deg", [-200.0, -120.0, -37.5, -1e15])
+    def test_a_roll_and_the_same_roll_plus_360_run_alike(self, reference_scenario, theta_deg,
+                                                          amplitude):
+        # A reduction that keeps the sign (``math.fmod``) leaves -200 at
+        # -200, whose module cosines differ from 160's in the last bit.
+        sc = reference_scenario
+        params = replace(sc.sim, disturbance_amplitude=amplitude, disturbance_seed=3)
+        trace, summary = run(sc.network, sc.robot, sc.gear, replace(params, theta_deg=theta_deg))
+        turned = theta_deg + 360.0
+        expected = run(sc.network, sc.robot, sc.gear, replace(params, theta_deg=turned))
+        assert (replace(trace, theta_deg=turned), replace(summary, theta_deg=turned)) == expected
+
     def test_determinism_bit_identical(self):
         net, robot, gear, params = small_setup(
             disturbance_amplitude=0.025, disturbance_seed=11
@@ -415,6 +428,38 @@ class TestSegmentAdmissibility:
                 break
         assert summary.completed == (first_error is None)
         assert summary.error == first_error
+
+
+class TestSplitSegment:
+    """Cutting a segment in two, a straight at any point or a bend into two
+    bends of its radius and normal, moves only the records' segment: a
+    segment's speeds depend only on its radius and the roll."""
+
+    # (segment of the reference, the lengths or sweeps of its two parts)
+    SPLITS = [(0, (157.5, 157.5)), (0, (100.0, 215.0)), (1, (45.0, 45.0)), (1, (30.0, 60.0)),
+              (3, (90.0, 90.0))]
+
+    @pytest.mark.parametrize("theta_deg", [0.0, 37.5, 120.0])
+    @pytest.mark.parametrize("amplitude", [0.0, 0.025])
+    def test_the_records_and_totals_are_unchanged(self, reference_scenario, amplitude, theta_deg):
+        # The segment windows move with a cut, so the means and APE may not.
+        sc = reference_scenario
+        params = replace(sc.sim, theta_deg=theta_deg, disturbance_amplitude=amplitude,
+                         disturbance_seed=3)
+        whole, summary = run(sc.network, sc.robot, sc.gear, params)
+        for k, parts in self.SPLITS:
+            segments = list(sc.network.segments)
+            cut = "length" if isinstance(segments[k], Straight) else "sweep_deg"
+            segments[k:k + 1] = [replace(segments[k], **{cut: part}) for part in parts]
+            net = PipeNetwork(sc.network.spec, tuple(segments), sc.network.start_tangent)
+            split, split_summary = run(net, sc.robot, sc.gear, params)
+            for name in ("t", "s", "distance", "v", "v_theo", "compression", "slip"):
+                assert np.array_equal(getattr(split, name), getattr(whole, name)), (k, parts, name)
+            assert np.array_equal(split.segment - (split.segment > k), whole.segment)
+            for name in ("total_time", "max_slip", "completed"):
+                assert getattr(split_summary, name) == getattr(summary, name), (k, parts, name)
+            assert ([t.distance for t in split_summary.tracks]
+                    == [t.distance for t in summary.tracks]), (k, parts)
 
 
 class TestAgainstTheTickStepper:

@@ -79,16 +79,12 @@ def _apply_overrides(scenario: Scenario, seed, theta) -> Scenario:
                 [(0, f"{SEED_ENV_VAR} must be an integer, got {env!r}")]
             ) from None
     sim = scenario.sim
-    try:
-        if seed is not None:
-            sim = replace(sim, disturbance_seed=seed)
-    except ValueError as exc:
-        raise ScenarioParseError([(0, f"{source}: {exc}")]) from None
-    try:
-        if theta is not None:
-            sim = replace(sim, theta_deg=theta)
-    except ValueError as exc:
-        raise ScenarioParseError([(0, f"--theta: {exc}")]) from None
+    for flag, name, value in ((source, "disturbance_seed", seed), ("--theta", "theta_deg", theta)):
+        if value is not None:
+            try:
+                sim = replace(sim, **{name: value})
+            except ValueError as exc:
+                raise ScenarioParseError([(0, f"{flag}: {exc}")]) from None
     if sim is scenario.sim:
         return scenario
     return replace(scenario, sim=sim)

@@ -86,6 +86,13 @@ def _norm(v) -> float:
     return math.hypot(*v)
 
 
+def off_unit(v) -> float | None:
+    """The norm of ``v`` when it is not a unit vector within ``UNIT_TOL``,
+    else None: the one unit rule of declared axes and normals."""
+    norm = _norm(v)
+    return None if abs(norm - 1.0) <= UNIT_TOL else norm
+
+
 def _unit(v, fallback: Vec3) -> Vec3:
     """Normalize ``v``; fall back when it is degenerate (a violation flags it)."""
     n = _norm(v)
@@ -114,40 +121,6 @@ class Violation:
     def __str__(self) -> str:
         where = "network" if self.segment_index is None else f"segment {self.segment_index}"
         return f"{self.rule} @ {where}: {self.message}"
-
-
-def _segment_violations(k: int, segment: Segment, incoming: Vec3, pipe_radius: float):
-    """Broken invariants of segment ``k`` entered along unit tangent ``incoming``."""
-    if isinstance(segment, Straight):
-        if not (math.isfinite(segment.length) and segment.length > 0.0):
-            yield Violation(k, "segment-length", f"straight length must be positive, got {segment.length!r}")
-        norm = _norm(segment.axis)
-        if not abs(norm - 1.0) <= UNIT_TOL:
-            yield Violation(k, "unit-axis", f"axis norm is {norm:.12g}, expected 1")
-        axis = _unit(segment.axis, incoming)
-        deviation = math.atan2(_norm(_cross(incoming, axis)), _dot(incoming, axis))
-        if deviation > ANGLE_TOL:
-            yield Violation(k, "continuity", f"axis deviates {deviation:.3g} rad from the incoming tangent")
-        return
-    if not (math.isfinite(segment.radius) and segment.radius > pipe_radius):
-        yield Violation(
-            k,
-            "bend-radius",
-            f"bend radius {segment.radius!r} mm must exceed the pipe radius {pipe_radius!r} mm",
-        )
-    if not (math.isfinite(segment.sweep_deg) and 0.0 < segment.sweep_deg <= 180.0):
-        yield Violation(k, "sweep-angle", f"sweep must be in (0, 180] degrees, got {segment.sweep_deg!r}")
-    norm = _norm(segment.normal)
-    if not abs(norm - 1.0) <= UNIT_TOL:
-        yield Violation(k, "unit-normal", f"normal norm is {norm:.12g}, expected 1")
-        return
-    tilt = abs(_dot(_unit(segment.normal, _PLUS_Y), incoming))
-    if tilt > ANGLE_TOL:
-        yield Violation(
-            k,
-            "normal-orthogonality",
-            f"bend normal is not orthogonal to the incoming tangent (dot = {tilt:.3g})",
-        )
 
 
 @dataclass(frozen=True)
@@ -199,14 +172,41 @@ class PipeNetwork:
         rows = []  # radius, length and start of each segment
         s = 0.0
         for k, segment in enumerate(segments):
-            if isinstance(segment, Straight) and segment.axis is None:
-                segment = Straight(segment.length, tangent)
-            violations.extend(_segment_violations(k, segment, tangent, pipe_radius))
+            # The segment's checks, as (rule, message) in rule order, and the
+            # tangent it leaves along; its axis or normal is normalized once.
+            broken = []
             if isinstance(segment, Straight):
-                tangent = _unit(segment.axis, tangent)
+                if segment.axis is None:
+                    segment = Straight(segment.length, tangent)
+                if not (math.isfinite(segment.length) and segment.length > 0.0):
+                    broken.append(("segment-length",
+                                   f"straight length must be positive, got {segment.length!r}"))
+                if (norm := off_unit(segment.axis)) is not None:
+                    broken.append(("unit-axis", f"axis norm is {norm:.12g}, expected 1"))
+                axis = _unit(segment.axis, tangent)
+                deviation = math.atan2(_norm(_cross(tangent, axis)), _dot(tangent, axis))
+                if deviation > ANGLE_TOL:
+                    broken.append(("continuity",
+                                   f"axis deviates {deviation:.3g} rad from the incoming tangent"))
+                tangent = axis
             else:
+                if not (math.isfinite(segment.radius) and segment.radius > pipe_radius):
+                    broken.append(("bend-radius", f"bend radius {segment.radius!r} mm must exceed "
+                                                  f"the pipe radius {pipe_radius!r} mm"))
+                finite = math.isfinite(segment.sweep_deg)
+                if not (finite and 0.0 < segment.sweep_deg <= 180.0):
+                    broken.append(("sweep-angle",
+                                   f"sweep must be in (0, 180] degrees, got {segment.sweep_deg!r}"))
                 normal = _unit(segment.normal, _PLUS_Y)
-                tangent = _unit(_rotate(tangent, normal, segment.sweep_rad), tangent)
+                if (norm := off_unit(segment.normal)) is not None:
+                    broken.append(("unit-normal", f"normal norm is {norm:.12g}, expected 1"))
+                elif (tilt := abs(_dot(normal, tangent))) > ANGLE_TOL:
+                    broken.append(("normal-orthogonality", "bend normal is not orthogonal to the "
+                                   f"incoming tangent (dot = {tilt:.3g})"))
+                if finite:  # a non-finite sweep turns nothing; a violation flags it
+                    tangent = _unit(_rotate(tangent, normal, segment.sweep_rad), tangent)
+            if broken:
+                violations.extend(Violation(k, rule, message) for rule, message in broken)
             resolved.append(segment)
             rows.append((segment.radius, segment.length, s))
             s += segment.length

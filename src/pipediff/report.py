@@ -227,38 +227,40 @@ def _spell(value) -> str:
     return json.dumps(value)
 
 
-def _mark(value, leaves: list):
-    """``value`` with ``"%s"`` for each value in it that is not a dict or
-    list; those go to ``leaves``, in the order ``sort_keys`` writes them."""
+def _layout(value, depth: int, leaves: list) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` lays it
+    out ``depth`` levels deep, with ``%s`` for each value in it that is not a
+    dict or list; those go to ``leaves``, in the order they are written.  The
+    text fits every value of the same shape.  No key holds a ``%``."""
     if isinstance(value, dict):
-        return {key: _mark(value[key], leaves) for key in sorted(value)}
-    if isinstance(value, list):
-        return [_mark(item, leaves) for item in value]
-    leaves.append(value)
-    return "%s"
+        items = [f"{encode_basestring_ascii(key)}: {_layout(value[key], depth + 1, leaves)}"
+                 for key in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [_layout(item, depth + 1, leaves) for item in value]
+        brackets = "[]"
+    else:
+        leaves.append(value)
+        return "%s"
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
-def _layout(skeleton, depth: int) -> tuple[list, list]:
-    """``(parts, leaves)``: ``skeleton`` as ``json.dumps(..., indent=2,
-    sort_keys=True)`` lays it out ``depth`` levels deep, cut at each value
-    that is not a dict or list: part k comes before ``leaves[k]`` and the
-    last part ends the text.  The parts fit every skeleton of the same
-    shape, in ``_mark``'s order."""
+def _pieces(value):
+    """``value`` laid out whole, with the final newline, in pieces: the parts
+    of its ``_layout`` and between them each leaf, a JSON text or an
+    iterable of JSON texts."""
     leaves = []
-    text = json.dumps(_mark(skeleton, leaves), indent=2, sort_keys=True)
-    return text.replace("\n", "\n" + "  " * depth).split('"%s"'), leaves
-
-
-def _pieces(parts: list, leaves: list):
-    """A ``_layout``'s text in pieces: its parts, and between them each leaf,
-    a JSON text or an iterable of JSON texts."""
+    parts = _layout(value, 0, leaves).split("%s")
     for part, leaf in zip(parts, leaves):
         yield part
         if type(leaf) is str:
             yield leaf
         else:
             yield from leaf
-    yield parts[-1]
+    yield parts[-1] + "\n"
 
 
 def _texts(column: list):
@@ -321,8 +323,8 @@ def _row_layouts(options: ReportOptions, depth: int) -> tuple:
         totals["max_ape_pct"] = ("max_ape", None)
     layouts = []
     for skeleton in (segment, totals):
-        parts, leaves = _layout(skeleton, depth + 2)
-        layouts.append(("%s".join([part.replace("%", "%%") for part in parts]), leaves))
+        leaves = []
+        layouts.append((_layout(skeleton, depth + 2, leaves), leaves))
     return tuple(layouts)
 
 
@@ -445,20 +447,13 @@ def _batched(lines):
         yield "\n".join(batch) + "\n"
 
 
-def _json(skeleton):
-    """``skeleton`` laid out whole, in pieces, with the final newline."""
-    parts, leaves = _layout(skeleton, 0)
-    parts[-1] += "\n"
-    return _pieces(parts, leaves)
-
-
 def report_pieces(summary: RunSummary, options: ReportOptions | None = None,
                   fmt: str = "text"):
     """The text of ``render_report`` as an iterator of pieces, spelled as
     they are taken; an unknown ``fmt`` is rejected before any is."""
     options = options or ReportOptions()
     if fmt == "json":
-        return _json(_payload(summary, options, 0, _row_layouts(options, 0)))
+        return _pieces(_payload(summary, options, 0, _row_layouts(options, 0)))
     if fmt == "text":
         return _batched(_text_lines(summary, options))
     raise ValueError(f"unknown report format {fmt!r}")
@@ -473,7 +468,7 @@ def sweep_report_pieces(summaries, options: ReportOptions | None = None,
         rows = _row_layouts(options, 2)
         payloads = [{"theta_deg": _spell(summary.theta_deg), **_payload(summary, options, 2, rows)}
                     for summary in summaries]
-        return _json({"orientations": payloads})
+        return _pieces({"orientations": payloads})
     if fmt == "text":
         return _batched(_sweep_lines(summaries, options))
     raise ValueError(f"unknown report format {fmt!r}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import ScenarioParseError
-from .geometry import Bend, PipeNetwork, PipeSpec, Segment, Straight, UNIT_TOL
+from .geometry import Bend, PipeNetwork, PipeSpec, Segment, Straight, off_unit
 from .kinematics import TRACK_NAMES
 from .robot import RobotConfig
 from .simulator import SimParams
@@ -84,8 +84,8 @@ def _three_numbers(raw):
 
 
 def _not_unit(vec):
-    norm = math.sqrt(sum(c * c for c in vec))
-    return None if abs(norm - 1.0) <= UNIT_TOL else f"must be a unit vector, norm is {norm:.12g}"
+    norm = off_unit(vec)
+    return None if norm is None else f"must be a unit vector, norm is {norm:.12g}"
 
 
 def _tracks(raw):

@@ -191,6 +191,12 @@ class TestValidateNetwork:
         net = make_net(Straight(100.0, (nan, 0.0, 1.0)), Bend(100.0, 90.0, (0.0, nan, 0.0)))
         assert [v.rule for v in net.violations] == ["unit-axis", "unit-normal"]
 
+    def test_an_infinite_sweep_is_a_violation(self):
+        for sweep in (math.inf, -math.inf):
+            net = make_net(Straight(100.0, Z), Bend(radius=100.0, sweep_deg=sweep, normal=Y))
+            assert [str(v) for v in net.violations] == [
+                f"sweep-angle @ segment 1: sweep must be in (0, 180] degrees, got {sweep!r}"]
+
 
 class TestDefaultAxis:
     def test_missing_axis_continues_the_incoming_tangent(self):

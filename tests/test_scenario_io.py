@@ -143,6 +143,18 @@ class TestParse:
             issues = issues_of(text)
             assert any("unit vector" in msg for _line, msg in issues), issues
 
+    def test_a_vector_norm_neither_overflows_nor_underflows(self):
+        for axis, norm in (("1e200 0 0", "1e+200"), ("3e-200 4e-200 0", "5e-200")):
+            text = MINIMAL.replace("axis = 0 0 1", f"axis = {axis}")
+            assert issues_of(text) == ((7, f"axis: must be a unit vector, norm is {norm}"),)
+
+    def test_the_parser_applies_the_networks_unit_rule(self):
+        # sqrt of the sum of squares is 1.0000000009999999 here, within the
+        # tolerance; math.hypot, which the network takes, gives 1.000000001.
+        axis = "-0.39421690204903126 -0.8515633431589935 -0.3455906664346459"
+        text = MINIMAL.replace("axis = 0 0 1", f"axis = {axis}")
+        assert issues_of(text) == ((7, "axis: must be a unit vector, norm is 1.000000001"),)
+
     def test_discontinuous_chain_is_mapped_to_the_segment_line(self, reference_text):
         text = reference_text.replace("axis = 1 0 0", "axis = 0 0 1")
         issues = issues_of(text)

@@ -462,6 +462,42 @@ class TestSplitSegment:
                     == [t.distance for t in summary.tracks]), (k, parts)
 
 
+class TestRotateNetwork:
+    """Rotating the whole network, its start tangent and every bend normal,
+    about one axis changes no run: a segment's speeds depend only on its
+    radius and the roll, and the walk resolves the rotated straights."""
+
+    AXIS = (1.0 / math.sqrt(3.0),) * 3
+
+    @staticmethod
+    def rotated(v, k, angle):
+        # Rodrigues' formula, right-hand rule, about the unit ``k``.
+        c, s = math.cos(angle), math.sin(angle)
+        cross = (k[1] * v[2] - k[2] * v[1], k[2] * v[0] - k[0] * v[2], k[0] * v[1] - k[1] * v[0])
+        dot = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
+        return tuple(v[i] * c + cross[i] * s + k[i] * dot * (1.0 - c) for i in range(3))
+
+    @pytest.mark.parametrize("angle", [0.3, 1.9, -2.7])
+    def test_the_run_is_unchanged(self, reference_scenario, angle):
+        sc = reference_scenario
+        net = sc.network
+        segments = tuple(Straight(seg.length) if isinstance(seg, Straight)
+                         else replace(seg, normal=self.rotated(seg.normal, self.AXIS, angle))
+                         for seg in net.segments)
+        turned = PipeNetwork(net.spec, segments, self.rotated(net.start_tangent, self.AXIS, angle))
+        assert turned.violations == ()
+        for seg, original in zip(turned.segments, net.segments):
+            if isinstance(seg, Straight):
+                expected = self.rotated(original.axis, self.AXIS, angle)
+                assert seg.axis == pytest.approx(expected, rel=0.0, abs=1e-15)
+        for amplitude in (0.0, 0.025):
+            for theta_deg in (0.0, 37.5, 120.0):
+                params = replace(sc.sim, theta_deg=theta_deg, disturbance_amplitude=amplitude,
+                                 disturbance_seed=3)
+                assert (run(turned, sc.robot, sc.gear, params)
+                        == run(net, sc.robot, sc.gear, params)), (amplitude, theta_deg)
+
+
 class TestAgainstTheTickStepper:
     """The block stepper against the tick-by-tick reference in reference_stepper."""
 

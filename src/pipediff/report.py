@@ -1,8 +1,8 @@
 """Trace CSV serialization and run reports (text and JSON), both byte contracts.
 
 The JSON report reads as ``json.dumps(payload, indent=2, sort_keys=True)``
-would write it, but each kind of object is laid out once: a segment or track
-row as a ``%``-template, the document as its literal parts, cut at each leaf.
+would write it, but each kind of object is laid out once: a segment row as a
+``%``-template, the document as its literal parts, cut at each leaf.
 Both reports read a run's segments as the columns of ``RunSummary.segments``
 and spell each column, not each segment, at a time.
 
@@ -274,8 +274,8 @@ def _texts(column: list):
 def _rows(layout, columns: dict, take, depth: int):
     """An array of one object per row that ``take`` keeps of ``columns``, in
     pieces of ``_JOIN_ROWS`` rows, which bounds the texts held.  ``layout``
-    is one of ``_row_layouts``, each leaf naming a column ``(field, None)``
-    or ``(field, track)``."""
+    is the ``_row_layout``, each leaf naming a column ``(field, None)`` or
+    ``(field, track)``."""
     template, leaves = layout
     picked = [take(columns[name] if track is None else columns[name][track])
               for name, track in leaves]
@@ -292,8 +292,8 @@ def _rows(layout, columns: dict, take, depth: int):
     yield "\n" + "  " * depth + "]"
 
 
-# JSON key -> attribute of the RunSummary, its SegmentColumns, their per-track
-# columns, and a TrackTotals, whose columns the reports read.
+# JSON key -> attribute of the RunSummary, its SegmentColumns, whose columns
+# the reports read, their per-track columns, and a TrackTotals.
 _RUN_KEYS = {"completed": "completed", "stop_reason": "stop_reason", "error": "error",
              "total_time_s": "total_time", "total_length_mm": "total_length",
              "effective_path_mm": "effective_path", "nominal_speed_mm_s": "nominal_speed",
@@ -310,30 +310,23 @@ _TOTALS_KEYS = {"name": "name", "distance_mm": "distance", "mean_speed_mm_s": "m
                 "max_slip_mm_s": "max_slip"}
 
 
-def _row_layouts(options: ReportOptions, depth: int) -> tuple:
-    """``(template, leaves)`` of the segment and the track rows, for
-    ``_payload`` at ``depth``: each ``_layout`` as one ``%``-template, whose
-    leaves name columns.  A sweep report lays them out once."""
+def _row_layout(options: ReportOptions, depth: int) -> tuple:
+    """``(template, leaves)`` of a segment row, for ``_payload`` at
+    ``depth``: its ``_layout`` as one ``%``-template, whose leaves name
+    columns.  A sweep report lays it out once."""
     per_track = _SEGMENT_TRACK_KEYS | ({"ape_pct": "ape"} if options.ape else {})
     segment = {key: (attr, None) for key, attr in _SEGMENT_KEYS.items()}
     segment["tracks"] = {name: {key: (attr, _TRACK_INDEX[name]) for key, attr in per_track.items()}
                          for name in options.tracks}
-    totals = {key: (attr, None) for key, attr in _TOTALS_KEYS.items()}
-    if options.ape:
-        totals["max_ape_pct"] = ("max_ape", None)
-    layouts = []
-    for skeleton in (segment, totals):
-        leaves = []
-        layouts.append((_layout(skeleton, depth + 2, leaves), leaves))
-    return tuple(layouts)
+    leaves = []
+    return _layout(segment, depth + 2, leaves), leaves
 
 
-def _payload(summary: RunSummary, options: ReportOptions, depth: int, rows: tuple) -> dict:
+def _payload(summary: RunSummary, options: ReportOptions, depth: int, row: tuple) -> dict:
     """One run's JSON object ``depth`` levels deep: its leaves as JSON
-    texts, its arrays as ``_rows`` pieces."""
-    segment, totals = rows
+    texts, its segments as ``_rows`` pieces of the ``_row_layout`` ``row``."""
     columns = vars(summary.segments)
-    tracks = [summary.tracks[_TRACK_INDEX[name]] for name in options.tracks]
+    totals = _TOTALS_KEYS | ({"max_ape_pct": "max_ape"} if options.ape else {})
     limits = {
         "max_compression_mm": summary.max_compression,
         "min_compression_headroom_mm": min(columns["compression_headroom_mm"], default=None),
@@ -345,9 +338,9 @@ def _payload(summary: RunSummary, options: ReportOptions, depth: int, rows: tupl
     }
     return {
         "run": {key: _spell(getattr(summary, attr)) for key, attr in _RUN_KEYS.items()},
-        "segments": _rows(segment, columns, _taker(summary, options), depth + 1),
-        "tracks": _rows(totals, {attr: [getattr(t, attr) for t in tracks]
-                                 for attr in (*_TOTALS_KEYS.values(), "max_ape")}, list, depth + 1),
+        "segments": _rows(row, columns, _taker(summary, options), depth + 1),
+        "tracks": [{key: _spell(getattr(summary.tracks[_TRACK_INDEX[name]], attr))
+                    for key, attr in totals.items()} for name in options.tracks],
         "limits": {key: _spell(value) for key, value in limits.items()},
     }
 
@@ -453,7 +446,7 @@ def report_pieces(summary: RunSummary, options: ReportOptions | None = None,
     they are taken; an unknown ``fmt`` is rejected before any is."""
     options = options or ReportOptions()
     if fmt == "json":
-        return _pieces(_payload(summary, options, 0, _row_layouts(options, 0)))
+        return _pieces(_payload(summary, options, 0, _row_layout(options, 0)))
     if fmt == "text":
         return _batched(_text_lines(summary, options))
     raise ValueError(f"unknown report format {fmt!r}")
@@ -465,8 +458,8 @@ def sweep_report_pieces(summaries, options: ReportOptions | None = None,
     ``report_pieces`` gives a run's."""
     options = options or ReportOptions()
     if fmt == "json":
-        rows = _row_layouts(options, 2)
-        payloads = [{"theta_deg": _spell(summary.theta_deg), **_payload(summary, options, 2, rows)}
+        row = _row_layout(options, 2)
+        payloads = [{"theta_deg": _spell(summary.theta_deg), **_payload(summary, options, 2, row)}
                     for summary in summaries]
         return _pieces({"orientations": payloads})
     if fmt == "text":

@@ -167,16 +167,14 @@ KEYS = (
 _SECTIONS = tuple(dict.fromkeys(key.section for key in KEYS))
 # A segment's type names its class.
 _SEGMENT_TYPES = {cls.__name__.lower(): cls for cls in (Straight, Bend)}
-# The keys of each section, except that [segment] holds only its type key
-# and each segment class has the keys of its fields; and the key names
-# each of them accepts.
-_KEYS_OF: dict = {}
-for _key in KEYS:
-    _KEYS_OF.setdefault(_key.owner if _key.owner in (Straight, Bend) else _key.section,
-                        []).append(_key)
+# The keys of each section but [segment], and of a [segment] of each class:
+# its type key and the keys of the class's fields (None: of no known type,
+# the type key alone); and the key names each of them accepts.
+_KEYS_OF = {name: [key for key in KEYS if key.section == name]
+            for name in _SECTIONS if name != "segment"}
+_KEYS_OF |= {cls: [key for key in KEYS if key.section == "segment" and key.owner in (None, cls)]
+             for cls in (None, Straight, Bend)}
 _NAMES = {group: frozenset(key.name for key in keys) for group, keys in _KEYS_OF.items()}
-for _cls in (Straight, Bend):
-    _NAMES[_cls] |= _NAMES["segment"]
 
 
 def _raise_if_any(issues: list):
@@ -223,12 +221,14 @@ def _tokenize(text: str, issues: list):
 
 
 def _read(section, keys, issues: list, known=None) -> dict:
-    """The value of each of ``keys`` in one tokenized section, by field
-    name; a key with a diagnostic keeps its default.  Keys of the section
-    not in ``known`` are rejected; None accepts every key."""
+    """The value of each of ``keys`` in one tokenized section, as
+    ``{owner: {field: value}}``: filed by the ``Scenario`` part it fills,
+    None for the parser's own keys.  A key with a diagnostic keeps its
+    default.  Keys of the section not in ``known`` are rejected; None
+    accepts every key."""
     name, header_line, bindings = section
     values = {}
-    for _, key, kind, bounds, default, required, _, attr in keys:
+    for _, key, kind, bounds, default, required, owner, attr in keys:
         entry = bindings.get(key)
         if entry is None:
             value = default
@@ -250,18 +250,12 @@ def _read(section, keys, issues: list, known=None) -> dict:
             if problem:
                 value = default
                 issues.append((line, f"{key}: {problem}"))
-        values[attr or key] = value
+        values.setdefault(owner, {})[attr or key] = value
     if known is not None and not known.issuperset(bindings):
         for key, (lineno, _) in bindings.items():
             if key not in known:
                 issues.append((lineno, f"unknown key {key!r} in [{name}]"))
     return values
-
-
-def _fields(values: dict, owner: type) -> dict:
-    """The entries of ``values`` that are fields of ``owner``."""
-    names = [key.attr or key.name for key in KEYS if key.owner is owner]
-    return {name: values[name] for name in names}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -289,29 +283,31 @@ def parse_scenario(text: str) -> Scenario:
     for name in _SECTIONS:
         if name != "segment":
             section = by_name.get(name, (name, 0, {}))
-            values.update(_read(section, _KEYS_OF[name], issues, _NAMES[name]))
-    preload = values["preload_compression"]
-    if preload is not None and preload > values["max_compression"]:
+            for owner, fields in _read(section, _KEYS_OF[name], issues, _NAMES[name]).items():
+                values.setdefault(owner, {}).update(fields)
+    preload = values[RobotConfig]["preload_compression"]
+    if preload is not None and preload > values[RobotConfig]["max_compression"]:
         issues.append((by_name["robot"][1], "preload_compression exceeds max_compression"))
 
-    # [segment] list: the type picks the class and its keys.  The file's
+    # [segment] list: the type picks the class and its keys; a section of no
+    # known type reads its type key alone and rejects no key.  The file's
     # default normal is applied here; a missing axis and start tangent are
     # resolved by PipeNetwork.
     segments: list[Segment] = []
     segment_lines: list[int] = []
     for section in segment_sections:
-        kind = _read(section, _KEYS_OF["segment"], issues)["type"].lower()
+        kind = section[2].get("type", (0, ""))[1].lower()
         cls = _SEGMENT_TYPES.get(kind)
+        fields = _read(section, _KEYS_OF[cls], issues, cls and _NAMES[cls])[cls]
         if cls is None:
             issues.append((section[1], f"segment type must be straight or bend, got {kind!r}"))
         else:
-            fields = _read(section, _KEYS_OF[cls], issues, _NAMES[cls])
             if cls is Bend and fields["normal"] is None:
-                fields["normal"] = values["default_normal"]
+                fields["normal"] = values[None]["default_normal"]
             segments.append(cls(**fields))
         segment_lines.append(section[1])
 
-    bad = [i for i in values["segments"] or () if not 0 <= i < len(segments)]
+    bad = [i for i in values[ReportOptions]["segments"] or () if not 0 <= i < len(segments)]
     if bad:
         line = by_name["report"][2]["segments"][0]
         issues.append((line, f"segments: index {bad[0]} out of range"))
@@ -319,9 +315,7 @@ def parse_scenario(text: str) -> Scenario:
     _raise_if_any(issues)
 
     # Geometric invariants, mapped back to the offending [segment] line.
-    network = PipeNetwork(
-        PipeSpec(**_fields(values, PipeSpec)), tuple(segments), **_fields(values, PipeNetwork)
-    )
+    network = PipeNetwork(PipeSpec(**values[PipeSpec]), tuple(segments), **values[PipeNetwork])
     for violation in network.violations:
         if violation.segment_index is None:
             issues.append((by_name["pipe"][1], str(violation)))
@@ -329,13 +323,9 @@ def parse_scenario(text: str) -> Scenario:
             issues.append((segment_lines[violation.segment_index], str(violation)))
     _raise_if_any(issues)
 
-    return Scenario(
-        network=network,
-        robot=RobotConfig(**_fields(values, RobotConfig)),
-        gear=GearTrainConfig(**_fields(values, GearTrainConfig)),
-        sim=SimParams(**_fields(values, SimParams)),
-        report=ReportOptions(**_fields(values, ReportOptions)),
-    )
+    return Scenario(network, RobotConfig(**values[RobotConfig]),
+                    GearTrainConfig(**values[GearTrainConfig]), SimParams(**values[SimParams]),
+                    ReportOptions(**values[ReportOptions]))
 
 
 def _write(name: str, keys, owners: dict, *first: str) -> str:

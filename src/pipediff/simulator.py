@@ -117,9 +117,11 @@ class SimParams:
     def theta_rad(self) -> float:
         """The roll in radians, reduced mod 360 deg first, so that a large roll
         does not swamp the modules' 120 deg offsets.  Python's float ``%`` is
-        ``fmod``, exact, plus 360 deg when that is negative, so a roll and
-        the same roll plus 360 deg reduce alike."""
-        return math.radians(self.theta_deg % 360.0)
+        ``fmod``, exact, plus 360 deg when that is negative.  That sum rounds
+        to 360 deg itself for a roll in about (-2.8e-14, 0) deg, and is read
+        as 0, so a roll and the same roll plus 360 deg reduce alike."""
+        reduced = self.theta_deg % 360.0
+        return math.radians(0.0 if reduced == 360.0 else reduced)
 
 
 @dataclass(frozen=True)

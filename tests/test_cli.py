@@ -616,6 +616,25 @@ def test_a_run_no_memory_can_hold_exits_two_at_the_plan(tmp_path, reference_text
     assert trace.read_text(encoding="utf-8") == TRACE_HEADER + "\n"
 
 
+class TestModuleEntryPoint:
+    """``python -m pipediff`` is the command line: its exit code and output."""
+
+    def test_a_run_prints_its_report(self):
+        done = subprocess.run([sys.executable, "-m", "pipediff", "run", str(REFERENCE_SCN),
+                               "--format", "json"], capture_output=True, text=True,
+                              env=_child_env(), timeout=120)
+        assert done.returncode == 0, done.stderr
+        sc = load_scenario(REFERENCE_SCN)
+        _, summary = simulate(sc.network, sc.robot, sc.gear, sc.sim)
+        assert done.stdout == render_report(summary, sc.report, fmt="json")
+
+    def test_no_command_exits_one(self):
+        done = subprocess.run([sys.executable, "-m", "pipediff"], capture_output=True, text=True,
+                              env=_child_env(), timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == "error: the following arguments are required: command\n"
+
+
 def test_importing_the_cli_leaves_numpy_strings_unloaded():
     # The trace writer reaches numpy's string functions when it first writes,
     # so starting the command line does not pay for importing them.

@@ -127,7 +127,7 @@ class TestRun:
         assert (replace(trace, theta_deg=reduced), replace(summary, theta_deg=reduced)) == expected
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.025])
-    @pytest.mark.parametrize("theta_deg", [-200.0, -120.0, -37.5, -1e15])
+    @pytest.mark.parametrize("theta_deg", [-200.0, -120.0, -37.5, -1e15, -1e-20, -1e-14])
     def test_a_roll_and_the_same_roll_plus_360_run_alike(self, reference_scenario, theta_deg,
                                                           amplitude):
         # A reduction that keeps the sign (``math.fmod``) leaves -200 at
@@ -460,6 +460,43 @@ class TestSplitSegment:
                 assert getattr(split_summary, name) == getattr(summary, name), (k, parts, name)
             assert ([t.distance for t in split_summary.tracks]
                     == [t.distance for t in summary.tracks]), (k, parts)
+
+
+class TestExtendNetwork:
+    """A run that ``t_max`` stops inside a network is the same on that
+    network followed by more segments: the segments not reached change
+    neither a record nor a total, only the network's length and the robot
+    path it gives."""
+
+    EXTENSIONS = [
+        (Straight(100.0),),
+        (Straight(100.0), Bend(300.0, 45.0, (0.0, 1.0, 0.0))),
+        (Bend(300.0, 90.0, (0.0, 1.0, 0.0)), Straight(1e4)),
+    ]
+
+    # (extension, theta_deg, amplitude, dt, t_max), each stopping inside the
+    # reference, whose run takes 60.07 s.
+    @pytest.mark.parametrize("extension, theta_deg, amplitude, dt, t_max", [
+        (0, 0.0, 0.0, 0.01, 3.0), (1, 37.5, 0.025, 0.5, 17.3), (2, 120.0, 0.3, 1e-3, 29.0),
+        (0, 120.0, 0.025, 0.01, 33.99), (1, 0.0, 0.3, 0.01, 29.0), (2, 37.5, 0.0, 0.5, 33.99),
+        (0, 37.5, 0.3, 1e-3, 17.3), (2, 0.0, 0.025, 0.01, 3.0),
+    ])
+    def test_the_run_is_unchanged(self, reference_scenario, extension, theta_deg, amplitude,
+                                  dt, t_max):
+        sc = reference_scenario
+        net = sc.network
+        longer = PipeNetwork(net.spec, net.segments + self.EXTENSIONS[extension],
+                             net.start_tangent)
+        assert longer.violations == ()
+        params = replace(sc.sim, theta_deg=theta_deg, disturbance_amplitude=amplitude,
+                         disturbance_seed=3, dt=dt, t_max=t_max)
+        trace, summary = run(net, sc.robot, sc.gear, params)
+        longer_trace, longer_summary = run(longer, sc.robot, sc.gear, params)
+        assert not summary.completed and summary.stop_reason
+        assert longer_trace == trace
+        assert longer_summary.total_length > summary.total_length
+        assert replace(longer_summary, total_length=summary.total_length,
+                       effective_path=summary.effective_path) == summary
 
 
 class TestRotateNetwork:

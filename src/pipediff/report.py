@@ -35,48 +35,63 @@ _TRACK_INDEX = {name: i for i, name in enumerate(TRACK_NAMES)}
 
 
 # Rows spelled per pass: converting one chunk of the columns to text at a
-# time keeps the peak memory close to that of the CSV text.  A chunk's rows
-# are joined into bytes ``_JOIN_ROWS`` at a time, which bounds the transients.
+# time keeps the peak memory close to that of the CSV text.  Trace rows are
+# joined half a chunk, report rows ``_JOIN_ROWS``, at a time, for the same.
 _CHUNK_ROWS = 512
 _JOIN_ROWS = 128
 
 # Two ASCII bytes as one little-endian 16-bit cell: ``_CELLS[k]`` spells
-# k < 100 as two digits, ``_CELLS[100 + k]`` as the leading digits of a
-# number and ``_CELLS[200 + k]`` as digit k < 10 and the decimal point.
+# k < 100 as two digits, ``_CELLS[100 + k]`` as a number's NUL-padded leading
+# digits and ``_CELLS[200 + k]`` as digit k < 10 and the decimal point.
 _CELLS = np.frombuffer(b"".join([b"%02d" % k for k in range(100)]
-                                + [b"%2d" % k if k else b"  " for k in range(100)]
+                                + [(b"%d" % k).lstrip(b"0").rjust(2, b"\0") for k in range(100)]
                                 + [b"%d." % k for k in range(10)]), "<u2")
+
+
+def _padded(texts: list, width: int) -> np.ndarray:
+    """``texts`` as the rows of a (len, ``width``) uint8 array, NUL-padded."""
+    return np.frombuffer(b"".join([text.ljust(width, b"\0") for text in texts]),
+                         np.uint8).reshape(len(texts), width)
 
 
 def _fields(values: np.ndarray, end: bytes):
     """``(fields, declined)``: each value of the (rows, w) ``values`` as
-    ``'%.6f' %`` spells it, then ``,`` (``end`` in the last column), as a
-    (rows, w) ``S`` array, and the (rows, w) mask of the values whose field
-    is not that: those that are not finite, reach 2**52 micro-units or whose
-    float product ``|x| * 1e6`` is a half-integer.
+    ``'%.6f' %`` spells it, then ``,`` (``end`` in the last column), padded
+    with NULs to a (rows, w, width) uint8 array, and the (rows, w) mask of
+    the values that the digits below cannot spell, whose ``%`` text is
+    written in place: those that are not finite, reach 2**52 micro-units or
+    whose float product ``|x| * 1e6`` is a half-integer.
 
     The micro-units ``rint(|x| * 1e6)`` round the exact product twice, both
     times monotonically, so they are what ``%`` rounds it to (half to even,
     as in Gay's correctly rounded conversion) unless the float product is a
     half-integer: below 2**52 the half-integers are floats, so a product
     strictly between two of them rounds to a float between them too, and
-    ``micro - units`` is exact.  The digits go right-aligned into
-    space-padded cells that ``np.strings.lstrip`` left-aligns; a sign goes in
-    front after that.
+    ``micro - units`` is exact.  A field is a byte for the sign, the digits
+    right-aligned in NUL-padded two-byte cells, and the separator.
     """
     micro = np.abs(values.ravel())
     with np.errstate(over="ignore", invalid="ignore"):
         micro *= 1e6
         units = np.rint(micro)
         declined = ~(micro < 2.0 ** 52) | (abs(micro - units) == 0.5)
-    units[declined] = 0.0
+    texts = []
+    if declined.any():
+        units[declined] = 0.0
+        last = np.nonzero(declined.reshape(values.shape))[1] == values.shape[1] - 1
+        texts = [b"%.6f%s" % (x, end if at_end else b",")
+                 for x, at_end in zip(values.ravel()[declined].tolist(), last.tolist())]
     units = units.astype(np.int64)
     # From the right: three pairs of decimals, the units digit and the point,
     # then the integer digits above it in pairs, as many as the largest has.
     cells = 4 + max(1, len(str(int(units.max()))) - 6) // 2
-    text = np.empty((len(units), cells + 1), "<u2")
-    text[:, cells] = ord(",")  # and a NUL, which the ``S`` dtype drops
-    text.reshape(*values.shape, -1)[:, -1, -1] = ord(end)
+    # A byte for the sign, the digits and the separator, or a ``%`` text.
+    width = max([2 * cells + 2] + [len(text) for text in texts])
+    fields = np.zeros((*values.shape, width), np.uint8)
+    fields[..., -1] = ord(",")
+    fields[:, -1, -1] = ord(end)
+    fields[..., -2 * cells - 2][np.signbit(values)] = ord("-")
+    digits = fields.reshape(-1, width)[:, -2 * cells - 1:-1].view("<u2")
     for j in reversed(range(cells)):
         place = 10 if j == cells - 4 else 100
         rest = units // place
@@ -84,77 +99,60 @@ def _fields(values: np.ndarray, end: bytes):
         if j == cells - 4:
             units += 200  # with the decimal point
         elif j < cells - 4:
-            units += 100 * (rest == 0)  # leading digits, space-padded
-        text[:, j] = _CELLS[units]
+            units += 100 * (rest == 0)  # leading digits, NUL-padded
+        digits[:, j] = _CELLS[units]
         units = rest
-    fields = np.strings.lstrip(text.view(f"S{2 * cells + 2}").reshape(values.shape))
-    negative = np.signbit(values)
-    if negative.any():
-        fields = np.where(negative, np.add(b"-", fields), fields)
+    if texts:
+        fields.reshape(-1, width)[declined] = _padded(texts, width)
     return fields, declined.reshape(values.shape)
 
 
-def _spelled(values: np.ndarray, end: bytes) -> np.ndarray:
-    """The fields of ``_fields``, but each value that it declines spelled by
-    ``'%.6f' %`` alone."""
-    fields, declined = _fields(values, end)
-    if declined.any():
-        last = np.nonzero(declined)[1] == values.shape[1] - 1
-        texts = np.array([b"%.6f%s" % (x, end if at_end else b",")
-                          for x, at_end in zip(values[declined].tolist(), last.tolist())])
-        fields = fields.astype(np.promote_types(fields.dtype, texts.dtype))
-        fields[declined] = texts
-    return fields
-
-
-def _held_texts(trace, lo: int, hi: int) -> dict:
-    """The text that holds over each segment ``lo`` to ``hi - 1``, keyed by
-    the field of the moving columns ``t``, ``s`` and ``trace.moving`` that it
-    comes before: the segment, theta and the values of each later column
-    that does not move, one row per segment, all spelled in one pass."""
+def _held(trace, lo: int, hi: int) -> list:
+    """For each column of ``trace.moving``, the fields that hold over each
+    segment ``lo`` to ``hi - 1`` and come before that column, as a block of
+    NUL-padded bytes with one row per segment: the segment, theta and the
+    values of each column that does not move, all spelled in one pass.  Each
+    field is cut to the least padding that any segment's field has, and each
+    block is C-ordered, as ``np.take`` gathers its rows fastest."""
     # The trace's rows read with one record in each segment, by its own rules.
     segments = replace(trace, segment=np.arange(lo, hi))
     held = [getattr(segments, name) for name in TRACE_COLUMNS[3:] if name not in trace.moving]
     theta = np.full((hi - lo, 1), trace.theta_deg, dtype=float)
-    fields = np.concatenate([np.array([[b"%d," % index] for index in range(lo, hi)]),
-                             _spelled(np.concatenate([theta, *held], axis=1), b",")], axis=1)
-    texts, a = {}, 0
-    for k, name in enumerate(trace.moving):
-        # The segment, theta and each held column before ``name`` are the
-        # first b fields; those from a on follow the moving column before it.
-        b = 2 + 3 * (TRACE_COLUMNS.index(name) - 3 - k)
-        if b > a:
-            # Joined through ``tolist``, which drops each field's padding, so
-            # each text is as wide as the widest row, not the widest fields.
-            texts[2 + 3 * k] = np.array([b"".join(row) for c in range(0, hi - lo, _JOIN_ROWS)
-                                         for row in fields[c:c + _JOIN_ROWS, a:b].tolist()])
-        a = b
-    return texts
+    fields, _ = _fields(np.concatenate([theta, *held], axis=1), b",")
+    index = _padded([b"%d," % k for k in range(lo, hi)], len(b"%d," % (hi - 1)))
+    # The index, theta and three fields per held column before each moving one.
+    ends = [index.shape[1] + fields.shape[2] * (1 + 3 * (TRACE_COLUMNS.index(name) - 3 - k))
+            for k, name in enumerate(trace.moving)]
+    rows = np.concatenate([index, fields.reshape(hi - lo, -1)], axis=1)
+    return [np.compress(block.any(axis=0), block, axis=1)
+            for block in np.split(rows, ends[:-1], axis=1)]
 
 
 def _trace_rows(trace):
-    """The trace's rows as bytes in pieces, each with the held text of its
+    """The trace's rows as bytes in pieces, each with the held fields of its
     segment, spelled for the segments from the lowest to the highest that
     the trace's records are in (a slice may run backwards or skip records);
     an empty trace has none."""
     if not len(trace):
         return
     lo = int(trace.segment.min())
-    texts = _held_texts(trace, lo, int(trace.segment.max()) + 1)
+    held = _held(trace, lo, int(trace.segment.max()) + 1)
+    half = (_CHUNK_ROWS + 1) // 2
     for a in range(0, len(trace), _CHUNK_ROWS):
         chunk = trace[a:a + _CHUNK_ROWS]
         values = np.concatenate([chunk.t[:, None], chunk.s[:, None],
                                  *[getattr(chunk, name) for name in trace.moving]], axis=1)
-        fields = _spelled(values, b"\n")
+        fields, _ = _fields(values, b"\n")
         segment = chunk.segment - lo
-        for b in range(0, len(chunk), _JOIN_ROWS):
-            rows, at = fields[b:b + _JOIN_ROWS], segment[b:b + _JOIN_ROWS]
-            line = rows[:, 0]
-            for k in range(1, rows.shape[1]):
-                if k in texts:
-                    line = np.add(line, texts[k][at])
-                line = np.add(line, rows[:, k])
-            yield b"".join(line.tolist())
+        for b in range(0, len(chunk), half):
+            rows, at = fields[b:b + half], segment[b:b + half]
+            # ``t`` and ``s``, then each moving column after its held fields.
+            parts = [rows[:, :2]]
+            for k, block in enumerate(held):
+                parts += [np.take(block, at, axis=0), rows[:, 2 + 3 * k:5 + 3 * k]]
+            row = np.concatenate([part.reshape(len(at), -1) for part in parts], axis=1)
+            del parts  # the gathered held fields, before the bytes are copied out
+            yield row.tobytes().translate(None, b"\0")
 
 
 def render_trace(trace) -> str:
@@ -169,10 +167,11 @@ def render_trace(trace) -> str:
     lowest to the highest that the trace's records are in: the segment,
     theta, ``v_theo`` and ``compression``, and ``v`` and ``slip`` too when
     ``v`` is per segment.  Each row joins the fields of the columns that
-    move with the held text of its segment, gathered by ``segment``.  Every
-    float goes through one speller, ``_spelled``: integer arithmetic on
-    numpy columns, or ``'%.6f' %`` for each value where that cannot be
-    exact.  The output is that of formatting each value alone.
+    move with the held fields of its segment, gathered by ``segment``, as
+    NUL-padded bytes, and drops the padding.  Every float goes through one
+    speller, ``_fields``: integer arithmetic on numpy columns, or
+    ``'%.6f' %`` for each value where that cannot be exact.  The output is
+    that of formatting each value alone.
     """
     return TRACE_HEADER + "\n" + "".join([piece.decode() for piece in _trace_rows(trace)])
 

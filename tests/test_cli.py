@@ -636,8 +636,8 @@ class TestModuleEntryPoint:
 
 
 def test_importing_the_cli_leaves_numpy_strings_unloaded():
-    # The trace writer reaches numpy's string functions when it first writes,
-    # so starting the command line does not pay for importing them.
+    # Nothing in pipediff calls numpy's string functions: the trace writer
+    # spells its rows as bytes, so no command pays for importing them.
     probe = "import sys, pipediff.cli; print('numpy' in sys.modules, 'numpy.strings' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=_child_env(), timeout=120)
@@ -648,12 +648,13 @@ def test_importing_the_cli_leaves_numpy_strings_unloaded():
 def test_only_a_disturbed_run_loads_numpy_random(tmp_path, reference_text, amplitude, loaded):
     # Only a disturbed run draws from numpy's generator.  Importing
     # ``numpy.random`` and making the first generator raise a process's peak
-    # memory by megabytes, so an undisturbed run leaves it out.
+    # memory by megabytes, so an undisturbed run leaves it out.  Writing the
+    # trace loads no ``numpy.strings`` either way.
     scenario = write_scenario(tmp_path, reference_text.replace(
         "disturbance_amplitude = 0.0", f"disturbance_amplitude = {amplitude}"))
     probe = ("import sys, pipediff.cli; code = pipediff.cli.main(sys.argv[1:]); "
-             "print(code, 'numpy.random' in sys.modules)")
+             "print(code, 'numpy.random' in sys.modules, 'numpy.strings' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe, "run", scenario, "--trace",
                            str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt")],
                           capture_output=True, text=True, env=_child_env(), timeout=120)
-    assert done.stdout == f"0 {loaded}\n", done.stderr
+    assert done.stdout == f"0 {loaded} False\n", done.stderr

@@ -535,6 +535,95 @@ class TestRotateNetwork:
                         == run(net, sc.robot, sc.gear, params)), (amplitude, theta_deg)
 
 
+# Straights of whole eighths of a millimetre, whose parts, when cut at an
+# eighth, sum to them exactly, and bends: with a 45 deg tilt limit the robot
+# fits those of radius 45 mm or more, and stops at the first that it does not.
+DYADIC_PIECES = st.lists(
+    st.one_of(
+        st.tuples(st.just("straight"), st.integers(2, 1200).map(lambda k: k / 8.0)),
+        st.tuples(st.just("bend"), st.floats(14.0, 400.0), st.floats(0.5, 180.0),
+                  st.sampled_from((1, -1))),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestRelationsOnDrawnChains:
+    """``TestSplitSegment``'s and ``TestRotateNetwork``'s relations over
+    drawn planar chains, which need no oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pieces=DYADIC_PIECES,
+        data=st.data(),
+        dt=st.one_of(st.floats(0.05, 2.0), st.sampled_from((0.1, 0.2, 0.5))),
+        theta_deg=st.floats(0.0, 360.0),
+        amplitude=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_splitting_a_segment_moves_only_the_segment_index(
+        self, reference_scenario, pieces, data, dt, theta_deg, amplitude, seed
+    ):
+        sc = reference_scenario
+        robot = replace(sc.robot, max_tilt_deg=45.0)
+        net = planar_network(sc.network.spec, pieces)
+        k = data.draw(st.integers(0, len(pieces) - 1), label="cut segment")
+        segments = list(net.segments)
+        if isinstance(segments[k], Straight):
+            # A cut at whole eighths: both parts and their sum are exact.
+            eighths = int(segments[k].length * 8)
+            cut = data.draw(st.integers(1, eighths - 1), label="cut eighths") / 8.0
+            parts = [replace(segments[k], length=length)
+                     for length in (cut, segments[k].length - cut)]
+        else:
+            # Half the sweep: R * radians(sweep / 2) is half the arc, exactly.
+            parts = [replace(segments[k], sweep_deg=segments[k].sweep_deg / 2.0)] * 2
+        segments[k:k + 1] = parts
+        split = PipeNetwork(net.spec, tuple(segments), net.start_tangent)
+        # Summing in another order may move a joint's last bit.
+        assume(np.array_equal(np.delete(split.starts, k + 1), net.starts))
+        assume(split.total_length == net.total_length)
+        params = replace(sc.sim, dt=dt, theta_deg=theta_deg, disturbance_amplitude=amplitude,
+                         disturbance_seed=seed)
+        whole, summary = run(net, robot, sc.gear, params)
+        parted, parted_summary = run(split, robot, sc.gear, params)
+        event(f"completed: {summary.completed}")
+        for name in ("t", "s", "distance", "v", "v_theo", "compression", "slip"):
+            assert np.array_equal(getattr(parted, name), getattr(whole, name)), name
+        assert np.array_equal(parted.segment - (parted.segment > k), whole.segment)
+        for name in ("total_time", "max_slip", "completed"):
+            assert getattr(parted_summary, name) == getattr(summary, name), name
+        assert [t.distance for t in parted_summary.tracks] == [t.distance for t in summary.tracks]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pieces=DYADIC_PIECES,
+        z=st.floats(-1.0, 1.0),
+        azimuth=st.floats(-math.pi, math.pi),
+        angle=st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True),
+    )
+    def test_rotating_the_network_changes_no_run(self, reference_scenario, pieces, z, azimuth,
+                                                 angle):
+        sc = reference_scenario
+        robot = replace(sc.robot, max_tilt_deg=45.0)
+        rho = math.sqrt(1.0 - z * z)
+        axis = (rho * math.cos(azimuth), rho * math.sin(azimuth), z)
+        # Straights given no axis, for the walk to resolve.
+        segments = tuple(Straight(seg.length) if isinstance(seg, Straight) else seg
+                         for seg in planar_network(sc.network.spec, pieces).segments)
+        net = PipeNetwork(sc.network.spec, segments, Z)
+        turned = PipeNetwork(net.spec, tuple(
+            seg if isinstance(seg, Straight)
+            else replace(seg, normal=TestRotateNetwork.rotated(seg.normal, axis, angle))
+            for seg in segments), TestRotateNetwork.rotated(Z, axis, angle))
+        assume(net.violations == () and turned.violations == ())
+        for amplitude in (0.0, 0.025):
+            params = replace(sc.sim, disturbance_amplitude=amplitude, disturbance_seed=3)
+            assert (run(turned, robot, sc.gear, params)
+                    == run(net, robot, sc.gear, params)), amplitude
+
+
 class TestAgainstTheTickStepper:
     """The block stepper against the tick-by-tick reference in reference_stepper."""
 

@@ -29,8 +29,8 @@ produce bit-identical traces.  The kept records do the same floating-point
 operations in the same order as stepping one tick at a time (``np.cumsum``
 adds in sequence, the 3-term mean is the correctly rounded sum that
 ``math.fsum`` gives, formed in numpy by ``_sum3``, and a block starts from a
-kept position), and record k's disturbance is rows ``3 * k`` to ``3 * k + 2``
-of the seed's stream (``_draws``), however the run is cut into blocks.
+kept position), and record k's disturbance is draws ``3 * k`` to ``3 * k + 2``
+of the seed's counter-based stream (``_draws``), however the run is blocked.
 Independent runs share nothing and may execute in parallel.
 
 Each block is folded into the summary (``_Fold``) and handed to ``run``'s
@@ -94,7 +94,7 @@ class SimParams:
     theta_deg: float = 0.0  # roll orientation, degrees
     t_max: float | None = None  # s, optional stop time
     disturbance_amplitude: float = 0.0  # speeds v * (1 + amplitude * u); 0 disables
-    disturbance_seed: int = 0  # >= 0, as numpy's generator requires
+    disturbance_seed: int = 0  # >= 0, so that each seed's 64-bit words key its own stream
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -108,7 +108,7 @@ class SimParams:
         amplitude, seed = self.disturbance_amplitude, self.disturbance_seed
         if not (0.0 <= amplitude < 1.0):
             raise ValueError(f"disturbance amplitude must be in [0, 1), got {amplitude!r}")
-        if type(seed) is not int:  # not a bool either: numpy's generator takes ints
+        if type(seed) is not int:  # not a bool either
             raise ValueError(f"disturbance seed must be an int, got {seed!r}")
         if seed < 0:
             raise ValueError(f"disturbance seed must be non-negative, got {seed!r}")
@@ -420,11 +420,26 @@ def _step_block(plan, starts, index, s, distance, rows, dt, amplitude, draws):
     return guess, located, means, v, positions, _running_sums(distance, v * dt)
 
 
+def _mix(z):
+    """SplitMix64's finalizer (Steele, Lea and Flood, OOPSLA 2014) of wrapping uint64 words."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= factor
+    return z ^ z >> 31
+
+
 def _draws(seed: int, k: int, rows: int) -> np.ndarray:
-    """The (rows, 3) draws ``np.random.default_rng(seed).uniform(-1.0, 1.0, ...)``
-    gives from draw ``3 * k`` on, one 64-bit output per draw: record k's row first."""
-    return np.random.Generator(np.random.PCG64(seed).advance(3 * k)).uniform(
-        -1.0, 1.0, size=(rows, 3))
+    """The (rows, 3) draws ``u`` in [-1, 1) of the seed's stream from draw ``3 * k`` on,
+    record k's row first.  Draw n is ``_mix(n * gamma + key)`` (a counter-based stream:
+    Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011); its top 52
+    bits, the mantissa of a float in [2, 4), less 3 give ``u`` exactly.  The key mixes in
+    the seed's 64-bit words, so seeds ``s`` and ``s + 1`` do not give one stream shifted."""
+    gamma, key = 0x9E3779B97F4A7C15, np.uint64(0)  # SplitMix64's increment: 2**64 / golden ratio
+    with np.errstate(over="ignore"):  # uint64 scalars warn as they wrap
+        for shift in range(0, max(seed.bit_length(), 1), 64):
+            key = _mix((key ^ seed >> shift & 0xFFFFFFFFFFFFFFFF) + gamma)
+    z = _mix(np.arange(3 * k, 3 * (k + rows), dtype=np.uint64) * gamma + key)
+    return ((z >> 12 | 0x4000000000000000).view(np.float64) - 3.0).reshape(rows, 3)
 
 
 def _window_sums(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list:

@@ -7,7 +7,8 @@ exactly.
 floats; ``reference_plan`` walks the segments in order through it, the
 geometric demands and the general differential solver; ``reference_run``
 steps one record per tick and summarises record by record;
-``reference_csv`` formats each value with ``f"{x:.6f}"``.  The differential
+``reference_csv`` formats each value with ``f"{x:.6f}"``;
+``reference_draw`` spells the disturbance stream in Python integers.  The differential
 delivers the demanded speeds as they are.  Segment lengths
 and starts are their own running sum, and the module angles come from
 ``MODULE_OFFSETS`` here.  The one rule they share with the code under test
@@ -35,6 +36,36 @@ from pipediff import (
 )
 from pipediff.geometry import MODULE_OFFSETS
 from pipediff.simulator import WINDOW_MARGIN, TraceRecord, _Plan
+
+
+_WORD = 2**64  # the stream's words are integers modulo 2**64
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, the odd integer nearest 2**64 / golden ratio
+
+
+def _splitmix64(z):
+    """SplitMix64's finalizer of one word (Steele, Lea and Flood, OOPSLA 2014)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % _WORD
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % _WORD
+    return z ^ (z >> 31)
+
+
+def reference_key(seed):
+    """The stream's key: each 64-bit word of the seed, lowest first, added to
+    the key so far, plus the increment, through the finalizer; 0 before the first."""
+    key, words = 0, [seed % _WORD]
+    while seed >= _WORD:
+        seed //= _WORD
+        words.append(seed % _WORD)
+    for word in words:
+        key = _splitmix64(((key ^ word) + _GAMMA) % _WORD)
+    return key
+
+
+def reference_draw(key, n):
+    """Draw n of the stream keyed ``key``: the finalizer of ``n * gamma + key``,
+    whose top 52 bits ``m`` make ``m / 2**51 - 1``, in [-1, 1)."""
+    z = _splitmix64((n * _GAMMA + key) % _WORD)
+    return (z >> 12) / 2**51 - 1.0
 
 
 def reference_lengths(net):
@@ -168,16 +199,16 @@ def reference_run(net, robot, gear, params):
     passable = len(plan.speeds)
     lengths, starts, total = reference_lengths(net)
     dt, amplitude = params.dt, params.disturbance_amplitude
-    rng = np.random.default_rng(params.disturbance_seed) if amplitude > 0.0 else None
+    key = reference_key(params.disturbance_seed)
     records, s, k, index, distances = [], 0.0, 0, 0, (0.0, 0.0, 0.0)
     completed, stop_reason = False, None
     error = plan.error if passable == 0 else None
     while error is None:
         v = demanded = tuple(plan.speeds[index].tolist())
         t = k * dt
-        if rng is not None:
-            u = rng.uniform(-1.0, 1.0, size=3)
-            v = tuple(x * (1.0 + amplitude * float(f)) for x, f in zip(v, u))
+        if amplitude > 0.0:
+            u = (reference_draw(key, 3 * k + i) for i in range(3))
+            v = tuple(x * (1.0 + amplitude * f) for x, f in zip(v, u))
         slip = tuple(abs(x - y) for x, y in zip(v, demanded))
         records.append(TraceRecord(t, s, index, params.theta_deg, v, demanded,
                                    tuple(plan.compressions[index].tolist()), slip, distances))

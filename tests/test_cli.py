@@ -644,17 +644,19 @@ def test_importing_the_cli_leaves_numpy_strings_unloaded():
     assert done.stdout == "True False\n", done.stderr
 
 
-@pytest.mark.parametrize("amplitude, loaded", [("0.0", False), ("0.025", True)])
-def test_only_a_disturbed_run_loads_numpy_random(tmp_path, reference_text, amplitude, loaded):
-    # Only a disturbed run draws from numpy's generator.  Importing
-    # ``numpy.random`` and making the first generator raise a process's peak
-    # memory by megabytes, so an undisturbed run leaves it out.  Writing the
-    # trace loads no ``numpy.strings`` either way.
+@pytest.mark.parametrize("amplitude", ["0.0", "0.025"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_no_command_loads_numpy_random(tmp_path, reference_text, command, amplitude):
+    # The disturbance stream hashes its counters in uint64 columns, so no run
+    # or sweep, disturbed or not, imports ``numpy.random``, which would raise
+    # a process's peak memory by megabytes.  Writing the trace loads no
+    # ``numpy.strings`` either.
     scenario = write_scenario(tmp_path, reference_text.replace(
         "disturbance_amplitude = 0.0", f"disturbance_amplitude = {amplitude}"))
+    outputs = {"run": ["--trace", str(tmp_path / "t.csv")], "sweep": ["--theta-steps", "8"]}
     probe = ("import sys, pipediff.cli; code = pipediff.cli.main(sys.argv[1:]); "
              "print(code, 'numpy.random' in sys.modules, 'numpy.strings' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe, "run", scenario, "--trace",
-                           str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.txt")],
+    done = subprocess.run([sys.executable, "-c", probe, command, scenario, *outputs[command],
+                           "--report", str(tmp_path / "r.txt")],
                           capture_output=True, text=True, env=_child_env(), timeout=120)
-    assert done.stdout == f"0 {loaded} False\n", done.stderr
+    assert done.stdout == "0 False False\n", done.stderr

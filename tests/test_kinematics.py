@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pipediff import (
@@ -16,7 +16,7 @@ from pipediff import (
 from pipediff.geometry import module_cosines
 from pipediff.kinematics import demanded_speeds
 
-from reference_stepper import reference_demands
+from reference_stepper import reference_demands, reference_draw, reference_key
 
 Y = (0.0, 1.0, 0.0)
 BEND = Bend(radius=200.0, sweep_deg=90.0, normal=Y)
@@ -132,26 +132,44 @@ class TestDisturbance:
         return trace, plan.speeds[trace.segment]
 
     def test_zero_amplitude_is_identity_and_draws_nothing(self, reference_scenario):
-        drew = AssertionError("drew")
-        with mock.patch.object(simulator, "_draws", side_effect=drew), \
-                mock.patch.object(np.random, "PCG64", side_effect=drew):
+        with mock.patch.object(simulator, "_draws", side_effect=AssertionError("drew")):
             trace, resolved = self.disturbed(reference_scenario, 0.0, 7)
         assert np.array_equal(trace.v, resolved)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**70), k=st.integers(0, 3000), rows=st.integers(1, 50))
+    @given(seed=st.integers(0, 2**70),
+           k=st.one_of(st.integers(0, 3000), st.integers(0, simulator.MAX_RECORDS)),
+           rows=st.integers(1, 50))
+    @example(seed=2**64 - 1, k=0, rows=1).via("the last one-word seed")
+    @example(seed=2**64, k=0, rows=1).via("the first two-word seed")
     def test_draws_from_record_k_are_the_stream_from_draw_3k(self, seed, k, rows):
-        expected = np.random.default_rng(seed).uniform(-1.0, 1.0, (k + rows, 3))[k:]
-        assert simulator._draws(seed, k, rows).tobytes() == expected.tobytes()
+        key = reference_key(seed)
+        expected = [reference_draw(key, n) for n in range(3 * k, 3 * (k + rows))]
+        assert simulator._draws(seed, k, rows).tobytes() == np.array(expected).tobytes()
 
     def test_seeded_draws_are_reproducible(self, reference_scenario):
         # The run's blocks of draws are the same stream as three draws per
         # record, and each record is the one-tick formula v * (1 + a * u).
-        trace, resolved = self.disturbed(reference_scenario, 0.025, 42)
-        rng = np.random.default_rng(42)
-        u = np.array([rng.uniform(-1.0, 1.0, size=3) for _ in range(len(trace))])
-        assert np.array_equal(trace.v, resolved * (1.0 + 0.025 * u))
-        assert trace == self.disturbed(reference_scenario, 0.025, 42)[0]
+        for seed in (42, 2**70):
+            trace, resolved = self.disturbed(reference_scenario, 0.025, seed)
+            key = reference_key(seed)
+            u = np.reshape([reference_draw(key, n) for n in range(3 * len(trace))], (-1, 3))
+            assert np.array_equal(trace.v, resolved * (1.0 + 0.025 * u))
+            assert trace == self.disturbed(reference_scenario, 0.025, seed)[0]
+
+    def test_the_stream_is_uniform_and_adjacent_seeds_are_uncorrelated(self):
+        # For n draws of U(-1, 1) the sample mean has standard error
+        # sqrt(1/3 / n); the sample variance, about 1/3, has about
+        # sqrt((1/5 - 1/9) / n), as u**2 has variance E[u**4] - E[u**2]**2;
+        # and the correlation of two independent streams about 1 / sqrt(n).
+        # Each bound is six of these, which a uniform stream exceeds with
+        # probability about 2e-9.  A sweep's orientations use seeds s and s + 1.
+        n = 3 * 333_334
+        for seed in (0, 2**64 - 1):
+            u, w = (simulator._draws(s, 0, n // 3).ravel() for s in (seed, seed + 1))
+            assert abs(u.mean()) < 6.0 * math.sqrt(1.0 / 3.0 / n)
+            assert abs(u.var() - 1.0 / 3.0) < 6.0 * math.sqrt((1.0 / 5.0 - 1.0 / 9.0) / n)
+            assert abs(np.corrcoef(u, w)[0, 1]) < 6.0 / math.sqrt(n)
 
     def test_amplitude_bounds_the_deviation(self, reference_scenario):
         trace, resolved = self.disturbed(reference_scenario, 0.025, 3)

@@ -380,7 +380,9 @@ class TestSegmentAdmissibility:
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.025])
     def test_a_segment_crossed_within_one_step_is_reported(self, reference_text, amplitude):
-        # At dt = 0.5 s one 17.5 mm step crosses the 0.1 mm straight whole.
+        # At dt = 0.5 s one 17.5 mm step crosses the 0.1 mm straight whole;
+        # the disturbed run takes that step one record earlier.
+        crossed = {0.0: 24.5, 0.025: 24.0}[amplitude]
         sc = parse_scenario(reference_text.replace("length = 350.0", "length = 0.1"))
         sim = replace(sc.sim, dt=0.5, disturbance_amplitude=amplitude, disturbance_seed=7)
         trace, summary = run(sc.network, sc.robot, sc.gear, sim)
@@ -389,7 +391,7 @@ class TestSegmentAdmissibility:
         assert segments.index == (0, 1, 2, 3)
         assert segments.exit_time[0] == segments.entry_time[1]
         assert (segments.exit_time[1], segments.entry_time[2], segments.exit_time[2],
-                segments.entry_time[3]) == (24.5, 24.5, 24.5, 24.5)
+                segments.entry_time[3]) == (crossed,) * 4
         assert [ape[2] for ape in segments.ape] == [None, None, None]
         for speeds in (segments.mean_speeds, segments.min_speeds, segments.max_speeds):
             assert [track[2] for track in speeds] == [35.0, 35.0, 35.0]
@@ -809,6 +811,17 @@ class TestPlanAgainstTheReference:
         assert plan.error == ("imposed speeds sum to 6.29941 rad/s but the train requires "
                               "6.3 rad/s (3 * ratio * omega_u)")
 
+    def test_the_demand_range_cut_fires_where_only_the_budget_plus_the_demands_overflows(self):
+        # The budget 3 * omega_u and the demands' sum are each 1.2e308, finite,
+        # and the budget check passes; only their sum leaves the float range.
+        # Without this cut the record-range rule would name the row instead.
+        net = PipeNetwork(PipeSpec(inner_radius=13.2), (Straight(100.0, Z),))
+        robot = RobotConfig(sprocket_radius=1.0, length=10.0, nominal_body_radius=13.2,
+                            preload_compression=1.0)
+        plan, rule = self.check(net, robot, GearTrainConfig(), SimParams(omega_u=4e307))
+        assert rule == "demand range" and len(plan.speeds) == 0
+        assert plan.error == "track speeds exceed the float range at nominal speed 4e+307 mm/s"
+
 
 class TestSummaryEdges:
     """The fold works on per-segment columns; these runs reach the edges of
@@ -850,9 +863,18 @@ class TestSummaryEdges:
         assert len(trace) == records and summary.stop_reason == "t_max"
         assert trace.t[-1] == pytest.approx(t_max, rel=1e-12)
 
+    def test_a_last_record_at_the_stop_time_stops_the_run_at_t_max(self):
+        # The stop time t_max * (1 - 1e-12) rounds to exactly 1.0 s, the time
+        # of the 101st record at dt = 0.01 s.
+        net, robot, gear, params = small_setup(t_max=1.000000000001)
+        assert params.t_max * (1.0 - 1e-12) == 100 * params.dt == 1.0
+        trace, summary = self.check(net, robot, gear, params)
+        assert len(trace) == 101 and trace.t[-1] == 1.0
+        assert summary.stop_reason == "t_max" and summary.error is None
+
     def test_a_mean_track_speed_that_rounds_to_zero_stalls_the_run(self):
         # A nominal speed of the smallest subnormal, disturbed by up to 90 %:
-        # the 21st record's three speeds sum to one subnormal, whose third
+        # the 5th record's three speeds sum to one subnormal, whose third
         # rounds to a mean of 0.
         net = PipeNetwork(PipeSpec(inner_radius=13.2), (Straight(100.0, Z),))
         robot = RobotConfig(sprocket_radius=1.0, length=10.0, nominal_body_radius=13.2,
@@ -860,7 +882,7 @@ class TestSummaryEdges:
         params = SimParams(omega_u=5e-324, dt=1e300, t_max=1e303,
                            disturbance_amplitude=0.9, disturbance_seed=0)
         trace, summary = self.check(net, robot, GearTrainConfig(), params)
-        assert len(trace) == 21 and not summary.completed and summary.stop_reason is None
+        assert len(trace) == 5 and not summary.completed and summary.stop_reason is None
         assert summary.error == "stalled: mean track speed 0 mm/s is not positive"
 
     def test_a_disturbed_track_whose_demand_is_zero_has_no_ape(self):
@@ -881,12 +903,12 @@ class TestSummaryEdges:
     def test_a_segment_whose_window_holds_no_record_averages_all_of_them(
         self, reference_scenario
     ):
-        # The 0.4 mm straight holds two records, 0.030 mm and 0.375 mm past
+        # The 0.4 mm straight holds two records, 0.019 mm and 0.365 mm past
         # its start: both outside its window of 0.04 mm to 0.36 mm.
         sc = reference_scenario
         net = planar_network(sc.network.spec,
                              [("straight", 30.06), ("straight", 0.4), ("bend", 335.0, 90.0, 1)])
-        params = replace(sc.sim, disturbance_amplitude=0.025, disturbance_seed=2)
+        params = replace(sc.sim, disturbance_amplitude=0.025, disturbance_seed=15)
         trace, summary = self.check(net, sc.robot, sc.gear, params)
         offsets = trace.s[trace.segment == 1] - net.starts[1]
         assert len(offsets) == 2
@@ -1356,7 +1378,7 @@ def test_sim_params_validation():
 
 @pytest.mark.parametrize("seed", [1.5, 3.0, "3", True, False, None])
 def test_sim_params_rejects_a_seed_that_is_not_an_int(seed):
-    # Each would reach numpy's generator, or the report, as something else.
+    # Each would reach the disturbance stream's key, or the report, as something else.
     with pytest.raises(ValueError, match="disturbance seed must be an int"):
         SimParams(omega_u=1.0, disturbance_amplitude=0.025, disturbance_seed=seed)
 
